@@ -193,21 +193,18 @@ def upwind_weight(c_s_left: float, c_s_right: float | None,
 def upwind_weights(mesh: Triangulation, fields: CoefficientFields
                    ) -> np.ndarray:
     """Per-edge upstream weights, oriented by the first incident element."""
-    wflux = _edge_fluxes(mesh, fields)
-    nu = np.zeros(mesh.num_edges)
-    left_flux = _left_values(mesh, wflux)
-    left = mesh.edge_elems[:, 0]
-    right = mesh.edge_elems[:, 1]
-    for e in range(mesh.num_edges):
-        boundary = right[e] < 0
-        nu[e] = upwind_weight(
-            fields.c_S[left[e]],
-            None if boundary else fields.c_S[right[e]],
-            float(mesh.edge_length[e]),
-            float(left_flux[e]),
-            boundary,
-        )
-    return nu
+    w_flux = _left_values(mesh, _edge_fluxes(mesh, fields))
+    left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
+    boundary = right < 0
+    c_s_left = fields.c_S[left]
+    c_s_right = fields.c_S[np.where(boundary, left, right)]
+    c_s = np.where(boundary, c_s_left,
+                   2.0 * c_s_left * c_s_right / (c_s_left + c_s_right))
+    # measure over diameter, in the operation order of upwind_weight
+    length = mesh.edge_length
+    with np.errstate(divide="ignore"):
+        nu = np.minimum(c_s * length / (length * np.abs(w_flux)), 0.5)
+    return np.where((w_flux == 0.0) | (boundary & (w_flux < 0.0)), 0.0, nu)
 
 
 def upwind_value_coeffs(nu: float, w_flux: float, interior: bool

@@ -86,31 +86,33 @@ def detect_singular_vertices(mesh: Triangulation, C_S: np.ndarray,
                              rel_tol: float = 1e-9) -> set:
     """Vertices where the maximal-coefficient elements do not form one fan.
 
-    A vertex is singular when the elements of its star attaining the
-    largest diffusion bound (within ``rel_tol`` relatively) split into
-    more than one edge-connected group around the vertex.
+    A vertex v is singular when the elements of its star attaining the
+    largest diffusion bound there (within ``rel_tol`` relatively), its top
+    class, split into more than one edge-connected block around v.
+
+    The blocks are counted through their ends.  Each edge at v counts as a
+    transition of v when exactly one of its sides lies in the top class; a
+    boundary edge has the exterior as its second side, which is never in
+    the top class.  Walking around v, every block begins and ends at a
+    transition: in a closed fan (interior vertex) at the edges where the
+    class changes, in an open fan (boundary vertex) also at a boundary
+    edge when the block reaches the end of the fan.  No transition lies
+    inside a block or between two blocks, so the transitions are exactly
+    twice the blocks, and v is singular iff it has at least 4 of them.  A
+    closed fan lying wholly in its top class has no transition and one
+    block, and is not singular either way.
     """
-    singular = set()
-    stars = mesh._vertex_incidence()
-    for v in range(mesh.num_vertices):
-        star = stars[v]
-        if not star:
-            continue
-        values = C_S[star]
-        top = values.max()
-        if values.min() >= top * (1.0 - rel_tol):
-            continue  # single coefficient class around v
-        ordered, is_boundary = mesh.vertex_star(v)
-        flags = [C_S[t] >= top * (1.0 - rel_tol) for t in ordered]
-        blocks = 0
-        n = len(flags)
-        for i in range(n):
-            prev = flags[i - 1] if (i > 0 or not is_boundary) else False
-            if flags[i] and not prev:
-                blocks += 1
-        if blocks >= 2:
-            singular.add(v)
-    return singular
+    top = np.zeros(mesh.num_vertices)
+    np.maximum.at(top, mesh.elem_verts.ravel(), np.repeat(C_S, 3))
+    left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
+    transitions = np.zeros(mesh.num_vertices, dtype=np.int64)
+    for v in mesh.edge_verts.T:
+        cut = top[v] * (1.0 - rel_tol)
+        in_left = C_S[left] >= cut
+        in_right = (right >= 0) & (C_S[right] >= cut)
+        transitions += np.bincount(v[in_left != in_right],
+                                   minlength=mesh.num_vertices)
+    return set(np.flatnonzero(transitions >= 4).tolist())
 
 
 class EstimatorContext:
@@ -330,9 +332,6 @@ class EstimatorContext:
 
     def eta_U(self, t: int) -> float:
         return float(self.eta_U_all()[t])
-
-    def xi_K(self, t: int) -> float:
-        return float(self.xi_all()[t])
 
     def total_indicator(self, t: int, policy: str = "theorem") -> float:
         return float(self.compute(policy).total[t])

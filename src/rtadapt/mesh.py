@@ -13,7 +13,6 @@ Instances are immutable after construction; refinement returns a new mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,33 +26,6 @@ _FLAG_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet", NEUMANN: "neumann"}
 
 class MeshError(Exception):
     """Invalid mesh topology or geometry."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    vertices: tuple[int, int]
-    normal: tuple[float, float]
-    length: float
-    boundary_flag: int
-
-
-@dataclass(frozen=True)
-class Element:
-    id: int
-    vertices: tuple[int, int, int]
-    edges: tuple[int, int, int]
-    signs: tuple[int, int, int]
-    area: float
-    diameter: float
-    coarse_ancestor: int
 
 
 class Triangulation:
@@ -94,43 +66,43 @@ class Triangulation:
     # ------------------------------------------------------------------
 
     def _build_topology(self, boundary_flags):
-        nt = self.num_elements
-        edge_index: dict[tuple[int, int], int] = {}
-        edge_verts: list[tuple[int, int]] = []
-        elem_edges = np.empty((nt, 3), dtype=np.int64)
-        incidence: list[list[int]] = []
-
+        # edge i of element t joins local vertices i+1 and i+2; edge ids
+        # follow the first occurrence of each key in element-major order
         tri = self.elem_verts
-        for t in range(nt):
-            for i in range(3):
-                a = int(tri[t, (i + 1) % 3])
-                b = int(tri[t, (i + 2) % 3])
-                key = (a, b) if a < b else (b, a)
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edge_verts)
-                    edge_index[key] = e
-                    edge_verts.append(key)
-                    incidence.append([])
-                elem_edges[t, i] = e
-                incidence[e].append(t)
+        a = tri[:, [1, 2, 0]].ravel()
+        b = tri[:, [2, 0, 1]].ravel()
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        _, first, inverse = np.unique(lo * (hi.max(initial=0) + 1) + hi,
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        flat_edges = rank[inverse]
+        ne = order.size
+        first = first[order]
+        self.edge_verts = np.column_stack([lo[first], hi[first]])
+        self.elem_edges = flat_edges.reshape(-1, 3)
 
-        ne = len(edge_verts)
-        self.edge_verts = np.array(edge_verts, dtype=np.int64)
-        self.elem_edges = elem_edges
+        count = np.bincount(flat_edges, minlength=ne)
+        crowded = np.flatnonzero(count > 2)
+        if crowded.size:
+            e = int(crowded[0])
+            raise MeshError(
+                f"edge {e} shared by {count[e]} elements (non-conforming)"
+            )
+        # incident elements of each edge in ascending element order
+        elems = np.argsort(flat_edges, kind="stable") // 3
+        start = np.cumsum(count) - count
         self.edge_elems = np.full((ne, 2), -1, dtype=np.int64)
+        self.edge_elems[:, 0] = elems[start]
+        shared = count == 2
+        self.edge_elems[shared, 1] = elems[start[shared] + 1]
+
         self.edge_flag = np.zeros(ne, dtype=np.uint8)
-        for e, elems in enumerate(incidence):
-            if len(elems) == 1:
-                self.edge_elems[e, 0] = elems[0]
-                key = tuple(self.edge_verts[e])
-                self.edge_flag[e] = boundary_flags.get(key, DIRICHLET)
-            elif len(elems) == 2:
-                self.edge_elems[e] = elems
-            else:
-                raise MeshError(
-                    f"edge {e} shared by {len(elems)} elements (non-conforming)"
-                )
+        for e in np.flatnonzero(~shared):
+            key = tuple(self.edge_verts[e])
+            self.edge_flag[e] = boundary_flags.get(key, DIRICHLET)
 
     def _build_geometry(self):
         xy = self.vert_coords
@@ -183,30 +155,6 @@ class Triangulation:
     @property
     def num_elements(self) -> int:
         return self.elem_verts.shape[0]
-
-    def vertex(self, v: int) -> Vertex:
-        x, y = self.vert_coords[v]
-        return Vertex(v, float(x), float(y))
-
-    def edge(self, e: int) -> Edge:
-        return Edge(
-            e,
-            tuple(int(v) for v in self.edge_verts[e]),
-            tuple(float(c) for c in self.edge_normal[e]),
-            float(self.edge_length[e]),
-            int(self.edge_flag[e]),
-        )
-
-    def element(self, t: int) -> Element:
-        return Element(
-            t,
-            tuple(int(v) for v in self.elem_verts[t]),
-            tuple(int(e) for e in self.elem_edges[t]),
-            tuple(int(s) for s in self.elem_signs[t]),
-            float(self.elem_area[t]),
-            float(self.elem_diam[t]),
-            int(self.elem_ancestor[t]),
-        )
 
     def elem_coords(self) -> np.ndarray:
         """Vertex coordinates per element, shape (NT, 3, 2)."""

@@ -97,15 +97,6 @@ def derive_bounds(c: ElementCoefficients) -> CoefficientBounds:
     )
 
 
-def _guarded_quotient(numerator: float, c_wr: float) -> float:
-    """numerator / sqrt(c_wr) with 0/0 := 0."""
-    if numerator == 0.0:
-        return 0.0
-    if c_wr == 0.0:
-        return math.inf
-    return numerator / math.sqrt(c_wr)
-
-
 @dataclass
 class PatchQuantities:
     """Coefficient-variation weights over vertex-neighbor patches.
@@ -123,7 +114,6 @@ class PatchQuantities:
     lam_wr: np.ndarray
     lam_divw: np.ndarray
     C_S_patch: np.ndarray
-    star_C_S: np.ndarray
 
 
 @dataclass
@@ -226,28 +216,26 @@ def patch_quantities(mesh: Triangulation, fields: CoefficientFields
     "Touching" means a nonempty closure intersection, so patches include
     elements meeting an edge or element only at a vertex.
     """
-    nv = mesh.num_vertices
-    star_cs = np.zeros(nv)
-    star_cwr = np.zeros(nv)
-    star_divq = np.zeros(nv)       # C_divw / sqrt(c_wr)
-    star_wq = np.zeros(nv)         # C_w / sqrt(c_wr)
-    star_peclet = np.zeros(nv)     # h_K C_w / sqrt(c_S)
+    tv = mesh.elem_verts
 
-    div_quot = np.array([
-        _guarded_quotient(d, c) for d, c in zip(fields.C_divw, fields.c_wr)
-    ])
-    w_quot = np.array([
-        _guarded_quotient(cw, c) for cw, c in zip(fields.C_w, fields.c_wr)
-    ])
-    peclet = mesh.elem_diam * fields.C_w / np.sqrt(fields.c_S)
+    def star_max(values):
+        out = np.zeros(mesh.num_vertices)
+        np.maximum.at(out, tv.ravel(), np.repeat(values, 3))
+        return out
 
-    for t in range(mesh.num_elements):
-        for v in mesh.elem_verts[t]:
-            star_cs[v] = max(star_cs[v], fields.C_S[t])
-            star_cwr[v] = max(star_cwr[v], fields.c_wr[t])
-            star_divq[v] = max(star_divq[v], div_quot[t])
-            star_wq[v] = max(star_wq[v], w_quot[t])
-            star_peclet[v] = max(star_peclet[v], peclet[t])
+    def reaction_quotient(numerator):
+        """numerator / sqrt(c_wr) with 0/0 := 0 and x/0 := inf."""
+        root = np.sqrt(fields.c_wr)
+        out = np.divide(numerator, root, out=np.full(root.shape, np.inf),
+                        where=root > 0.0)
+        out[numerator == 0.0] = 0.0
+        return out
+
+    star_cs = star_max(fields.C_S)
+    star_cwr = star_max(fields.c_wr)
+    star_divq = star_max(reaction_quotient(fields.C_divw))
+    star_wq = star_max(reaction_quotient(fields.C_w))
+    star_peclet = star_max(mesh.elem_diam * fields.C_w / np.sqrt(fields.c_S))
 
     ev = mesh.edge_verts
     lam_sigma = np.maximum(star_cs[ev[:, 0]], star_cs[ev[:, 1]])
@@ -255,7 +243,6 @@ def patch_quantities(mesh: Triangulation, fields: CoefficientFields
     p_w_sigma = np.maximum(star_peclet[ev[:, 0]], star_peclet[ev[:, 1]])
     lam_w_sigma = np.minimum(lambda_w_sigma, p_w_sigma)
 
-    tv = mesh.elem_verts
     lam_wr = np.maximum.reduce([star_cwr[tv[:, i]] for i in range(3)])
     lam_divw = np.maximum.reduce([star_divq[tv[:, i]] for i in range(3)])
     c_s_patch = np.maximum.reduce([star_cs[tv[:, i]] for i in range(3)])
@@ -265,7 +252,7 @@ def patch_quantities(mesh: Triangulation, fields: CoefficientFields
         if not np.all(np.isfinite(arr)):
             raise ProblemDataError(f"{name} is infinite; data violate (D6)")
     return PatchQuantities(lam_sigma, lam_w_sigma, lambda_w_sigma,
-                           p_w_sigma, lam_wr, lam_divw, c_s_patch, star_cs)
+                           p_w_sigma, lam_wr, lam_divw, c_s_patch)
 
 
 @dataclass(frozen=True)

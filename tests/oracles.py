@@ -3,12 +3,17 @@
 Nothing here calls ``verify.energy_error`` or the estimator module: the
 energy error comes from a boundary identity and the xi indicator from a
 direct evaluation of its documented formula with its own quadrature and
-its own coefficient bounds.
+its own coefficient bounds.  The loop references at the end compute the
+topology, the patch maxima, the singular vertices and the upwind weights
+entity by entity, as checks on the array code of the package.
 """
+
+import math
 
 import numpy as np
 
 from rtadapt import quadrature as quad
+from rtadapt.assembly import _edge_fluxes, _left_values, upwind_weight
 from rtadapt.mesh import DIRICHLET
 from rtadapt.postprocess import FluxField
 
@@ -120,3 +125,133 @@ def xi_reference(mesh, data, exact, solution, singular,
     xi_sq = np.where(singular, patch * face["inv"][E].sum(axis=1),
                      face["half"][E].sum(axis=1))
     return np.sqrt(xi_sq)
+
+
+# ----------------------------------------------------------------------
+# loop references for the array code in mesh, problem and estimators
+# ----------------------------------------------------------------------
+
+def dict_topology(elem_verts, boundary_flags=None):
+    """Edge numbering by a dict over element edges in element-major order.
+
+    Returns (edge_verts, elem_edges, edge_elems, edge_flag) as built by
+    ``Triangulation`` for the same elements and flags.
+    """
+    boundary_flags = boundary_flags or {}
+    nt = len(elem_verts)
+    edge_index = {}
+    edge_verts = []
+    elem_edges = np.empty((nt, 3), dtype=np.int64)
+    incidence = []
+    for t in range(nt):
+        for i in range(3):
+            a = int(elem_verts[t][(i + 1) % 3])
+            b = int(elem_verts[t][(i + 2) % 3])
+            key = (a, b) if a < b else (b, a)
+            e = edge_index.get(key)
+            if e is None:
+                e = len(edge_verts)
+                edge_index[key] = e
+                edge_verts.append(key)
+                incidence.append([])
+            elem_edges[t, i] = e
+            incidence[e].append(t)
+    ne = len(edge_verts)
+    edge_elems = np.full((ne, 2), -1, dtype=np.int64)
+    edge_flag = np.zeros(ne, dtype=np.uint8)
+    for e, elems in enumerate(incidence):
+        assert len(elems) <= 2, f"edge {e} shared by {len(elems)} elements"
+        edge_elems[e, :len(elems)] = elems
+        if len(elems) == 1:
+            edge_flag[e] = boundary_flags.get(edge_verts[e], DIRICHLET)
+    return (np.array(edge_verts, dtype=np.int64), elem_edges, edge_elems,
+            edge_flag)
+
+
+def _guarded_quotient(numerator, c_wr):
+    """numerator / sqrt(c_wr) with 0/0 := 0."""
+    if numerator == 0.0:
+        return 0.0
+    if c_wr == 0.0:
+        return math.inf
+    return numerator / math.sqrt(c_wr)
+
+
+def loop_patch_maxima(mesh, fields):
+    """Patch weights of ``problem.patch_quantities`` by a loop over the
+    (element, vertex) pairs; returns a dict keyed by field name."""
+    nv = mesh.num_vertices
+    star_cs = np.zeros(nv)
+    star_cwr = np.zeros(nv)
+    star_divq = np.zeros(nv)
+    star_wq = np.zeros(nv)
+    star_peclet = np.zeros(nv)
+    div_quot = [_guarded_quotient(d, c)
+                for d, c in zip(fields.C_divw, fields.c_wr)]
+    w_quot = [_guarded_quotient(cw, c) for cw, c in zip(fields.C_w, fields.c_wr)]
+    peclet = mesh.elem_diam * fields.C_w / np.sqrt(fields.c_S)
+    for t in range(mesh.num_elements):
+        for v in mesh.elem_verts[t]:
+            star_cs[v] = max(star_cs[v], fields.C_S[t])
+            star_cwr[v] = max(star_cwr[v], fields.c_wr[t])
+            star_divq[v] = max(star_divq[v], div_quot[t])
+            star_wq[v] = max(star_wq[v], w_quot[t])
+            star_peclet[v] = max(star_peclet[v], peclet[t])
+
+    def edge_max(star):
+        return np.array([max(star[a], star[b]) for a, b in mesh.edge_verts])
+
+    def elem_max(star):
+        return np.array([max(star[v] for v in verts)
+                         for verts in mesh.elem_verts])
+
+    lambda_w_sigma = edge_max(star_wq)
+    p_w_sigma = edge_max(star_peclet)
+    return {
+        "lam_sigma": edge_max(star_cs),
+        "lam_w_sigma": np.array([min(a, b) for a, b
+                                 in zip(lambda_w_sigma, p_w_sigma)]),
+        "lambda_w_sigma": lambda_w_sigma,
+        "p_w_sigma": p_w_sigma,
+        "lam_wr": elem_max(star_cwr),
+        "lam_divw": elem_max(star_divq),
+        "C_S_patch": elem_max(star_cs),
+    }
+
+
+def star_walk_singular_vertices(mesh, C_S, rel_tol=1e-9):
+    """Singular vertices by walking each star in rotational order and
+    counting the blocks of top-class elements (``mesh.vertex_star``)."""
+    singular = set()
+    stars = mesh._vertex_incidence()
+    for v in range(mesh.num_vertices):
+        star = stars[v]
+        if not star:
+            continue
+        values = C_S[star]
+        top = values.max()
+        if values.min() >= top * (1.0 - rel_tol):
+            continue  # single coefficient class around v
+        ordered, is_boundary = mesh.vertex_star(v)
+        flags = [C_S[t] >= top * (1.0 - rel_tol) for t in ordered]
+        blocks = 0
+        for i in range(len(flags)):
+            prev = flags[i - 1] if (i > 0 or not is_boundary) else False
+            if flags[i] and not prev:
+                blocks += 1
+        if blocks >= 2:
+            singular.add(v)
+    return singular
+
+
+def loop_upwind_weights(mesh, fields):
+    """``assembly.upwind_weights`` edge by edge through ``upwind_weight``."""
+    w_flux = _left_values(mesh, _edge_fluxes(mesh, fields))
+    left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
+    return np.array([
+        upwind_weight(fields.c_S[left[e]],
+                      None if right[e] < 0 else fields.c_S[right[e]],
+                      float(mesh.edge_length[e]), float(w_flux[e]),
+                      bool(right[e] < 0))
+        for e in range(mesh.num_edges)
+    ])

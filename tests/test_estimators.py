@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import star_walk_singular_vertices
 from rtadapt import adapt, assembly, quadrature as quad, solver
 from rtadapt.assembly import assemble_centered, assemble_upwind
 from rtadapt.estimators import (EstimatorContext, EstimatorError,
@@ -307,6 +308,29 @@ class TestSingularVertices:
             mesh = mesh.uniform_refine()
         singular = detect_singular_vertices(mesh, data.fields(mesh).C_S)
         assert len(singular) == 1
+
+    @pytest.mark.parametrize("s", [(1, 5, 1, 5, 1, 5), (5, 5, 1, 5, 5, 1),
+                                   (5, 1, 1, 1, 1, 5), (1, 1, 1, 1, 1, 1)])
+    def test_reentrant_corner_open_fan(self, s):
+        # the six coarse L-shape triangles form the open fan of the
+        # boundary vertex 0; two or three separated blocks of the larger
+        # coefficient make it singular, one class does not.  (5,1,1,1,1,5)
+        # has its blocks at the two ends of the fan, which a closed fan
+        # would join into one
+        expected = {0} if len(set(s)) > 1 else set()
+        data = ProblemData([ElementCoefficients(c * np.eye(2), np.zeros(2),
+                                                0.0) for c in s])
+        mesh = data.initial_mesh("lshape")
+        assert mesh.vertex_star(0)[1]
+        rng = np.random.default_rng(5)
+        for refinements in range(6):
+            if refinements:
+                nt = mesh.num_elements
+                mesh = mesh.refine(rng.choice(nt, size=max(1, nt // 3),
+                                              replace=False))
+            C_S = data.fields(mesh).C_S
+            assert detect_singular_vertices(mesh, C_S) == expected
+            assert star_walk_singular_vertices(mesh, C_S) == expected
 
 
 class TestXi:

@@ -171,6 +171,13 @@ class TestAdjacency:
         with pytest.raises(MeshError):
             m.edge_patch(10_000)
 
+    def test_edge_shared_by_three_elements(self):
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                           [0.5, 2.0]])
+        elems = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        with pytest.raises(MeshError, match="edge 2 shared by 3 elements"):
+            Triangulation(coords, elems)
+
     def test_vertex_star_cyclic_order(self):
         m = build_initial_mesh("square2x2").uniform_refine().uniform_refine()
         for v in range(m.num_vertices):
