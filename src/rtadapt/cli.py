@@ -202,7 +202,7 @@ def run(config: RunConfig) -> int:
         nodal = postprocess.nodal_average(result.mesh,
                                           result.solution.pressure)
         rows = ["vertex,value"]
-        rows += [f"{v},{_fmt(val)}" for v, val in enumerate(nodal)]
+        rows += ["%d,%.17g" % row for row in enumerate(nodal.tolist())]
         (outdir / "ptilde_nodal.csv").write_text("\n".join(rows) + "\n")
     return 0
 

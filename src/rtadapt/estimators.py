@@ -59,10 +59,11 @@ class EstimatorBreakdown:
 
     def to_csv(self) -> str:
         lines = ["element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total"]
-        for t in range(self.total.size):
-            row = (self.eta_D[t], self.eta_R[t], self.eta_NC[t],
-                   self.eta_C[t], self.eta_U[t], self.xi[t], self.total[t])
-            lines.append(str(t) + "," + ",".join(f"{v:.17g}" for v in row))
+        columns = (self.eta_D, self.eta_R, self.eta_NC, self.eta_C,
+                   self.eta_U, self.xi, self.total)
+        fmt = "%d" + ",%.17g" * len(columns)
+        lines += [fmt % row for row in zip(range(self.total.size),
+                                           *(c.tolist() for c in columns))]
         return "\n".join(lines) + "\n"
 
 

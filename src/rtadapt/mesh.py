@@ -8,6 +8,19 @@ its own outward normal, which makes edge-based flux unknowns single-valued
 across elements.
 
 Instances are immutable after construction; refinement returns a new mesh.
+
+Refinement bisects each element through its refinement edge, its longest
+edge, and computes the conformity closure by edge marking: the refinement
+edges of the marked elements are marked, and every element with a marked
+edge gets its refinement edge marked too, until nothing changes.  Each
+element is then split once by its pattern of marked edges: the refinement
+edge alone gives two children, and each further marked edge bisects one of
+those two again, for up to four.  This is newest-vertex bisection
+(Funken, Praetorius & Wissgott 2011; Chen, iFEM 2008).  The built-in
+domains consist of right isosceles triangles, whose children through the
+hypotenuse are right isosceles again with the parent's legs as their
+hypotenuses, so there it is exactly recursive longest-edge (Rivara)
+bisection.
 """
 
 from __future__ import annotations
@@ -261,19 +274,86 @@ class Triangulation:
     # ------------------------------------------------------------------
 
     def refine(self, marked: Iterable[int]) -> "Triangulation":
-        """Bisect every marked element through its longest edge.
+        """Bisect every marked element through its refinement edge.
 
-        Recursive longest-edge (Rivara) closure keeps the mesh conforming.
-        Children inherit the coarse ancestor; boundary-edge flags carry
-        over to the sub-edges.
+        The refinement edge of an element is its longest edge, ties going
+        to the smallest sorted vertex pair.  Closure by edge marking: the
+        refinement edges of the marked elements are marked, then every
+        element with a marked edge has its refinement edge marked too,
+        until nothing changes.  Each marked edge gets its midpoint as
+        vertex ``NV + k``, k its rank among the marked edges by edge id.
+        An element (c, p, q) with refinement edge p-q and midpoint m is
+        bisected into (p, m, c) and (m, q, c); if c-p is marked as well,
+        (p, m, c) is bisected again into (c, m1, m) and (m1, p, m), and if
+        q-c is marked, (m, q, c) into (q, m2, m) and (m2, c, m).  So 1, 2
+        or 3 marked edges give 2, 3 or 4 children, which take the parent's
+        place in the element order and inherit its coarse ancestor;
+        boundary flags pass to both halves of a bisected boundary edge.
+
+        Every built-in domain is made of right isosceles triangles.  Their
+        children through the hypotenuse are right isosceles again, with the
+        parent's legs as hypotenuses, so the refinement edge of a child is
+        the second-bisection edge above.  On such meshes this is exactly
+        recursive longest-edge (Rivara) bisection.  On other meshes it is
+        newest-vertex bisection from a longest-edge start: still conforming
+        and area-preserving, but a child's refinement edge need not be its
+        longest.
         """
-        marked = sorted(set(int(t) for t in marked))
-        if marked and not (0 <= marked[0] and marked[-1] < self.num_elements):
+        marked = np.unique(np.fromiter(marked, dtype=np.int64))
+        nt, nv = self.num_elements, self.num_vertices
+        if marked.size and not (marked[0] >= 0 and marked[-1] < nt):
             raise MeshError("marked set contains invalid element ids")
-        builder = _RefineBuilder(self)
-        for t in marked:
-            builder.ensure_bisected(t)
-        refined = builder.freeze(self.generation + 1)
+        xy = self.vert_coords
+        ev = self.edge_verts
+        d = xy[ev[:, 1]] - xy[ev[:, 0]]
+        length2 = (d[:, 0] ** 2 + d[:, 1] ** 2)[self.elem_edges]
+        pair = (ev[:, 0] * nv + ev[:, 1])[self.elem_edges]
+        longest = length2 == length2.max(axis=1, keepdims=True)
+        ref = np.where(longest, pair, nv * nv).argmin(axis=1)
+        ref_edge = self.elem_edges[np.arange(nt), ref]
+
+        split = np.zeros(self.num_edges, dtype=bool)
+        new = np.unique(ref_edge[marked])
+        while new.size:  # marks at least one edge per pass
+            split[new] = True
+            elems = self.edge_elems[new].ravel()
+            candidates = ref_edge[elems[elems >= 0]]
+            new = np.unique(candidates[~split[candidates]])
+
+        cut = np.flatnonzero(split)
+        mid = np.full(self.num_edges, -1, dtype=np.int64)
+        mid[cut] = nv + np.arange(cut.size)
+        coords = np.concatenate([xy, 0.5 * (xy[ev[cut, 0]] + xy[ev[cut, 1]])])
+
+        # local order rotated so the refinement edge is p-q, opposite c;
+        # by the closure, m1 or m2 present implies m present
+        rot = (ref[:, None] + np.arange(3)) % 3
+        c, p, q = np.take_along_axis(self.elem_verts, rot, axis=1).T
+        m, m2, m1 = mid[np.take_along_axis(self.elem_edges, rot, axis=1)].T
+        whole, left, right = m < 0, m1 >= 0, m2 >= 0
+        children = np.stack([
+            self.elem_verts,
+            np.column_stack([p, m, c]),
+            np.column_stack([c, m1, m]), np.column_stack([m1, p, m]),
+            np.column_stack([m, q, c]),
+            np.column_stack([q, m2, m]), np.column_stack([m2, c, m]),
+        ], axis=1)
+        present = np.column_stack([whole, ~whole & ~left, left, left,
+                                   ~whole & ~right, right, right])
+        ancestors = np.broadcast_to(self.elem_ancestor[:, None],
+                                    present.shape)[present]
+
+        # a bisected boundary edge lo-hi passes its flag to lo-m and hi-m
+        b = np.flatnonzero(self.edge_flag != INTERIOR)
+        lo, hi, mb, flag = ev[b, 0], ev[b, 1], mid[b], self.edge_flag[b]
+        half = mb >= 0
+        ends = np.concatenate([lo, hi[half]])
+        others = np.concatenate([np.where(half, mb, hi), mb[half]])
+        flags = dict(zip(zip(ends.tolist(), others.tolist()),
+                         np.concatenate([flag, flag[half]]).tolist()))
+
+        refined = Triangulation(coords, children[present], flags, ancestors,
+                                self.generation + 1)
         if not math.isclose(refined.total_area, self.total_area,
                             rel_tol=1e-12, abs_tol=0.0):
             raise MeshError("refinement changed the total area")
@@ -290,18 +370,14 @@ class Triangulation:
     def dump(self) -> str:
         """Plain-text dump: header `NV NE NT`, then vertex/edge/element lines."""
         lines = [f"{self.num_vertices} {self.num_edges} {self.num_elements}"]
-        for v in range(self.num_vertices):
-            x, y = self.vert_coords[v]
-            lines.append(f"{v} {float(x)!r} {float(y)!r}")
-        for e in range(self.num_edges):
-            a, b = self.edge_verts[e]
-            lines.append(f"{e} {a} {b} {int(self.edge_flag[e])}")
-        for t in range(self.num_elements):
-            v0, v1, v2 = self.elem_verts[t]
-            e0, e1, e2 = self.elem_edges[t]
-            lines.append(
-                f"{t} {v0} {v1} {v2} {e0} {e1} {e2} {int(self.elem_ancestor[t])}"
-            )
+        lines += ["%d %r %r" % row for row in zip(
+            range(self.num_vertices), *self.vert_coords.T.tolist())]
+        lines += ["%d %d %d %d" % row for row in zip(
+            range(self.num_edges), *self.edge_verts.T.tolist(),
+            self.edge_flag.tolist())]
+        lines += ["%d %d %d %d %d %d %d %d" % row for row in zip(
+            range(self.num_elements), *self.elem_verts.T.tolist(),
+            *self.elem_edges.T.tolist(), self.elem_ancestor.tolist())]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -331,12 +407,8 @@ class Triangulation:
         span = max(hi[0] - lo[0], hi[1] - lo[1])
         pad = 0.03 * span
         scale = size / (span + 2 * pad)
-
-        def sx(x):
-            return (x - lo[0] + pad) * scale
-
-        def sy(y):
-            return size - (y - lo[1] + pad) * scale
+        sx = (xy[:, 0] - lo[0] + pad) * scale
+        sy = size - (xy[:, 1] - lo[1] + pad) * scale
 
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
@@ -347,150 +419,25 @@ class Triangulation:
             vmax = values.max() if values.size else 1.0
             vmin = values.min() if values.size else 0.0
             rng = vmax - vmin if vmax > vmin else 1.0
-            for t in range(self.num_elements):
-                ts = (values[t] - vmin) / rng
-                r = int(255 * ts)
-                b = int(255 * (1 - ts))
-                pts = " ".join(
-                    f"{sx(xy[v, 0]):.2f},{sy(xy[v, 1]):.2f}"
-                    for v in self.elem_verts[t]
-                )
-                out.append(
-                    f'<polygon points="{pts}" fill="rgb({r},64,{b})" '
-                    f'fill-opacity="0.6" stroke="none"/>'
-                )
-        for e in range(self.num_edges):
-            a, b = self.edge_verts[e]
-            out.append(
-                f'<line x1="{sx(xy[a, 0]):.2f}" y1="{sy(xy[a, 1]):.2f}" '
-                f'x2="{sx(xy[b, 0]):.2f}" y2="{sy(xy[b, 1]):.2f}" '
-                f'stroke="black" stroke-width="0.4"/>'
-            )
+            ts = (values - vmin) / rng
+            tri = self.elem_verts
+            points = np.stack([sx[tri], sy[tri]], axis=2).reshape(-1, 6)
+            out += [
+                '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" '
+                'fill="rgb(%d,64,%d)" fill-opacity="0.6" stroke="none"/>' % row
+                for row in zip(*points.T.tolist(),
+                               (255 * ts).astype(np.int64).tolist(),
+                               (255 * (1 - ts)).astype(np.int64).tolist())
+            ]
+        a, b = self.edge_verts.T
+        out += [
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+            'stroke="black" stroke-width="0.4"/>' % row
+            for row in zip(sx[a].tolist(), sy[a].tolist(),
+                           sx[b].tolist(), sy[b].tolist())
+        ]
         out.append("</svg>")
         return "\n".join(out)
-
-
-class _RefineBuilder:
-    """Mutable scratch representation used during a refine pass."""
-
-    def __init__(self, mesh: Triangulation):
-        self.coords: list[tuple[float, float]] = [
-            (float(x), float(y)) for x, y in mesh.vert_coords
-        ]
-        # live elements in insertion order: id -> (v0, v1, v2, ancestor)
-        self.elems: dict[int, tuple[int, int, int, int]] = {
-            t: (*(int(v) for v in mesh.elem_verts[t]), int(mesh.elem_ancestor[t]))
-            for t in range(mesh.num_elements)
-        }
-        self.edge_of: dict[tuple[int, int], list[int]] = {}
-        for key, elems in zip(map(tuple, mesh.edge_verts), mesh.edge_elems):
-            self.edge_of[key] = [int(t) for t in elems if t >= 0]
-        self.bflag: dict[tuple[int, int], int] = {
-            tuple(mesh.edge_verts[e]): int(mesh.edge_flag[e])
-            for e in np.flatnonzero(mesh.edge_flag != INTERIOR)
-        }
-        self.next_elem = mesh.num_elements
-        # generous cap; Rivara closure terminates long before this
-        self.budget = 200 * (mesh.num_elements + mesh.num_vertices) + 10_000
-
-    def _length2(self, a: int, b: int) -> float:
-        xa, ya = self.coords[a]
-        xb, yb = self.coords[b]
-        return (xb - xa) ** 2 + (yb - ya) ** 2
-
-    def _longest_edge(self, t: int) -> tuple[int, int]:
-        v0, v1, v2, _ = self.elems[t]
-        best_key = None
-        best = -1.0
-        for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-            key = (a, b) if a < b else (b, a)
-            l2 = self._length2(*key)
-            if l2 > best or (l2 == best and key < best_key):
-                best = l2
-                best_key = key
-        return best_key
-
-    def _midpoint(self, key: tuple[int, int]) -> int:
-        a, b = key
-        xa, ya = self.coords[a]
-        xb, yb = self.coords[b]
-        m = len(self.coords)
-        self.coords.append((0.5 * (xa + xb), 0.5 * (ya + yb)))
-        return m
-
-    def _split_element(self, t: int, key: tuple[int, int], m: int) -> None:
-        v0, v1, v2, anc = self.elems.pop(t)
-        verts = (v0, v1, v2)
-        # locate the split edge in ccw order (p -> q), c opposite
-        for i in range(3):
-            p, q = verts[(i + 1) % 3], verts[(i + 2) % 3]
-            pk = (p, q) if p < q else (q, p)
-            if pk == key:
-                c = verts[i]
-                break
-        else:  # pragma: no cover - guarded by callers
-            raise MeshError(f"edge {key} not in element {t}")
-
-        for old in ((v0, v1), (v1, v2), (v2, v0)):
-            ok = (old[0], old[1]) if old[0] < old[1] else (old[1], old[0])
-            self.edge_of[ok].remove(t)
-            if not self.edge_of[ok]:
-                del self.edge_of[ok]
-
-        for child_verts in ((p, m, c), (m, q, c)):
-            cid = self.next_elem
-            self.next_elem += 1
-            self.elems[cid] = (*child_verts, anc)
-            a, b, cc = child_verts
-            for pair in ((a, b), (b, cc), (cc, a)):
-                k = (pair[0], pair[1]) if pair[0] < pair[1] else (pair[1], pair[0])
-                self.edge_of.setdefault(k, []).append(cid)
-
-        flag = self.bflag.pop(key, None)
-        if flag is not None:
-            for half in ((key[0], m), (m, key[1])):
-                hk = (half[0], half[1]) if half[0] < half[1] else (half[1], half[0])
-                self.bflag[hk] = flag
-
-    def _split_pair(self, key: tuple[int, int]) -> None:
-        elems = list(self.edge_of[key])
-        m = self._midpoint(key)
-        for t in elems:
-            self._split_element(t, key, m)
-
-    def ensure_bisected(self, t: int) -> None:
-        """Bisect element t, recursively pre-refining incompatible neighbors."""
-        if t not in self.elems:
-            return  # already split during closure of an earlier mark
-        stack = [t]
-        while stack:
-            self.budget -= 1
-            if self.budget < 0:
-                raise MeshError("longest-edge closure exceeded iteration cap")
-            cur = stack[-1]
-            if cur not in self.elems:
-                stack.pop()
-                continue
-            key = self._longest_edge(cur)
-            neighbors = [s for s in self.edge_of[key] if s != cur]
-            incompatible = [
-                s for s in neighbors if self._longest_edge(s) != key
-            ]
-            if incompatible:
-                stack.append(incompatible[0])
-            else:
-                self._split_pair(key)
-                stack.pop()
-
-    def freeze(self, generation: int) -> Triangulation:
-        coords = np.array(self.coords)
-        nt = len(self.elems)
-        elem_verts = np.empty((nt, 3), dtype=np.int64)
-        ancestors = np.empty(nt, dtype=np.int64)
-        for new_id, (v0, v1, v2, anc) in enumerate(self.elems.values()):
-            elem_verts[new_id] = (v0, v1, v2)
-            ancestors[new_id] = anc
-        return Triangulation(coords, elem_verts, self.bflag, ancestors, generation)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,9 @@ energy error comes from a boundary identity and the xi indicator from a
 direct evaluation of its documented formula with its own quadrature and
 its own coefficient bounds.  The loop references at the end compute the
 topology, the patch maxima, the singular vertices and the upwind weights
-entity by entity, as checks on the array code of the package.
+entity by entity, refine by recursive longest-edge (Rivara) bisection over
+dicts, and write the artifacts line by line, as checks on the array code
+of the package.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 from rtadapt import quadrature as quad
 from rtadapt.assembly import _edge_fluxes, _left_values, upwind_weight
-from rtadapt.mesh import DIRICHLET
+from rtadapt.mesh import DIRICHLET, INTERIOR, Triangulation
 from rtadapt.postprocess import FluxField
 
 
@@ -255,3 +257,243 @@ def loop_upwind_weights(mesh, fields):
                       bool(right[e] < 0))
         for e in range(mesh.num_edges)
     ])
+
+
+# ----------------------------------------------------------------------
+# recursive longest-edge (Rivara) bisection, the reference for
+# ``Triangulation.refine``
+# ----------------------------------------------------------------------
+
+def canonical(mesh):
+    """The mesh up to numbering: sorted vertex coordinates, sorted elements
+    as (coordinates in local vertex order, coarse ancestor), and sorted
+    boundary edges as (endpoint coordinates, flag)."""
+    xy = mesh.vert_coords.tolist()
+    elems = sorted((tuple(xy[v] for v in verts), anc) for verts, anc in
+                   zip(mesh.elem_verts.tolist(), mesh.elem_ancestor.tolist()))
+    edges = sorted((tuple(sorted(xy[v] for v in mesh.edge_verts[e])),
+                    int(mesh.edge_flag[e]))
+                   for e in np.flatnonzero(mesh.edge_flag != INTERIOR))
+    return sorted(xy), elems, edges
+
+
+def rivara_refine(mesh, marked):
+    """Bisect the marked elements of ``mesh`` through their longest edges,
+    pre-refining incompatible neighbours recursively, with dicts keyed by
+    sorted vertex pairs.  Children are appended after the surviving
+    elements."""
+    builder = _RivaraBuilder(mesh)
+    for t in sorted(set(int(t) for t in marked)):
+        builder.ensure_bisected(t)
+    return builder.freeze(mesh.generation + 1)
+
+
+class _RivaraBuilder:
+    """Mutable dict representation of a mesh during a Rivara pass."""
+
+    def __init__(self, mesh):
+        self.coords: list[tuple[float, float]] = [
+            (float(x), float(y)) for x, y in mesh.vert_coords
+        ]
+        # live elements in insertion order: id -> (v0, v1, v2, ancestor)
+        self.elems: dict[int, tuple[int, int, int, int]] = {
+            t: (*(int(v) for v in mesh.elem_verts[t]), int(mesh.elem_ancestor[t]))
+            for t in range(mesh.num_elements)
+        }
+        self.edge_of: dict[tuple[int, int], list[int]] = {}
+        for key, elems in zip(map(tuple, mesh.edge_verts), mesh.edge_elems):
+            self.edge_of[key] = [int(t) for t in elems if t >= 0]
+        self.bflag: dict[tuple[int, int], int] = {
+            tuple(mesh.edge_verts[e]): int(mesh.edge_flag[e])
+            for e in np.flatnonzero(mesh.edge_flag != INTERIOR)
+        }
+        self.next_elem = mesh.num_elements
+        # generous cap; Rivara closure terminates long before this
+        self.budget = 200 * (mesh.num_elements + mesh.num_vertices) + 10_000
+
+    def _length2(self, a: int, b: int) -> float:
+        xa, ya = self.coords[a]
+        xb, yb = self.coords[b]
+        return (xb - xa) ** 2 + (yb - ya) ** 2
+
+    def _longest_edge(self, t: int) -> tuple[int, int]:
+        v0, v1, v2, _ = self.elems[t]
+        best_key = None
+        best = -1.0
+        for a, b in ((v0, v1), (v1, v2), (v2, v0)):
+            key = (a, b) if a < b else (b, a)
+            l2 = self._length2(*key)
+            if l2 > best or (l2 == best and key < best_key):
+                best = l2
+                best_key = key
+        return best_key
+
+    def _midpoint(self, key: tuple[int, int]) -> int:
+        a, b = key
+        xa, ya = self.coords[a]
+        xb, yb = self.coords[b]
+        m = len(self.coords)
+        self.coords.append((0.5 * (xa + xb), 0.5 * (ya + yb)))
+        return m
+
+    def _split_element(self, t: int, key: tuple[int, int], m: int) -> None:
+        v0, v1, v2, anc = self.elems.pop(t)
+        verts = (v0, v1, v2)
+        # locate the split edge in ccw order (p -> q), c opposite
+        for i in range(3):
+            p, q = verts[(i + 1) % 3], verts[(i + 2) % 3]
+            pk = (p, q) if p < q else (q, p)
+            if pk == key:
+                c = verts[i]
+                break
+        else:  # pragma: no cover - guarded by callers
+            raise AssertionError(f"edge {key} not in element {t}")
+
+        for old in ((v0, v1), (v1, v2), (v2, v0)):
+            ok = (old[0], old[1]) if old[0] < old[1] else (old[1], old[0])
+            self.edge_of[ok].remove(t)
+            if not self.edge_of[ok]:
+                del self.edge_of[ok]
+
+        for child_verts in ((p, m, c), (m, q, c)):
+            cid = self.next_elem
+            self.next_elem += 1
+            self.elems[cid] = (*child_verts, anc)
+            a, b, cc = child_verts
+            for pair in ((a, b), (b, cc), (cc, a)):
+                k = (pair[0], pair[1]) if pair[0] < pair[1] else (pair[1], pair[0])
+                self.edge_of.setdefault(k, []).append(cid)
+
+        flag = self.bflag.pop(key, None)
+        if flag is not None:
+            for half in ((key[0], m), (m, key[1])):
+                hk = (half[0], half[1]) if half[0] < half[1] else (half[1], half[0])
+                self.bflag[hk] = flag
+
+    def _split_pair(self, key: tuple[int, int]) -> None:
+        elems = list(self.edge_of[key])
+        m = self._midpoint(key)
+        for t in elems:
+            self._split_element(t, key, m)
+
+    def ensure_bisected(self, t: int) -> None:
+        """Bisect element t, recursively pre-refining incompatible neighbors."""
+        if t not in self.elems:
+            return  # already split during closure of an earlier mark
+        stack = [t]
+        while stack:
+            self.budget -= 1
+            if self.budget < 0:
+                raise AssertionError("longest-edge closure exceeded iteration cap")
+            cur = stack[-1]
+            if cur not in self.elems:
+                stack.pop()
+                continue
+            key = self._longest_edge(cur)
+            neighbors = [s for s in self.edge_of[key] if s != cur]
+            incompatible = [
+                s for s in neighbors if self._longest_edge(s) != key
+            ]
+            if incompatible:
+                stack.append(incompatible[0])
+            else:
+                self._split_pair(key)
+                stack.pop()
+
+    def freeze(self, generation: int):
+        coords = np.array(self.coords)
+        nt = len(self.elems)
+        elem_verts = np.empty((nt, 3), dtype=np.int64)
+        ancestors = np.empty(nt, dtype=np.int64)
+        for new_id, (v0, v1, v2, anc) in enumerate(self.elems.values()):
+            elem_verts[new_id] = (v0, v1, v2)
+            ancestors[new_id] = anc
+        return Triangulation(coords, elem_verts, self.bflag, ancestors, generation)
+
+
+# ----------------------------------------------------------------------
+# line-by-line references for the artifact writers
+# ----------------------------------------------------------------------
+
+def loop_dump(mesh):
+    """``Triangulation.dump`` with one f-string per vertex, edge, element."""
+    lines = [f"{mesh.num_vertices} {mesh.num_edges} {mesh.num_elements}"]
+    for v in range(mesh.num_vertices):
+        x, y = mesh.vert_coords[v]
+        lines.append(f"{v} {float(x)!r} {float(y)!r}")
+    for e in range(mesh.num_edges):
+        a, b = mesh.edge_verts[e]
+        lines.append(f"{e} {a} {b} {int(mesh.edge_flag[e])}")
+    for t in range(mesh.num_elements):
+        v0, v1, v2 = mesh.elem_verts[t]
+        e0, e1, e2 = mesh.elem_edges[t]
+        lines.append(
+            f"{t} {v0} {v1} {v2} {e0} {e1} {e2} {int(mesh.elem_ancestor[t])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def loop_svg(mesh, values=None, size=640):
+    """``Triangulation.to_svg`` with one f-string per element and edge."""
+    xy = mesh.vert_coords
+    lo = xy.min(axis=0)
+    hi = xy.max(axis=0)
+    span = max(hi[0] - lo[0], hi[1] - lo[1])
+    pad = 0.03 * span
+    scale = size / (span + 2 * pad)
+
+    def sx(x):
+        return (x - lo[0] + pad) * scale
+
+    def sy(y):
+        return size - (y - lo[1] + pad) * scale
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">'
+    ]
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        vmax = values.max() if values.size else 1.0
+        vmin = values.min() if values.size else 0.0
+        rng = vmax - vmin if vmax > vmin else 1.0
+        for t in range(mesh.num_elements):
+            ts = (values[t] - vmin) / rng
+            r = int(255 * ts)
+            b = int(255 * (1 - ts))
+            pts = " ".join(
+                f"{sx(xy[v, 0]):.2f},{sy(xy[v, 1]):.2f}"
+                for v in mesh.elem_verts[t]
+            )
+            out.append(
+                f'<polygon points="{pts}" fill="rgb({r},64,{b})" '
+                f'fill-opacity="0.6" stroke="none"/>'
+            )
+    for e in range(mesh.num_edges):
+        a, b = mesh.edge_verts[e]
+        out.append(
+            f'<line x1="{sx(xy[a, 0]):.2f}" y1="{sy(xy[a, 1]):.2f}" '
+            f'x2="{sx(xy[b, 0]):.2f}" y2="{sy(xy[b, 1]):.2f}" '
+            f'stroke="black" stroke-width="0.4"/>'
+        )
+    out.append("</svg>")
+    return "\n".join(out)
+
+
+def loop_estimator_csv(breakdown):
+    """``EstimatorBreakdown.to_csv`` with one f-string per value."""
+    lines = ["element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total"]
+    for t in range(breakdown.total.size):
+        row = (breakdown.eta_D[t], breakdown.eta_R[t], breakdown.eta_NC[t],
+               breakdown.eta_C[t], breakdown.eta_U[t], breakdown.xi[t],
+               breakdown.total[t])
+        lines.append(str(t) + "," + ",".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def loop_nodal_csv(nodal):
+    """The ``ptilde_nodal.csv`` text of ``cli.run``, row by row."""
+    rows = ["vertex,value"]
+    for v, val in enumerate(nodal):
+        rows.append(f"{v},{'nan' if math.isnan(val) else f'{val:.17g}'}")
+    return "\n".join(rows) + "\n"

@@ -1,19 +1,24 @@
-"""The array code in mesh, problem, estimators and assembly against the
-entity-by-entity loop references of ``oracles``, exactly (no tolerance).
+"""The array code in mesh, problem, estimators, assembly and the artifact
+writers against the entity-by-entity loop references of ``oracles``,
+exactly (no tolerance).
 
 The meshes come from the first adaptive steps of each benchmark, plus
 randomly refined meshes under a pure-convection coefficient set, whose
-vanishing reaction makes the velocity quotient infinite.
+vanishing reaction makes the velocity quotient infinite.  Refinement is
+compared with recursive longest-edge (Rivara) bisection up to numbering.
 """
 
 import numpy as np
 import pytest
 
-from oracles import (dict_topology, loop_patch_maxima, loop_upwind_weights,
+from oracles import (canonical, dict_topology, loop_dump, loop_estimator_csv,
+                     loop_nodal_csv, loop_patch_maxima, loop_svg,
+                     loop_upwind_weights, rivara_refine,
                      star_walk_singular_vertices)
-from rtadapt import adapt, assembly
+from rtadapt import adapt, assembly, cli, postprocess
 from rtadapt.estimators import detect_singular_vertices
-from rtadapt.mesh import INTERIOR, Triangulation
+from rtadapt.mesh import (DIRICHLET, DOMAINS, INTERIOR, NEUMANN,
+                          Triangulation, build_initial_mesh)
 from rtadapt.problem import (ElementCoefficients, ProblemData, benchmark,
                              patch_quantities)
 
@@ -28,18 +33,19 @@ CASES = {
 
 
 def adaptive_meshes(case):
-    """Problem data and the meshes of the first STEPS adaptive steps."""
+    """Problem data, the meshes of the first STEPS adaptive steps and the
+    marked sets that lead from each mesh to the next."""
     scheme, policy, theta = CASES[case]
     domain, data, _ = benchmark(case)
     mesh = data.initial_mesh(domain)
-    meshes = [mesh]
+    meshes, marks = [mesh], []
     for _ in range(STEPS - 1):
         _, ctx = adapt.run_iteration(mesh, data, scheme,
                                      subtract_boundary_data=True)
-        mesh = mesh.refine(adapt.dorfler_mark(ctx.compute(policy).total,
-                                              theta))
+        marks.append(adapt.dorfler_mark(ctx.compute(policy).total, theta))
+        mesh = mesh.refine(marks[-1])
         meshes.append(mesh)
-    return data, meshes
+    return data, meshes, marks
 
 
 def pure_convection_meshes():
@@ -50,13 +56,13 @@ def pure_convection_meshes():
               for s in (1e-3, 1.0, 1.0, 1e-3, 1e-3, 2.0, 2.0, 1e-3)]
     data = ProblemData(coeffs)
     mesh = data.initial_mesh("unit-square")
-    meshes = [mesh]
+    meshes, marks = [mesh], []
     for _ in range(STEPS - 1):
         nt = mesh.num_elements
-        mesh = mesh.refine(rng.choice(nt, size=max(1, nt // 4),
-                                      replace=False))
+        marks.append(rng.choice(nt, size=max(1, nt // 4), replace=False))
+        mesh = mesh.refine(marks[-1])
         meshes.append(mesh)
-    return data, meshes
+    return data, meshes, marks
 
 
 @pytest.fixture(scope="module", params=[*CASES, "pure-convection"])
@@ -72,14 +78,14 @@ def boundary_flags(mesh):
 
 
 def test_meshes_are_adaptive(case_meshes):
-    _, meshes = case_meshes
+    _, meshes, _ = case_meshes
     assert len(meshes) >= 10
     sizes = [m.num_elements for m in meshes]
     assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_topology_matches_dict_build(case_meshes):
-    _, meshes = case_meshes
+    _, meshes, _ = case_meshes
     for mesh in meshes:
         ref = dict_topology(mesh.elem_verts, boundary_flags(mesh))
         for got, want in zip((mesh.edge_verts, mesh.elem_edges,
@@ -91,7 +97,7 @@ def test_topology_matches_dict_build(case_meshes):
 def test_topology_of_shuffled_elements(case_meshes):
     """First-occurrence numbering on an element order unrelated to the
     refinement history, with rotated local vertex order."""
-    _, meshes = case_meshes
+    _, meshes, _ = case_meshes
     mesh = meshes[-1]
     rng = np.random.default_rng(11)
     perm = rng.permutation(mesh.num_elements)
@@ -107,7 +113,7 @@ def test_topology_of_shuffled_elements(case_meshes):
 
 
 def test_patch_maxima_match_loop(case_meshes):
-    data, meshes = case_meshes
+    data, meshes, _ = case_meshes
     for mesh in meshes:
         fields = data.fields(mesh)
         patch = patch_quantities(mesh, fields)
@@ -116,7 +122,7 @@ def test_patch_maxima_match_loop(case_meshes):
 
 
 def test_singular_vertices_match_star_walk(case_meshes):
-    data, meshes = case_meshes
+    data, meshes, _ = case_meshes
     for mesh in meshes:
         C_S = data.fields(mesh).C_S
         assert detect_singular_vertices(mesh, C_S) \
@@ -124,7 +130,7 @@ def test_singular_vertices_match_star_walk(case_meshes):
 
 
 def test_upwind_weights_match_loop(case_meshes):
-    data, meshes = case_meshes
+    data, meshes, _ = case_meshes
     for mesh in meshes:
         fields = data.fields(mesh)
         assert np.array_equal(assembly.upwind_weights(mesh, fields),
@@ -134,10 +140,50 @@ def test_upwind_weights_match_loop(case_meshes):
 def test_pure_convection_quotients():
     """c_wr = 0 with C_w > 0: the velocity quotient is infinite on every
     star, so the edge weight falls back to the mesh Peclet quotient."""
-    data, meshes = pure_convection_meshes()
+    data, meshes, _ = pure_convection_meshes()
     for mesh in meshes:
         patch = patch_quantities(mesh, data.fields(mesh))
         assert np.all(np.isinf(patch.lambda_w_sigma))
         assert np.array_equal(patch.lam_w_sigma, patch.p_w_sigma)
         assert np.all(np.isfinite(patch.lam_w_sigma))
         assert np.all(patch.lam_divw == 0.0)
+
+
+def test_refine_matches_rivara(case_meshes):
+    _, meshes, marks = case_meshes
+    for mesh, marked, fine in zip(meshes, marks, meshes[1:]):
+        assert canonical(fine) == canonical(rivara_refine(mesh, marked))
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_uniform_refine_matches_rivara(domain):
+    mesh = build_initial_mesh(
+        domain, lambda x, y: NEUMANN if y > 1.0 - 1e-12 else DIRICHLET)
+    for _ in range(6):
+        fine = mesh.uniform_refine()
+        assert canonical(fine) == canonical(
+            rivara_refine(mesh, range(mesh.num_elements)))
+        mesh = fine
+
+
+def test_artifacts_match_loop_writers(tmp_path):
+    """The files of a layer run (Neumann top edge) against the line-by-line
+    writers, on the final mesh read back and solved again."""
+    assert cli.main(["run", "--benchmark", "layer", "--max-dof", "600",
+                     "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "mesh_final.txt").read_text()
+    mesh = Triangulation.parse(text)
+    assert NEUMANN in mesh.edge_flag
+    assert text == loop_dump(mesh)
+    domain, data, _ = benchmark("layer")
+    solution, ctx = adapt.run_iteration(mesh, data, assembly.UPWIND,
+                                        subtract_boundary_data=True)
+    breakdown = ctx.compute("theorem")
+    assert (tmp_path / "estimators.csv").read_text() \
+        == breakdown.to_csv() == loop_estimator_csv(breakdown)
+    assert (tmp_path / "mesh_final.svg").read_text() \
+        == loop_svg(mesh, breakdown.total)
+    assert mesh.to_svg() == loop_svg(mesh)
+    nodal = postprocess.nodal_average(mesh, solution.pressure)
+    assert (tmp_path / "ptilde_nodal.csv").read_text() \
+        == loop_nodal_csv(nodal)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from oracles import canonical, rivara_refine
 
 from rtadapt import mesh as meshmod
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
@@ -9,7 +12,11 @@ from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
 
 
 def conformity_audit(mesh):
-    """Every interior edge has exactly 2 incident elements, boundary 1."""
+    """Every interior edge has exactly 2 incident elements, boundary 1,
+    and no hanging node: every mesh tested here covers a simply connected
+    domain, whose conforming triangulations have V - E + T = 1, while
+    each hanging node opens a zero-area hole and lowers it by one."""
+    assert mesh.num_vertices - mesh.num_edges + mesh.num_elements == 1
     for e in range(mesh.num_edges):
         incident = mesh.edge_patch(e)
         if mesh.edge_flag[e] == INTERIOR:
@@ -150,6 +157,110 @@ class TestRefine:
         m = build_initial_mesh("lshape")
         with pytest.raises(MeshError):
             m.refine([99])
+
+    def test_negative_marked_id(self):
+        m = build_initial_mesh("lshape")
+        with pytest.raises(MeshError):
+            m.refine([-1])
+
+
+def side_rule(x, y):
+    """Neumann on the top and right sides of every domain, else Dirichlet;
+    constant along each side, so a sub-edge keeps its side's flag."""
+    return NEUMANN if y > 1 - 1e-12 or x > 1 - 1e-12 else DIRICHLET
+
+
+def tall_strip():
+    """Three isosceles triangles whose two longest edges tie exactly."""
+    coords = np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [1.0, 3.0],
+                       [3.0, 3.0]])
+    return Triangulation(coords, np.array([[0, 1, 3], [1, 4, 3], [1, 2, 4]]))
+
+
+def skewed_square():
+    """The unit-square mesh with its center moved off the diagonals."""
+    m = build_initial_mesh("unit-square")
+    coords = m.vert_coords.copy()
+    coords[8] = (0.62, 0.41)
+    return Triangulation(coords, m.elem_verts)
+
+
+def check_refinement(coarse, mesh, marked, fine):
+    """Invariants of ``fine = mesh.refine(marked)``, ``coarse`` being the
+    root mesh that ``elem_ancestor`` refers to."""
+    conformity_audit(fine)
+    assert fine.total_area == pytest.approx(mesh.total_area, rel=1e-12)
+    assert np.bincount(fine.elem_ancestor, fine.elem_area,
+                       coarse.num_elements) \
+        == pytest.approx(coarse.elem_area, rel=1e-12)
+
+    # each child's barycenter lies in its coarse ancestor
+    v = coarse.elem_coords()[fine.elem_ancestor]
+    frame = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    lam = np.linalg.solve(frame, (fine.barycenters() - v[:, 0])[..., None])
+    assert lam.min() >= -1e-12
+    assert lam.sum(axis=1).max() <= 1.0 + 1e-12
+
+    # old vertices keep their ids; no marked element survives
+    nv = mesh.num_vertices
+    assert np.array_equal(fine.vert_coords[:nv], mesh.vert_coords)
+    survivors = set(map(tuple, np.sort(fine.elem_verts, axis=1).tolist()))
+    for t in marked:
+        assert tuple(sorted(mesh.elem_verts[t].tolist())) not in survivors
+
+    # one new vertex per bisected edge, one new element per bisected
+    # edge and incident element
+    new = set(map(tuple, fine.vert_coords[nv:].tolist()))
+    bisected = [e for e, mid in enumerate(mesh.edge_midpoints().tolist())
+                if tuple(mid) in new]
+    assert len(bisected) == len(new) == fine.num_vertices - nv
+    assert fine.num_elements - mesh.num_elements \
+        == sum(len(mesh.edge_patch(e)) for e in bisected)
+    assert fine.generation == mesh.generation + 1
+
+
+@pytest.mark.parametrize("build", [tall_strip, skewed_square])
+def test_one_step_on_general_meshes_matches_rivara(build):
+    """From a coarse mesh one step is still longest-edge bisection; on the
+    tall strip this takes the tie-break between equal longest edges."""
+    mesh = build()
+    for marked in [[t] for t in range(mesh.num_elements)] \
+            + [range(mesh.num_elements)]:
+        assert canonical(mesh.refine(marked)) \
+            == canonical(rivara_refine(mesh, marked))
+
+
+def refine_at_random(coarse, data):
+    """Yield (mesh, marked, mesh.refine(marked)) over a drawn number of
+    steps with drawn marked sets, starting from ``coarse``."""
+    mesh = coarse
+    for _ in range(data.draw(st.integers(1, 4), label="depth")):
+        marked = data.draw(st.sets(st.integers(0, mesh.num_elements - 1)),
+                           label="marked")
+        fine = mesh.refine(marked)
+        yield mesh, marked, fine
+        mesh = fine
+
+
+class TestRefineProperties:
+    @given(domain=st.sampled_from(meshmod.DOMAINS), data=st.data())
+    def test_random_marks_on_domains(self, domain, data):
+        coarse = build_initial_mesh(domain, boundary_rule=side_rule)
+        for mesh, marked, fine in refine_at_random(coarse, data):
+            check_refinement(coarse, mesh, marked, fine)
+            assert fine.min_angle() >= math.pi / 4 - 1e-12
+            mids = fine.edge_midpoints()
+            for e in np.flatnonzero(fine.edge_flag != INTERIOR):
+                assert fine.edge_flag[e] == side_rule(*mids[e])
+
+    @given(build=st.sampled_from([tall_strip, skewed_square]),
+           data=st.data())
+    def test_random_marks_on_general_meshes(self, build, data):
+        """Off right isosceles meshes refinement stays conforming and
+        keeps the area, with ties between longest edges broken."""
+        coarse = build()
+        for mesh, marked, fine in refine_at_random(coarse, data):
+            check_refinement(coarse, mesh, marked, fine)
 
 
 def mesh_is_top(mid, flag):
