@@ -72,7 +72,6 @@ class Triangulation:
 
         self._build_topology(boundary_flags or {})
         self._build_geometry()
-        self._vertex_stars = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -190,71 +189,6 @@ class Triangulation:
         if not 0 <= e < self.num_edges:
             raise MeshError(f"invalid edge id {e}")
         return [int(t) for t in self.edge_elems[e] if t >= 0]
-
-    def _vertex_incidence(self):
-        if self._vertex_stars is None:
-            stars: list[list[int]] = [[] for _ in range(self.num_vertices)]
-            for t in range(self.num_elements):
-                for v in self.elem_verts[t]:
-                    stars[v].append(t)
-            self._vertex_stars = stars
-        return self._vertex_stars
-
-    def vertex_star(self, v: int) -> tuple[list[int], bool]:
-        """Elements around vertex v in rotational order.
-
-        Returns the cyclically ordered element ids and whether v lies on
-        the boundary.  For a boundary vertex the walk starts at one end of
-        the open fan.
-        """
-        if not 0 <= v < self.num_vertices:
-            raise MeshError(f"invalid vertex id {v}")
-        star = self._vertex_incidence()[v]
-        if not star:
-            raise MeshError(f"vertex {v} belongs to no element")
-
-        # edges at v within the star, mapped to the incident star elements
-        edge_to_elems: dict[int, list[int]] = {}
-        for t in star:
-            for i in range(3):
-                e = int(self.elem_edges[t, i])
-                if v in self.edge_verts[e]:
-                    edge_to_elems.setdefault(e, []).append(t)
-        boundary_edges = [e for e, ts in edge_to_elems.items() if len(ts) == 1]
-        is_boundary = bool(boundary_edges)
-
-        if is_boundary:
-            start_edge = min(boundary_edges)
-            current = edge_to_elems[start_edge][0]
-        else:
-            current = min(star)
-            start_edge = min(
-                int(e) for e in self.elem_edges[current] if v in self.edge_verts[e]
-            )
-
-        ordered = []
-        prev_edge = start_edge
-        seen = set()
-        while True:
-            ordered.append(current)
-            seen.add(current)
-            nxt = None
-            for i in range(3):
-                e = int(self.elem_edges[current, i])
-                if e == prev_edge or v not in self.edge_verts[e]:
-                    continue
-                candidates = [t for t in edge_to_elems[e] if t != current]
-                if candidates and candidates[0] not in seen:
-                    nxt = (candidates[0], e)
-                break
-            if nxt is None:
-                break
-            current, prev_edge = nxt
-            if len(ordered) > len(star):
-                raise MeshError(f"vertex star walk failed at vertex {v}")
-        if len(ordered) != len(star):
-            raise MeshError(f"vertex star around {v} is not a single fan")
-        return ordered, is_boundary
 
     def min_angle(self) -> float:
         """Smallest interior angle over all elements, in radians."""

@@ -7,16 +7,23 @@ its own coefficient bounds.  The loop references at the end compute the
 topology, the patch maxima, the singular vertices and the upwind weights
 entity by entity, refine by recursive longest-edge (Rivara) bisection over
 dicts, and write the artifacts line by line, as checks on the array code
-of the package.
+of the package.  ``mixed_centered`` assembles the centered scheme as the
+saddle-point system that ``assembly.assemble_centered`` hybridizes.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from rtadapt import quadrature as quad
-from rtadapt.assembly import _edge_fluxes, _left_values, upwind_weight
-from rtadapt.mesh import DIRICHLET, INTERIOR, Triangulation
+from rtadapt.assembly import (CENTERED, SaddleSystem, _edge_fluxes,
+                              _left_values, _local_blocks,
+                              dirichlet_edge_means, load_vector,
+                              upwind_weight)
+from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
+                          Triangulation)
 from rtadapt.postprocess import FluxField
 
 
@@ -221,11 +228,77 @@ def loop_patch_maxima(mesh, fields):
     }
 
 
+def vertex_incidence(mesh):
+    """Incident element ids per vertex."""
+    stars = [[] for _ in range(mesh.num_vertices)]
+    for t in range(mesh.num_elements):
+        for v in mesh.elem_verts[t]:
+            stars[v].append(t)
+    return stars
+
+
+def vertex_star(mesh, v, stars=None):
+    """Elements around vertex v in rotational order.
+
+    Returns the cyclically ordered element ids and whether v lies on
+    the boundary.  For a boundary vertex the walk starts at one end of
+    the open fan.  ``stars`` is ``vertex_incidence(mesh)`` when at hand.
+    """
+    if not 0 <= v < mesh.num_vertices:
+        raise MeshError(f"invalid vertex id {v}")
+    star = (stars or vertex_incidence(mesh))[v]
+    if not star:
+        raise MeshError(f"vertex {v} belongs to no element")
+
+    # edges at v within the star, mapped to the incident star elements
+    edge_to_elems: dict[int, list[int]] = {}
+    for t in star:
+        for i in range(3):
+            e = int(mesh.elem_edges[t, i])
+            if v in mesh.edge_verts[e]:
+                edge_to_elems.setdefault(e, []).append(t)
+    boundary_edges = [e for e, ts in edge_to_elems.items() if len(ts) == 1]
+    is_boundary = bool(boundary_edges)
+
+    if is_boundary:
+        start_edge = min(boundary_edges)
+        current = edge_to_elems[start_edge][0]
+    else:
+        current = min(star)
+        start_edge = min(
+            int(e) for e in mesh.elem_edges[current] if v in mesh.edge_verts[e]
+        )
+
+    ordered = []
+    prev_edge = start_edge
+    seen = set()
+    while True:
+        ordered.append(current)
+        seen.add(current)
+        nxt = None
+        for i in range(3):
+            e = int(mesh.elem_edges[current, i])
+            if e == prev_edge or v not in mesh.edge_verts[e]:
+                continue
+            candidates = [t for t in edge_to_elems[e] if t != current]
+            if candidates and candidates[0] not in seen:
+                nxt = (candidates[0], e)
+            break
+        if nxt is None:
+            break
+        current, prev_edge = nxt
+        if len(ordered) > len(star):
+            raise MeshError(f"vertex star walk failed at vertex {v}")
+    if len(ordered) != len(star):
+        raise MeshError(f"vertex star around {v} is not a single fan")
+    return ordered, is_boundary
+
+
 def star_walk_singular_vertices(mesh, C_S, rel_tol=1e-9):
     """Singular vertices by walking each star in rotational order and
-    counting the blocks of top-class elements (``mesh.vertex_star``)."""
+    counting the blocks of top-class elements (``vertex_star``)."""
     singular = set()
-    stars = mesh._vertex_incidence()
+    stars = vertex_incidence(mesh)
     for v in range(mesh.num_vertices):
         star = stars[v]
         if not star:
@@ -234,7 +307,7 @@ def star_walk_singular_vertices(mesh, C_S, rel_tol=1e-9):
         top = values.max()
         if values.min() >= top * (1.0 - rel_tol):
             continue  # single coefficient class around v
-        ordered, is_boundary = mesh.vertex_star(v)
+        ordered, is_boundary = vertex_star(mesh, v, stars)
         flags = [C_S[t] >= top * (1.0 - rel_tol) for t in ordered]
         blocks = 0
         for i in range(len(flags)):
@@ -497,3 +570,147 @@ def loop_nodal_csv(nodal):
     for v, val in enumerate(nodal):
         rows.append(f"{v},{'nan' if math.isnan(val) else f'{val:.17g}'}")
     return "\n".join(rows) + "\n"
+
+
+# ----------------------------------------------------------------------
+# the mixed saddle-point form of the centered scheme, the reference for
+# the hybridized ``assembly.assemble_centered``, and the per-element and
+# per-edge forms of the local matrices and upwind couplings
+# ----------------------------------------------------------------------
+
+@dataclass
+class LocalMatrices:
+    """Element matrices of the mixed bilinear forms.
+
+    M : (3, 3) weighted velocity mass matrix, int_K (S^-1 phi_i) . phi_j
+    B : (3,) divergence integrals, signed edge lengths
+    conv : (3,) convection couplings, int_K (S^-1 phi_i) . w
+    react : scalar, (r + div w) |K|
+    """
+
+    M: np.ndarray
+    B: np.ndarray
+    conv: np.ndarray
+    react: float
+
+
+def local_matrices(mesh, fields, rule=quad.MIDPOINT):
+    """``assembly._local_blocks`` as one LocalMatrices per element."""
+    M, B, conv, react = _local_blocks(mesh, fields, rule)
+    return [LocalMatrices(M[t], B[t], conv[t], float(react[t]))
+            for t in range(mesh.num_elements)]
+
+
+def flux_through_edge(w, mesh, t, local):
+    """Signed flux of the velocity through one element edge.
+
+    Integral of w . n over the edge with n outward to element t; constant
+    velocity along a straight edge.
+    """
+    e = mesh.elem_edges[t, local]
+    n_out = mesh.elem_signs[t, local] * mesh.edge_normal[e]
+    return float(np.dot(w, n_out) * mesh.edge_length[e])
+
+
+def upwind_value_coeffs(nu, w_flux, interior):
+    """Coefficients (on p_K, on the opposite value) of the upwind face value.
+
+    The opposite value is the neighbor pressure on interior edges and the
+    Dirichlet datum mean on boundary edges (zero in the homogeneous case).
+    """
+    if w_flux >= 0.0:
+        return 1.0 - nu, nu
+    return nu, 1.0 - nu
+
+
+def loop_neumann_coefficients(mesh, problem, rule=quad.EDGE_GAUSS3):
+    """``assembly.neumann_fixed_coefficients`` edge by edge."""
+    fixed = np.zeros(mesh.num_edges)
+    for e in np.flatnonzero(mesh.edge_flag == NEUMANN):
+        t = int(mesh.edge_elems[e, 0])
+        local = int(np.flatnonzero(mesh.elem_edges[t] == e)[0])
+        a = mesh.vert_coords[mesh.edge_verts[e, 0]]
+        b = mesh.vert_coords[mesh.edge_verts[e, 1]]
+        pts = rule.physical_points(a, b)
+        mean = float(problem.neumann_data(pts[..., 0], pts[..., 1])
+                     @ rule.weights)
+        fixed[e] = mesh.elem_signs[t, local] * mean
+    return fixed
+
+
+def mixed_centered(mesh, problem):
+    """The centered scheme as one sparse saddle-point system: free edge
+    rows (Neumann edges eliminated with their flux fixed), then the
+    sign-flipped element rows."""
+    fields = problem.fields(mesh)
+    M, B, conv, react = _local_blocks(mesh, fields)
+    fsrc = load_vector(mesh, problem)
+    pd_mean = dirichlet_edge_means(mesh, problem)
+    fixed = loop_neumann_coefficients(mesh, problem)
+
+    ne, nt = mesh.num_edges, mesh.num_elements
+    edge_dof = np.full(ne, -1, dtype=np.int64)
+    free_edges = np.flatnonzero(mesh.edge_flag != NEUMANN)
+    edge_dof[free_edges] = np.arange(free_edges.size)
+    n_free = free_edges.size
+    dim = n_free + nt
+    E = mesh.elem_edges
+    edof = edge_dof[E]
+    prow = n_free + np.arange(nt)
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(dim)
+
+    # edge rows: velocity mass block and -B^T pressure coupling
+    row_idx = np.broadcast_to(edof[:, :, None], (nt, 3, 3))
+    col_idx = np.broadcast_to(edof[:, None, :], (nt, 3, 3))
+    keep = (row_idx >= 0) & (col_idx >= 0)
+    rows.append(row_idx[keep])
+    cols.append(col_idx[keep])
+    vals.append(M[keep])
+    to_rhs = (row_idx >= 0) & (col_idx < 0)
+    col_edges = np.broadcast_to(E[:, None, :], (nt, 3, 3))
+    np.subtract.at(rhs, row_idx[to_rhs],
+                   M[to_rhs] * fixed[col_edges[to_rhs]])
+    keep = edof >= 0
+    rows.append(edof[keep])
+    cols.append(np.broadcast_to(prow[:, None], (nt, 3))[keep])
+    vals.append(-B[keep])
+
+    # natural Dirichlet boundary term
+    dir_edges = np.flatnonzero(mesh.edge_flag == DIRICHLET)
+    sgn_left = _left_values(mesh, mesh.elem_signs.astype(np.int64))
+    np.subtract.at(rhs, edge_dof[dir_edges],
+                   sgn_left[dir_edges] * mesh.edge_length[dir_edges]
+                   * pd_mean[dir_edges])
+
+    # element rows: sign-flipped mass balance with volumetric convection
+    edge_coef = -B + conv
+    row_idx = np.broadcast_to(prow[:, None], (nt, 3))
+    rows.append(row_idx[keep])
+    cols.append(edof[keep])
+    vals.append(edge_coef[keep])
+    np.subtract.at(rhs, row_idx[~keep], edge_coef[~keep] * fixed[E[~keep]])
+    rows.append(prow)
+    cols.append(prow)
+    vals.append(-react)
+    rhs[prow] -= fsrc
+
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim)).tocsr()
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+    return SaddleSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
+                        n_free=n_free, fixed_flux=fixed, scheme=CENTERED)
+
+
+def element_row(system, t):
+    """Row of element t in a saddle-point system."""
+    return system.n_free + t
+
+
+def dump_matrix(system):
+    """Coordinate text format, one `row col value` per line."""
+    coo = system.matrix.tocoo()
+    return "\n".join(f"{r} {c} {float(v)!r}"
+                     for r, c, v in zip(coo.row, coo.col, coo.data)) + "\n"

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from rtadapt import assembly, quadrature as quad, solver
-from rtadapt.assembly import (CENTERED, UPWIND, assemble_centered,
-                              assemble_upwind, basis_factors,
-                              flux_through_edge, local_matrices, reconstruct,
-                              upwind_value_coeffs, upwind_weight)
-from rtadapt.mesh import DIRICHLET, Triangulation, build_initial_mesh
+from oracles import (dump_matrix, element_row, flux_through_edge,
+                     local_matrices, loop_neumann_coefficients,
+                     mixed_centered, upwind_value_coeffs)
+from rtadapt import adapt, assembly, postprocess, quadrature as quad, solver
+from rtadapt.assembly import (CENTERED, assemble_centered, assemble_upwind,
+                              basis_factors, reconstruct, upwind_weight)
+from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, Triangulation,
+                          build_initial_mesh)
 from rtadapt.problem import ElementCoefficients, ProblemData, benchmark
 
 
@@ -156,25 +159,43 @@ class TestUpwindWeight:
         assert c_own == 0.0 and c_dat == 1.0
 
 
+def with_neumann_data(data, g):
+    """The problem ``data`` with the Neumann datum ``g``."""
+    return ProblemData(data.coefficients, f=data.f,
+                       dirichlet_data=data.dirichlet_data, neumann_data=g,
+                       boundary_rule=data.boundary_rule)
+
+
+def neumann_layer():
+    """Centered layer problem with a nonzero flux on its Neumann top edge."""
+    domain, data, _ = benchmark("layer", eps=0.1, a=0.1)
+    data = with_neumann_data(data, lambda x, y: np.sin(3.0 * x) + 0.5)
+    return data.initial_mesh(domain).uniform_refine(), data
+
+
 class TestAssembleCentered:
     def test_dimension(self):
         mesh = build_initial_mesh("lshape")
         data = identity_problem(6)
         system = assemble_centered(mesh, data)
-        n_free = int(np.count_nonzero(mesh.edge_flag != 2))
-        assert system.dimension == n_free + mesh.num_elements
+        assert system.dimension == np.count_nonzero(
+            mesh.edge_flag == INTERIOR)
+        n_free = int(np.count_nonzero(mesh.edge_flag != NEUMANN))
+        assert mixed_centered(mesh, data).dimension == \
+            n_free + mesh.num_elements
 
     def test_symmetric_for_pure_diffusion(self):
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2").uniform_refine()
-        system = assemble_centered(mesh, data)
-        asym = abs(system.matrix - system.matrix.T).max()
-        assert asym <= 1e-14
+        for system in (assemble_centered(mesh, data),
+                       mixed_centered(mesh, data)):
+            asym = abs(system.matrix - system.matrix.T).max()
+            assert asym <= 1e-14
 
     def test_pure_diffusion_zero_source_rhs_support(self):
         _, data, _ = benchmark("lshape")
         mesh = data.initial_mesh("lshape")
-        system = assemble_centered(mesh, data)
+        system = mixed_centered(mesh, data)
         rhs = system.rhs
         dir_rows = set(system.edge_dof[np.flatnonzero(mesh.edge_flag == 1)])
         for row in range(system.dimension):
@@ -182,31 +203,110 @@ class TestAssembleCentered:
                 continue
             assert rhs[row] == pytest.approx(0.0, abs=1e-15)
         assert np.abs(rhs).max() > 0.0
+        # hybridized: only the edges of elements with a Dirichlet edge
+        hybrid = assemble_centered(mesh, data)
+        touching = np.any(mesh.edge_flag[mesh.elem_edges] == DIRICHLET, axis=1)
+        support = hybrid.edge_dof[np.unique(mesh.elem_edges[touching])]
+        outside = np.setdiff1d(np.arange(hybrid.dimension), support)
+        assert np.all(hybrid.rhs[outside] == 0.0)
+        assert np.abs(hybrid.rhs).max() > 0.0
 
     def test_nonsymmetric_with_convection(self):
         domain, data, _ = benchmark("layer", eps=0.1, a=0.1)
         mesh = data.initial_mesh(domain)
-        system = assemble_centered(mesh, data)
-        assert abs(system.matrix - system.matrix.T).max() > 1e-8
-        # sparsity pattern still symmetric
-        pattern = system.matrix.copy()
-        pattern.data = np.ones_like(pattern.data)
-        assert abs(pattern - pattern.T).max() == 0.0
+        for system in (assemble_centered(mesh, data),
+                       mixed_centered(mesh, data)):
+            assert abs(system.matrix - system.matrix.T).max() > 1e-8
+            # sparsity pattern still symmetric
+            pattern = system.matrix.copy()
+            pattern.data = np.ones_like(pattern.data)
+            assert abs(pattern - pattern.T).max() == 0.0
 
     def test_matrix_dump_format(self):
         mesh = reference_triangle()
         data = identity_problem(1)
-        system = assemble_centered(mesh, data)
-        for line in system.dump_matrix().strip().splitlines():
+        system = mixed_centered(mesh, data)
+        for line in dump_matrix(system).strip().splitlines():
             r, c, v = line.split()
             int(r), int(c), float(v)
+
+
+def adapted(case, **kw):
+    """A mesh after a few adaptive steps of the centered scheme."""
+    policy = "xi" if case.startswith("kellogg") else "theorem"
+    domain, data, _ = benchmark(case, **kw)
+    run = adapt.adaptive_loop(data, data.initial_mesh(domain),
+                              scheme=CENTERED, policy=policy, theta=0.5,
+                              max_dof=1500)
+    return run.mesh, data
+
+
+HYBRID_CASES = {
+    "lshape": lambda: adapted("lshape"),
+    "kellogg1": lambda: adapted("kellogg1"),
+    "kellogg2": lambda: adapted("kellogg2"),
+    "layer": lambda: adapted("layer", eps=1e-2, a=0.1),
+    "layer-neumann": neumann_layer,
+}
+
+
+class TestHybridAgainstOracle:
+    @pytest.mark.parametrize("case", sorted(HYBRID_CASES))
+    def test_solutions_agree(self, case):
+        mesh, data = HYBRID_CASES[case]()
+        hybrid = solver.solve(assemble_centered(mesh, data), mesh.num_edges)
+        mixed = solver.solve(mixed_centered(mesh, data), mesh.num_edges)
+        scale = np.abs(mixed.flux).max()
+        assert np.abs(hybrid.flux - mixed.flux).max() <= 1e-10 * scale
+        assert np.abs(hybrid.pressure - mixed.pressure).max() <= \
+            1e-10 * np.abs(mixed.pressure).max()
+        neumann = mesh.edge_flag == NEUMANN
+        assert np.array_equal(hybrid.flux[neumann], mixed.flux[neumann])
+
+    @pytest.mark.parametrize("case", ["lshape", "kellogg1", "layer"])
+    def test_multipliers_are_ptilde_edge_means(self, case):
+        """The interior multiplier is the edge mean of the postprocessed
+        scalar, from either side (Marini, SINUM 1985)."""
+        mesh, data = HYBRID_CASES[case]()
+        system = assemble_centered(mesh, data)
+        lam = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        sol = solver.solve(system, mesh.num_edges)
+        coeffs = postprocess.build_ptilde(mesh, data.fields(mesh), sol)
+        interior = np.flatnonzero(system.edge_dof >= 0)
+        rule = quad.EDGE_GAUSS2          # exact for quadratic traces
+        pts = rule.physical_points(
+            mesh.vert_coords[mesh.edge_verts[interior, 0]],
+            mesh.vert_coords[mesh.edge_verts[interior, 1]])
+        for side in (0, 1):
+            elems = mesh.edge_elems[interior, side]
+            means = postprocess.ptilde_values(coeffs[elems], pts) \
+                @ rule.weights
+            assert np.abs(means - lam[system.edge_dof[interior]]).max() \
+                <= 1e-12 * np.abs(lam).max()
+
+    def test_mixed_residual_is_oracle_residual(self):
+        """The matrix-free residual and right-hand side are those of the
+        assembled mixed equations."""
+        mesh, data = neumann_layer()
+        hybrid = assemble_centered(mesh, data)
+        mixed = mixed_centered(mesh, data)
+        lam = spla.splu(hybrid.matrix.tocsc()).solve(hybrid.rhs)
+        sol, residual, rhs = hybrid.recover(lam, mesh.num_edges)
+        free = np.flatnonzero(mixed.edge_dof >= 0)
+        x = np.concatenate([sol.flux[free], sol.pressure])
+        assert np.abs(rhs - mixed.rhs).max() <= 1e-14 * np.abs(mixed.rhs).max()
+        assert np.abs(residual - (mixed.matrix @ x - mixed.rhs)).max() <= \
+            1e-14 * np.abs(mixed.rhs).max()
+        # a wrong multiplier shows in the mixed residual
+        _, residual, _ = hybrid.recover(lam + 1e-6, mesh.num_edges)
+        assert np.linalg.norm(residual) > 1e-8 * np.linalg.norm(rhs)
 
 
 class TestAssembleUpwind:
     def test_zero_velocity_equals_centered(self):
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2").uniform_refine()
-        sys_c = assemble_centered(mesh, data)
+        sys_c = mixed_centered(mesh, data)
         sys_u = assemble_upwind(mesh, data)
         assert abs(sys_c.matrix - sys_u.matrix).max() <= 1e-14
         assert np.allclose(sys_c.rhs, sys_u.rhs, atol=1e-15)
@@ -238,7 +338,7 @@ class TestAssembleUpwind:
         frow = assembly.load_vector(mesh, data)
 
         for t in range(mesh.num_elements):
-            row = system.element_row(t)
+            row = element_row(system, t)
             expected = {}
             rhs_expected = -frow[t]
 
@@ -259,7 +359,7 @@ class TestAssembleUpwind:
                 if len(patch) == 2:
                     other = patch[0] if patch[1] == t else patch[1]
                     add(row, -w_ke * c_own)
-                    add(system.element_row(other), -w_ke * c_other)
+                    add(element_row(system, other), -w_ke * c_other)
                 elif mesh.edge_flag[e] == DIRICHLET:
                     add(row, -w_ke * c_own)
                     rhs_expected += w_ke * c_other * pd_mean[e]
@@ -301,9 +401,29 @@ class TestSolutionMapping:
         domain, data, _ = benchmark("layer", eps=0.1, a=0.1)
         mesh = data.initial_mesh(domain)
         system = assemble_centered(mesh, data)
-        n_neumann = int(np.count_nonzero(mesh.edge_flag == 2))
-        assert n_neumann == 2
-        assert len(system.fixed_flux) == n_neumann
+        neumann = np.flatnonzero(mesh.edge_flag == NEUMANN)
+        assert neumann.size == 2
+        assert not np.any(system.fixed_flux)
         sol = solver.solve(system, mesh.num_edges)
-        for e, value in system.fixed_flux.items():
-            assert sol.flux[e] == value == 0.0
+        for e in neumann:
+            assert sol.flux[e] == system.fixed_flux[e] == 0.0
+
+    def test_nonzero_neumann_flux_is_kept(self):
+        mesh, data = neumann_layer()
+        for system in (assemble_centered(mesh, data),
+                       assemble_upwind(mesh, data)):
+            sol = solver.solve(system, mesh.num_edges)
+            neumann = mesh.edge_flag == NEUMANN
+            assert np.all(system.fixed_flux[neumann] != 0.0)
+            assert np.array_equal(sol.flux[neumann],
+                                  system.fixed_flux[neumann])
+
+    def test_neumann_coefficients_match_loop(self):
+        """One vectorized pass, bit-equal to the edge-by-edge evaluation."""
+        mesh, data = neumann_layer()
+        mesh = mesh.uniform_refine()
+        got = assembly.neumann_fixed_coefficients(mesh, data)
+        want = loop_neumann_coefficients(mesh, data)
+        assert np.count_nonzero(want) == \
+            np.count_nonzero(mesh.edge_flag == NEUMANN)
+        assert np.array_equal(got, want)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import canonical, rivara_refine
+from oracles import canonical, rivara_refine, vertex_star
 
 from rtadapt import mesh as meshmod
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
@@ -43,7 +43,7 @@ class TestInitialMeshes:
         assert m.num_vertices == 8
         assert m.total_area == pytest.approx(3.0, abs=1e-15)
         # reentrant corner is a mesh vertex shared by all origin triangles
-        star, boundary = m.vertex_star(0)
+        star, boundary = vertex_star(m, 0)
         assert boundary
         assert len(star) == 6
         conformity_audit(m)
@@ -52,7 +52,7 @@ class TestInitialMeshes:
         m = build_initial_mesh("square2x2")
         assert m.num_elements == 8
         assert m.total_area == pytest.approx(4.0, abs=1e-15)
-        star, boundary = m.vertex_star(0)
+        star, boundary = vertex_star(m, 0)
         assert not boundary
         assert len(star) == 8
         conformity_audit(m)
@@ -292,7 +292,7 @@ class TestAdjacency:
     def test_vertex_star_cyclic_order(self):
         m = build_initial_mesh("square2x2").uniform_refine().uniform_refine()
         for v in range(m.num_vertices):
-            star, boundary = m.vertex_star(v)
+            star, boundary = vertex_star(m, v)
             n = len(star)
             limit = n if not boundary else n - 1
             for i in range(limit):
@@ -302,9 +302,9 @@ class TestAdjacency:
 
     def test_corner_vertex_is_boundary(self):
         m = build_initial_mesh("unit-square")
-        _, boundary = m.vertex_star(0)   # (0, 0) corner
+        _, boundary = vertex_star(m, 0)   # (0, 0) corner
         assert boundary
-        _, interior = m.vertex_star(8)   # center
+        _, interior = vertex_star(m, 8)   # center
         assert not interior
 
 
