@@ -18,6 +18,10 @@ class AdaptError(Exception):
     pass
 
 
+# indicators within this relative distance of each other form a tie group
+TIE_TOL = 1e-10
+
+
 @dataclass
 class RunRecord:
     """One adaptive iteration: counts, errors and estimator totals."""
@@ -44,9 +48,16 @@ class RunResult:
 
 
 def dorfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
-    """Minimal bulk set: smallest prefix of elements sorted by indicator
-    (ties broken by lower id) whose squared sum reaches theta^2 times the
-    squared total.
+    """Bulk set closed under ties: the smallest prefix of the elements
+    sorted by decreasing indicator whose squared sum reaches theta^2 times
+    the squared total, extended by every element whose indicator lies
+    within ``TIE_TOL`` relative of the last one in that prefix.
+
+    The bulk criterion holds, and the set is minimal up to that last tie
+    group.  Which of several (nearly) equal indicators reach the prefix
+    depends on round-off and on the element numbering; closing the group
+    makes the marked set a function of the indicator values alone, the
+    same under any permutation of the elements.
 
     Returns ascending element ids; empty when all indicators vanish.
     """
@@ -64,6 +75,9 @@ def dorfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
     target = theta**2 * total
     # tolerate roundoff so exact-fraction prefixes are accepted
     cut = int(np.searchsorted(csum, target * (1.0 - 1e-12))) + 1
+    negated = -indicators[order]                  # ascending
+    last = negated[min(cut, order.size) - 1]
+    cut = int(np.searchsorted(negated, last * (1.0 - TIE_TOL), side="right"))
     marked = order[:cut]
     marked = marked[indicators[marked] > 0.0]
     return np.sort(marked)

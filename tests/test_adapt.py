@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rtadapt import adapt
 from rtadapt.adapt import AdaptError, adaptive_loop, dorfler_mark
@@ -25,11 +26,21 @@ class TestDorflerMark:
     def test_all_zero_returns_empty(self):
         assert dorfler_mark(np.zeros(5), 0.5).size == 0
 
-    def test_tie_break_by_lower_id(self):
+    def test_tie_group_is_marked_whole(self):
         # theta^2 * 16 = 10.24 needs three of the four equal entries;
-        # ties resolve to the lowest element ids
+        # the fourth is in their tie group and is marked with them
         marked = dorfler_mark(np.array([2.0, 2.0, 2.0, 2.0]), 0.8)
-        assert marked.tolist() == [0, 1, 2]
+        assert marked.tolist() == [0, 1, 2, 3]
+
+    def test_tie_tolerance_is_relative(self):
+        # one of the three near-equal entries reaches theta^2 * total;
+        # 1e-13 apart is a tie, 1e-9 apart is not
+        near = dorfler_mark(np.array([1.0, 3.0, 3.0 * (1 - 1e-13), 3.0]),
+                            0.5)
+        assert near.tolist() == [1, 2, 3]
+        apart = dorfler_mark(np.array([1.0, 3.0, 3.0 * (1 - 1e-9), 3.0]),
+                             0.5)
+        assert apart.tolist() == [1, 3]
 
     def test_invalid_theta(self):
         with pytest.raises(AdaptError):
@@ -54,6 +65,55 @@ class TestDorflerMark:
                 weakest = marked[np.argmin(ind[marked])]
                 rest = np.setdiff1d(marked, [weakest])
                 assert (ind[rest] ** 2).sum() < theta**2 * total * (1 - 1e-12)
+
+
+def indicator_sets():
+    """Indicators with deliberate exact and near ties: values drawn from a
+    few levels, each possibly perturbed within the tie tolerance."""
+    level = st.sampled_from([0.0, 0.3, 1.0, 1.7, 2.5])
+    jitter = st.sampled_from([0.0, 1e-15, -3e-14, 2e-13])
+    value = st.one_of(st.floats(0.0, 10.0),
+                      st.builds(lambda v, d: v * (1.0 + d), level, jitter))
+    return st.lists(value, min_size=1, max_size=30).map(np.array)
+
+
+def bulk_target(ind, theta):
+    return theta**2 * (ind**2).sum() * (1 - 1e-12)
+
+
+class TestDorflerProperties:
+    """Dorfler marking with tie closure: the marked set reaches the bulk
+    criterion, is minimal up to its last tie group, grows with theta and
+    depends only on the indicator values."""
+
+    @given(ind=indicator_sets(), theta=st.floats(0.01, 1.0))
+    def test_bulk_and_minimal_up_to_ties(self, ind, theta):
+        marked = dorfler_mark(ind, theta)
+        if (ind**2).sum() == 0.0:         # all vanish, or square to 0
+            assert marked.size == 0
+            return
+        assert (ind[marked] ** 2).sum() >= bulk_target(ind, theta)
+        weakest = ind[marked].min()
+        # an upper set of the positive indicators
+        unmarked = np.setdiff1d(np.flatnonzero(ind > 0), marked)
+        assert np.all(ind[unmarked] < weakest)
+        # without its last tie group the set misses the bulk criterion
+        stronger = ind[marked][ind[marked] > weakest / (1 - adapt.TIE_TOL)]
+        assert (stronger**2).sum() < bulk_target(ind, theta)
+
+    @given(ind=indicator_sets(), thetas=st.tuples(st.floats(0.01, 1.0),
+                                                  st.floats(0.01, 1.0)))
+    def test_monotone_in_theta(self, ind, thetas):
+        low, high = sorted(thetas)
+        assert set(dorfler_mark(ind, low)) <= set(dorfler_mark(ind, high))
+
+    @given(ind=indicator_sets(), theta=st.floats(0.01, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_permutation_invariant(self, ind, theta, seed):
+        perm = np.random.default_rng(seed).permutation(ind.size)
+        marked = dorfler_mark(ind, theta)
+        assert np.array_equal(np.sort(perm[dorfler_mark(ind[perm], theta)]),
+                              marked)
 
 
 class TestAdaptiveLoop:
