@@ -86,14 +86,17 @@ def dorfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
 def run_iteration(mesh: Triangulation, problem: ProblemData, scheme: str,
                   subtract_boundary_data: bool = False
                   ) -> tuple[assembly.MixedSolution, EstimatorContext]:
+    """Assemble, solve and set up the estimators on one mesh from one shared
+    Discretization, which ``ctx.flux`` carries on to the energy error."""
     if scheme == assembly.CENTERED:
-        system = assembly.assemble_centered(mesh, problem)
+        assemble = assembly.assemble_centered
     elif scheme == assembly.UPWIND:
-        system = assembly.assemble_upwind(mesh, problem)
+        assemble = assembly.assemble_upwind
     else:
         raise AdaptError(f"unknown scheme {scheme!r}")
-    solution = solver.solve(system, mesh.num_edges)
-    ctx = EstimatorContext(mesh, problem, solution,
+    disc = assembly.Discretization(mesh, problem)
+    solution = solver.solve(assemble(disc), mesh.num_edges)
+    ctx = EstimatorContext(disc, solution,
                            subtract_boundary_data=subtract_boundary_data)
     return solution, ctx
 
@@ -148,5 +151,7 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
             marked = dorfler_mark(breakdown.total, theta)
         if marked.size == 0:
             break
+        # the next solve runs without this iteration's arrays
+        last = solution = ctx = breakdown = None
         mesh = mesh.refine(marked)
     return last

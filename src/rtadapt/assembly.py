@@ -72,7 +72,7 @@ class MixedSolution:
 class SaddleSystem:
     """Sparse saddle-point system with its DOF bookkeeping."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     edge_dof: np.ndarray          # (NE,) row index per free edge, -1 if fixed
     n_free: int                   # number of free edge DOFs
@@ -108,7 +108,7 @@ class HybridSystem:
     edge.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     edge_dof: np.ndarray          # (NE,) multiplier per interior edge, else -1
     edge_flag: np.ndarray         # (NE,)
@@ -150,6 +150,44 @@ class HybridSystem:
         return (MixedSolution(flux, pressure, CENTERED),
                 rows(_apply(self.blocks, values) - self.load),
                 rows(self.load - _apply(self.blocks, fixed)))
+
+
+class Discretization:
+    """The problem on one mesh: the per-mesh quantities that the assembly,
+    the estimators and the energy error of an iteration share, each
+    computed once.
+
+    fields : coefficient fields on the elements (``problem.fields``)
+    midpoints, seven_points : (NT, 3, 2) and (NT, 7, 2) physical nodes of
+        ``quad.MIDPOINT`` and ``quad.SEVEN_POINT``
+    edge_fluxes : (NT, 3) convective fluxes w_{K,sigma}
+    pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
+    """
+
+    def __init__(self, mesh: Triangulation, problem: ProblemData):
+        self.mesh = mesh
+        self.problem = problem
+        self.fields = problem.fields(mesh)
+        self.midpoints = quad.MIDPOINT.physical_points(mesh.elem_coords)
+        self.seven_points = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
+        self.edge_fluxes = _edge_fluxes(mesh, self.fields)
+        self.pd_mean = dirichlet_edge_means(mesh, problem)
+
+
+def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of broadcast 2-vectors (..., 2), component by component."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
+def apply_tensor(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """2x2 tensors (..., 2, 2) applied to the vectors (..., nq, 2) at nq
+    points each, component by component."""
+    m = mat[..., None, :, :]
+    vx, vy = vec[..., 0], vec[..., 1]
+    out = np.empty(np.broadcast_shapes(m.shape[:-1], vec.shape))
+    out[..., 0] = m[..., 0, 0] * vx + m[..., 0, 1] * vy
+    out[..., 1] = m[..., 1, 0] * vx + m[..., 1, 1] * vy
+    return out
 
 
 def _apply(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -213,30 +251,35 @@ def reconstruct(mesh: Triangulation, solution: MixedSolution
     C = basis_factors(mesh)
     dofs = solution.flux[mesh.elem_edges] * C
     b = dofs.sum(axis=1)
-    a = -np.einsum("ti,tid->td", dofs, mesh.elem_coords())
+    X = mesh.elem_coords
+    a = -(dofs[:, 0, None] * X[:, 0] + dofs[:, 1, None] * X[:, 1]
+          + dofs[:, 2, None] * X[:, 2])
     return a, b
 
 
-def _local_blocks(mesh: Triangulation, fields: CoefficientFields,
-                  rule: quad.TriangleRule = quad.MIDPOINT):
-    """Local matrices of the mixed bilinear forms, for every element.
+def _local_blocks(disc: Discretization):
+    """Local matrices of the mixed bilinear forms, for every element, by
+    the midpoint rule (exact for their quadratic integrands).
 
     M : (NT, 3, 3) weighted velocity mass matrices, int_K (S^-1 phi_i) . phi_j
     B : (NT, 3) divergence integrals, signed edge lengths
     conv : (NT, 3) convection couplings, int_K (S^-1 phi_i) . w
     react : (NT,) (r + div w) |K|
     """
+    mesh, fields = disc.mesh, disc.fields
     if np.any(mesh.elem_area <= 0.0):
         raise AssemblyError("degenerate element with nonpositive area")
-    coords = mesh.elem_coords()
-    pts = rule.physical_points(coords)                      # (NT, nq, 2)
+    weights = quad.MIDPOINT.weights
     C = basis_factors(mesh)                                 # (NT, 3)
-    D = pts[:, :, None, :] - coords[:, None, :, :]          # (NT, nq, 3, 2)
-    AD = np.einsum("tab,tqib->tqia", fields.Sinv, D)
-    M0 = np.einsum("tqia,tqja,q->tij", AD, D, rule.weights)
+    # x_q - P_i per element, local vertex i and node q: (NT, 3, nq, 2)
+    D = disc.midpoints[:, None] - mesh.elem_coords[:, :, None]
+    AD = apply_tensor(fields.Sinv[:, None], D)
+    conv0 = dot(AD, fields.w[:, None, None]) @ weights
+    # sum over nodes and components as one (3, 2 nq) by (2 nq, 3) product
+    AD *= weights[:, None]
+    M0 = AD.reshape(len(D), 3, -1) @ D.reshape(len(D), 3, -1).swapaxes(1, 2)
     M = M0 * mesh.elem_area[:, None, None] * C[:, :, None] * C[:, None, :]
     B = mesh.elem_signs * mesh.edge_length[mesh.elem_edges]
-    conv0 = np.einsum("tqia,ta,q->ti", AD, fields.w, rule.weights)
     conv = conv0 * mesh.elem_area[:, None] * C
     react = (fields.r + fields.divw) * mesh.elem_area
     return M, B, conv, react
@@ -245,43 +288,28 @@ def _local_blocks(mesh: Triangulation, fields: CoefficientFields,
 def _edge_fluxes(mesh: Triangulation, fields: CoefficientFields) -> np.ndarray:
     """w_{K,sigma} per (element, local edge), shape (NT, 3)."""
     E = mesh.elem_edges
-    wn = np.einsum("td,ted->te", fields.w,
-                   mesh.edge_normal[E])
+    wn = dot(fields.w[:, None], mesh.edge_normal[E])
     return mesh.elem_signs * wn * mesh.edge_length[E]
 
 
-def upwind_weight(c_s_left: float, c_s_right: float | None,
-                  edge_length: float, w_flux: float,
-                  boundary: bool) -> float:
-    """Upstream weighting coefficient of one edge.
+def upwind_weights(disc: Discretization) -> np.ndarray:
+    """Per-edge upstream weights, oriented by the first incident element.
 
-    Harmonic average of the smallest diffusion eigenvalues across the
-    edge; zero for a vanishing flux and for inflow boundary edges.  For a
+    nu = min(c_S |sigma| / (h_sigma |w_sigma|), 1/2) with c_S the harmonic
+    average of the smallest diffusion eigenvalues across the edge (the
+    one-sided value on the boundary) and w_sigma the convective edge flux;
+    zero for a vanishing flux and on inflow boundary edges.  For a
     two-dimensional edge the measure and the diameter coincide.
     """
-    if w_flux == 0.0:
-        return 0.0
-    if boundary:
-        if w_flux < 0.0:
-            return 0.0
-        c_s = c_s_left
-    else:
-        c_s = 2.0 * c_s_left * c_s_right / (c_s_left + c_s_right)
-    h_sigma = edge_length
-    return min(c_s * edge_length / (h_sigma * abs(w_flux)), 0.5)
-
-
-def upwind_weights(mesh: Triangulation, fields: CoefficientFields
-                   ) -> np.ndarray:
-    """Per-edge upstream weights, oriented by the first incident element."""
-    w_flux = _left_values(mesh, _edge_fluxes(mesh, fields))
+    mesh, fields = disc.mesh, disc.fields
+    w_flux = _left_values(mesh, disc.edge_fluxes)
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     boundary = right < 0
     c_s_left = fields.c_S[left]
     c_s_right = fields.c_S[np.where(boundary, left, right)]
     c_s = np.where(boundary, c_s_left,
                    2.0 * c_s_left * c_s_right / (c_s_left + c_s_right))
-    # measure over diameter, in the operation order of upwind_weight
+    # measure over diameter, in the order of tests/oracles.py::upwind_weight
     length = mesh.edge_length
     with np.errstate(divide="ignore"):
         nu = np.minimum(c_s * length / (length * np.abs(w_flux)), 0.5)
@@ -328,26 +356,25 @@ def neumann_fixed_coefficients(mesh: Triangulation, problem: ProblemData,
     return _left_values(mesh, mesh.elem_signs) * means
 
 
-def load_vector(mesh: Triangulation, problem: ProblemData,
-                rule: quad.TriangleRule = quad.SEVEN_POINT) -> np.ndarray:
-    """Element integrals of the source term."""
-    pts = rule.physical_points(mesh.elem_coords())
-    vals = problem.f(pts[..., 0], pts[..., 1])
-    return rule.integrate(vals, mesh.elem_area)
+def load_vector(disc: Discretization) -> np.ndarray:
+    """Element integrals of the source term, by the seven-point rule."""
+    pts = disc.seven_points
+    vals = disc.problem.f(pts[..., 0], pts[..., 1])
+    return quad.SEVEN_POINT.integrate(vals, disc.mesh.elem_area)
 
 
-def _coo_to_csr(rows, cols, vals, dim: int) -> sp.csr_matrix:
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+def _coo_to_csc(rows, cols, vals, dim: int) -> sp.csc_matrix:
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsc()
     matrix.sum_duplicates()
     matrix.sort_indices()
     return matrix
 
 
-def assemble_centered(mesh: Triangulation, problem: ProblemData
-                      ) -> HybridSystem:
+def assemble_centered(disc: Discretization) -> HybridSystem:
     """Centered mixed scheme (volumetric convection, full reaction block),
     hybridized onto the interior edges."""
-    M, B, conv, react = _local_blocks(mesh, problem.fields(mesh))
+    mesh = disc.mesh
+    M, B, conv, react = _local_blocks(disc)
     E = mesh.elem_edges
     blocks = np.empty((mesh.num_elements, 4, 4))
     blocks[:, :3, :3] = M
@@ -356,10 +383,10 @@ def assemble_centered(mesh: Triangulation, problem: ProblemData
     blocks[:, 3, 3] = -react
     load = np.empty((mesh.num_elements, 4))
     # natural Dirichlet term; the datum means vanish off Dirichlet edges
-    load[:, :3] = -B * dirichlet_edge_means(mesh, problem)[E]
-    load[:, 3] = -load_vector(mesh, problem)
+    load[:, :3] = -B * disc.pd_mean[E]
+    load[:, 3] = -load_vector(disc)
 
-    fixed = neumann_fixed_coefficients(mesh, problem)
+    fixed = neumann_fixed_coefficients(mesh, disc.problem)
     eliminated = blocks.copy()
     t, i = np.nonzero(mesh.edge_flag[E] == NEUMANN)
     eliminated[t, i] = 0.0
@@ -378,20 +405,19 @@ def assemble_centered(mesh: Triangulation, problem: ProblemData
     rows = np.broadcast_to(dof[:, :, None], schur.shape)
     cols = np.broadcast_to(dof[:, None, :], schur.shape)
     keep = (rows >= 0) & (cols >= 0)
-    matrix = _coo_to_csr(rows[keep], cols[keep], schur[keep], interior.size)
+    matrix = _coo_to_csc(rows[keep], cols[keep], schur[keep], interior.size)
     rhs = np.bincount(dof[dof >= 0], local[dof >= 0], interior.size)
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
                         edge_flag=mesh.edge_flag, elem_edges=E, blocks=blocks,
                         load=load, inverse=inverse, fixed_flux=fixed)
 
 
-def assemble_upwind(mesh: Triangulation, problem: ProblemData) -> SaddleSystem:
+def assemble_upwind(disc: Discretization) -> SaddleSystem:
     """Upwind-weighted mixed scheme with face-value convection."""
-    fields = problem.fields(mesh)
-    M, B, _, _ = _local_blocks(mesh, fields)
-    fsrc = load_vector(mesh, problem)
-    pd_mean = dirichlet_edge_means(mesh, problem)
-    fixed_vals = neumann_fixed_coefficients(mesh, problem)
+    mesh, fields, pd_mean = disc.mesh, disc.fields, disc.pd_mean
+    M, B, _, _ = _local_blocks(disc)
+    fsrc = load_vector(disc)
+    fixed_vals = neumann_fixed_coefficients(mesh, disc.problem)
 
     ne, nt = mesh.num_edges, mesh.num_elements
     edge_dof = np.full(ne, -1, dtype=np.int64)
@@ -447,8 +473,8 @@ def assemble_upwind(mesh: Triangulation, problem: ProblemData) -> SaddleSystem:
                        edge_coef[to_rhs] * fixed_vals[E[to_rhs]])
 
     add_block(prow, prow, -fields.r * mesh.elem_area)
-    nu_edges = upwind_weights(mesh, fields)
-    wflux = _edge_fluxes(mesh, fields)
+    nu_edges = upwind_weights(disc)
+    wflux = disc.edge_fluxes
     nu = nu_edges[E]
     flag = mesh.edge_flag[E]
     lr = mesh.edge_elems[E]
@@ -476,7 +502,7 @@ def assemble_upwind(mesh: Triangulation, problem: ProblemData) -> SaddleSystem:
 
     rhs[prow] -= fsrc
 
-    matrix = _coo_to_csr(np.concatenate(rows), np.concatenate(cols),
+    matrix = _coo_to_csc(np.concatenate(rows), np.concatenate(cols),
                          np.concatenate(vals), dim)
     return SaddleSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
                         n_free=n_free, fixed_flux=fixed_vals, scheme=UPWIND,

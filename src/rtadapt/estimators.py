@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .assembly import (MixedSolution, UPWIND, _edge_fluxes, _left_values,
-                       dirichlet_edge_means)
+from .assembly import (Discretization, MixedSolution, UPWIND, _left_values,
+                       dot)
 from .mesh import DIRICHLET, INTERIOR, Triangulation
 from .postprocess import FluxField, tangential_jump_sq
-from .problem import ProblemData, patch_quantities
+from .problem import patch_quantities
 
 
 class EstimatorError(Exception):
@@ -125,22 +125,20 @@ class EstimatorContext:
     affects Dirichlet boundary edges.
     """
 
-    def __init__(self, mesh: Triangulation, problem: ProblemData,
-                 solution: MixedSolution,
+    def __init__(self, disc: Discretization, solution: MixedSolution,
                  subtract_boundary_data: bool = False):
-        self.mesh = mesh
-        self.problem = problem
+        self.disc = disc
+        self.mesh = mesh = disc.mesh
         self.solution = solution
-        self.fields = problem.fields(mesh)
-        self.flux = FluxField(mesh, self.fields, solution)
+        self.fields = disc.fields
+        self.flux = FluxField(disc, solution)
         self.patch = patch_quantities(mesh, self.fields)
         self.weights = residual_weights(mesh, self.fields)
-        self.pd_mean = dirichlet_edge_means(mesh, problem)
 
         slope_inv = slope_half = None
         if subtract_boundary_data:
-            slope_inv = _data_slope(mesh, problem, self.fields, "inv")
-            slope_half = _data_slope(mesh, problem, self.fields, "invsqrt")
+            slope_inv = _data_slope(disc, "inv")
+            slope_half = _data_slope(disc, "invsqrt")
         self.jump_inv = tangential_jump_sq(mesh, self.flux, "inv",
                                            boundary_slope=slope_inv)
         self.jump_half = tangential_jump_sq(mesh, self.flux, "invsqrt",
@@ -153,10 +151,9 @@ class EstimatorContext:
 
     def _weighted_norm_sq(self) -> np.ndarray:
         """int_K |S^-1 u_h|^2 per element (quadratic integrand)."""
-        rule = quad.MIDPOINT
-        pts = rule.physical_points(self.mesh.elem_coords())
-        vals = self.flux.weighted(np.arange(self.mesh.num_elements), pts)
-        return rule.integrate((vals**2).sum(axis=-1), self.mesh.elem_area)
+        vals = self.flux.weighted(np.arange(self.mesh.num_elements),
+                                  self.disc.midpoints)
+        return quad.MIDPOINT.integrate(dot(vals, vals), self.mesh.elem_area)
 
     def _residual_norm_sq(self) -> np.ndarray:
         """int_K R^2 with the pure-diffusion reduction where it applies.
@@ -167,8 +164,8 @@ class EstimatorContext:
         """
         mesh, fields = self.mesh, self.fields
         rule = quad.SEVEN_POINT
-        pts = rule.physical_points(mesh.elem_coords())
-        fvals = self.problem.f(pts[..., 0], pts[..., 1])
+        pts = self.disc.seven_points
+        fvals = self.disc.problem.f(pts[..., 0], pts[..., 1])
         if fvals.shape != pts.shape[:-1]:
             fvals = np.broadcast_to(fvals, pts.shape[:-1])
 
@@ -181,7 +178,7 @@ class EstimatorContext:
         general = (
             fvals
             - div_u[:, None]
-            + np.einsum("tqd,td->tq", sinv_u, fields.w)
+            + dot(sinv_u, fields.w[:, None])
             - ((fields.r + fields.divw) * self.solution.pressure)[:, None]
         )
         resid = np.where(pure[:, None], reduced, general)
@@ -235,7 +232,7 @@ class EstimatorContext:
         mesh = self.mesh
         nu = self.solution.nu
         p = self.solution.pressure
-        wflux_left = _left_values(mesh, _edge_fluxes(mesh, self.fields))
+        wflux_left = _left_values(mesh, self.disc.edge_fluxes)
         left = mesh.edge_elems[:, 0]
         right = mesh.edge_elems[:, 1]
         out = np.zeros(mesh.num_edges)
@@ -250,7 +247,7 @@ class EstimatorContext:
         if np.any(dirich):
             c_own = np.where(wflux_left >= 0.0, 1.0 - nu, nu)
             c_dat = np.where(wflux_left >= 0.0, nu, 1.0 - nu)
-            p_hat = c_own * p[left] + c_dat * self.pd_mean
+            p_hat = c_own * p[left] + c_dat * self.disc.pd_mean
             out[dirich] = p_hat[dirich] - p[left[dirich]]
         # Neumann edges use the interior value, so the defect vanishes
         return out
@@ -262,7 +259,7 @@ class EstimatorContext:
             )
         mesh = self.mesh
         hathat = self._hat_hat_all()
-        wflux = _edge_fluxes(mesh, self.fields)          # (NT, 3)
+        wflux = self.disc.edge_fluxes                    # (NT, 3)
         E = mesh.elem_edges
         lengths = mesh.edge_length[E]
         wn = wflux / lengths                             # (w . n)|_sigma
@@ -317,26 +314,6 @@ class EstimatorContext:
         weighted = weighted * self.patch.C_S_patch
         return np.sqrt(np.where(self.singular_elements(), weighted, plain))
 
-    # -- single-element conveniences (used heavily by the tests) ------------
-
-    def eta_D(self, t: int) -> float:
-        return float(self.eta_D_all()[t])
-
-    def eta_R(self, t: int) -> float:
-        return float(self.eta_R_all()[t])
-
-    def eta_NC(self, t: int) -> float:
-        return float(self.eta_NC_all()[t])
-
-    def eta_C(self, t: int) -> float:
-        return float(self.eta_C_all()[t])
-
-    def eta_U(self, t: int) -> float:
-        return float(self.eta_U_all()[t])
-
-    def total_indicator(self, t: int, policy: str = "theorem") -> float:
-        return float(self.compute(policy).total[t])
-
     def compute(self, policy: str = "theorem") -> EstimatorBreakdown:
         """Assemble the full per-element breakdown under a marking policy."""
         if policy not in POLICIES:
@@ -361,8 +338,7 @@ class EstimatorContext:
                                   total=total, policy=policy)
 
 
-def _data_slope(mesh: Triangulation, problem: ProblemData, fields,
-                weighting: str):
+def _data_slope(disc: Discretization, weighting: str):
     """Expected boundary tangential trace of the weighted flux, from data.
 
     gamma_t(S^-1 u) = -dp/dt on the boundary; the S^-1/2 variant scales by
@@ -371,6 +347,7 @@ def _data_slope(mesh: Triangulation, problem: ProblemData, fields,
     along the edge line; Neumann edges carry no datum and get no
     correction.
     """
+    mesh, problem, fields = disc.mesh, disc.problem, disc.fields
     if weighting == "invsqrt" and np.any(
         fields.C_S - fields.c_S > 1e-12 * fields.C_S
     ):

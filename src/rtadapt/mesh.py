@@ -118,9 +118,10 @@ class Triangulation:
 
     def _build_geometry(self):
         xy = self.vert_coords
-        tri = self.elem_verts
-        d1 = xy[tri[:, 1]] - xy[tri[:, 0]]
-        d2 = xy[tri[:, 2]] - xy[tri[:, 0]]
+        # vertex coordinates per element, (NT, 3, 2)
+        self.elem_coords = coords = xy[self.elem_verts]
+        d1 = coords[:, 1] - coords[:, 0]
+        d2 = coords[:, 2] - coords[:, 0]
         twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         if np.any(twice_area <= 0.0):
             bad = int(np.argmin(twice_area))
@@ -168,12 +169,8 @@ class Triangulation:
     def num_elements(self) -> int:
         return self.elem_verts.shape[0]
 
-    def elem_coords(self) -> np.ndarray:
-        """Vertex coordinates per element, shape (NT, 3, 2)."""
-        return self.vert_coords[self.elem_verts]
-
     def barycenters(self) -> np.ndarray:
-        return self.elem_coords().mean(axis=1)
+        return self.elem_coords.mean(axis=1)
 
     def edge_midpoints(self) -> np.ndarray:
         return 0.5 * (
@@ -192,7 +189,7 @@ class Triangulation:
 
     def min_angle(self) -> float:
         """Smallest interior angle over all elements, in radians."""
-        xy = self.elem_coords()
+        xy = self.elem_coords
         best = math.inf
         for i in range(3):
             a = xy[:, (i + 1) % 3] - xy[:, i]

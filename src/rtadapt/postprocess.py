@@ -9,46 +9,22 @@ and tangential jumps can be evaluated without reference mappings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import quadrature as quad
-from .assembly import MixedSolution, reconstruct
+from .assembly import (Discretization, MixedSolution, apply_tensor, dot,
+                       reconstruct)
 from .mesh import Triangulation
 from .problem import CoefficientFields
-
-
-@dataclass(frozen=True)
-class ElementQuadratic:
-    """Quadratic scalar on one element, global monomial coefficients."""
-
-    element: int
-    coeffs: np.ndarray  # (6,): 1, x, y, x^2, xy, y^2
-
-    def __call__(self, x, y):
-        c = self.coeffs
-        return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y \
-            + c[5] * y * y
-
-    def gradient(self, x, y):
-        c = self.coeffs
-        gx = c[1] + 2.0 * c[3] * x + c[4] * y
-        gy = c[2] + c[4] * x + 2.0 * c[5] * y
-        return np.stack([gx, gy], axis=-1)
 
 
 class FluxField:
     """Elementwise affine flux reconstruction with weighted evaluations."""
 
-    def __init__(self, mesh: Triangulation, fields: CoefficientFields,
-                 solution: MixedSolution):
-        self.mesh = mesh
-        self.fields = fields
-        self.a, self.b = reconstruct(mesh, solution)
-        self.pressure = solution.pressure
-        self.scheme = solution.scheme
-        self.nu = solution.nu
+    def __init__(self, disc: Discretization, solution: MixedSolution):
+        self.disc = disc
+        self.fields = disc.fields
+        self.a, self.b = reconstruct(disc.mesh, solution)
 
     def u(self, elems, pts):
         """u_h on the given elements at points of shape (..., 2)."""
@@ -58,7 +34,7 @@ class FluxField:
     def weighted(self, elems, pts, weighting: str = "inv"):
         """S^-1 u_h or S^-1/2 u_h at points, per-element coefficients."""
         mat = self.fields.Sinv if weighting == "inv" else self.fields.Sinvhalf
-        return np.einsum("...ab,...qb->...qa", mat[elems], self.u(elems, pts))
+        return apply_tensor(mat[elems], self.u(elems, pts))
 
 
 def build_ptilde(mesh: Triangulation, fields: CoefficientFields,
@@ -71,33 +47,26 @@ def build_ptilde(mesh: Triangulation, fields: CoefficientFields,
     """
     a, b = reconstruct(mesh, solution)
     A = fields.Sinv
-    lin = -np.einsum("tab,tb->ta", A, a)                 # coefficient of (x, y)
     coeffs = np.zeros((mesh.num_elements, 6))
-    coeffs[:, 1] = lin[:, 0]
-    coeffs[:, 2] = lin[:, 1]
+    coeffs[:, 1:3] = -apply_tensor(A, a[:, None])[:, 0]     # x and y
     coeffs[:, 3] = -0.5 * b * A[:, 0, 0]
     coeffs[:, 4] = -b * A[:, 0, 1]
     coeffs[:, 5] = -0.5 * b * A[:, 1, 1]
 
-    pts = quad.MIDPOINT.physical_points(mesh.elem_coords())
-    mean_wo_const = quad.MIDPOINT.integrate(
-        _eval_monomials(coeffs, pts), 1.0
-    )
+    pts = quad.MIDPOINT.physical_points(mesh.elem_coords)
+    mean_wo_const = quad.MIDPOINT.integrate(ptilde_values(coeffs, pts), 1.0)
     coeffs[:, 0] = solution.pressure - mean_wo_const
     return coeffs
 
 
-def _eval_monomials(coeffs, pts):
+def ptilde_values(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Evaluate the postprocessed scalar; pts shaped (NT, nq, 2) or
+    (NT, 2)."""
     x = pts[..., 0]
     y = pts[..., 1]
     c = coeffs[:, None, :] if pts.ndim == 3 else coeffs
     return (c[..., 0] + c[..., 1] * x + c[..., 2] * y + c[..., 3] * x * x
             + c[..., 4] * x * y + c[..., 5] * y * y)
-
-
-def ptilde_values(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the postprocessed scalar; pts shaped (NT, nq, 2)."""
-    return _eval_monomials(coeffs, pts)
 
 
 def ptilde_gradient(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -107,10 +76,6 @@ def ptilde_gradient(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     gx = c[..., 1] + 2.0 * c[..., 3] * x + c[..., 4] * y
     gy = c[..., 2] + c[..., 4] * x + 2.0 * c[..., 5] * y
     return np.stack([gx, gy], axis=-1)
-
-
-def element_quadratic(coeffs: np.ndarray, t: int) -> ElementQuadratic:
-    return ElementQuadratic(t, coeffs[t])
 
 
 def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
@@ -164,39 +129,8 @@ def _tangential_trace(mesh: Triangulation, flux: FluxField, weighting: str,
                       elems: np.ndarray, edges: np.ndarray,
                       pts: np.ndarray) -> np.ndarray:
     """Tangential component of the weighted flux of ``elems`` at ``pts``."""
-    return np.einsum("eqd,ed->eq", flux.weighted(elems, pts, weighting),
-                     mesh.edge_tangent[edges])
-
-
-def tangential_jump_sq_scaled(mesh: Triangulation, flux: FluxField,
-                              boundary_slope=None,
-                              rule: quad.EdgeRule = quad.EDGE_GAUSS2
-                              ) -> np.ndarray:
-    """Square-root-weighted variant: jumps of S^-1/2 u_h."""
-    return tangential_jump_sq(mesh, flux, "invsqrt",
-                              boundary_slope=boundary_slope, rule=rule)
-
-
-def edge_mean_mismatch(mesh: Triangulation, coeffs: np.ndarray,
-                       rule: quad.EdgeRule = quad.EDGE_GAUSS2) -> np.ndarray:
-    """Per-edge jump of the mean of the postprocessed scalar.
-
-    Interior edges report the difference of the two one-sided edge means
-    (zero for the discrete solution up to solver residual); boundary edges
-    report the one-sided mean itself.
-    """
-    a = mesh.vert_coords[mesh.edge_verts[:, 0]]
-    b = mesh.vert_coords[mesh.edge_verts[:, 1]]
-    pts = rule.physical_points(a, b)
-    left = mesh.edge_elems[:, 0]
-    right = mesh.edge_elems[:, 1]
-    mean_left = _eval_monomials(coeffs[left], pts) @ rule.weights
-    out = mean_left.copy()
-    interior = right >= 0
-    mean_right = _eval_monomials(coeffs[right[interior]], pts[interior]) \
-        @ rule.weights
-    out[interior] -= mean_right
-    return out
+    return dot(flux.weighted(elems, pts, weighting),
+               mesh.edge_tangent[edges][:, None])
 
 
 def nodal_average(mesh: Triangulation, pressure: np.ndarray) -> np.ndarray:

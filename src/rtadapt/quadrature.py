@@ -52,7 +52,7 @@ class TriangleRule:
         -------
         numpy.ndarray of shape (..., n, 2).
         """
-        return np.einsum("qi,...id->...qd", self.points, coords)
+        return self.points @ coords
 
     def integrate(self, values: np.ndarray, area) -> np.ndarray:
         """Integrate nodal values over triangles of the given areas.
@@ -60,7 +60,7 @@ class TriangleRule:
         ``values`` has shape (..., n); ``area`` broadcasts against the
         leading axes.
         """
-        return np.einsum("...q,q->...", values, self.weights) * area
+        return values @ self.weights * area
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class EdgeRule:
         return a[..., None, :] * (1.0 - t)[:, None] + b[..., None, :] * t[:, None]
 
     def integrate(self, values: np.ndarray, length) -> np.ndarray:
-        return np.einsum("...q,q->...", values, self.weights) * length
+        return values @ self.weights * length
 
 
 def midpoint_rule() -> TriangleRule:

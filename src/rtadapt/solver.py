@@ -47,12 +47,11 @@ def solve(system: SaddleSystem | HybridSystem, num_edges: int
         raise SolverError(
             f"system dimension {system.dimension} exceeds {MAX_DIMENSION}"
         )
-    A = system.matrix.tocsc()
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            lu = spla.splu(A)
-            x = lu.solve(system.rhs)
+            # the factors are freed before the recovery below
+            x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(
                 f"{_diagnose_singularity(system)}: {exc}"

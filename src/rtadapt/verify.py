@@ -6,6 +6,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .mesh import Triangulation
+from .assembly import apply_tensor, dot
 from .postprocess import FluxField
 from .problem import ExactSolution
 
@@ -27,30 +28,31 @@ def energy_error(mesh: Triangulation, fields, flux: FluxField,
     the graded collapsed rule ``quad.SINGULAR_VERTEX`` with the collapse
     at that vertex.  No rule evaluates the exact fields at a vertex.
     """
-    coords = mesh.elem_coords()
-    per_elem_sq = _error_sq(quad.SEVEN_POINT, coords,
+    per_elem_sq = _error_sq(quad.SEVEN_POINT, flux.disc.seven_points,
                             np.arange(mesh.num_elements), mesh, fields,
                             flux, pressure, exact)
     elems, first = _singular_vertex_elements(mesh, exact.singular_points)
     if elems.size:
         order = (first[:, None] + np.arange(3)) % 3
-        rotated = np.take_along_axis(coords[elems], order[..., None], axis=1)
-        per_elem_sq[elems] = _error_sq(quad.SINGULAR_VERTEX, rotated, elems,
-                                       mesh, fields, flux, pressure, exact)
+        rotated = np.take_along_axis(mesh.elem_coords[elems],
+                                     order[..., None], axis=1)
+        rule = quad.SINGULAR_VERTEX
+        per_elem_sq[elems] = _error_sq(rule, rule.physical_points(rotated),
+                                       elems, mesh, fields, flux, pressure,
+                                       exact)
     per_elem = np.sqrt(per_elem_sq)
     return float(np.sqrt(per_elem_sq.sum())), per_elem
 
 
-def _error_sq(rule: quad.TriangleRule, coords: np.ndarray,
+def _error_sq(rule: quad.TriangleRule, pts: np.ndarray,
               elems: np.ndarray, mesh: Triangulation, fields,
               flux: FluxField, pressure: np.ndarray,
               exact: ExactSolution) -> np.ndarray:
-    """E_K^2 on ``elems`` by ``rule`` on the given vertex coordinates."""
-    pts = rule.physical_points(coords)
+    """E_K^2 on ``elems`` by ``rule`` at its physical nodes ``pts``."""
     area = mesh.elem_area[elems]
     diff = exact.u(pts[..., 0], pts[..., 1]) - flux.u(elems, pts)
-    weighted = np.einsum("tab,tqb->tqa", fields.Sinvhalf[elems], diff)
-    stress_sq = rule.integrate((weighted**2).sum(axis=-1), area)
+    weighted = apply_tensor(fields.Sinvhalf[elems], diff)
+    stress_sq = rule.integrate(dot(weighted, weighted), area)
     p_exact = exact.p(pts[..., 0], pts[..., 1])
     disp_sq = rule.integrate((p_exact - pressure[elems, None]) ** 2, area)
     return stress_sq + fields.c_wr[elems] * disp_sq

@@ -18,13 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from rtadapt import quadrature as quad
-from rtadapt.assembly import (CENTERED, SaddleSystem, _edge_fluxes,
-                              _left_values, _local_blocks,
-                              dirichlet_edge_means, load_vector,
-                              upwind_weight)
+from rtadapt.assembly import (CENTERED, Discretization, SaddleSystem,
+                              _left_values, _local_blocks, load_vector)
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                           Triangulation)
-from rtadapt.postprocess import FluxField
+from rtadapt.postprocess import FluxField, ptilde_values, tangential_jump_sq
 
 
 def _coarse_S(data, mesh):
@@ -63,7 +61,7 @@ def boundary_identity_energy(mesh, data, exact, solution,
     for c in data.coefficients:
         assert np.all(c.w == 0.0) and c.r == 0.0 and c.divw == 0.0
     elems = np.arange(mesh.num_elements)
-    flux = FluxField(mesh, data.fields(mesh), solution)
+    flux = FluxField(Discretization(mesh, data), solution)
     assert np.abs(2.0 * flux.b).max() <= 1e-10, "div u_h does not vanish"
 
     edges = np.flatnonzero(mesh.edge_elems[:, 1] < 0)
@@ -79,7 +77,7 @@ def boundary_identity_energy(mesh, data, exact, solution,
     p_uh = rule.integrate(p * uh_n, length).sum()
 
     mid = quad.MIDPOINT
-    vol_pts = mid.physical_points(mesh.elem_coords())
+    vol_pts = mid.physical_points(mesh.elem_coords)
     uh = flux.u(elems, vol_pts)
     Sinv_uh = np.linalg.solve(_coarse_S(data, mesh)[:, None], uh[..., None])
     uh_sq = mid.integrate((uh * Sinv_uh[..., 0]).sum(axis=-1),
@@ -107,7 +105,7 @@ def xi_reference(mesh, data, exact, solution, singular,
         vert_max[verts] = np.maximum(vert_max[verts], s[t])
     patch = vert_max[mesh.elem_verts].max(axis=1)
 
-    flux = FluxField(mesh, data.fields(mesh), solution)
+    flux = FluxField(Discretization(mesh, data), solution)
     a = mesh.vert_coords[mesh.edge_verts[:, 0]]
     b = mesh.vert_coords[mesh.edge_verts[:, 1]]
     length = np.hypot(*(b - a).T)
@@ -319,9 +317,29 @@ def star_walk_singular_vertices(mesh, C_S, rel_tol=1e-9):
     return singular
 
 
-def loop_upwind_weights(mesh, fields):
+def upwind_weight(c_s_left, c_s_right, edge_length, w_flux, boundary):
+    """Upstream weighting coefficient of one edge.
+
+    Harmonic average of the smallest diffusion eigenvalues across the
+    edge; zero for a vanishing flux and for inflow boundary edges.  For a
+    two-dimensional edge the measure and the diameter coincide.
+    """
+    if w_flux == 0.0:
+        return 0.0
+    if boundary:
+        if w_flux < 0.0:
+            return 0.0
+        c_s = c_s_left
+    else:
+        c_s = 2.0 * c_s_left * c_s_right / (c_s_left + c_s_right)
+    h_sigma = edge_length
+    return min(c_s * edge_length / (h_sigma * abs(w_flux)), 0.5)
+
+
+def loop_upwind_weights(disc):
     """``assembly.upwind_weights`` edge by edge through ``upwind_weight``."""
-    w_flux = _left_values(mesh, _edge_fluxes(mesh, fields))
+    mesh, fields = disc.mesh, disc.fields
+    w_flux = _left_values(mesh, disc.edge_fluxes)
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     return np.array([
         upwind_weight(fields.c_S[left[e]],
@@ -594,11 +612,11 @@ class LocalMatrices:
     react: float
 
 
-def local_matrices(mesh, fields, rule=quad.MIDPOINT):
+def local_matrices(disc):
     """``assembly._local_blocks`` as one LocalMatrices per element."""
-    M, B, conv, react = _local_blocks(mesh, fields, rule)
+    M, B, conv, react = _local_blocks(disc)
     return [LocalMatrices(M[t], B[t], conv[t], float(react[t]))
-            for t in range(mesh.num_elements)]
+            for t in range(disc.mesh.num_elements)]
 
 
 def flux_through_edge(w, mesh, t, local):
@@ -642,10 +660,10 @@ def mixed_centered(mesh, problem):
     """The centered scheme as one sparse saddle-point system: free edge
     rows (Neumann edges eliminated with their flux fixed), then the
     sign-flipped element rows."""
-    fields = problem.fields(mesh)
-    M, B, conv, react = _local_blocks(mesh, fields)
-    fsrc = load_vector(mesh, problem)
-    pd_mean = dirichlet_edge_means(mesh, problem)
+    disc = Discretization(mesh, problem)
+    M, B, conv, react = _local_blocks(disc)
+    fsrc = load_vector(disc)
+    pd_mean = disc.pd_mean
     fixed = loop_neumann_coefficients(mesh, problem)
 
     ne, nt = mesh.num_edges, mesh.num_elements
@@ -714,3 +732,169 @@ def dump_matrix(system):
     coo = system.matrix.tocoo()
     return "\n".join(f"{r} {c} {float(v)!r}"
                      for r, c, v in zip(coo.row, coo.col, coo.data)) + "\n"
+
+
+# ----------------------------------------------------------------------
+# helpers that only the tests call: single-element accessors, the
+# square-root weighted jumps, edge means of the postprocessed scalar
+# ----------------------------------------------------------------------
+
+def element_indicator(ctx, family, t):
+    """One element's value of an estimator family, e.g. ``"eta_NC"``."""
+    return float(getattr(ctx, f"{family}_all")()[t])
+
+
+def total_indicator(ctx, t, policy="theorem"):
+    return float(ctx.compute(policy).total[t])
+
+
+@dataclass(frozen=True)
+class ElementQuadratic:
+    """Quadratic scalar on one element, global monomial coefficients."""
+
+    element: int
+    coeffs: np.ndarray  # (6,): 1, x, y, x^2, xy, y^2
+
+    def __call__(self, x, y):
+        c = self.coeffs
+        return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y \
+            + c[5] * y * y
+
+    def gradient(self, x, y):
+        c = self.coeffs
+        gx = c[1] + 2.0 * c[3] * x + c[4] * y
+        gy = c[2] + c[4] * x + 2.0 * c[5] * y
+        return np.stack([gx, gy], axis=-1)
+
+
+def element_quadratic(coeffs, t):
+    return ElementQuadratic(t, coeffs[t])
+
+
+def tangential_jump_sq_scaled(mesh, flux, boundary_slope=None,
+                              rule=quad.EDGE_GAUSS2):
+    """Square-root-weighted variant: jumps of S^-1/2 u_h."""
+    return tangential_jump_sq(mesh, flux, "invsqrt",
+                              boundary_slope=boundary_slope, rule=rule)
+
+
+def edge_mean_mismatch(mesh, coeffs, rule=quad.EDGE_GAUSS2):
+    """Per-edge jump of the mean of the postprocessed scalar.
+
+    Interior edges report the difference of the two one-sided edge means
+    (zero for the discrete solution up to solver residual); boundary edges
+    report the one-sided mean itself.
+    """
+    a = mesh.vert_coords[mesh.edge_verts[:, 0]]
+    b = mesh.vert_coords[mesh.edge_verts[:, 1]]
+    pts = rule.physical_points(a, b)
+    left = mesh.edge_elems[:, 0]
+    right = mesh.edge_elems[:, 1]
+    mean_left = ptilde_values(coeffs[left], pts) @ rule.weights
+    out = mean_left.copy()
+    interior = right >= 0
+    mean_right = ptilde_values(coeffs[right[interior]], pts[interior]) \
+        @ rule.weights
+    out[interior] -= mean_right
+    return out
+
+
+# ----------------------------------------------------------------------
+# the einsum forms of the small 2x2 and quadrature contractions, the
+# references for the component and matmul kernels of the package
+# ----------------------------------------------------------------------
+
+def einsum_physical_points(rule, coords):
+    """``TriangleRule.physical_points``."""
+    return np.einsum("qi,...id->...qd", rule.points, coords)
+
+
+def einsum_integrate(rule, values, measure):
+    """``TriangleRule.integrate`` and ``EdgeRule.integrate``."""
+    return np.einsum("...q,q->...", values, rule.weights) * measure
+
+
+def einsum_weighted(flux, elems, pts, weighting="inv"):
+    """``FluxField.weighted``."""
+    mat = flux.fields.Sinv if weighting == "inv" else flux.fields.Sinvhalf
+    return np.einsum("...ab,...qb->...qa", mat[elems], flux.u(elems, pts))
+
+
+def einsum_tangential_trace(mesh, flux, weighting, elems, edges, pts):
+    """``postprocess._tangential_trace``."""
+    return np.einsum("eqd,ed->eq", einsum_weighted(flux, elems, pts,
+                                                   weighting),
+                     mesh.edge_tangent[edges])
+
+
+def einsum_ptilde_linear(fields, a):
+    """The x and y coefficients of ``postprocess.build_ptilde``."""
+    return -np.einsum("tab,tb->ta", fields.Sinv, a)
+
+
+def einsum_reconstruct(mesh, solution):
+    """``assembly.reconstruct``."""
+    C = mesh.elem_signs * mesh.edge_length[mesh.elem_edges] \
+        / (2.0 * mesh.elem_area[:, None])
+    dofs = solution.flux[mesh.elem_edges] * C
+    return -np.einsum("ti,tid->td", dofs, mesh.elem_coords), dofs.sum(axis=1)
+
+
+def einsum_edge_fluxes(mesh, fields):
+    """``assembly._edge_fluxes``."""
+    E = mesh.elem_edges
+    wn = np.einsum("td,ted->te", fields.w, mesh.edge_normal[E])
+    return mesh.elem_signs * wn * mesh.edge_length[E]
+
+
+def einsum_local_blocks(mesh, fields, rule=quad.MIDPOINT):
+    """``assembly._local_blocks``: M, B, conv, react."""
+    coords = mesh.elem_coords
+    pts = einsum_physical_points(rule, coords)              # (NT, nq, 2)
+    C = mesh.elem_signs * mesh.edge_length[mesh.elem_edges] \
+        / (2.0 * mesh.elem_area[:, None])
+    D = pts[:, :, None, :] - coords[:, None, :, :]          # (NT, nq, 3, 2)
+    AD = np.einsum("tab,tqib->tqia", fields.Sinv, D)
+    M0 = np.einsum("tqia,tqja,q->tij", AD, D, rule.weights)
+    M = M0 * mesh.elem_area[:, None, None] * C[:, :, None] * C[:, None, :]
+    B = mesh.elem_signs * mesh.edge_length[mesh.elem_edges]
+    conv0 = np.einsum("tqia,ta,q->ti", AD, fields.w, rule.weights)
+    conv = conv0 * mesh.elem_area[:, None] * C
+    react = (fields.r + fields.divw) * mesh.elem_area
+    return M, B, conv, react
+
+
+def einsum_weighted_norm_sq(ctx):
+    """``EstimatorContext._weighted_norm_sq`` at the context's nodes."""
+    mesh, rule = ctx.mesh, quad.MIDPOINT
+    pts = ctx.disc.midpoints
+    vals = einsum_weighted(ctx.flux, np.arange(mesh.num_elements), pts)
+    return einsum_integrate(rule, (vals**2).sum(axis=-1), mesh.elem_area)
+
+
+def einsum_residual_norm_sq(ctx):
+    """``EstimatorContext._residual_norm_sq`` at the context's nodes."""
+    mesh, fields, rule = ctx.mesh, ctx.fields, quad.SEVEN_POINT
+    pts = ctx.disc.seven_points
+    fvals = np.broadcast_to(ctx.disc.problem.f(pts[..., 0], pts[..., 1]),
+                            pts.shape[:-1])
+    pure = (fields.C_w == 0.0) & (fields.r == 0.0) & (fields.divw == 0.0)
+    reduced = fvals - (fvals @ rule.weights)[:, None]
+    sinv_u = einsum_weighted(ctx.flux, np.arange(mesh.num_elements), pts)
+    general = (fvals - 2.0 * ctx.flux.b[:, None]
+               + np.einsum("tqd,td->tq", sinv_u, fields.w)
+               - ((fields.r + fields.divw) * ctx.solution.pressure)[:, None])
+    resid = np.where(pure[:, None], reduced, general)
+    return einsum_integrate(rule, resid**2, mesh.elem_area)
+
+
+def einsum_error_sq(rule, pts, elems, mesh, fields, flux, pressure, exact):
+    """``verify._error_sq`` at the physical nodes ``pts`` of ``rule``."""
+    area = mesh.elem_area[elems]
+    diff = exact.u(pts[..., 0], pts[..., 1]) - flux.u(elems, pts)
+    weighted = np.einsum("tab,tqb->tqa", fields.Sinvhalf[elems], diff)
+    stress_sq = einsum_integrate(rule, (weighted**2).sum(axis=-1), area)
+    p_exact = exact.p(pts[..., 0], pts[..., 1])
+    disp_sq = einsum_integrate(rule, (p_exact - pressure[elems, None]) ** 2,
+                               area)
+    return stress_sq + fields.c_wr[elems] * disp_sq

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from rtadapt import adapt, assembly, quadrature as quad, solver, verify
-from rtadapt.assembly import assemble_centered, assemble_upwind
+from rtadapt.assembly import (Discretization, assemble_centered,
+                              assemble_upwind)
 from rtadapt.estimators import EstimatorContext
 from rtadapt.mesh import DIRICHLET, NEUMANN, Triangulation
 from rtadapt.postprocess import FluxField, build_ptilde, ptilde_gradient, \
@@ -29,8 +30,9 @@ def report(criterion, passed, detail):
 
 def solve_state(data, mesh, scheme):
     assemble = assemble_centered if scheme == "centered" else assemble_upwind
-    solution = solver.solve(assemble(mesh, data), mesh.num_edges)
-    return solution, EstimatorContext(mesh, data, solution)
+    solution = solver.solve(assemble(Discretization(mesh, data)),
+                            mesh.num_edges)
+    return solution, EstimatorContext(Discretization(mesh, data), solution)
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +96,7 @@ def solved_states():
 def centered_conservation_defect(data, mesh, ctx, solution):
     """int_K (f - div u_h + (S^-1 u_h) . w - (r + div w) p_h)."""
     fields = ctx.fields
-    fsrc = assembly.load_vector(mesh, data)
+    fsrc = assembly.load_vector(Discretization(mesh, data))
     div_term = 2.0 * ctx.flux.b * mesh.elem_area
     bary = mesh.barycenters()
     sinv_u_bar = np.einsum(
@@ -108,7 +110,7 @@ def centered_conservation_defect(data, mesh, ctx, solution):
 def upwind_conservation_defect(data, mesh, ctx, solution):
     """int_K div u_h + sum_sigma phat w_K,sigma + r p_K |K| - int_K f."""
     fields = ctx.fields
-    fsrc = assembly.load_vector(mesh, data)
+    fsrc = assembly.load_vector(Discretization(mesh, data))
     pd_mean = assembly.dirichlet_edge_means(mesh, data)
     nu = solution.nu
     defect = 2.0 * ctx.flux.b * mesh.elem_area \
@@ -163,7 +165,7 @@ def test_criterion_2_postprocessing_identities(solved_states):
     worst_mean = 0.0
     for label, data, mesh, scheme, solution, ctx in solved_states:
         coeffs = build_ptilde(mesh, ctx.fields, solution)
-        pts = quad.SEVEN_POINT.physical_points(mesh.elem_coords())
+        pts = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
         grad = ptilde_gradient(coeffs, pts)
         u_h = ctx.flux.u(np.arange(mesh.num_elements), pts)
         resid = np.einsum("tab,tqb->tqa", ctx.fields.S, grad) + u_h
@@ -217,7 +219,8 @@ def test_criterion_4_kellogg_first_iteration(kellogg_run):
 
     domain, _, _ = benchmark("kellogg1")
     mesh = data.initial_mesh(domain)
-    solution = solver.solve(assemble_centered(mesh, data), mesh.num_edges)
+    solution = solver.solve(assemble_centered(Discretization(mesh, data)),
+                            mesh.num_edges)
     # the checkerboard's four coefficient classes meet only at the origin
     at_origin = np.all(mesh.vert_coords[mesh.elem_verts] == 0.0, axis=-1)
     e_ref = boundary_identity_energy(mesh, data, exact, solution)
@@ -363,9 +366,9 @@ def test_criterion_9_oracle_equivalence():
     for _ in range(100):
         mesh, data = random_patch(rng)
         fields = data.fields(mesh)
-        local = local_matrices(mesh, fields)
+        local = local_matrices(Discretization(mesh, data))
         C = assembly.basis_factors(mesh)
-        coords = mesh.elem_coords()
+        coords = mesh.elem_coords
         pts = oracle_rule.physical_points(coords)
 
         # mass matrices against the collapsed-Gauss oracle
@@ -380,7 +383,7 @@ def test_criterion_9_oracle_equivalence():
 
         solution = assembly.MixedSolution(rng.normal(size=mesh.num_edges),
                                           rng.normal(size=2), "centered")
-        ctx = EstimatorContext(mesh, data, solution)
+        ctx = EstimatorContext(Discretization(mesh, data), solution)
 
         # volume estimator integrals
         vals = ctx.flux.weighted(np.arange(2), pts)
@@ -426,11 +429,13 @@ def test_criterion_10_scheme_limit():
     mesh = data.initial_mesh(domain)
     for _ in range(2):
         mesh = mesh.uniform_refine()
-    sol_c = solver.solve(assemble_centered(mesh, data), mesh.num_edges)
-    sol_u = solver.solve(assemble_upwind(mesh, data), mesh.num_edges)
+    sol_c = solver.solve(assemble_centered(Discretization(mesh, data)),
+                         mesh.num_edges)
+    sol_u = solver.solve(assemble_upwind(Discretization(mesh, data)),
+                         mesh.num_edges)
     scale = np.abs(sol_c.flux).max()
     flux_dev = float(np.abs(sol_c.flux - sol_u.flux).max() / scale)
-    eta_u = EstimatorContext(mesh, data, sol_u).eta_U_all()
+    eta_u = EstimatorContext(Discretization(mesh, data), sol_u).eta_U_all()
     ok = flux_dev <= 1e-10 and bool(np.all(eta_u == 0.0))
     report(10, ok, f"flux deviation {flux_dev:.2e}, eta_U identically zero: "
                    f"{bool(np.all(eta_u == 0.0))}")

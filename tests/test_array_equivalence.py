@@ -1,21 +1,29 @@
 """The array code in mesh, problem, estimators, assembly and the artifact
 writers against the entity-by-entity loop references of ``oracles``,
-exactly (no tolerance).
+exactly (no tolerance), and the component and matmul kernels against
+their ``einsum`` forms.
 
 The meshes come from the first adaptive steps of each benchmark, plus
 randomly refined meshes under a pure-convection coefficient set, whose
 vanishing reaction makes the velocity quotient infinite.  Refinement is
 compared with recursive longest-edge (Rivara) bisection up to numbering.
+The kernels are checked on adaptive meshes of about 1.5k elements, under
+the benchmark's coefficients and under full anisotropic tensors: bit for
+bit where they keep the operation order of ``einsum``, within 1e-14 of
+the largest entry where a matmul sums in another order.
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (canonical, dict_topology, loop_dump, loop_estimator_csv,
                      loop_nodal_csv, loop_patch_maxima, loop_svg,
                      loop_upwind_weights, rivara_refine,
                      star_walk_singular_vertices)
-from rtadapt import adapt, assembly, cli, postprocess
+from rtadapt import adapt, assembly, cli, postprocess, quadrature as quad
+from rtadapt import solver, verify
+from rtadapt.estimators import EstimatorContext
 from rtadapt.estimators import detect_singular_vertices
 from rtadapt.mesh import (DIRICHLET, DOMAINS, INTERIOR, NEUMANN,
                           Triangulation, build_initial_mesh)
@@ -132,9 +140,9 @@ def test_singular_vertices_match_star_walk(case_meshes):
 def test_upwind_weights_match_loop(case_meshes):
     data, meshes, _ = case_meshes
     for mesh in meshes:
-        fields = data.fields(mesh)
-        assert np.array_equal(assembly.upwind_weights(mesh, fields),
-                              loop_upwind_weights(mesh, fields))
+        disc = assembly.Discretization(mesh, data)
+        assert np.array_equal(assembly.upwind_weights(disc),
+                              loop_upwind_weights(disc))
 
 
 def test_pure_convection_quotients():
@@ -187,3 +195,140 @@ def test_artifacts_match_loop_writers(tmp_path):
     nodal = postprocess.nodal_average(mesh, solution.pressure)
     assert (tmp_path / "ptilde_nodal.csv").read_text() \
         == loop_nodal_csv(nodal)
+
+
+# ----------------------------------------------------------------------
+# 2x2 and quadrature kernels against their einsum forms
+# ----------------------------------------------------------------------
+
+KERNEL_CASES = {
+    # case: (scheme, policy)
+    "lshape": (assembly.CENTERED, "theorem"),
+    "kellogg1": (assembly.CENTERED, "xi"),
+    "layer": (assembly.UPWIND, "theorem"),
+}
+
+
+def anisotropic(n_coarse):
+    """Full SPD tensors, velocities and reactions on the coarse elements,
+    and a smooth source."""
+    rng = np.random.default_rng(5)
+    coeffs = []
+    for _ in range(n_coarse):
+        Q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        S = Q @ np.diag(rng.uniform(0.01, 10.0, 2)) @ Q.T
+        coeffs.append(ElementCoefficients(0.5 * (S + S.T), rng.normal(size=2),
+                                          rng.uniform(0.0, 2.0)))
+    return ProblemData(coeffs, f=lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+
+
+@pytest.fixture(scope="module",
+                params=[(case, coeffs) for case in KERNEL_CASES
+                        for coeffs in ("benchmark", "anisotropic")],
+                ids=lambda p: "-".join(p))
+def solved(request):
+    """An adaptive mesh of about 1.5k elements, solved, with its context
+    and exact solution."""
+    case, coeffs = request.param
+    scheme, policy = KERNEL_CASES[case]
+    domain, data, exact = benchmark(case)
+    mesh = adapt.adaptive_loop(data, data.initial_mesh(domain), scheme=scheme,
+                               policy=policy, max_dof=1500).mesh
+    assert 1400 <= mesh.num_elements <= 2000
+    if coeffs == "anisotropic":
+        data = anisotropic(len(data.coefficients))
+    disc = assembly.Discretization(mesh, data)
+    assemble = assembly.assemble_centered if scheme == assembly.CENTERED \
+        else assembly.assemble_upwind
+    solution = solver.solve(assemble(disc), mesh.num_edges)
+    return disc, solution, EstimatorContext(disc, solution), exact
+
+
+def assert_close(got, want, rel=1e-14):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def test_physical_points_match_einsum(solved):
+    coords = solved[0].mesh.elem_coords
+    for rule in (quad.MIDPOINT, quad.SEVEN_POINT, quad.SINGULAR_VERTEX):
+        assert_close(rule.physical_points(coords),
+                     oracles.einsum_physical_points(rule, coords))
+
+
+def test_integrate_matches_einsum(solved):
+    mesh = solved[0].mesh
+    rng = np.random.default_rng(8)
+    for rule, measure in ((quad.SEVEN_POINT, mesh.elem_area),
+                          (quad.DATA_EDGE, mesh.edge_length)):
+        values = rng.normal(size=(measure.size, rule.npoints))
+        assert_close(rule.integrate(values, measure),
+                     oracles.einsum_integrate(rule, values, measure))
+
+
+def test_weighted_flux_is_bit_equal(solved):
+    disc, _, ctx, _ = solved
+    elems = np.arange(disc.mesh.num_elements)
+    for pts in (disc.midpoints, disc.seven_points):
+        for weighting in ("inv", "invsqrt"):
+            assert np.array_equal(
+                ctx.flux.weighted(elems, pts, weighting),
+                oracles.einsum_weighted(ctx.flux, elems, pts, weighting))
+
+
+def test_tangential_trace_is_bit_equal(solved):
+    disc, _, ctx, _ = solved
+    mesh = disc.mesh
+    edges = np.arange(mesh.num_edges)
+    pts = postprocess._edge_points(mesh, edges, quad.EDGE_GAUSS2)
+    for weighting in ("inv", "invsqrt"):
+        assert np.array_equal(
+            postprocess._tangential_trace(mesh, ctx.flux, weighting,
+                                          mesh.edge_elems[:, 0], edges, pts),
+            oracles.einsum_tangential_trace(mesh, ctx.flux, weighting,
+                                            mesh.edge_elems[:, 0], edges,
+                                            pts))
+
+
+def test_reconstruction_is_bit_equal(solved):
+    disc, solution, ctx, _ = solved
+    a, b = oracles.einsum_reconstruct(disc.mesh, solution)
+    assert np.array_equal(ctx.flux.a, a)
+    assert np.array_equal(ctx.flux.b, b)
+    coeffs = postprocess.build_ptilde(disc.mesh, disc.fields, solution)
+    assert np.array_equal(coeffs[:, 1:3],
+                          oracles.einsum_ptilde_linear(disc.fields, a))
+
+
+def test_edge_fluxes_are_bit_equal(solved):
+    disc = solved[0]
+    assert np.array_equal(disc.edge_fluxes,
+                          oracles.einsum_edge_fluxes(disc.mesh, disc.fields))
+
+
+def test_local_blocks_match_einsum(solved):
+    disc = solved[0]
+    M, B, conv, react = assembly._local_blocks(disc)
+    eM, eB, econv, ereact = oracles.einsum_local_blocks(disc.mesh,
+                                                        disc.fields)
+    assert_close(M, eM)
+    if np.any(econv):
+        assert_close(conv, econv)
+    else:
+        assert not np.any(conv)
+    assert np.array_equal(B, eB)
+    assert np.array_equal(react, ereact)
+
+
+def test_estimator_integrals_match_einsum(solved):
+    ctx = solved[2]
+    assert_close(ctx.norm_sq, oracles.einsum_weighted_norm_sq(ctx))
+    assert_close(ctx._residual_norm_sq(), oracles.einsum_residual_norm_sq(ctx))
+
+
+def test_energy_error_matches_einsum(solved):
+    disc, solution, ctx, exact = solved
+    elems = np.arange(disc.mesh.num_elements)
+    args = (quad.SEVEN_POINT, disc.seven_points, elems, disc.mesh,
+            ctx.fields, ctx.flux, solution.pressure, exact)
+    assert_close(verify._error_sq(*args), oracles.einsum_error_sq(*args))

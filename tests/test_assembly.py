@@ -4,10 +4,10 @@ import scipy.sparse.linalg as spla
 
 from oracles import (dump_matrix, element_row, flux_through_edge,
                      local_matrices, loop_neumann_coefficients,
-                     mixed_centered, upwind_value_coeffs)
+                     mixed_centered, upwind_value_coeffs, upwind_weight)
 from rtadapt import adapt, assembly, postprocess, quadrature as quad, solver
-from rtadapt.assembly import (CENTERED, assemble_centered, assemble_upwind,
-                              basis_factors, reconstruct, upwind_weight)
+from rtadapt.assembly import (CENTERED, Discretization, assemble_centered,
+                              assemble_upwind, basis_factors, reconstruct)
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, Triangulation,
                           build_initial_mesh)
 from rtadapt.problem import ElementCoefficients, ProblemData, benchmark
@@ -30,7 +30,7 @@ def reference_triangle():
 def oracle_mass_entry(mesh, Sinv, t, i, j):
     """High-order quadrature of int_K (S^-1 phi_i) . phi_j."""
     rule = quad.ORACLE_TRI
-    coords = mesh.elem_coords()[t]
+    coords = mesh.elem_coords[t]
     pts = rule.physical_points(coords)
     C = basis_factors(mesh)[t]
     phi_i = C[i] * (pts - coords[i])
@@ -43,7 +43,7 @@ class TestLocalMatrices:
     def test_reference_triangle_identity(self):
         mesh = reference_triangle()
         data = identity_problem(1)
-        local = local_matrices(mesh, data.fields(mesh))[0]
+        local = local_matrices(Discretization(mesh, data))[0]
         Sinv = np.eye(2)
         for i in range(3):
             for j in range(3):
@@ -62,7 +62,7 @@ class TestLocalMatrices:
             Q = rng.normal(size=(2, 2))
             S = Q @ Q.T + 0.3 * np.eye(2)
             data = identity_problem(1, S=S)
-            local = local_matrices(mesh, data.fields(mesh))[0]
+            local = local_matrices(Discretization(mesh, data))[0]
             Sinv = np.linalg.inv(S)
             for i in range(3):
                 for j in range(3):
@@ -74,21 +74,21 @@ class TestLocalMatrices:
     def test_divergence_integrals_are_signed_lengths(self):
         mesh = build_initial_mesh("lshape")
         data = identity_problem(6)
-        for t, local in enumerate(local_matrices(mesh, data.fields(mesh))):
+        for t, local in enumerate(local_matrices(Discretization(mesh, data))):
             expected = mesh.elem_signs[t] * mesh.edge_length[mesh.elem_edges[t]]
             assert np.array_equal(local.B, expected)
 
     def test_zero_velocity_kills_convection(self):
         mesh = build_initial_mesh("unit-square")
         data = identity_problem(8)
-        for local in local_matrices(mesh, data.fields(mesh)):
+        for local in local_matrices(Discretization(mesh, data)):
             assert np.all(local.conv == 0.0)
 
     def test_reaction_block(self):
         mesh = reference_triangle()
         coeffs = [ElementCoefficients(np.eye(2), np.zeros(2), 3.0)]
         data = ProblemData(coeffs)
-        local = local_matrices(mesh, data.fields(mesh))[0]
+        local = local_matrices(Discretization(mesh, data))[0]
         assert local.react == pytest.approx(3.0 * 0.5)
 
 
@@ -177,7 +177,7 @@ class TestAssembleCentered:
     def test_dimension(self):
         mesh = build_initial_mesh("lshape")
         data = identity_problem(6)
-        system = assemble_centered(mesh, data)
+        system = assemble_centered(Discretization(mesh, data))
         assert system.dimension == np.count_nonzero(
             mesh.edge_flag == INTERIOR)
         n_free = int(np.count_nonzero(mesh.edge_flag != NEUMANN))
@@ -187,7 +187,7 @@ class TestAssembleCentered:
     def test_symmetric_for_pure_diffusion(self):
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2").uniform_refine()
-        for system in (assemble_centered(mesh, data),
+        for system in (assemble_centered(Discretization(mesh, data)),
                        mixed_centered(mesh, data)):
             asym = abs(system.matrix - system.matrix.T).max()
             assert asym <= 1e-14
@@ -204,7 +204,7 @@ class TestAssembleCentered:
             assert rhs[row] == pytest.approx(0.0, abs=1e-15)
         assert np.abs(rhs).max() > 0.0
         # hybridized: only the edges of elements with a Dirichlet edge
-        hybrid = assemble_centered(mesh, data)
+        hybrid = assemble_centered(Discretization(mesh, data))
         touching = np.any(mesh.edge_flag[mesh.elem_edges] == DIRICHLET, axis=1)
         support = hybrid.edge_dof[np.unique(mesh.elem_edges[touching])]
         outside = np.setdiff1d(np.arange(hybrid.dimension), support)
@@ -214,7 +214,7 @@ class TestAssembleCentered:
     def test_nonsymmetric_with_convection(self):
         domain, data, _ = benchmark("layer", eps=0.1, a=0.1)
         mesh = data.initial_mesh(domain)
-        for system in (assemble_centered(mesh, data),
+        for system in (assemble_centered(Discretization(mesh, data)),
                        mixed_centered(mesh, data)):
             assert abs(system.matrix - system.matrix.T).max() > 1e-8
             # sparsity pattern still symmetric
@@ -254,7 +254,8 @@ class TestHybridAgainstOracle:
     @pytest.mark.parametrize("case", sorted(HYBRID_CASES))
     def test_solutions_agree(self, case):
         mesh, data = HYBRID_CASES[case]()
-        hybrid = solver.solve(assemble_centered(mesh, data), mesh.num_edges)
+        hybrid = solver.solve(assemble_centered(Discretization(mesh, data)),
+                              mesh.num_edges)
         mixed = solver.solve(mixed_centered(mesh, data), mesh.num_edges)
         scale = np.abs(mixed.flux).max()
         assert np.abs(hybrid.flux - mixed.flux).max() <= 1e-10 * scale
@@ -268,7 +269,7 @@ class TestHybridAgainstOracle:
         """The interior multiplier is the edge mean of the postprocessed
         scalar, from either side (Marini, SINUM 1985)."""
         mesh, data = HYBRID_CASES[case]()
-        system = assemble_centered(mesh, data)
+        system = assemble_centered(Discretization(mesh, data))
         lam = spla.splu(system.matrix.tocsc()).solve(system.rhs)
         sol = solver.solve(system, mesh.num_edges)
         coeffs = postprocess.build_ptilde(mesh, data.fields(mesh), sol)
@@ -288,7 +289,7 @@ class TestHybridAgainstOracle:
         """The matrix-free residual and right-hand side are those of the
         assembled mixed equations."""
         mesh, data = neumann_layer()
-        hybrid = assemble_centered(mesh, data)
+        hybrid = assemble_centered(Discretization(mesh, data))
         mixed = mixed_centered(mesh, data)
         lam = spla.splu(hybrid.matrix.tocsc()).solve(hybrid.rhs)
         sol, residual, rhs = hybrid.recover(lam, mesh.num_edges)
@@ -307,7 +308,7 @@ class TestAssembleUpwind:
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2").uniform_refine()
         sys_c = mixed_centered(mesh, data)
-        sys_u = assemble_upwind(mesh, data)
+        sys_u = assemble_upwind(Discretization(mesh, data))
         assert abs(sys_c.matrix - sys_u.matrix).max() <= 1e-14
         assert np.allclose(sys_c.rhs, sys_u.rhs, atol=1e-15)
 
@@ -331,11 +332,11 @@ class TestAssembleUpwind:
         domain, data, _ = benchmark("layer", eps=0.01, a=0.05)
         mesh = data.initial_mesh(domain).uniform_refine()
         fields = data.fields(mesh)
-        system = assemble_upwind(mesh, data)
+        system = assemble_upwind(Discretization(mesh, data))
         A = system.matrix.tocsr()
         nu = system.nu
         pd_mean = assembly.dirichlet_edge_means(mesh, data)
-        frow = assembly.load_vector(mesh, data)
+        frow = assembly.load_vector(Discretization(mesh, data))
 
         for t in range(mesh.num_elements):
             row = element_row(system, t)
@@ -400,7 +401,7 @@ class TestSolutionMapping:
     def test_neumann_elimination_roundtrip(self):
         domain, data, _ = benchmark("layer", eps=0.1, a=0.1)
         mesh = data.initial_mesh(domain)
-        system = assemble_centered(mesh, data)
+        system = assemble_centered(Discretization(mesh, data))
         neumann = np.flatnonzero(mesh.edge_flag == NEUMANN)
         assert neumann.size == 2
         assert not np.any(system.fixed_flux)
@@ -410,8 +411,8 @@ class TestSolutionMapping:
 
     def test_nonzero_neumann_flux_is_kept(self):
         mesh, data = neumann_layer()
-        for system in (assemble_centered(mesh, data),
-                       assemble_upwind(mesh, data)):
+        for system in (assemble_centered(Discretization(mesh, data)),
+                       assemble_upwind(Discretization(mesh, data))):
             sol = solver.solve(system, mesh.num_edges)
             neumann = mesh.edge_flag == NEUMANN
             assert np.all(system.fixed_flux[neumann] != 0.0)

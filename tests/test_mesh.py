@@ -131,7 +131,7 @@ class TestRefine:
                                 replace=False)
             m = m.refine(marked)
         bary = m.barycenters()
-        coords = coarse.elem_coords()
+        coords = coarse.elem_coords
         for t in range(m.num_elements):
             anc = m.elem_ancestor[t]
             v0, v1, v2 = coords[anc]
@@ -195,7 +195,7 @@ def check_refinement(coarse, mesh, marked, fine):
         == pytest.approx(coarse.elem_area, rel=1e-12)
 
     # each child's barycenter lies in its coarse ancestor
-    v = coarse.elem_coords()[fine.elem_ancestor]
+    v = coarse.elem_coords[fine.elem_ancestor]
     frame = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
     lam = np.linalg.solve(frame, (fine.barycenters() - v[:, 0])[..., None])
     assert lam.min() >= -1e-12

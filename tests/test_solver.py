@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 from oracles import mixed_centered
 from rtadapt import assembly, solver
-from rtadapt.assembly import SaddleSystem, assemble_centered
+from rtadapt.assembly import (Discretization, SaddleSystem,
+                              assemble_centered)
 from rtadapt.problem import benchmark
 from rtadapt.solver import SingularSystemError, SolverError, solve
 
@@ -25,7 +26,7 @@ def forged(system, **changes):
 def test_smallest_mesh_residual():
     mesh, system = lshape_system()
     _, data, _ = benchmark("lshape")
-    sol = solve(assemble_centered(mesh, data), mesh.num_edges)
+    sol = solve(assemble_centered(Discretization(mesh, data)), mesh.num_edges)
     x = np.concatenate([
         sol.flux[system.edge_dof >= 0][np.argsort(
             system.edge_dof[system.edge_dof >= 0])],
@@ -70,7 +71,8 @@ def test_rhs_scaling_linearity():
 def test_determinism():
     mesh, _ = lshape_system()
     _, data, _ = benchmark("lshape")
-    sols = [solve(assemble_centered(mesh, data), mesh.num_edges)
+    sols = [solve(assemble_centered(Discretization(mesh, data)),
+                  mesh.num_edges)
             for _ in range(2)]
     assert np.array_equal(sols[0].flux, sols[1].flux)
     assert np.array_equal(sols[0].pressure, sols[1].pressure)
@@ -91,7 +93,7 @@ def test_wrong_multipliers_fail_the_mixed_residual():
     """The hybrid solve is gated by the residual of the mixed equations."""
     _, data, _ = benchmark("lshape")
     mesh = data.initial_mesh("lshape").uniform_refine()
-    system = assemble_centered(mesh, data)
+    system = assemble_centered(Discretization(mesh, data))
     rhs = system.rhs.copy()
     rhs[0] += 1e-3 * np.abs(rhs).max()
     with pytest.raises(SolverError, match="residual"):
@@ -102,7 +104,7 @@ def forged_reaction(data, mesh, elements, value=None):
     """``data`` whose r + div w makes the local blocks of ``elements``
     singular (pressure Schur complement zero), or sets it to ``value``."""
     fields = data.fields(mesh)
-    M, B, conv, _ = assembly._local_blocks(mesh, fields)
+    M, B, conv, _ = assembly._local_blocks(Discretization(mesh, data))
     r = fields.r.copy()
     for t in elements:
         # s = -react - (B - conv)^T M^-1 B vanishes
@@ -119,12 +121,13 @@ def test_singular_local_block_names_first_element(case):
     domain, data, _ = benchmark(case, eps=0.1, a=0.1)
     mesh = data.initial_mesh(domain).uniform_refine()
     with pytest.raises(SingularSystemError, match="element 5$"):
-        assemble_centered(mesh, forged_reaction(data, mesh, [9, 5]))
+        assemble_centered(
+            Discretization(mesh, forged_reaction(data, mesh, [9, 5])))
 
 
 def test_nonfinite_local_block_names_element():
     _, data, _ = benchmark("lshape")
     mesh = data.initial_mesh("lshape").uniform_refine()
     with pytest.raises(SingularSystemError, match="element 7$"):
-        assemble_centered(mesh, forged_reaction(data, mesh, [7],
-                                                value=np.nan))
+        assemble_centered(Discretization(mesh, forged_reaction(data, mesh, [7],
+                                                value=np.nan)))
