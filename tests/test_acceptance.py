@@ -30,9 +30,9 @@ def report(criterion, passed, detail):
 
 def solve_state(data, mesh, scheme):
     assemble = assemble_centered if scheme == "centered" else assemble_upwind
-    solution = solver.solve(assemble(Discretization(mesh, data)),
-                            mesh.num_edges)
-    return solution, EstimatorContext(Discretization(mesh, data), solution)
+    disc = Discretization(mesh, data)
+    solution = solver.solve(assemble(disc), mesh.num_edges)
+    return solution, EstimatorContext(disc, solution)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rtadapt import adapt
+from rtadapt import adapt, assembly, verify
 from rtadapt.adapt import AdaptError, adaptive_loop, dorfler_mark
-from rtadapt.problem import benchmark
+from rtadapt.problem import ProblemData, benchmark
 
 
 class TestDorflerMark:
@@ -184,3 +184,39 @@ class TestAdaptiveLoop:
                             subtract_boundary_data=True)
         errs = [r.energy_error for r in res.records]
         assert all(b <= a + 1e-12 for a, b in zip(errs[1:], errs[2:]))
+
+
+class TestSharedDiscretization:
+    """One iteration gathers the coefficient fields once and shares its
+    per-mesh quantities between assembly, estimators and energy error."""
+
+    @pytest.fixture
+    def field_calls(self, monkeypatch):
+        calls = []
+        gather = ProblemData.fields
+
+        def counted(problem, mesh):
+            calls.append(mesh.num_elements)
+            return gather(problem, mesh)
+
+        monkeypatch.setattr(ProblemData, "fields", counted)
+        return calls
+
+    @pytest.mark.parametrize("case, scheme", [("kellogg1", "centered"),
+                                              ("layer", "upwind")])
+    def test_one_gather_per_iteration(self, field_calls, case, scheme):
+        domain, data, exact = benchmark(case)
+        mesh = data.initial_mesh(domain).uniform_refine()
+        solution, ctx = adapt.run_iteration(mesh, data, scheme, True)
+        ctx.compute("theorem")
+        verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
+                            exact)
+        assert field_calls == [mesh.num_elements]
+        assert isinstance(ctx.disc, assembly.Discretization)
+        assert ctx.flux.disc is ctx.disc and ctx.fields is ctx.disc.fields
+
+    def test_loop_gathers_once_per_record(self, field_calls):
+        domain, data, exact = benchmark("lshape")
+        res = adaptive_loop(data, data.initial_mesh(domain), max_iter=4,
+                            exact=exact)
+        assert field_calls == [r.dof for r in res.records]

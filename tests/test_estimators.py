@@ -22,9 +22,9 @@ def solved_context(case, refines=1, scheme="centered", **bench_kw):
     for _ in range(refines):
         mesh = mesh.uniform_refine()
     assemble = assemble_centered if scheme == "centered" else assemble_upwind
-    sol = solver.solve(assemble(Discretization(mesh, data)), mesh.num_edges)
-    return (mesh, data, exact, sol,
-            EstimatorContext(Discretization(mesh, data), sol))
+    disc = Discretization(mesh, data)
+    sol = solver.solve(assemble(disc), mesh.num_edges)
+    return mesh, data, exact, sol, EstimatorContext(disc, sol)
 
 
 class TestResidualWeights:
