@@ -1,14 +1,17 @@
 """Independent reference values shared by the test modules.
 
-Nothing here calls ``verify.energy_error`` or the estimator module: the
-energy error comes from a boundary identity and the xi indicator from a
-direct evaluation of its documented formula with its own quadrature and
-its own coefficient bounds.  The loop references at the end compute the
-topology, the patch maxima, the singular vertices and the upwind weights
-entity by entity, refine by recursive longest-edge (Rivara) bisection over
-dicts, and write the artifacts line by line, as checks on the array code
-of the package.  ``mixed_centered`` assembles the centered scheme as the
-saddle-point system that ``assembly.assemble_centered`` hybridizes.
+The energy-error and xi references call neither ``verify.energy_error``
+nor the estimator module: the energy error comes from a boundary identity
+and the xi indicator from a direct evaluation of its documented formula
+with its own quadrature and its own coefficient bounds.  The loop
+references compute the topology, the patch maxima, the singular vertices
+and the upwind weights entity by entity, refine by recursive longest-edge
+(Rivara) bisection over dicts, and write the artifacts line by line, as
+checks on the array code of the package.  ``mixed_centered`` assembles
+the centered scheme as the saddle-point system that
+``assembly.assemble_centered`` hybridizes.  At the end: helpers only the
+tests call, and the ``einsum`` forms of the package's 2x2 and quadrature
+kernels.
 """
 
 import math
