@@ -11,23 +11,28 @@ P_i the opposite vertex, with elementwise-constant divergence
 s_i |sigma_i| / |K|, so the divergence integrals are exactly the signed
 edge lengths B_i = s_i |sigma_i|.
 
-Each element contributes the 4x4 block [[M, -B], [-B + conv, -react]]
-(element rows stored with flipped sign, which makes it symmetric in the
-pure-diffusion limit).  Dirichlet data enters edge rows through its
-natural boundary term (edge means), Neumann fluxes are fixed.
+Each element contributes the 4x4 block [[M, -B], [c, d]] (element rows
+stored with flipped sign, which makes it symmetric in the pure-diffusion
+limit): c = -B + conv and d = -react for the centered scheme, c = -B and
+d = -r|K| plus the element's own upwind face-value terms for the upwind
+scheme.  Dirichlet data enters edge rows through its natural boundary
+term (edge means), Neumann fluxes are fixed.
 
-The centered scheme is solved in hybridized form (Arnold & Brezzi, M2AN
-1985): RT0 continuity is broken and enforced by one multiplier per
-interior edge, the pressure trace.  The fluxes and the pressure are then
-eliminated element by element with one batched 4x4 inversion, which
-leaves a system on the interior edges with Crouzeix-Raviart sparsity
-(:class:`HybridSystem`).  The upwind scheme couples neighbouring
-pressures through its face values, so it stays a saddle-point system
-(:class:`SaddleSystem`).
+Both schemes are solved in hybridized form (Arnold & Brezzi, M2AN 1985):
+RT0 continuity is broken and enforced by one multiplier per interior
+edge, the pressure trace, and the fluxes are eliminated element by
+element (:class:`HybridSystem`).  The centered scheme eliminates the
+pressure too, with one batched 4x4 inversion, which leaves a system on
+the interior edges with Crouzeix-Raviart sparsity.  The upwind scheme
+couples neighbouring pressures through its face values, so it eliminates
+the fluxes only, with one batched 3x3 inversion, and keeps the element
+pressures next to the multipliers; the face-value coupling stays in the
+pressure-pressure block.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,43 +74,21 @@ class MixedSolution:
 
 
 @dataclass
-class SaddleSystem:
-    """Sparse saddle-point system with its DOF bookkeeping."""
-
-    matrix: sp.csc_matrix
-    rhs: np.ndarray
-    edge_dof: np.ndarray          # (NE,) row index per free edge, -1 if fixed
-    n_free: int                   # number of free edge DOFs
-    fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
-    scheme: str
-    nu: np.ndarray | None = None  # per-edge upwind weights (upwind scheme)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def recover(self, x: np.ndarray, num_edges: int):
-        """Mixed solution from the system's solution vector, with the
-        residual and the right-hand side of the mixed equations."""
-        flux = self.fixed_flux.copy()
-        free = self.edge_dof >= 0
-        flux[free] = x[self.edge_dof[free]]
-        solution = MixedSolution(flux=flux, pressure=x[self.n_free:],
-                                 scheme=self.scheme, nu=self.nu)
-        return solution, self.matrix @ x - self.rhs, self.rhs
-
-
-@dataclass
 class HybridSystem:
-    """Centered scheme condensed onto the multipliers of the interior edges.
+    """A scheme condensed onto the multipliers of the interior edges.
 
     On element t the fluxes u and the pressure p solve
     ``blocks[t] @ (u, p) = load[t] - (B lambda, 0)``, lambda the pressure
     trace: the multiplier on interior edges, zero elsewhere (the Dirichlet
-    edge means are part of ``load``).  ``inverse`` inverts the blocks with
-    each Neumann row made an identity row for the fixed flux.  ``matrix``
-    enforces flux continuity, sum of B_i u_i over both sides, per interior
-    edge.
+    edge means are part of ``load``).  Upwind element rows add
+    ``coupling`` times the pressures of the ``neighbours``.
+
+    ``inverse`` inverts the blocks (centered: the unknowns of ``matrix``
+    are the multipliers) or their flux parts (upwind: the multipliers,
+    then the element pressures), with each Neumann row made an identity
+    row for the fixed flux.  ``matrix`` enforces flux continuity, sum of
+    B_i u_i over both sides, per interior edge, followed by the upwind
+    element rows.
     """
 
     matrix: sp.csc_matrix
@@ -115,15 +98,20 @@ class HybridSystem:
     elem_edges: np.ndarray        # (NT, 3)
     blocks: np.ndarray            # (NT, 4, 4) element blocks [[M, -B], [c, d]]
     load: np.ndarray              # (NT, 4) their right-hand sides
-    inverse: np.ndarray           # (NT, 4, 4)
+    inverse: np.ndarray           # (NT, 4, 4) centered, (NT, 3, 3) upwind
     fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
+    # upwind scheme only: per-edge weights, and per element and local edge
+    # the element across and the coefficient of its pressure
+    nu: np.ndarray | None = None
+    neighbours: np.ndarray | None = None
+    coupling: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
     def recover(self, x: np.ndarray, num_edges: int):
-        """Fluxes and pressures element by element from the multipliers x,
+        """Fluxes and pressures element by element from the solution x,
         with the residual and the right-hand side of the mixed equations
         (free edge rows, then element rows), evaluated without the mixed
         matrix."""
@@ -131,14 +119,21 @@ class HybridSystem:
         trace = np.zeros(num_edges)
         interior = self.edge_dof >= 0
         trace[interior] = x[self.edge_dof[interior]]
-        local = _apply(self.inverse, _local_rhs(self.load, self.blocks,
-                                                self.fixed_flux[E], trace[E]))
+        neumann = self.edge_flag == NEUMANN
+        if self.coupling is None:
+            local = _apply(self.inverse, _local_rhs(
+                self.load, self.blocks, self.fixed_flux[E], trace[E]))
+            pressure = local[:, 3].copy()
+        else:
+            # B (lambda - p) on the free edges of each element
+            pressure = x[np.count_nonzero(interior):].copy()
+            jump = np.where(neumann[E], 0.0, trace[E] - pressure[:, None])
+            local = _apply(self.inverse, _local_rhs(
+                self.load, self.blocks, self.fixed_flux[E], jump)[:, :3])
         # the two sides of an interior edge agree up to round-off
         flux = np.bincount(E.ravel(), local[:, :3].ravel(), num_edges) \
             / np.bincount(E.ravel(), minlength=num_edges)
-        neumann = self.edge_flag == NEUMANN
         flux[neumann] = self.fixed_flux[neumann]
-        pressure = local[:, 3].copy()
 
         def rows(per_element):
             edge_rows = np.bincount(E.ravel(), per_element[:, :3].ravel(),
@@ -146,10 +141,14 @@ class HybridSystem:
             return np.concatenate([edge_rows[~neumann], per_element[:, 3]])
 
         values = np.column_stack([flux[E], pressure])
+        residual = _apply(self.blocks, values) - self.load
+        if self.coupling is not None:
+            residual[:, 3] += (self.coupling
+                               * pressure[self.neighbours]).sum(axis=1)
         fixed = np.column_stack([self.fixed_flux[E], np.zeros_like(pressure)])
-        return (MixedSolution(flux, pressure, CENTERED),
-                rows(_apply(self.blocks, values) - self.load),
-                rows(self.load - _apply(self.blocks, fixed)))
+        scheme = CENTERED if self.coupling is None else UPWIND
+        return (MixedSolution(flux, pressure, scheme, self.nu),
+                rows(residual), rows(self.load - _apply(self.blocks, fixed)))
 
 
 class Discretization:
@@ -161,6 +160,8 @@ class Discretization:
     midpoints, seven_points : (NT, 3, 2) and (NT, 7, 2) physical nodes of
         ``quad.MIDPOINT`` and ``quad.SEVEN_POINT``
     edge_fluxes : (NT, 3) convective fluxes w_{K,sigma}
+    left_fluxes : (NE,) the same per edge, from its first element (upwind
+        scheme only, gathered on first use)
     pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
     """
 
@@ -172,6 +173,10 @@ class Discretization:
         self.seven_points = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
         self.edge_fluxes = _edge_fluxes(mesh, self.fields)
         self.pd_mean = dirichlet_edge_means(mesh, problem)
+
+    @functools.cached_property
+    def left_fluxes(self) -> np.ndarray:
+        return _left_values(self.mesh, self.edge_fluxes)
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,6 +207,16 @@ def _local_rhs(load, blocks, fixed, trace):
     rhs = load.copy()
     rhs[:, :3] += fixed + blocks[:, :3, 3] * trace
     return rhs
+
+
+def _eliminate_neumann(mesh: Triangulation, blocks: np.ndarray) -> np.ndarray:
+    """A copy of the (NT, n, n) element blocks, n >= 3, with each Neumann
+    edge row made an identity row for the fixed flux."""
+    eliminated = blocks.copy()
+    t, i = np.nonzero(mesh.edge_flag[mesh.elem_edges] == NEUMANN)
+    eliminated[t, i] = 0.0
+    eliminated[t, i, i] = 1.0
+    return eliminated
 
 
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -302,7 +317,7 @@ def upwind_weights(disc: Discretization) -> np.ndarray:
     two-dimensional edge the measure and the diameter coincide.
     """
     mesh, fields = disc.mesh, disc.fields
-    w_flux = _left_values(mesh, disc.edge_fluxes)
+    w_flux = disc.left_fluxes
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     boundary = right < 0
     c_s_left = fields.c_S[left]
@@ -370,140 +385,112 @@ def _coo_to_csc(rows, cols, vals, dim: int) -> sp.csc_matrix:
     return matrix
 
 
+def _element_system(disc: Discretization, M, B, c, d, load_p):
+    """Element blocks [[M, -B], [c, d]] with their right-hand sides, and
+    the fixed Neumann coefficients."""
+    mesh = disc.mesh
+    E = mesh.elem_edges
+    blocks = np.empty((mesh.num_elements, 4, 4))
+    blocks[:, :3, :3] = M
+    blocks[:, :3, 3] = -B
+    blocks[:, 3, :3] = c
+    blocks[:, 3, 3] = d
+    load = np.empty((mesh.num_elements, 4))
+    # natural Dirichlet term; the datum means vanish off Dirichlet edges
+    load[:, :3] = -B * disc.pd_mean[E]
+    load[:, 3] = load_p
+    return blocks, load, neumann_fixed_coefficients(mesh, disc.problem)
+
+
+def _multipliers(mesh: Triangulation) -> tuple[np.ndarray, int]:
+    """Multiplier index per edge (-1 off the interior) and their number."""
+    edge_dof = np.full(mesh.num_edges, -1, dtype=np.int64)
+    interior = np.flatnonzero(mesh.edge_flag == INTERIOR)
+    edge_dof[interior] = np.arange(interior.size)
+    return edge_dof, interior.size
+
+
 def assemble_centered(disc: Discretization) -> HybridSystem:
     """Centered mixed scheme (volumetric convection, full reaction block),
     hybridized onto the interior edges."""
     mesh = disc.mesh
     M, B, conv, react = _local_blocks(disc)
+    blocks, load, fixed = _element_system(disc, M, B, -B + conv, -react,
+                                          -load_vector(disc))
+    inverse = _invert_blocks(_eliminate_neumann(mesh, blocks))
     E = mesh.elem_edges
-    blocks = np.empty((mesh.num_elements, 4, 4))
-    blocks[:, :3, :3] = M
-    blocks[:, :3, 3] = -B
-    blocks[:, 3, :3] = -B + conv
-    blocks[:, 3, 3] = -react
-    load = np.empty((mesh.num_elements, 4))
-    # natural Dirichlet term; the datum means vanish off Dirichlet edges
-    load[:, :3] = -B * disc.pd_mean[E]
-    load[:, 3] = -load_vector(disc)
-
-    fixed = neumann_fixed_coefficients(mesh, disc.problem)
-    eliminated = blocks.copy()
-    t, i = np.nonzero(mesh.edge_flag[E] == NEUMANN)
-    eliminated[t, i] = 0.0
-    eliminated[t, i, i] = 1.0
-    inverse = _invert_blocks(eliminated)
 
     # (u, p) = inverse @ (local rhs - (B lambda, 0)) turns continuity
     # into schur @ lambda = sum of B_i (inverse @ local rhs)_i
     schur = B[:, :, None] * inverse[:, :3, :3] * B[:, None, :]
     local = B * _apply(inverse[:, :3, :], _local_rhs(load, blocks, fixed[E],
                                                      0.0))
-    edge_dof = np.full(mesh.num_edges, -1, dtype=np.int64)
-    interior = np.flatnonzero(mesh.edge_flag == INTERIOR)
-    edge_dof[interior] = np.arange(interior.size)
+    edge_dof, n = _multipliers(mesh)
     dof = edge_dof[E]
     rows = np.broadcast_to(dof[:, :, None], schur.shape)
     cols = np.broadcast_to(dof[:, None, :], schur.shape)
     keep = (rows >= 0) & (cols >= 0)
-    matrix = _coo_to_csc(rows[keep], cols[keep], schur[keep], interior.size)
-    rhs = np.bincount(dof[dof >= 0], local[dof >= 0], interior.size)
+    matrix = _coo_to_csc(rows[keep], cols[keep], schur[keep], n)
+    rhs = np.bincount(dof[dof >= 0], local[dof >= 0], n)
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
                         edge_flag=mesh.edge_flag, elem_edges=E, blocks=blocks,
                         load=load, inverse=inverse, fixed_flux=fixed)
 
 
-def assemble_upwind(disc: Discretization) -> SaddleSystem:
-    """Upwind-weighted mixed scheme with face-value convection."""
-    mesh, fields, pd_mean = disc.mesh, disc.fields, disc.pd_mean
+def assemble_upwind(disc: Discretization) -> HybridSystem:
+    """Upwind-weighted mixed scheme with face-value convection, hybridized
+    onto the interior edges and the element pressures."""
+    mesh = disc.mesh
     M, B, _, _ = _local_blocks(disc)
-    fsrc = load_vector(disc)
-    fixed_vals = neumann_fixed_coefficients(mesh, disc.problem)
-
-    ne, nt = mesh.num_edges, mesh.num_elements
-    edge_dof = np.full(ne, -1, dtype=np.int64)
-    free_edges = np.flatnonzero(mesh.edge_flag != NEUMANN)
-    edge_dof[free_edges] = np.arange(free_edges.size)
-    n_free = free_edges.size
-    dim = n_free + nt
-
     E = mesh.elem_edges
-    edof = edge_dof[E]                      # (NT, 3)
-    prow = n_free + np.arange(nt)
-
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dim)
-
-    def add_block(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(v.ravel())
-
-    # --- edge rows: velocity mass block and -B^T pressure coupling -----
-    row_idx = np.broadcast_to(edof[:, :, None], (nt, 3, 3))
-    col_idx = np.broadcast_to(edof[:, None, :], (nt, 3, 3))
-    keep = (row_idx >= 0) & (col_idx >= 0)
-    add_block(row_idx[keep], col_idx[keep], M[keep])
-    to_rhs = (row_idx >= 0) & (col_idx < 0)
-    if np.any(to_rhs):
-        col_edges = np.broadcast_to(E[:, None, :], (nt, 3, 3))
-        np.subtract.at(rhs, row_idx[to_rhs], M[to_rhs] * fixed_vals[col_edges[to_rhs]])
-
-    row_idx = edof
-    col_idx = np.broadcast_to(prow[:, None], (nt, 3))
-    keep = row_idx >= 0
-    add_block(row_idx[keep], col_idx[keep], -B[keep])
-
-    # natural Dirichlet boundary term on the edge rows
-    dir_edges = np.flatnonzero(mesh.edge_flag == DIRICHLET)
-    sgn_left = _left_values(mesh, mesh.elem_signs.astype(np.int64))
-    rhs_rows = edge_dof[dir_edges]
-    np.subtract.at(
-        rhs, rhs_rows,
-        sgn_left[dir_edges] * mesh.edge_length[dir_edges] * pd_mean[dir_edges],
-    )
-
-    # --- element rows (sign-flipped mass balance) ----------------------
-    edge_coef = -B
-    row_idx = np.broadcast_to(prow[:, None], (nt, 3))
-    keep = edof >= 0
-    add_block(row_idx[keep], edof[keep], edge_coef[keep])
-    to_rhs = ~keep
-    if np.any(to_rhs):
-        np.subtract.at(rhs, row_idx[to_rhs],
-                       edge_coef[to_rhs] * fixed_vals[E[to_rhs]])
-
-    add_block(prow, prow, -fields.r * mesh.elem_area)
-    nu_edges = upwind_weights(disc)
+    nt = mesh.num_elements
+    nu = upwind_weights(disc)
     wflux = disc.edge_fluxes
-    nu = nu_edges[E]
     flag = mesh.edge_flag[E]
+    own_elem = np.arange(nt)[:, None]
     lr = mesh.edge_elems[E]
-    t_index = np.arange(nt)[:, None]
-    other = np.where(lr[..., 0] == t_index, lr[..., 1], lr[..., 0])
+    other = np.where(lr[..., 0] == own_elem, lr[..., 1], lr[..., 0])
     upstream = wflux >= 0.0
-    c_own = np.where(upstream, 1.0 - nu, nu)
-    c_other = np.where(upstream, nu, 1.0 - nu)
+    c_own = np.where(upstream, 1.0 - nu[E], nu[E])
+    c_other = np.where(upstream, nu[E], 1.0 - nu[E])
+    interior = (wflux != 0.0) & (flag == INTERIOR)
+    dirich = (wflux != 0.0) & (flag == DIRICHLET)
+    # face values: the upwind mix with the neighbour or the Dirichlet datum;
+    # Neumann edges carry no pressure datum and take the interior value
+    own = -wflux * np.where(flag == NEUMANN, 1.0, c_own)
+    coupling = np.where(interior, -wflux * c_other, 0.0)
+    datum = np.where(dirich, wflux * c_other, 0.0) * disc.pd_mean[E]
+    d = -disc.fields.r * mesh.elem_area + own.sum(axis=1)
+    blocks, load, fixed = _element_system(
+        disc, M, B, -B, d, datum.sum(axis=1) - load_vector(disc))
 
-    active = wflux != 0.0
-    interior = active & (flag == INTERIOR)
-    dirich = active & (flag == DIRICHLET)
-    neum = active & (flag == NEUMANN)
+    # u = inverse @ (local rhs - B lambda + B p) on each element: v and q
+    # are the responses to p and to the local rhs, -H the response to lambda
+    inverse = np.linalg.inv(_eliminate_neumann(mesh, blocks[:, :3, :3]))
+    b = np.where(flag == NEUMANN, 0.0, B)
+    c = blocks[:, 3, :3]
+    v = _apply(inverse, b)
+    q = _apply(inverse, _local_rhs(load, blocks, fixed[E], 0.0)[:, :3])
+    H = inverse * b[:, None, :]
+    cH = _apply(np.swapaxes(H, 1, 2), c)
 
-    add_block(row_idx[interior], row_idx[interior],
-              -wflux[interior] * c_own[interior])
-    add_block(row_idx[interior], n_free + other[interior],
-              -wflux[interior] * c_other[interior])
-    add_block(row_idx[dirich], row_idx[dirich],
-              -wflux[dirich] * c_own[dirich])
-    np.add.at(rhs, row_idx[dirich],
-              wflux[dirich] * c_other[dirich] * pd_mean[E[dirich]])
-    # Neumann edges carry no pressure datum: take the interior value
-    add_block(row_idx[neum], row_idx[neum], -wflux[neum])
-
-    rhs[prow] -= fsrc
-
+    edge_dof, n = _multipliers(mesh)
+    dof = edge_dof[E]
+    prow = np.broadcast_to(n + own_elem, (nt, 3))
+    rows_ll = np.broadcast_to(dof[:, :, None], H.shape)
+    cols_ll = np.broadcast_to(dof[:, None, :], H.shape)
+    ll = (rows_ll >= 0) & (cols_ll >= 0)
+    lp = dof >= 0
+    rows = [rows_ll[ll], dof[lp], prow[lp], prow[:, 0], prow[interior]]
+    cols = [cols_ll[ll], prow[lp], dof[lp], prow[:, 0], n + other[interior]]
+    vals = [(-B[:, :, None] * H)[ll], (B * v)[lp], -cH[lp],
+            (c * v).sum(axis=1) + d, coupling[interior]]
     matrix = _coo_to_csc(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), dim)
-    return SaddleSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
-                        n_free=n_free, fixed_flux=fixed_vals, scheme=UPWIND,
-                        nu=nu_edges)
+                         np.concatenate(vals), n + nt)
+    rhs = np.concatenate([np.bincount(dof[lp], (-B * q)[lp], n),
+                          load[:, 3] - (c * q).sum(axis=1)])
+    return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
+                        edge_flag=mesh.edge_flag, elem_edges=E, blocks=blocks,
+                        load=load, inverse=inverse, fixed_flux=fixed, nu=nu,
+                        neighbours=np.where(interior, other, own_elem),
+                        coupling=coupling)

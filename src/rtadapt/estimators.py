@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .assembly import (Discretization, MixedSolution, UPWIND, _left_values,
-                       dot)
-from .mesh import DIRICHLET, INTERIOR, Triangulation
+from .assembly import Discretization, MixedSolution, UPWIND, dot
+from .mesh import DIRICHLET, INTERIOR, Triangulation, format_rows
 from .postprocess import FluxField, tangential_jump_sq
 from .problem import patch_quantities
 
@@ -58,13 +57,11 @@ class EstimatorBreakdown:
         }
 
     def to_csv(self) -> str:
-        lines = ["element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total"]
         columns = (self.eta_D, self.eta_R, self.eta_NC, self.eta_C,
                    self.eta_U, self.xi, self.total)
-        fmt = "%d" + ",%.17g" * len(columns)
-        lines += [fmt % row for row in zip(range(self.total.size),
-                                           *(c.tolist() for c in columns))]
-        return "\n".join(lines) + "\n"
+        rows = format_rows("%d" + ",%.17g" * len(columns),
+                           np.arange(self.total.size), *columns)
+        return f"element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total\n{rows}\n"
 
 
 def residual_weights(mesh: Triangulation, fields) -> ResidualWeights:
@@ -135,14 +132,12 @@ class EstimatorContext:
         self.patch = patch_quantities(mesh, self.fields)
         self.weights = residual_weights(mesh, self.fields)
 
-        slope_inv = slope_half = None
+        slopes = None
         if subtract_boundary_data:
-            slope_inv = _data_slope(disc, "inv")
-            slope_half = _data_slope(disc, "invsqrt")
-        self.jump_inv = tangential_jump_sq(mesh, self.flux, "inv",
-                                           boundary_slope=slope_inv)
-        self.jump_half = tangential_jump_sq(mesh, self.flux, "invsqrt",
-                                            boundary_slope=slope_half)
+            slopes = (_data_slope(disc, "inv"), _data_slope(disc, "invsqrt"))
+        # one evaluation of u_h at the edge points, weighted twice
+        self.jump_inv, self.jump_half = tangential_jump_sq(
+            mesh, self.flux, ("inv", "invsqrt"), boundary_slope=slopes)
 
         self.norm_sq = self._weighted_norm_sq()
         self._singular_elems = None
@@ -216,23 +211,18 @@ class EstimatorContext:
         face = self._jump_sum(self.jump_inv, self.patch.lam_w_sigma**2)
         return np.sqrt(volume + face)
 
-    def hat_hat_p(self, e: int) -> float:
-        """Face-value defect of the upwind pressure on one edge.
+    def _hat_hat_all(self) -> np.ndarray:
+        """Face-value defect of the upwind pressure per edge.
 
         Interior edges: (1/2 - nu)(upstream - downstream).  Boundary
         edges: upwind face value minus the element constant, which for a
         homogeneous Dirichlet datum reduces to -nu p_K (outflow) or
         -(1 - nu) p_K (inflow).
         """
-        if self.solution.scheme != UPWIND or self.solution.nu is None:
-            raise EstimatorError("upwind face values need an upwind solution")
-        return float(self._hat_hat_all()[e])
-
-    def _hat_hat_all(self) -> np.ndarray:
         mesh = self.mesh
         nu = self.solution.nu
         p = self.solution.pressure
-        wflux_left = _left_values(mesh, self.disc.edge_fluxes)
+        wflux_left = self.disc.left_fluxes
         left = mesh.edge_elems[:, 0]
         right = mesh.edge_elems[:, 1]
         out = np.zeros(mesh.num_edges)

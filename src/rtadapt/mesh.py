@@ -169,9 +169,6 @@ class Triangulation:
     def num_elements(self) -> int:
         return self.elem_verts.shape[0]
 
-    def barycenters(self) -> np.ndarray:
-        return self.elem_coords.mean(axis=1)
-
     def edge_midpoints(self) -> np.ndarray:
         return 0.5 * (
             self.vert_coords[self.edge_verts[:, 0]]
@@ -180,12 +177,6 @@ class Triangulation:
 
     def is_boundary_edge(self) -> np.ndarray:
         return self.edge_flag != INTERIOR
-
-    def edge_patch(self, e: int) -> list[int]:
-        """Element ids sharing edge e (2 interior, 1 boundary)."""
-        if not 0 <= e < self.num_edges:
-            raise MeshError(f"invalid edge id {e}")
-        return [int(t) for t in self.edge_elems[e] if t >= 0]
 
     def min_angle(self) -> float:
         """Smallest interior angle over all elements, in radians."""
@@ -300,16 +291,16 @@ class Triangulation:
 
     def dump(self) -> str:
         """Plain-text dump: header `NV NE NT`, then vertex/edge/element lines."""
-        lines = [f"{self.num_vertices} {self.num_edges} {self.num_elements}"]
-        lines += ["%d %r %r" % row for row in zip(
-            range(self.num_vertices), *self.vert_coords.T.tolist())]
-        lines += ["%d %d %d %d" % row for row in zip(
-            range(self.num_edges), *self.edge_verts.T.tolist(),
-            self.edge_flag.tolist())]
-        lines += ["%d %d %d %d %d %d %d %d" % row for row in zip(
-            range(self.num_elements), *self.elem_verts.T.tolist(),
-            *self.elem_edges.T.tolist(), self.elem_ancestor.tolist())]
-        return "\n".join(lines) + "\n"
+        return "\n".join([
+            f"{self.num_vertices} {self.num_edges} {self.num_elements}",
+            format_rows("%d %r %r", np.arange(self.num_vertices),
+                        *self.vert_coords.T),
+            format_rows("%d %d %d %d", np.arange(self.num_edges),
+                        *self.edge_verts.T, self.edge_flag),
+            format_rows("%d %d %d %d %d %d %d %d",
+                        np.arange(self.num_elements), *self.elem_verts.T,
+                        *self.elem_edges.T, self.elem_ancestor),
+        ]) + "\n"
 
     @staticmethod
     def parse(text: str) -> "Triangulation":
@@ -353,22 +344,29 @@ class Triangulation:
             ts = (values - vmin) / rng
             tri = self.elem_verts
             points = np.stack([sx[tri], sy[tri]], axis=2).reshape(-1, 6)
-            out += [
+            out.append(format_rows(
                 '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" '
-                'fill="rgb(%d,64,%d)" fill-opacity="0.6" stroke="none"/>' % row
-                for row in zip(*points.T.tolist(),
-                               (255 * ts).astype(np.int64).tolist(),
-                               (255 * (1 - ts)).astype(np.int64).tolist())
-            ]
+                'fill="rgb(%d,64,%d)" fill-opacity="0.6" stroke="none"/>',
+                *points.T, (255 * ts).astype(np.int64),
+                (255 * (1 - ts)).astype(np.int64)))
         a, b = self.edge_verts.T
-        out += [
+        out.append(format_rows(
             '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-            'stroke="black" stroke-width="0.4"/>' % row
-            for row in zip(sx[a].tolist(), sy[a].tolist(),
-                           sx[b].tolist(), sy[b].tolist())
-        ]
+            'stroke="black" stroke-width="0.4"/>', sx[a], sy[a], sx[b], sy[b]))
         out.append("</svg>")
         return "\n".join(out)
+
+
+def format_rows(fmt: str, *columns: np.ndarray, chunk: int = 4096) -> str:
+    """``fmt % row`` for the rows of the equal-length ``columns``, one line
+    each.  The rows are converted and formatted a chunk at a time, so that
+    the Python numbers and line strings of only one chunk are alive at
+    once: the artifact writers run at the end of a study, on its largest
+    mesh."""
+    return "\n".join(
+        "\n".join([fmt % row for row in zip(*(c[i:i + chunk].tolist()
+                                              for c in columns))])
+        for i in range(0, len(columns[0]), chunk))
 
 
 # ----------------------------------------------------------------------

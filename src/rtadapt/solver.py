@@ -1,31 +1,48 @@
 """Sparse direct solution of the assembled systems.
 
-The centered scheme arrives hybridized (:class:`~rtadapt.assembly.HybridSystem`):
-one LU factorization of the interior-edge multiplier system, after which
-the fluxes and pressures are recovered element by element.  The upwind
-scheme arrives as the saddle-point system itself.  Both are nonsymmetric
-in general and moderately conditioned under the coefficient contrasts
-exercised here, so a direct LU factorization with partial pivoting (SuperLU
-with its default COLAMD ordering) removes iterative-tolerance noise from
-the estimator studies.  Every solve is checked by the relative residual
-of the full mixed equations.
+Both schemes arrive hybridized (:class:`~rtadapt.assembly.HybridSystem`):
+the centered one on the interior-edge multipliers, the upwind one on the
+multipliers and the element pressures.  One LU factorization of that
+system is followed by the element-by-element recovery of the fluxes and
+pressures.  The systems are nonsymmetric in general (convection) and
+moderately conditioned under the coefficient contrasts exercised here, so
+a direct LU factorization removes iterative-tolerance noise from the
+estimator studies.
+
+The pressure diagonal of the upwind system holds -B^T M^-1 B < 0, so it
+never vanishes, and the factorization runs in SuperLU's symmetric mode:
+minimum degree on the pattern of A + A^T, with a diagonal pivot accepted
+down to 1% of its column's largest entry.  Minimum degree depends
+strongly on the initial numbering (George & Liu, SIAM Review 1989) and
+degenerates on the numbering that uniform refinement leaves, so the rows
+and columns are first permuted by reverse Cuthill-McKee on that pattern.
+Every solve is checked by the relative residual of the full mixed
+equations.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import MatrixRankWarning
 import warnings
 
-from .assembly import (HybridSystem, MixedSolution, SaddleSystem,
-                       SingularSystemError, SolverError)
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import MatrixRankWarning
+
+from .assembly import HybridSystem, MixedSolution, SingularSystemError, \
+    SolverError
 
 MAX_DIMENSION = 500_000
 RESIDUAL_TOL = 1e-10
 
+# SuperLU settings of every factorization, after the RCM pre-order
+PERMC_SPEC = "MMD_AT_PLUS_A"
+DIAG_PIVOT_THRESH = 0.01
+OPTIONS = {"SymmetricMode": True}
 
-def _diagnose_singularity(system: SaddleSystem | HybridSystem) -> str:
+
+def _diagnose_singularity(system: HybridSystem) -> str:
     absmat = abs(system.matrix)
     row_sums = np.asarray(absmat.sum(axis=1)).ravel()
     dead = np.flatnonzero(row_sums == 0.0)
@@ -34,28 +51,51 @@ def _diagnose_singularity(system: SaddleSystem | HybridSystem) -> str:
     return "singular factorization (no empty row; likely rank deficiency)"
 
 
-def solve(system: SaddleSystem | HybridSystem, num_edges: int
-          ) -> MixedSolution:
+def rcm_permuted(matrix: sp.spmatrix) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The matrix with rows and columns in reverse Cuthill-McKee order on
+    the pattern of A + A^T, and that order: ``permuted[i, j] =
+    matrix[order[i], order[j]]``."""
+    coo = sp.coo_matrix(matrix)
+    ones = np.ones(coo.nnz, dtype=np.int8)
+    pattern = sp.csr_matrix((np.concatenate([ones, ones]),
+                             (np.concatenate([coo.row, coo.col]),
+                              np.concatenate([coo.col, coo.row]))),
+                            shape=coo.shape)
+    order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size, dtype=order.dtype)
+    permuted = sp.csc_matrix((coo.data, (position[coo.row],
+                                         position[coo.col])),
+                             shape=coo.shape)
+    return permuted, order
+
+
+def solve(system: HybridSystem, num_edges: int) -> MixedSolution:
     """Factorize and solve, enforcing a relative residual of 1e-10 on the
     mixed equations.
 
-    Raises SingularSystemError on factorization breakdown and SolverError
-    when the residual tolerance is not met (the achieved residual is part
-    of the message).
+    Raises SingularSystemError on factorization breakdown, naming rows in
+    the system's own numbering, and SolverError when the residual
+    tolerance is not met (the achieved residual is part of the message).
     """
     if system.dimension > MAX_DIMENSION:
         raise SolverError(
             f"system dimension {system.dimension} exceeds {MAX_DIMENSION}"
         )
+    permuted, order = rcm_permuted(system.matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
             # the factors are freed before the recovery below
-            x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+            y = spla.splu(permuted, permc_spec=PERMC_SPEC,
+                          diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                          options=OPTIONS).solve(system.rhs[order])
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(
                 f"{_diagnose_singularity(system)}: {exc}"
             ) from exc
+    x = np.empty_like(y)
+    x[order] = y
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(_diagnose_singularity(system))
 

@@ -7,11 +7,12 @@ with its own quadrature and its own coefficient bounds.  The loop
 references compute the topology, the patch maxima, the singular vertices
 and the upwind weights entity by entity, refine by recursive longest-edge
 (Rivara) bisection over dicts, and write the artifacts line by line, as
-checks on the array code of the package.  ``mixed_centered`` assembles
-the centered scheme as the saddle-point system that
-``assembly.assemble_centered`` hybridizes.  At the end: helpers only the
-tests call, and the ``einsum`` forms of the package's 2x2 and quadrature
-kernels.
+checks on the array code of the package.  ``mixed_centered`` and
+``mixed_upwind`` assemble the two schemes as the saddle-point systems
+that ``assembly.assemble_centered`` and ``assembly.assemble_upwind``
+hybridize.  At the end: helpers only the tests call, the tangential jumps
+one weighting at a time, and the ``einsum`` forms of the package's 2x2
+and quadrature kernels.
 """
 
 import math
@@ -21,8 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from rtadapt import quadrature as quad
-from rtadapt.assembly import (CENTERED, Discretization, SaddleSystem,
-                              _left_values, _local_blocks, load_vector)
+from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
+                              MixedSolution, _left_values, _local_blocks,
+                              load_vector)
+from rtadapt.estimators import EstimatorError
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                           Triangulation)
 from rtadapt.postprocess import FluxField, ptilde_values, tangential_jump_sq
@@ -594,9 +597,10 @@ def loop_nodal_csv(nodal):
 
 
 # ----------------------------------------------------------------------
-# the mixed saddle-point form of the centered scheme, the reference for
-# the hybridized ``assembly.assemble_centered``, and the per-element and
-# per-edge forms of the local matrices and upwind couplings
+# the mixed saddle-point forms of both schemes, the references for the
+# hybridized ``assembly.assemble_centered`` and ``assemble_upwind``, and
+# the per-element and per-edge forms of the local matrices and upwind
+# couplings
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -659,10 +663,48 @@ def loop_neumann_coefficients(mesh, problem, rule=quad.EDGE_GAUSS3):
     return fixed
 
 
+@dataclass
+class SaddleSystem:
+    """Sparse saddle-point system with its DOF bookkeeping."""
+
+    matrix: sp.csr_matrix
+    rhs: np.ndarray
+    edge_dof: np.ndarray          # (NE,) row index per free edge, -1 if fixed
+    n_free: int                   # number of free edge DOFs
+    fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
+    scheme: str
+    nu: np.ndarray | None = None  # per-edge upwind weights (upwind scheme)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
+
+    def recover(self, x, num_edges):
+        """Mixed solution from the system's solution vector, with the
+        residual and the right-hand side of the mixed equations."""
+        flux = self.fixed_flux.copy()
+        free = self.edge_dof >= 0
+        flux[free] = x[self.edge_dof[free]]
+        solution = MixedSolution(flux=flux, pressure=x[self.n_free:],
+                                 scheme=self.scheme, nu=self.nu)
+        return solution, self.matrix @ x - self.rhs, self.rhs
+
+
 def mixed_centered(mesh, problem):
     """The centered scheme as one sparse saddle-point system: free edge
     rows (Neumann edges eliminated with their flux fixed), then the
     sign-flipped element rows."""
+    return _mixed(mesh, problem, CENTERED)
+
+
+def mixed_upwind(mesh, problem):
+    """The upwind scheme as one sparse saddle-point system, in the layout
+    of ``mixed_centered``, with face-value convection in the element rows
+    and the upwind weights of ``loop_upwind_weights``."""
+    return _mixed(mesh, problem, UPWIND)
+
+
+def _mixed(mesh, problem, scheme):
     disc = Discretization(mesh, problem)
     M, B, conv, react = _local_blocks(disc)
     fsrc = load_vector(disc)
@@ -704,8 +746,9 @@ def mixed_centered(mesh, problem):
                    sgn_left[dir_edges] * mesh.edge_length[dir_edges]
                    * pd_mean[dir_edges])
 
-    # element rows: sign-flipped mass balance with volumetric convection
-    edge_coef = -B + conv
+    # element rows: sign-flipped mass balance, with volumetric convection
+    # (centered) or face-value convection (upwind)
+    edge_coef = -B + conv if scheme == CENTERED else -B
     row_idx = np.broadcast_to(prow[:, None], (nt, 3))
     rows.append(row_idx[keep])
     cols.append(edof[keep])
@@ -713,7 +756,36 @@ def mixed_centered(mesh, problem):
     np.subtract.at(rhs, row_idx[~keep], edge_coef[~keep] * fixed[E[~keep]])
     rows.append(prow)
     cols.append(prow)
-    vals.append(-react)
+    nu_edges = None
+    if scheme == CENTERED:
+        vals.append(-react)
+    else:
+        vals.append(-disc.fields.r * mesh.elem_area)
+        nu_edges = loop_upwind_weights(disc)
+        wflux = disc.edge_fluxes
+        nu = nu_edges[E]
+        flag = mesh.edge_flag[E]
+        lr = mesh.edge_elems[E]
+        other = np.where(lr[..., 0] == np.arange(nt)[:, None], lr[..., 1],
+                         lr[..., 0])
+        upstream = wflux >= 0.0
+        c_own = np.where(upstream, 1.0 - nu, nu)
+        c_other = np.where(upstream, nu, 1.0 - nu)
+        active = wflux != 0.0
+        interior = active & (flag == INTERIOR)
+        dirich = active & (flag == DIRICHLET)
+        neum = active & (flag == NEUMANN)
+        for mask, col, val in (
+                (interior, row_idx, -wflux * c_own),
+                (interior, n_free + other, -wflux * c_other),
+                (dirich, row_idx, -wflux * c_own),
+                # Neumann edges carry no pressure datum: interior value
+                (neum, row_idx, -wflux)):
+            rows.append(row_idx[mask])
+            cols.append(col[mask])
+            vals.append(val[mask])
+        np.add.at(rhs, row_idx[dirich],
+                  wflux[dirich] * c_other[dirich] * pd_mean[E[dirich]])
     rhs[prow] -= fsrc
 
     matrix = sp.coo_matrix(
@@ -722,7 +794,8 @@ def mixed_centered(mesh, problem):
     matrix.sum_duplicates()
     matrix.sort_indices()
     return SaddleSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
-                        n_free=n_free, fixed_flux=fixed, scheme=CENTERED)
+                        n_free=n_free, fixed_flux=fixed, scheme=scheme,
+                        nu=nu_edges)
 
 
 def element_row(system, t):
@@ -738,9 +811,29 @@ def dump_matrix(system):
 
 
 # ----------------------------------------------------------------------
-# helpers that only the tests call: single-element accessors, the
-# square-root weighted jumps, edge means of the postprocessed scalar
+# helpers that only the tests call: single-element and single-edge
+# accessors, barycenters, the square-root weighted jumps, edge means of
+# the postprocessed scalar
 # ----------------------------------------------------------------------
+
+def barycenters(mesh):
+    return mesh.elem_coords.mean(axis=1)
+
+
+def edge_patch(mesh, e):
+    """Element ids sharing edge e (2 interior, 1 boundary)."""
+    if not 0 <= e < mesh.num_edges:
+        raise MeshError(f"invalid edge id {e}")
+    return [int(t) for t in mesh.edge_elems[e] if t >= 0]
+
+
+def hat_hat_p(ctx, e):
+    """Face-value defect of the upwind pressure on one edge
+    (``EstimatorContext._hat_hat_all``)."""
+    if ctx.solution.scheme != UPWIND or ctx.solution.nu is None:
+        raise EstimatorError("upwind face values need an upwind solution")
+    return float(ctx._hat_hat_all()[e])
+
 
 def element_indicator(ctx, family, t):
     """One element's value of an estimator family, e.g. ``"eta_NC"``."""
@@ -799,6 +892,35 @@ def edge_mean_mismatch(mesh, coeffs, rule=quad.EDGE_GAUSS2):
     mean_right = ptilde_values(coeffs[right[interior]], pts[interior]) \
         @ rule.weights
     out[interior] -= mean_right
+    return out
+
+
+def single_weighting_jump_sq(mesh, flux, weighting="inv",
+                             boundary_slope=None, rule=quad.EDGE_GAUSS2):
+    """``postprocess.tangential_jump_sq`` for one weighting, evaluating u_h
+    anew through ``FluxField.weighted`` for each trace."""
+    def trace(elems, edges, pts):
+        values = flux.weighted(elems, pts, weighting)
+        tangent = mesh.edge_tangent[edges][:, None]
+        return values[..., 0] * tangent[..., 0] \
+            + values[..., 1] * tangent[..., 1]
+
+    out = np.empty(mesh.num_edges)
+    left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
+    inner = np.flatnonzero(right >= 0)
+    pts = rule.physical_points(mesh.vert_coords[mesh.edge_verts[inner, 0]],
+                               mesh.vert_coords[mesh.edge_verts[inner, 1]])
+    jump = trace(left[inner], inner, pts) - trace(right[inner], inner, pts)
+    out[inner] = rule.integrate(jump**2, mesh.edge_length[inner])
+    bdry = np.flatnonzero(right < 0)
+    if boundary_slope is not None:
+        rule = quad.DATA_EDGE
+    pts = rule.physical_points(mesh.vert_coords[mesh.edge_verts[bdry, 0]],
+                               mesh.vert_coords[mesh.edge_verts[bdry, 1]])
+    jump = trace(left[bdry], bdry, pts)
+    if boundary_slope is not None:
+        jump = jump - boundary_slope(bdry, pts)
+    out[bdry] = rule.integrate(jump**2, mesh.edge_length[bdry])
     return out
 
 

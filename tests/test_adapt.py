@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rtadapt import adapt, assembly, verify
+from rtadapt import adapt, assembly, estimators, verify
 from rtadapt.adapt import AdaptError, adaptive_loop, dorfler_mark
 from rtadapt.problem import ProblemData, benchmark
 
@@ -214,6 +214,31 @@ class TestSharedDiscretization:
         assert field_calls == [mesh.num_elements]
         assert isinstance(ctx.disc, assembly.Discretization)
         assert ctx.flux.disc is ctx.disc and ctx.fields is ctx.disc.fields
+
+    def test_one_jump_pass_and_one_left_flux_gather(self, monkeypatch):
+        """An upwind iteration evaluates both jump weightings in one call
+        and gathers the first-element edge fluxes once."""
+        jump_calls, gathers = [], []
+        jumps, left_values = estimators.tangential_jump_sq, \
+            assembly._left_values
+
+        def counted_jumps(*args, **kwargs):
+            jump_calls.append(args[2])
+            return jumps(*args, **kwargs)
+
+        def counted_gather(mesh, per_elem_edge):
+            if per_elem_edge.dtype.kind == "f":      # not the int8 signs
+                gathers.append(per_elem_edge.shape)
+            return left_values(mesh, per_elem_edge)
+
+        monkeypatch.setattr(estimators, "tangential_jump_sq", counted_jumps)
+        monkeypatch.setattr(assembly, "_left_values", counted_gather)
+        domain, data, _ = benchmark("layer")
+        mesh = data.initial_mesh(domain).uniform_refine()
+        _, ctx = adapt.run_iteration(mesh, data, "upwind", True)
+        ctx.compute("theorem")
+        assert jump_calls == [("inv", "invsqrt")]
+        assert gathers == [(mesh.num_elements, 3)]
 
     def test_loop_gathers_once_per_record(self, field_calls):
         domain, data, exact = benchmark("lshape")

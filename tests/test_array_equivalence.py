@@ -10,7 +10,9 @@ compared with recursive longest-edge (Rivara) bisection up to numbering.
 The kernels are checked on adaptive meshes of about 1.5k elements, under
 the benchmark's coefficients and under full anisotropic tensors: bit for
 bit where they keep the operation order of ``einsum``, within 1e-14 of
-the largest entry where a matmul sums in another order.
+the largest entry where a matmul sums in another order.  The tangential
+jumps of both weightings, from one evaluation of u_h, are bit-equal to
+one pass per weighting.
 """
 
 import numpy as np
@@ -21,10 +23,9 @@ from oracles import (canonical, dict_topology, loop_dump, loop_estimator_csv,
                      loop_nodal_csv, loop_patch_maxima, loop_svg,
                      loop_upwind_weights, rivara_refine,
                      star_walk_singular_vertices)
-from rtadapt import adapt, assembly, cli, postprocess, quadrature as quad
-from rtadapt import solver, verify
-from rtadapt.estimators import EstimatorContext
-from rtadapt.estimators import detect_singular_vertices
+from rtadapt import adapt, assembly, cli, estimators, postprocess
+from rtadapt import quadrature as quad, solver, verify
+from rtadapt.estimators import EstimatorContext, detect_singular_vertices
 from rtadapt.mesh import (DIRICHLET, DOMAINS, INTERIOR, NEUMANN,
                           Triangulation, build_initial_mesh)
 from rtadapt.problem import (ElementCoefficients, ProblemData, benchmark,
@@ -283,11 +284,31 @@ def test_tangential_trace_is_bit_equal(solved):
     pts = postprocess._edge_points(mesh, edges, quad.EDGE_GAUSS2)
     for weighting in ("inv", "invsqrt"):
         assert np.array_equal(
-            postprocess._tangential_trace(mesh, ctx.flux, weighting,
-                                          mesh.edge_elems[:, 0], edges, pts),
+            postprocess._tangential_trace(
+                mesh, ctx.flux, weighting, mesh.edge_elems[:, 0], edges,
+                ctx.flux.u(mesh.edge_elems[:, 0], pts)),
             oracles.einsum_tangential_trace(mesh, ctx.flux, weighting,
                                             mesh.edge_elems[:, 0], edges,
                                             pts))
+
+
+def test_jumps_are_bit_equal_to_one_weighting_each(solved):
+    """The context's single pass over the edge points, u_h evaluated once
+    and weighted twice, gives the jumps of two single-weighting passes."""
+    disc, solution, ctx, _ = solved
+    passes = [(ctx, None, None)]
+    fields = disc.fields
+    # the square-root weighting of the data needs a scalar diffusion tensor
+    if not np.any(fields.C_S - fields.c_S > 1e-12 * fields.C_S):
+        passes.append((EstimatorContext(disc, solution, True),
+                       estimators._data_slope(disc, "inv"),
+                       estimators._data_slope(disc, "invsqrt")))
+    for context, slope_inv, slope_half in passes:
+        for jumps, weighting, slope in ((context.jump_inv, "inv", slope_inv),
+                                        (context.jump_half, "invsqrt",
+                                         slope_half)):
+            assert np.array_equal(jumps, oracles.single_weighting_jump_sq(
+                disc.mesh, context.flux, weighting, slope))
 
 
 def test_reconstruction_is_bit_equal(solved):

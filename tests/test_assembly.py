@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oracles import (dump_matrix, element_row, flux_through_edge,
-                     local_matrices, loop_neumann_coefficients,
-                     mixed_centered, upwind_value_coeffs, upwind_weight)
+from oracles import (dump_matrix, edge_patch, element_row,
+                     flux_through_edge, local_matrices,
+                     loop_neumann_coefficients, mixed_centered, mixed_upwind,
+                     upwind_value_coeffs, upwind_weight)
 from rtadapt import adapt, assembly, postprocess, quadrature as quad, solver
 from rtadapt.assembly import (CENTERED, Discretization, assemble_centered,
                               assemble_upwind, basis_factors, reconstruct)
@@ -125,7 +126,7 @@ class TestFluxThroughEdge:
         rng = np.random.default_rng(5)
         w = rng.normal(size=2)
         for e in range(mesh.num_edges):
-            patch = mesh.edge_patch(e)
+            patch = edge_patch(mesh, e)
             if len(patch) != 2:
                 continue
             vals = []
@@ -308,7 +309,7 @@ class TestAssembleUpwind:
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2").uniform_refine()
         sys_c = mixed_centered(mesh, data)
-        sys_u = assemble_upwind(Discretization(mesh, data))
+        sys_u = mixed_upwind(mesh, data)
         assert abs(sys_c.matrix - sys_u.matrix).max() <= 1e-14
         assert np.allclose(sys_c.rhs, sys_u.rhs, atol=1e-15)
 
@@ -318,7 +319,7 @@ class TestAssembleUpwind:
         fields = data.fields(mesh)
         wflux = assembly._edge_fluxes(mesh, fields)
         for e in range(mesh.num_edges):
-            patch = mesh.edge_patch(e)
+            patch = edge_patch(mesh, e)
             if len(patch) != 2:
                 continue
             vals = []
@@ -332,7 +333,7 @@ class TestAssembleUpwind:
         domain, data, _ = benchmark("layer", eps=0.01, a=0.05)
         mesh = data.initial_mesh(domain).uniform_refine()
         fields = data.fields(mesh)
-        system = assemble_upwind(Discretization(mesh, data))
+        system = mixed_upwind(mesh, data)
         A = system.matrix.tocsr()
         nu = system.nu
         pd_mean = assembly.dirichlet_edge_means(mesh, data)
@@ -356,7 +357,7 @@ class TestAssembleUpwind:
                 if w_ke == 0.0:
                     continue
                 c_own, c_other = upwind_value_coeffs(float(nu[e]), w_ke, True)
-                patch = mesh.edge_patch(e)
+                patch = edge_patch(mesh, e)
                 if len(patch) == 2:
                     other = patch[0] if patch[1] == t else patch[1]
                     add(row, -w_ke * c_own)
@@ -373,6 +374,63 @@ class TestAssembleUpwind:
             for col, val in expected.items():
                 assert got[col] == pytest.approx(val, rel=1e-13, abs=1e-15)
             assert system.rhs[row] == pytest.approx(rhs_expected, rel=1e-13)
+
+
+class TestHybridUpwind:
+    @pytest.mark.parametrize("case", sorted(HYBRID_CASES))
+    def test_solutions_agree(self, case):
+        mesh, data = HYBRID_CASES[case]()
+        system = assemble_upwind(Discretization(mesh, data))
+        assert system.dimension == \
+            np.count_nonzero(mesh.edge_flag == INTERIOR) + mesh.num_elements
+        hybrid = solver.solve(system, mesh.num_edges)
+        mixed = solver.solve(mixed_upwind(mesh, data), mesh.num_edges)
+        assert np.abs(hybrid.flux - mixed.flux).max() <= \
+            1e-10 * np.abs(mixed.flux).max()
+        assert np.abs(hybrid.pressure - mixed.pressure).max() <= \
+            1e-10 * np.abs(mixed.pressure).max()
+        neumann = mesh.edge_flag == NEUMANN
+        assert np.array_equal(hybrid.flux[neumann], mixed.flux[neumann])
+        assert np.array_equal(hybrid.nu, mixed.nu)
+
+    @pytest.mark.parametrize("case", ["lshape", "kellogg1"])
+    def test_pure_diffusion_is_symmetric_and_centered(self, case):
+        """With w = 0 and r = 0 the face values drop out: the hybrid matrix
+        is symmetric and the solution is the centered one."""
+        mesh, data = HYBRID_CASES[case]()
+        fields = data.fields(mesh)
+        assert not np.any(fields.w) and not np.any(fields.r)
+        system = assemble_upwind(Discretization(mesh, data))
+        assert abs(system.matrix - system.matrix.T).max() <= \
+            1e-14 * abs(system.matrix).max()
+        upwind = solver.solve(system, mesh.num_edges)
+        centered = solver.solve(assemble_centered(Discretization(mesh, data)),
+                                mesh.num_edges)
+        assert np.abs(upwind.flux - centered.flux).max() <= \
+            1e-12 * np.abs(centered.flux).max()
+        assert np.abs(upwind.pressure - centered.pressure).max() <= \
+            1e-12 * np.abs(centered.pressure).max()
+
+    def test_mixed_residual_is_oracle_residual(self):
+        """The matrix-free residual and right-hand side, face-value
+        coupling included, are those of the assembled mixed equations."""
+        mesh, data = neumann_layer()
+        hybrid = assemble_upwind(Discretization(mesh, data))
+        mixed = mixed_upwind(mesh, data)
+        x = spla.splu(hybrid.matrix.tocsc()).solve(hybrid.rhs)
+        sol, residual, rhs = hybrid.recover(x, mesh.num_edges)
+        free = np.flatnonzero(mixed.edge_dof >= 0)
+        y = np.concatenate([sol.flux[free], sol.pressure])
+        scale = np.abs(mixed.rhs).max()
+        assert np.abs(rhs - mixed.rhs).max() <= 1e-14 * scale
+        assert np.abs(residual - (mixed.matrix @ y - mixed.rhs)).max() <= \
+            1e-13 * scale
+        # a wrong multiplier or pressure shows in the mixed residual
+        for i in (0, x.size - 1):
+            wrong = x.copy()
+            wrong[i] += 1e-6
+            _, residual, _ = hybrid.recover(wrong, mesh.num_edges)
+            assert np.linalg.norm(residual) > 1e-8 * np.linalg.norm(rhs)
 
 
 class TestSolutionMapping:

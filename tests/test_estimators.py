@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (element_indicator, flux_through_edge,
-                     star_walk_singular_vertices, total_indicator,
-                     vertex_star)
+from oracles import (edge_patch, element_indicator, flux_through_edge,
+                     hat_hat_p, star_walk_singular_vertices,
+                     total_indicator, vertex_star)
 from rtadapt import adapt, assembly, quadrature as quad, solver
 from rtadapt.assembly import (Discretization, assemble_centered,
                               assemble_upwind)
@@ -245,7 +245,7 @@ class TestHatHatP:
     def test_requires_upwind_solution(self):
         mesh, data, _, sol, ctx = solved_context("kellogg1", refines=0)
         with pytest.raises(EstimatorError):
-            ctx.hat_hat_p(0)
+            hat_hat_p(ctx, 0)
 
 
 class TestEtaU:
@@ -274,7 +274,7 @@ class TestEtaU:
             e = mesh.elem_edges[t, i]
             w_ke = flux_through_edge(fields.w[t], mesh, t, i)
             wn = w_ke / mesh.edge_length[e]
-            patch = mesh.edge_patch(e)
+            patch = edge_patch(mesh, e)
             omega = sum(ctx.norm_sq[s] for s in patch)
             total += wn**2 * (hathat[e] ** 2 * mesh.edge_length[e]
                               + mesh.edge_length[e] * omega)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import canonical, rivara_refine, vertex_star
+from oracles import (barycenters, canonical, edge_patch, rivara_refine,
+                     vertex_star)
 
 from rtadapt import mesh as meshmod
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
-                          Triangulation, build_initial_mesh)
+                          Triangulation, build_initial_mesh, format_rows)
 
 
 def conformity_audit(mesh):
@@ -18,7 +19,7 @@ def conformity_audit(mesh):
     each hanging node opens a zero-area hole and lowers it by one."""
     assert mesh.num_vertices - mesh.num_edges + mesh.num_elements == 1
     for e in range(mesh.num_edges):
-        incident = mesh.edge_patch(e)
+        incident = edge_patch(mesh, e)
         if mesh.edge_flag[e] == INTERIOR:
             assert len(incident) == 2
         else:
@@ -130,7 +131,7 @@ class TestRefine:
             marked = rng.choice(m.num_elements, size=m.num_elements // 2,
                                 replace=False)
             m = m.refine(marked)
-        bary = m.barycenters()
+        bary = barycenters(m)
         coords = coarse.elem_coords
         for t in range(m.num_elements):
             anc = m.elem_ancestor[t]
@@ -197,7 +198,7 @@ def check_refinement(coarse, mesh, marked, fine):
     # each child's barycenter lies in its coarse ancestor
     v = coarse.elem_coords[fine.elem_ancestor]
     frame = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-    lam = np.linalg.solve(frame, (fine.barycenters() - v[:, 0])[..., None])
+    lam = np.linalg.solve(frame, (barycenters(fine) - v[:, 0])[..., None])
     assert lam.min() >= -1e-12
     assert lam.sum(axis=1).max() <= 1.0 + 1e-12
 
@@ -215,7 +216,7 @@ def check_refinement(coarse, mesh, marked, fine):
                 if tuple(mid) in new]
     assert len(bisected) == len(new) == fine.num_vertices - nv
     assert fine.num_elements - mesh.num_elements \
-        == sum(len(mesh.edge_patch(e)) for e in bisected)
+        == sum(len(edge_patch(mesh, e)) for e in bisected)
     assert fine.generation == mesh.generation + 1
 
 
@@ -271,7 +272,7 @@ class TestAdjacency:
     def test_edge_patch(self):
         m = build_initial_mesh("square2x2")
         for e in range(m.num_edges):
-            patch = m.edge_patch(e)
+            patch = edge_patch(m, e)
             expected = 1 if m.edge_flag[e] != INTERIOR else 2
             assert len(patch) == expected
             for t in patch:
@@ -280,7 +281,7 @@ class TestAdjacency:
     def test_edge_patch_invalid(self):
         m = build_initial_mesh("lshape")
         with pytest.raises(MeshError):
-            m.edge_patch(10_000)
+            edge_patch(m, 10_000)
 
     def test_edge_shared_by_three_elements(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
@@ -319,6 +320,18 @@ class TestIO:
         assert np.array_equal(again.elem_verts, m.elem_verts)
         assert np.array_equal(again.edge_flag, m.edge_flag)
         assert np.array_equal(again.elem_ancestor, m.elem_ancestor)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 5, 10, 4096])
+    def test_format_rows_is_chunk_independent(self, chunk):
+        """Chunks that divide the rows, leave a remainder or exceed them
+        give the lines of one pass over all rows."""
+        rng = np.random.default_rng(4)
+        ids, values = np.arange(10), rng.normal(size=10)
+        flags = rng.integers(0, 3, size=10).astype(np.int8)
+        want = "\n".join("%d %r %d" % row for row in zip(
+            range(10), values.tolist(), flags.tolist()))
+        assert format_rows("%d %r %d", ids, values, flags,
+                           chunk=chunk) == want
 
     def test_dump_header(self):
         m = build_initial_mesh("lshape")

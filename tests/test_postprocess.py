@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import (edge_mean_mismatch, element_quadratic,
+from oracles import (barycenters, edge_mean_mismatch, element_quadratic,
                      tangential_jump_sq_scaled)
 from rtadapt import assembly, postprocess, quadrature as quad, solver
 from rtadapt.assembly import (Discretization, MixedSolution,
@@ -51,7 +51,7 @@ class TestBuildPtilde:
                 [np.ones_like(x), np.zeros_like(y)], axis=-1)),
             np.zeros(mesh.num_elements), "centered")
         coeffs = build_ptilde(mesh, data.fields(mesh), sol)
-        bary = mesh.barycenters()
+        bary = barycenters(mesh)
         for t in range(mesh.num_elements):
             q = element_quadratic(coeffs, t)
             assert q.coeffs[1] == pytest.approx(-1.0, abs=1e-13)

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from oracles import mixed_centered
-from rtadapt import assembly, solver
-from rtadapt.assembly import (Discretization, SaddleSystem,
-                              assemble_centered)
+from oracles import SaddleSystem, mixed_centered
+from rtadapt import adapt, assembly, solver
+from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
+                              assemble_centered, assemble_upwind)
 from rtadapt.problem import benchmark
 from rtadapt.solver import SingularSystemError, SolverError, solve
 
@@ -76,6 +77,79 @@ def test_determinism():
             for _ in range(2)]
     assert np.array_equal(sols[0].flux, sols[1].flux)
     assert np.array_equal(sols[0].pressure, sols[1].pressure)
+
+
+def uniform(case, **kw):
+    domain, data, _ = benchmark(case, **kw)
+    mesh = data.initial_mesh(domain)
+    while mesh.num_elements < 1500:
+        mesh = mesh.uniform_refine()
+    return mesh, data
+
+
+def adaptive(case, scheme, **kw):
+    domain, data, _ = benchmark(case, **kw)
+    policy = "xi" if case.startswith("kellogg") else "theorem"
+    run = adapt.adaptive_loop(data, data.initial_mesh(domain), scheme=scheme,
+                              policy=policy, theta=0.5, max_dof=1500)
+    return run.mesh, data
+
+
+LAYER = {"eps": 1e-3, "a": 0.05}
+FILL_CASES = {
+    "lshape-uniform-centered": (lambda: uniform("lshape"), CENTERED),
+    "kellogg1-adaptive-centered":
+        (lambda: adaptive("kellogg1", CENTERED), CENTERED),
+    "layer-uniform-upwind": (lambda: uniform("layer", **LAYER), UPWIND),
+    "layer-adaptive-upwind":
+        (lambda: adaptive("layer", UPWIND, **LAYER), UPWIND),
+    # w = 0 and r = 0: the mixed upwind system has a zero pressure diagonal
+    "lshape-uniform-upwind": (lambda: uniform("lshape"), UPWIND),
+    "kellogg1-adaptive-upwind":
+        (lambda: adaptive("kellogg1", UPWIND), UPWIND),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILL_CASES))
+def test_fill_at_most_colamd(case, monkeypatch):
+    """The RCM-preordered symmetric-mode factorization of ``solve`` stores
+    no more L+U entries than SuperLU's default COLAMD one."""
+    build, scheme = FILL_CASES[case]
+    mesh, data = build()
+    assemble = assemble_centered if scheme == CENTERED else assemble_upwind
+    system = assemble(Discretization(mesh, data))
+    factors = []
+    splu = spla.splu
+
+    def recorded(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", recorded)
+    solve(system, mesh.num_edges)
+    assert len(factors) == 1
+    assert factors[0].nnz <= splu(system.matrix.tocsc()).nnz
+
+
+def test_singular_row_named_in_system_numbering():
+    """The row is named as in ``system.matrix``, not in the RCM order."""
+    mesh, data = uniform("layer", **LAYER)
+    system = assemble_upwind(Discretization(mesh, data))
+    _, order = solver.rcm_permuted(system.matrix)
+    row = 3
+    assert np.flatnonzero(order == row)[0] != row
+    bad = system.matrix.tolil()
+    bad[row, :] = 0.0
+    with pytest.raises(SingularSystemError, match=f"zero pivot row {row}:"):
+        solve(forged(system, matrix=bad.tocsc()), mesh.num_edges)
+
+
+def test_rcm_permuted_is_a_symmetric_permutation():
+    mesh, data = uniform("layer", **LAYER)
+    matrix = assemble_upwind(Discretization(mesh, data)).matrix
+    permuted, order = solver.rcm_permuted(matrix)
+    assert np.array_equal(np.sort(order), np.arange(matrix.shape[0]))
+    assert abs(permuted - matrix[order][:, order]).max() == 0.0
 
 
 def test_dimension_guard():
