@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
-import numpy as np
-
 from . import adapt, mesh as meshmod, postprocess, problem, verify
 
 
@@ -203,8 +201,9 @@ def run(config: RunConfig) -> int:
     if config.benchmark == "layer":
         nodal = postprocess.nodal_average(result.mesh,
                                           result.solution.pressure)
-        rows = meshmod.format_rows("%d,%.17g", np.arange(nodal.size), nodal)
-        (outdir / "ptilde_nodal.csv").write_text(f"vertex,value\n{rows}\n")
+        rows = ["vertex,value"]
+        rows += ["%d,%.17g" % row for row in enumerate(nodal.tolist())]
+        (outdir / "ptilde_nodal.csv").write_text("\n".join(rows) + "\n")
     return 0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .assembly import Discretization, MixedSolution, UPWIND, dot
-from .mesh import DIRICHLET, INTERIOR, Triangulation, format_rows
+from .mesh import DIRICHLET, INTERIOR, Triangulation
 from .postprocess import FluxField, tangential_jump_sq
 from .problem import patch_quantities
 
@@ -57,11 +57,13 @@ class EstimatorBreakdown:
         }
 
     def to_csv(self) -> str:
+        lines = ["element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total"]
         columns = (self.eta_D, self.eta_R, self.eta_NC, self.eta_C,
                    self.eta_U, self.xi, self.total)
-        rows = format_rows("%d" + ",%.17g" * len(columns),
-                           np.arange(self.total.size), *columns)
-        return f"element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total\n{rows}\n"
+        fmt = "%d" + ",%.17g" * len(columns)
+        lines += [fmt % row for row in zip(range(self.total.size),
+                                           *(c.tolist() for c in columns))]
+        return "\n".join(lines) + "\n"
 
 
 def residual_weights(mesh: Triangulation, fields) -> ResidualWeights:
@@ -137,7 +139,7 @@ class EstimatorContext:
             slopes = (_data_slope(disc, "inv"), _data_slope(disc, "invsqrt"))
         # one evaluation of u_h at the edge points, weighted twice
         self.jump_inv, self.jump_half = tangential_jump_sq(
-            mesh, self.flux, ("inv", "invsqrt"), boundary_slope=slopes)
+            mesh, self.flux, ("inv", "invsqrt"), boundary_slopes=slopes)
 
         self.norm_sq = self._weighted_norm_sq()
         self._singular_elems = None

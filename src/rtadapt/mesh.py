@@ -291,16 +291,16 @@ class Triangulation:
 
     def dump(self) -> str:
         """Plain-text dump: header `NV NE NT`, then vertex/edge/element lines."""
-        return "\n".join([
-            f"{self.num_vertices} {self.num_edges} {self.num_elements}",
-            format_rows("%d %r %r", np.arange(self.num_vertices),
-                        *self.vert_coords.T),
-            format_rows("%d %d %d %d", np.arange(self.num_edges),
-                        *self.edge_verts.T, self.edge_flag),
-            format_rows("%d %d %d %d %d %d %d %d",
-                        np.arange(self.num_elements), *self.elem_verts.T,
-                        *self.elem_edges.T, self.elem_ancestor),
-        ]) + "\n"
+        lines = [f"{self.num_vertices} {self.num_edges} {self.num_elements}"]
+        lines += ["%d %r %r" % row for row in zip(
+            range(self.num_vertices), *self.vert_coords.T.tolist())]
+        lines += ["%d %d %d %d" % row for row in zip(
+            range(self.num_edges), *self.edge_verts.T.tolist(),
+            self.edge_flag.tolist())]
+        lines += ["%d %d %d %d %d %d %d %d" % row for row in zip(
+            range(self.num_elements), *self.elem_verts.T.tolist(),
+            *self.elem_edges.T.tolist(), self.elem_ancestor.tolist())]
+        return "\n".join(lines) + "\n"
 
     @staticmethod
     def parse(text: str) -> "Triangulation":
@@ -344,29 +344,22 @@ class Triangulation:
             ts = (values - vmin) / rng
             tri = self.elem_verts
             points = np.stack([sx[tri], sy[tri]], axis=2).reshape(-1, 6)
-            out.append(format_rows(
+            out += [
                 '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" '
-                'fill="rgb(%d,64,%d)" fill-opacity="0.6" stroke="none"/>',
-                *points.T, (255 * ts).astype(np.int64),
-                (255 * (1 - ts)).astype(np.int64)))
+                'fill="rgb(%d,64,%d)" fill-opacity="0.6" stroke="none"/>' % row
+                for row in zip(*points.T.tolist(),
+                               (255 * ts).astype(np.int64).tolist(),
+                               (255 * (1 - ts)).astype(np.int64).tolist())
+            ]
         a, b = self.edge_verts.T
-        out.append(format_rows(
+        out += [
             '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-            'stroke="black" stroke-width="0.4"/>', sx[a], sy[a], sx[b], sy[b]))
+            'stroke="black" stroke-width="0.4"/>' % row
+            for row in zip(sx[a].tolist(), sy[a].tolist(),
+                           sx[b].tolist(), sy[b].tolist())
+        ]
         out.append("</svg>")
         return "\n".join(out)
-
-
-def format_rows(fmt: str, *columns: np.ndarray, chunk: int = 4096) -> str:
-    """``fmt % row`` for the rows of the equal-length ``columns``, one line
-    each.  The rows are converted and formatted a chunk at a time, so that
-    the Python numbers and line strings of only one chunk are alive at
-    once: the artifact writers run at the end of a study, on its largest
-    mesh."""
-    return "\n".join(
-        "\n".join([fmt % row for row in zip(*(c[i:i + chunk].tolist()
-                                              for c in columns))])
-        for i in range(0, len(columns[0]), chunk))
 
 
 # ----------------------------------------------------------------------

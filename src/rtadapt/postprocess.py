@@ -84,32 +84,27 @@ def ptilde_gradient(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
-                       weighting="inv", boundary_slope=None,
-                       rule: quad.EdgeRule = quad.EDGE_GAUSS2):
-    """Edge integrals of the squared tangential jump of the weighted flux.
+                       weightings: tuple[str, ...], boundary_slopes=None,
+                       rule: quad.EdgeRule = quad.EDGE_GAUSS2
+                       ) -> tuple[np.ndarray, ...]:
+    """Edge integrals of the squared tangential jump of the weighted flux,
+    one array of shape (NE,) per weighting ("inv" for S^-1 u_h, "invsqrt"
+    for S^-1/2 u_h).  u_h is evaluated once at the edge points and
+    weighted once per weighting.
 
-    Interior edges take the difference of the two one-sided traces of
-    S^-1 u_h (or S^-1/2 u_h); boundary edges take the one-sided trace.
-    These integrands are quadratic along each edge, so the two-point
-    ``rule`` is exact for them.  ``boundary_slope(edge_ids, pts)``
-    optionally supplies the expected tangential trace on boundary edges
-    (from boundary data), which is subtracted before squaring.  That
-    trace is as smooth as the data but not polynomial, so boundary edges
-    are then integrated with ``quad.DATA_EDGE`` instead (20-point Gauss;
-    on the benchmark meshes it agrees with a 40-point rule to about 1e-11
-    relative, 4e-8 on the coarsest internal-layer mesh).
-
-    Returns an array of shape (NE,).  With a tuple of weightings, and
-    ``boundary_slope`` None or a tuple of as many slopes, u_h is evaluated
-    once at the edge points and a tuple of such arrays is returned, each
-    the one of its weighting alone; boundary edges then switch to
-    ``quad.DATA_EDGE`` when any slope is given.
+    Interior edges take the difference of the two one-sided traces;
+    boundary edges take the one-sided trace.  These integrands are
+    quadratic along each edge, so the two-point ``rule`` is exact for
+    them.  ``boundary_slopes``, one ``slope(edge_ids, pts)`` per
+    weighting, optionally supply the expected tangential trace on
+    boundary edges (from boundary data), which is subtracted before
+    squaring.  That trace is as smooth as the data but not polynomial, so
+    boundary edges are then integrated with ``quad.DATA_EDGE`` instead
+    (20-point Gauss; on the benchmark meshes it agrees with a 40-point
+    rule to about 1e-11 relative, 4e-8 on the coarsest internal-layer
+    mesh).
     """
-    single = isinstance(weighting, str)
-    weightings = (weighting,) if single else tuple(weighting)
-    slopes = ((boundary_slope,) if single else boundary_slope) \
-        or (None,) * len(weightings)
-    out = [np.empty(mesh.num_edges) for _ in weightings]
+    out = tuple(np.empty(mesh.num_edges) for _ in weightings)
     left = mesh.edge_elems[:, 0]
     right = mesh.edge_elems[:, 1]
 
@@ -123,16 +118,16 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
         jumps[inner] = rule.integrate(jump**2, mesh.edge_length[inner])
 
     bdry = np.flatnonzero(right < 0)
-    if any(slope is not None for slope in slopes):
+    if boundary_slopes is not None:
         rule = quad.DATA_EDGE
     pts = _edge_points(mesh, bdry, rule)
     u_left = flux.u(left[bdry], pts)
-    for jumps, w, slope in zip(out, weightings, slopes):
+    for k, (jumps, w) in enumerate(zip(out, weightings)):
         jump = _tangential_trace(mesh, flux, w, left[bdry], bdry, u_left)
-        if slope is not None:
-            jump = jump - slope(bdry, pts)
+        if boundary_slopes is not None:
+            jump = jump - boundary_slopes[k](bdry, pts)
         jumps[bdry] = rule.integrate(jump**2, mesh.edge_length[bdry])
-    return out[0] if single else tuple(out)
+    return out
 
 
 def _edge_points(mesh: Triangulation, edges: np.ndarray,

@@ -22,6 +22,7 @@ equations.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 
 import numpy as np
@@ -41,6 +42,15 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.01
 OPTIONS = {"SymmetricMode": True}
 
+# glibc keeps freed heap pages resident: its trim threshold follows the
+# largest block freed so far, up to 64 MiB, so SuperLU's workspace and
+# the arrays of earlier iterations would otherwise stay in the process's
+# memory under every later factorization and the artifact writers.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):    # not glibc
+    _malloc_trim = None
+
 
 def _diagnose_singularity(system: HybridSystem) -> str:
     absmat = abs(system.matrix)
@@ -55,19 +65,13 @@ def rcm_permuted(matrix: sp.spmatrix) -> tuple[sp.csc_matrix, np.ndarray]:
     """The matrix with rows and columns in reverse Cuthill-McKee order on
     the pattern of A + A^T, and that order: ``permuted[i, j] =
     matrix[order[i], order[j]]``."""
-    coo = sp.coo_matrix(matrix)
-    ones = np.ones(coo.nnz, dtype=np.int8)
-    pattern = sp.csr_matrix((np.concatenate([ones, ones]),
-                             (np.concatenate([coo.row, coo.col]),
-                              np.concatenate([coo.col, coo.row]))),
-                            shape=coo.shape)
-    order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size, dtype=order.dtype)
-    permuted = sp.csc_matrix((coo.data, (position[coo.row],
-                                         position[coo.col])),
-                             shape=coo.shape)
-    return permuted, order
+    matrix = matrix.tocsc()
+    structure = sp.csc_matrix((np.ones(matrix.nnz, dtype=np.int8),
+                               matrix.indices, matrix.indptr),
+                              shape=matrix.shape)
+    order = reverse_cuthill_mckee(structure + structure.T,
+                                  symmetric_mode=True)
+    return matrix[order][:, order].tocsc(), order
 
 
 def solve(system: HybridSystem, num_edges: int) -> MixedSolution:
@@ -94,6 +98,8 @@ def solve(system: HybridSystem, num_edges: int) -> MixedSolution:
             raise SingularSystemError(
                 f"{_diagnose_singularity(system)}: {exc}"
             ) from exc
+    if _malloc_trim is not None:
+        _malloc_trim(0)       # hand the freed LU workspace back to the OS
     x = np.empty_like(y)
     x[order] = y
     if not np.all(np.isfinite(x)):

@@ -870,8 +870,9 @@ def element_quadratic(coeffs, t):
 def tangential_jump_sq_scaled(mesh, flux, boundary_slope=None,
                               rule=quad.EDGE_GAUSS2):
     """Square-root-weighted variant: jumps of S^-1/2 u_h."""
-    return tangential_jump_sq(mesh, flux, "invsqrt",
-                              boundary_slope=boundary_slope, rule=rule)
+    slopes = None if boundary_slope is None else (boundary_slope,)
+    return tangential_jump_sq(mesh, flux, ("invsqrt",),
+                              boundary_slopes=slopes, rule=rule)[0]
 
 
 def edge_mean_mismatch(mesh, coeffs, rule=quad.EDGE_GAUSS2):

@@ -410,8 +410,9 @@ def test_criterion_9_oracle_equivalence():
             worst = max(worst, float(dev))
 
         # tangential jump integrals against the dense edge rule
-        got_j = tangential_jump_sq(mesh, ctx.flux)
-        oracle_j = tangential_jump_sq(mesh, ctx.flux, rule=quad.ORACLE_EDGE)
+        got_j = tangential_jump_sq(mesh, ctx.flux, ("inv",))[0]
+        oracle_j = tangential_jump_sq(mesh, ctx.flux, ("inv",),
+                                      rule=quad.ORACLE_EDGE)[0]
         dev = np.abs(got_j - oracle_j).max() / (1 + oracle_j.max())
         worst = max(worst, float(dev))
 

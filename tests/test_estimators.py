@@ -159,7 +159,7 @@ class TestEtaNC:
         ctx.flux.b = np.array([0.0, 0.0])
         ctx.jump_inv = __import__(
             "rtadapt.postprocess", fromlist=["tangential_jump_sq"]
-        ).tangential_jump_sq(mesh, ctx.flux)
+        ).tangential_jump_sq(mesh, ctx.flux, ("inv",))[0]
         diag = int(np.flatnonzero(mesh.edge_flag == 0)[0])
         tvec = mesh.edge_tangent[diag]
         jump_val = np.array([1.0, 1.0]) @ tvec

@@ -9,7 +9,7 @@ from oracles import (barycenters, canonical, edge_patch, rivara_refine,
 
 from rtadapt import mesh as meshmod
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
-                          Triangulation, build_initial_mesh, format_rows)
+                          Triangulation, build_initial_mesh)
 
 
 def conformity_audit(mesh):
@@ -320,18 +320,6 @@ class TestIO:
         assert np.array_equal(again.elem_verts, m.elem_verts)
         assert np.array_equal(again.edge_flag, m.edge_flag)
         assert np.array_equal(again.elem_ancestor, m.elem_ancestor)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 5, 10, 4096])
-    def test_format_rows_is_chunk_independent(self, chunk):
-        """Chunks that divide the rows, leave a remainder or exceed them
-        give the lines of one pass over all rows."""
-        rng = np.random.default_rng(4)
-        ids, values = np.arange(10), rng.normal(size=10)
-        flags = rng.integers(0, 3, size=10).astype(np.int8)
-        want = "\n".join("%d %r %d" % row for row in zip(
-            range(10), values.tolist(), flags.tolist()))
-        assert format_rows("%d %r %d", ids, values, flags,
-                           chunk=chunk) == want
 
     def test_dump_header(self):
         m = build_initial_mesh("lshape")

@@ -103,7 +103,7 @@ class TestTangentialJumps:
                 g, x.shape + (2,))),
             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
-        jumps = tangential_jump_sq(mesh, flux)
+        jumps = tangential_jump_sq(mesh, flux, ("inv",))[0]
         interior = mesh.edge_flag == 0
         assert np.abs(jumps[interior]).max() <= 1e-26
         # one-sided boundary traces equal |gamma_t(g)|^2 * length
@@ -123,8 +123,9 @@ class TestTangentialJumps:
                                 rng.normal(size=mesh.num_elements),
                                 "centered")
             flux = FluxField(Discretization(mesh, data), sol)
-            got = tangential_jump_sq(mesh, flux)
-            oracle = tangential_jump_sq(mesh, flux, rule=quad.ORACLE_EDGE)
+            got = tangential_jump_sq(mesh, flux, ("inv",))[0]
+            oracle = tangential_jump_sq(mesh, flux, ("inv",),
+                                        rule=quad.ORACLE_EDGE)[0]
             assert np.abs(got - oracle).max() <= 1e-12 * (1 + oracle.max())
 
     def test_boundary_data_rule(self):
@@ -140,7 +141,8 @@ class TestTangentialJumps:
         def slope(edges, pts):
             return np.sin(4.0 * pts[..., 0]) * np.exp(pts[..., 1])
 
-        got = tangential_jump_sq(mesh, flux, boundary_slope=slope)
+        got = tangential_jump_sq(mesh, flux, ("inv",),
+                                 boundary_slopes=(slope,))[0]
         bdry = np.flatnonzero(mesh.edge_elems[:, 1] < 0)
         for rule, rel in ((quad.gauss_edge_rule(40), 1e-12),
                           (quad.EDGE_GAUSS2, 1e-4)):
@@ -157,8 +159,8 @@ class TestTangentialJumps:
             # the dense rule agrees; the old two-point rule does not
             assert close == (rule.npoints == 40)
         interior = mesh.edge_elems[:, 1] >= 0
-        assert np.array_equal(got[interior],
-                              tangential_jump_sq(mesh, flux)[interior])
+        plain = tangential_jump_sq(mesh, flux, ("inv",))[0]
+        assert np.array_equal(got[interior], plain[interior])
 
     def test_scaled_weighting_factor(self):
         # S = 4I on both sides: S^-1 scales traces by 1/16 in the square,
@@ -169,8 +171,8 @@ class TestTangentialJumps:
         sol = MixedSolution(rng.normal(size=mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data4), sol)
-        j_inv = tangential_jump_sq(mesh, flux, "inv")
-        j_half = tangential_jump_sq(mesh, flux, "invsqrt")
+        j_inv = tangential_jump_sq(mesh, flux, ("inv",))[0]
+        j_half = tangential_jump_sq(mesh, flux, ("invsqrt",))[0]
         assert np.allclose(j_half, 4.0 * j_inv, rtol=1e-12)
 
     def test_identity_weighting_coincides(self):
@@ -180,12 +182,12 @@ class TestTangentialJumps:
         sol = MixedSolution(rng.normal(size=mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
-        assert np.allclose(tangential_jump_sq(mesh, flux, "inv"),
-                           tangential_jump_sq(mesh, flux, "invsqrt"),
+        assert np.allclose(tangential_jump_sq(mesh, flux, ("inv",))[0],
+                           tangential_jump_sq(mesh, flux, ("invsqrt",))[0],
                            rtol=1e-14)
         assert np.array_equal(
             tangential_jump_sq_scaled(mesh, flux),
-            tangential_jump_sq(mesh, flux, "invsqrt"))
+            tangential_jump_sq(mesh, flux, ("invsqrt",))[0])
 
     def test_zero_field(self):
         mesh = build_initial_mesh("lshape")
@@ -193,7 +195,7 @@ class TestTangentialJumps:
         sol = MixedSolution(np.zeros(mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
-        assert np.all(tangential_jump_sq(mesh, flux) == 0.0)
+        assert np.all(tangential_jump_sq(mesh, flux, ("inv",))[0] == 0.0)
 
     def test_hand_computed_two_element_patch(self):
         # square split along the diagonal; prescribe raw affine fields
@@ -214,7 +216,7 @@ class TestTangentialJumps:
                 if mesh.edge_flag[e] == 0][0]
         t = mesh.edge_tangent[diag]
         expected = (np.array([1.0, 0.0]) @ t) ** 2 * mesh.edge_length[diag]
-        got = tangential_jump_sq(mesh, flux)[diag]
+        got = tangential_jump_sq(mesh, flux, ("inv",))[0][diag]
         assert got == pytest.approx(expected, rel=1e-14)
 
 

@@ -152,6 +152,23 @@ def test_rcm_permuted_is_a_symmetric_permutation():
     assert abs(permuted - matrix[order][:, order]).max() == 0.0
 
 
+def test_heap_released_after_factorization(monkeypatch):
+    """Freed heap pages go back to the OS once per solve, after the
+    factorization."""
+    events = []
+    splu = spla.splu
+
+    def recorded(*args, **kwargs):
+        events.append("splu")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", recorded)
+    monkeypatch.setattr(solver, "_malloc_trim", events.append)
+    mesh, data = uniform("layer", **LAYER)
+    solve(assemble_upwind(Discretization(mesh, data)), mesh.num_edges)
+    assert events == ["splu", 0]
+
+
 def test_dimension_guard():
     huge = sp.eye(solver.MAX_DIMENSION + 1, format="csr")
     system = SaddleSystem(
