@@ -196,8 +196,11 @@ def apply_tensor(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def _apply(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector products, (NT, m, n) by (NT, n)."""
-    return (blocks @ vectors[..., None])[..., 0]
+    """Batched products (NT, m, n) by (NT, n), summed column by column."""
+    out = blocks[..., 0] * vectors[:, None, 0]
+    for j in range(1, blocks.shape[-1]):
+        out += blocks[..., j] * vectors[:, None, j]
+    return out
 
 
 def _local_rhs(load, blocks, fixed, trace):
@@ -219,6 +222,25 @@ def _eliminate_neumann(mesh: Triangulation, blocks: np.ndarray) -> np.ndarray:
     return eliminated
 
 
+def _singular_at(bad: np.ndarray) -> None:
+    """Raise SingularSystemError naming the first of the elements ``bad``."""
+    if bad.size:
+        raise SingularSystemError(
+            f"singular or non-finite local block of element {int(bad[0])}")
+
+
+def _inverse3(blocks: np.ndarray) -> np.ndarray:
+    """Cofactor inverses of the (NT, 3, 3) blocks, stored entry by entry.
+    Raises SingularSystemError at a zero or non-finite determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(blocks, 0, -1)
+    adjugate = np.array([[e * i - f * h, c * h - b * i, b * f - c * e],
+                         [f * g - d * i, a * i - c * g, c * d - a * f],
+                         [d * h - e * g, b * g - a * h, a * e - b * d]])
+    det = a * adjugate[0, 0] + b * adjugate[1, 0] + c * adjugate[2, 0]
+    _singular_at(np.flatnonzero(~np.isfinite(det) | (det == 0.0)))
+    return np.moveaxis(adjugate / det, -1, 0)
+
+
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
     """Batched inverse of the blocks [[M, b], [c, d]] through the Schur
     complement s = d - c M^-1 b of the pressure entry.
@@ -228,20 +250,15 @@ def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
     the first element whose block is not finite or whose s vanishes to
     working precision against its terms d and c M^-1 b.
     """
-    bad = np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2)))
-    if not bad.size:
-        M, b, c, d = (blocks[:, :3, :3], blocks[:, :3, 3], blocks[:, 3, :3],
-                      blocks[:, 3, 3])
-        Minv = np.linalg.inv(M)
-        Minv_b = _apply(Minv, b)
-        c_Minv = _apply(np.swapaxes(Minv, 1, 2), c)
-        c_Minv_b = (c * Minv_b).sum(axis=1)
-        s = d - c_Minv_b
-        bad = np.flatnonzero(~(np.abs(s) > SINGULAR_TOL
-                               * (np.abs(d) + np.abs(c_Minv_b))))
-    if bad.size:
-        raise SingularSystemError(
-            f"singular or non-finite local block of element {int(bad[0])}")
+    _singular_at(np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2))))
+    b, c, d = blocks[:, :3, 3], blocks[:, 3, :3], blocks[:, 3, 3]
+    Minv = _inverse3(blocks[:, :3, :3])
+    Minv_b = _apply(Minv, b)
+    c_Minv = _apply(np.swapaxes(Minv, 1, 2), c)
+    c_Minv_b = (c * Minv_b).sum(axis=1)
+    s = d - c_Minv_b
+    _singular_at(np.flatnonzero(~(np.abs(s) > SINGULAR_TOL
+                                  * (np.abs(d) + np.abs(c_Minv_b)))))
     inverse = np.empty_like(blocks)
     inverse[:, :3, :3] = Minv + Minv_b[:, :, None] * c_Minv[:, None, :] \
         / s[:, None, None]
@@ -272,13 +289,14 @@ def reconstruct(mesh: Triangulation, solution: MixedSolution
     return a, b
 
 
-def _local_blocks(disc: Discretization):
+def _local_blocks(disc: Discretization, couplings: bool = True):
     """Local matrices of the mixed bilinear forms, for every element, by
     the midpoint rule (exact for their quadratic integrands).
 
     M : (NT, 3, 3) weighted velocity mass matrices, int_K (S^-1 phi_i) . phi_j
     B : (NT, 3) divergence integrals, signed edge lengths
-    conv : (NT, 3) convection couplings, int_K (S^-1 phi_i) . w
+    conv : (NT, 3) convection couplings, int_K (S^-1 phi_i) . w, or None
+        without ``couplings`` (the upwind scheme drops conv and react)
     react : (NT,) (r + div w) |K|
     """
     mesh, fields = disc.mesh, disc.fields
@@ -289,13 +307,13 @@ def _local_blocks(disc: Discretization):
     # x_q - P_i per element, local vertex i and node q: (NT, 3, nq, 2)
     D = disc.midpoints[:, None] - mesh.elem_coords[:, :, None]
     AD = apply_tensor(fields.Sinv[:, None], D)
-    conv0 = dot(AD, fields.w[:, None, None]) @ weights
+    conv0 = dot(AD, fields.w[:, None, None]) @ weights if couplings else None
     # sum over nodes and components as one (3, 2 nq) by (2 nq, 3) product
     AD *= weights[:, None]
     M0 = AD.reshape(len(D), 3, -1) @ D.reshape(len(D), 3, -1).swapaxes(1, 2)
     M = M0 * mesh.elem_area[:, None, None] * C[:, :, None] * C[:, None, :]
     B = mesh.elem_signs * mesh.edge_length[mesh.elem_edges]
-    conv = conv0 * mesh.elem_area[:, None] * C
+    conv = conv0 * mesh.elem_area[:, None] * C if couplings else None
     react = (fields.r + fields.divw) * mesh.elem_area
     return M, B, conv, react
 
@@ -441,7 +459,7 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     """Upwind-weighted mixed scheme with face-value convection, hybridized
     onto the interior edges and the element pressures."""
     mesh = disc.mesh
-    M, B, _, _ = _local_blocks(disc)
+    M, B, _, _ = _local_blocks(disc, couplings=False)
     E = mesh.elem_edges
     nt = mesh.num_elements
     nu = upwind_weights(disc)
@@ -466,7 +484,7 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
 
     # u = inverse @ (local rhs - B lambda + B p) on each element: v and q
     # are the responses to p and to the local rhs, -H the response to lambda
-    inverse = np.linalg.inv(_eliminate_neumann(mesh, blocks[:, :3, :3]))
+    inverse = _inverse3(_eliminate_neumann(mesh, blocks[:, :3, :3]))
     b = np.where(flag == NEUMANN, 0.0, B)
     c = blocks[:, 3, :3]
     v = _apply(inverse, b)

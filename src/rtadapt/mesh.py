@@ -294,12 +294,9 @@ class Triangulation:
         lines = [f"{self.num_vertices} {self.num_edges} {self.num_elements}"]
         lines += ["%d %r %r" % row for row in zip(
             range(self.num_vertices), *self.vert_coords.T.tolist())]
-        lines += ["%d %d %d %d" % row for row in zip(
-            range(self.num_edges), *self.edge_verts.T.tolist(),
-            self.edge_flag.tolist())]
-        lines += ["%d %d %d %d %d %d %d %d" % row for row in zip(
-            range(self.num_elements), *self.elem_verts.T.tolist(),
-            *self.elem_edges.T.tolist(), self.elem_ancestor.tolist())]
+        lines.append(_index_rows(self.edge_verts, self.edge_flag))
+        lines.append(_index_rows(self.elem_verts, self.elem_edges,
+                                 self.elem_ancestor))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -331,6 +328,9 @@ class Triangulation:
         scale = size / (span + 2 * pad)
         sx = (xy[:, 0] - lo[0] + pad) * scale
         sy = size - (xy[:, 1] - lo[1] + pad) * scale
+        # every coordinate written is a vertex's: format each one once
+        fx = ["%.2f" % v for v in sx.tolist()]
+        fy = ["%.2f" % v for v in sy.tolist()]
 
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
@@ -342,24 +342,29 @@ class Triangulation:
             vmin = values.min() if values.size else 0.0
             rng = vmax - vmin if vmax > vmin else 1.0
             ts = (values - vmin) / rng
-            tri = self.elem_verts
-            points = np.stack([sx[tri], sy[tri]], axis=2).reshape(-1, 6)
             out += [
-                '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" '
-                'fill="rgb(%d,64,%d)" fill-opacity="0.6" stroke="none"/>' % row
-                for row in zip(*points.T.tolist(),
-                               (255 * ts).astype(np.int64).tolist(),
-                               (255 * (1 - ts)).astype(np.int64).tolist())
+                f'<polygon points="{fx[a]},{fy[a]} {fx[b]},{fy[b]} '
+                f'{fx[c]},{fy[c]}" fill="rgb({red},64,{blue})" '
+                'fill-opacity="0.6" stroke="none"/>'
+                for a, b, c, red, blue in zip(
+                    *self.elem_verts.T.tolist(),
+                    (255 * ts).astype(np.int64).tolist(),
+                    (255 * (1 - ts)).astype(np.int64).tolist())
             ]
-        a, b = self.edge_verts.T
         out += [
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
-            'stroke="black" stroke-width="0.4"/>' % row
-            for row in zip(sx[a].tolist(), sy[a].tolist(),
-                           sx[b].tolist(), sy[b].tolist())
+            f'<line x1="{fx[a]}" y1="{fy[a]}" x2="{fx[b]}" y2="{fy[b]}" '
+            'stroke="black" stroke-width="0.4"/>'
+            for a, b in self.edge_verts.tolist()
         ]
         out.append("</svg>")
         return "\n".join(out)
+
+
+def _index_rows(*columns: np.ndarray) -> str:
+    """Integer rows, each led by its index, formatted in one ``%`` pass."""
+    rows = np.column_stack([np.arange(len(columns[0])), *columns])
+    line = " ".join(["%d"] * rows.shape[1])
+    return "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 # ----------------------------------------------------------------------

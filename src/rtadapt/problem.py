@@ -348,24 +348,27 @@ def _kellogg_exact(case: int) -> ExactSolution:
             out = r**alpha * phi
         return np.where(r == 0.0, 0.0, out)
 
-    def grad_p(x, y):
+    def gradient(x, y):
+        """grad p and the quadrant index, from one polar evaluation."""
         r, theta, quad = polar(x, y)
-        safe = np.where(r == 0.0, 1.0, r)
-        phi = a_vals[quad] * np.sin(alpha * theta) \
-            + b_vals[quad] * np.cos(alpha * theta)
-        dphi = alpha * (a_vals[quad] * np.cos(alpha * theta)
-                        - b_vals[quad] * np.sin(alpha * theta))
-        radial = alpha * safe ** (alpha - 1.0) * phi
-        angular = safe ** (alpha - 1.0) * dphi
-        gx = radial * np.cos(theta) - angular * np.sin(theta)
-        gy = radial * np.sin(theta) + angular * np.cos(theta)
+        a, b = a_vals[quad], b_vals[quad]
+        sin_a, cos_a = np.sin(alpha * theta), np.cos(alpha * theta)
+        power = np.where(r == 0.0, 1.0, r) ** (alpha - 1.0)
+        radial = alpha * power * (a * sin_a + b * cos_a)
+        angular = power * (alpha * (a * cos_a - b * sin_a))
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
+        gx = radial * cos_t - angular * sin_t
+        gy = radial * sin_t + angular * cos_t
         zero = r == 0.0
         return np.stack([np.where(zero, 0.0, gx), np.where(zero, 0.0, gy)],
-                        axis=-1)
+                        axis=-1), quad
+
+    def grad_p(x, y):
+        return gradient(x, y)[0]
 
     def u(x, y):
-        _, _, quad = polar(x, y)
-        return -s_vals[quad][..., None] * grad_p(x, y)
+        grad, quad = gradient(x, y)
+        return -s_vals[quad][..., None] * grad
 
     return ExactSolution(p, grad_p, u, singular_points=((0.0, 0.0),))
 

@@ -37,9 +37,12 @@ from .assembly import HybridSystem, MixedSolution, SingularSystemError, \
 MAX_DIMENSION = 500_000
 RESIDUAL_TOL = 1e-10
 
-# SuperLU settings of every factorization, after the RCM pre-order
+# SuperLU settings of every factorization, after the RCM pre-order, with
+# supernodes (Demmel et al., SIMAX 1999) smaller than SuperLU's defaults
 PERMC_SPEC = "MMD_AT_PLUS_A"
 DIAG_PIVOT_THRESH = 0.01
+RELAX = 4
+PANEL_SIZE = 4
 OPTIONS = {"SymmetricMode": True}
 
 # glibc keeps freed heap pages resident: its trim threshold follows the
@@ -92,7 +95,8 @@ def solve(system: HybridSystem, num_edges: int) -> MixedSolution:
         try:
             # the factors are freed before the recovery below
             y = spla.splu(permuted, permc_spec=PERMC_SPEC,
-                          diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                          diag_pivot_thresh=DIAG_PIVOT_THRESH, relax=RELAX,
+                          panel_size=PANEL_SIZE,
                           options=OPTIONS).solve(system.rhs[order])
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(

@@ -577,6 +577,63 @@ def loop_svg(mesh, values=None, size=640):
     return "\n".join(out)
 
 
+def row_dump(mesh):
+    """``Triangulation.dump`` with one ``%`` call per vertex, edge and
+    element row."""
+    lines = [f"{mesh.num_vertices} {mesh.num_edges} {mesh.num_elements}"]
+    lines += ["%d %r %r" % row for row in zip(
+        range(mesh.num_vertices), *mesh.vert_coords.T.tolist())]
+    lines += ["%d %d %d %d" % row for row in zip(
+        range(mesh.num_edges), *mesh.edge_verts.T.tolist(),
+        mesh.edge_flag.tolist())]
+    lines += ["%d %d %d %d %d %d %d %d" % row for row in zip(
+        range(mesh.num_elements), *mesh.elem_verts.T.tolist(),
+        *mesh.elem_edges.T.tolist(), mesh.elem_ancestor.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def row_svg(mesh, values=None, size=640):
+    """``Triangulation.to_svg`` with one ``%`` call per element and edge,
+    formatting every coordinate where it is written."""
+    xy = mesh.vert_coords
+    lo = xy.min(axis=0)
+    hi = xy.max(axis=0)
+    span = max(hi[0] - lo[0], hi[1] - lo[1])
+    pad = 0.03 * span
+    scale = size / (span + 2 * pad)
+    sx = (xy[:, 0] - lo[0] + pad) * scale
+    sy = size - (xy[:, 1] - lo[1] + pad) * scale
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">'
+    ]
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        vmax = values.max() if values.size else 1.0
+        vmin = values.min() if values.size else 0.0
+        rng = vmax - vmin if vmax > vmin else 1.0
+        ts = (values - vmin) / rng
+        tri = mesh.elem_verts
+        points = np.stack([sx[tri], sy[tri]], axis=2).reshape(-1, 6)
+        out += [
+            '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" '
+            'fill="rgb(%d,64,%d)" fill-opacity="0.6" stroke="none"/>' % row
+            for row in zip(*points.T.tolist(),
+                           (255 * ts).astype(np.int64).tolist(),
+                           (255 * (1 - ts)).astype(np.int64).tolist())
+        ]
+    a, b = mesh.edge_verts.T
+    out += [
+        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+        'stroke="black" stroke-width="0.4"/>' % row
+        for row in zip(sx[a].tolist(), sy[a].tolist(),
+                       sx[b].tolist(), sy[b].tolist())
+    ]
+    out.append("</svg>")
+    return "\n".join(out)
+
+
 def loop_estimator_csv(breakdown):
     """``EstimatorBreakdown.to_csv`` with one f-string per value."""
     lines = ["element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total"]

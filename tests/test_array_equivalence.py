@@ -175,6 +175,18 @@ def test_uniform_refine_matches_rivara(domain):
         mesh = fine
 
 
+def test_writers_match_row_writers(case_meshes):
+    """``dump`` and ``to_svg`` are byte-identical to the writers that
+    format every row, and every coordinate, where it is written."""
+    rng = np.random.default_rng(7)
+    _, meshes, _ = case_meshes
+    for mesh in meshes[::3] + [meshes[-1].uniform_refine().uniform_refine()]:
+        assert mesh.dump() == oracles.row_dump(mesh)
+        values = rng.random(mesh.num_elements)
+        assert mesh.to_svg(values) == oracles.row_svg(mesh, values)
+        assert mesh.to_svg(size=333) == oracles.row_svg(mesh, size=333)
+
+
 def test_artifacts_match_loop_writers(tmp_path):
     """The files of a layer run (Neumann top edge) against the line-by-line
     writers, on the final mesh read back and solved again."""

@@ -433,6 +433,33 @@ class TestHybridUpwind:
             assert np.linalg.norm(residual) > 1e-8 * np.linalg.norm(rhs)
 
 
+class TestClosedFormInverse:
+    """The cofactor inverses of assembly against LAPACK's, on the element
+    blocks of every benchmark after one uniform refinement."""
+
+    @staticmethod
+    def close(inverse, blocks):
+        reference = np.linalg.inv(blocks)
+        scale = np.abs(reference).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(inverse - reference) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("case", ["lshape", "kellogg1", "kellogg2",
+                                      "layer"])
+    def test_agrees_with_lapack(self, case):
+        domain, data, _ = benchmark(case)
+        mesh = data.initial_mesh(domain).uniform_refine()
+        assert (NEUMANN in mesh.edge_flag) == (case == "layer")
+        disc = Discretization(mesh, data)
+        centered = assemble_centered(disc)
+        self.close(centered.inverse,
+                   assembly._eliminate_neumann(mesh, centered.blocks))
+        upwind = assemble_upwind(disc)
+        self.close(upwind.inverse, assembly._eliminate_neumann(
+            mesh, upwind.blocks[:, :3, :3]))
+        M = assembly._local_blocks(disc)[0]
+        self.close(assembly._inverse3(M), M)
+
+
 class TestSolutionMapping:
     def test_reconstruction_normal_traces(self):
         """The flux coefficient is the constant normal trace on its edge."""

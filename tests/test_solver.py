@@ -152,6 +152,22 @@ def test_rcm_permuted_is_a_symmetric_permutation():
     assert abs(permuted - matrix[order][:, order]).max() == 0.0
 
 
+def test_supernode_settings_reach_splu(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", recorded)
+    mesh, data = uniform("layer", **LAYER)
+    solve(assemble_upwind(Discretization(mesh, data)), mesh.num_edges)
+    assert len(calls) == 1
+    assert calls[0]["relax"] == solver.RELAX
+    assert calls[0]["panel_size"] == solver.PANEL_SIZE
+
+
 def test_heap_released_after_factorization(monkeypatch):
     """Freed heap pages go back to the OS once per solve, after the
     factorization."""
@@ -214,6 +230,21 @@ def test_singular_local_block_names_first_element(case):
     with pytest.raises(SingularSystemError, match="element 5$"):
         assemble_centered(
             Discretization(mesh, forged_reaction(data, mesh, [9, 5])))
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_singular_flux_block_names_first_element(value):
+    """A vanishing or NaN S^-1 makes the upwind flux blocks of those
+    elements singular or not finite."""
+    domain, data, _ = benchmark("layer")
+    mesh = data.initial_mesh(domain).uniform_refine()
+    fields = data.fields(mesh)
+    Sinv = fields.Sinv.copy()
+    Sinv[[9, 5]] = value
+    forged_fields = dataclasses.replace(fields, Sinv=Sinv)
+    data.fields = lambda mesh: forged_fields
+    with pytest.raises(SingularSystemError, match="element 5$"):
+        assemble_upwind(Discretization(mesh, data))
 
 
 def test_nonfinite_local_block_names_element():
