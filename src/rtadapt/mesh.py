@@ -328,10 +328,10 @@ class Triangulation:
         scale = size / (span + 2 * pad)
         sx = (xy[:, 0] - lo[0] + pad) * scale
         sy = size - (xy[:, 1] - lo[1] + pad) * scale
-        # every coordinate written is a vertex's: format each one once
         fx = ["%.2f" % v for v in sx.tolist()]
         fy = ["%.2f" % v for v in sy.tolist()]
 
+        # each block is joined on its own, so one block's lines live at a time
         out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
             f'height="{size}" viewBox="0 0 {size} {size}">'
@@ -342,7 +342,7 @@ class Triangulation:
             vmin = values.min() if values.size else 0.0
             rng = vmax - vmin if vmax > vmin else 1.0
             ts = (values - vmin) / rng
-            out += [
+            out.append("\n".join([
                 f'<polygon points="{fx[a]},{fy[a]} {fx[b]},{fy[b]} '
                 f'{fx[c]},{fy[c]}" fill="rgb({red},64,{blue})" '
                 'fill-opacity="0.6" stroke="none"/>'
@@ -350,12 +350,12 @@ class Triangulation:
                     *self.elem_verts.T.tolist(),
                     (255 * ts).astype(np.int64).tolist(),
                     (255 * (1 - ts)).astype(np.int64).tolist())
-            ]
-        out += [
+            ]))
+        out.append("\n".join([
             f'<line x1="{fx[a]}" y1="{fy[a]}" x2="{fx[b]}" y2="{fy[b]}" '
             'stroke="black" stroke-width="0.4"/>'
-            for a, b in self.edge_verts.tolist()
-        ]
+            for a, b in zip(*self.edge_verts.T.tolist())
+        ]))
         out.append("</svg>")
         return "\n".join(out)
 
