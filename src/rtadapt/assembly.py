@@ -223,10 +223,10 @@ def _eliminate_neumann(mesh: Triangulation, blocks: np.ndarray) -> np.ndarray:
 
 
 def _singular_at(bad: np.ndarray) -> None:
-    """Raise SingularSystemError naming the first of the elements ``bad``."""
-    if bad.size:
-        raise SingularSystemError(
-            f"singular or non-finite local block of element {int(bad[0])}")
+    """Raise SingularSystemError naming the first element set in ``bad``."""
+    if bad.any():
+        raise SingularSystemError("singular or non-finite local block of "
+                                  f"element {int(np.argmax(bad))}")
 
 
 def _inverse3(blocks: np.ndarray) -> np.ndarray:
@@ -237,7 +237,7 @@ def _inverse3(blocks: np.ndarray) -> np.ndarray:
                          [f * g - d * i, a * i - c * g, c * d - a * f],
                          [d * h - e * g, b * g - a * h, a * e - b * d]])
     det = a * adjugate[0, 0] + b * adjugate[1, 0] + c * adjugate[2, 0]
-    _singular_at(np.flatnonzero(~np.isfinite(det) | (det == 0.0)))
+    _singular_at(~np.isfinite(det) | (det == 0.0))
     return np.moveaxis(adjugate / det, -1, 0)
 
 
@@ -250,15 +250,14 @@ def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
     the first element whose block is not finite or whose s vanishes to
     working precision against its terms d and c M^-1 b.
     """
-    _singular_at(np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2))))
+    _singular_at(~np.isfinite(blocks).all(axis=(1, 2)))
     b, c, d = blocks[:, :3, 3], blocks[:, 3, :3], blocks[:, 3, 3]
     Minv = _inverse3(blocks[:, :3, :3])
     Minv_b = _apply(Minv, b)
     c_Minv = _apply(np.swapaxes(Minv, 1, 2), c)
     c_Minv_b = (c * Minv_b).sum(axis=1)
     s = d - c_Minv_b
-    _singular_at(np.flatnonzero(~(np.abs(s) > SINGULAR_TOL
-                                  * (np.abs(d) + np.abs(c_Minv_b)))))
+    _singular_at(~(np.abs(s) > SINGULAR_TOL * (np.abs(d) + np.abs(c_Minv_b))))
     inverse = np.empty_like(blocks)
     inverse[:, :3, :3] = Minv + Minv_b[:, :, None] * c_Minv[:, None, :] \
         / s[:, None, None]
