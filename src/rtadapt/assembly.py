@@ -157,8 +157,8 @@ class Discretization:
     computed once.
 
     fields : coefficient fields on the elements (``problem.fields``)
-    midpoints, seven_points : (NT, 3, 2) and (NT, 7, 2) physical nodes of
-        ``quad.MIDPOINT`` and ``quad.SEVEN_POINT``
+    seven_points : (NT, 7, 2) physical nodes of ``quad.SEVEN_POINT``
+    source : (NT, 7) the source f there
     edge_fluxes : (NT, 3) convective fluxes w_{K,sigma}
     left_fluxes : (NE,) the same per edge, from its first element (upwind
         scheme only, gathered on first use)
@@ -169,8 +169,10 @@ class Discretization:
         self.mesh = mesh
         self.problem = problem
         self.fields = problem.fields(mesh)
-        self.midpoints = quad.MIDPOINT.physical_points(mesh.elem_coords)
-        self.seven_points = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
+        self.seven_points = pts = \
+            quad.SEVEN_POINT.physical_points(mesh.elem_coords)
+        self.source = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1]),
+                                      pts.shape[:-1])
         self.edge_fluxes = _edge_fluxes(mesh, self.fields)
         self.pd_mean = dirichlet_edge_means(mesh, problem)
 
@@ -184,15 +186,12 @@ def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
-def apply_tensor(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """2x2 tensors (..., 2, 2) applied to the vectors (..., nq, 2) at nq
-    points each, component by component."""
-    m = mat[..., None, :, :]
-    vx, vy = vec[..., 0], vec[..., 1]
-    out = np.empty(np.broadcast_shapes(m.shape[:-1], vec.shape))
-    out[..., 0] = m[..., 0, 0] * vx + m[..., 0, 1] * vy
-    out[..., 1] = m[..., 1, 0] * vx + m[..., 1, 1] * vy
-    return out
+def mat_vec(mat: np.ndarray, vec: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of the 2x2 tensors (..., 2, 2) applied to the
+    broadcast vectors (..., 2)."""
+    return (mat[..., 0, 0] * vec[..., 0] + mat[..., 0, 1] * vec[..., 1],
+            mat[..., 1, 0] * vec[..., 0] + mat[..., 1, 1] * vec[..., 1])
 
 
 def _apply(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -289,8 +288,16 @@ def reconstruct(mesh: Triangulation, solution: MixedSolution
 
 
 def _local_blocks(disc: Discretization, couplings: bool = True):
-    """Local matrices of the mixed bilinear forms, for every element, by
-    the midpoint rule (exact for their quadratic integrands).
+    """Local matrices of the mixed bilinear forms, for every element, in
+    closed form.
+
+    With phi_i = C_i (x - P_i) = C_i (y + e_i), y = x - m_K and e_i =
+    m_K - P_i, the first moment of y over K vanishes and its second
+    moment is |K|/12 sum_k e_k e_k^T, so with A = S^-1
+
+        int_K (A phi_i) . phi_j = C_i C_j |K| (A e_i . e_j
+                                               + 1/12 sum_k A e_k . e_k),
+        int_K (A phi_i) . w = C_i |K| A e_i . w.
 
     M : (NT, 3, 3) weighted velocity mass matrices, int_K (S^-1 phi_i) . phi_j
     B : (NT, 3) divergence integrals, signed edge lengths
@@ -301,18 +308,20 @@ def _local_blocks(disc: Discretization, couplings: bool = True):
     mesh, fields = disc.mesh, disc.fields
     if np.any(mesh.elem_area <= 0.0):
         raise AssemblyError("degenerate element with nonpositive area")
-    weights = quad.MIDPOINT.weights
-    C = basis_factors(mesh)                                 # (NT, 3)
-    # x_q - P_i per element, local vertex i and node q: (NT, 3, nq, 2)
-    D = disc.midpoints[:, None] - mesh.elem_coords[:, :, None]
-    AD = apply_tensor(fields.Sinv[:, None], D)
-    conv0 = dot(AD, fields.w[:, None, None]) @ weights if couplings else None
-    # sum over nodes and components as one (3, 2 nq) by (2 nq, 3) product
-    AD *= weights[:, None]
-    M0 = AD.reshape(len(D), 3, -1) @ D.reshape(len(D), 3, -1).swapaxes(1, 2)
-    M = M0 * mesh.elem_area[:, None, None] * C[:, :, None] * C[:, None, :]
+    C = basis_factors(mesh)
+    X = mesh.elem_coords
+    e = ((X[:, 0] + X[:, 1] + X[:, 2]) / 3.0)[:, None] - X  # (NT, 3, 2)
+    e0, e1 = e[..., 0], e[..., 1]
+    Ae0, Ae1 = mat_vec(fields.Sinv[:, None], e)
+    G = Ae0[:, :, None] * e0[:, None, :] + Ae1[:, :, None] * e1[:, None, :]
+    G += ((Ae0 * e0 + Ae1 * e1).sum(axis=1) / 12.0)[:, None, None]
+    M = G * mesh.elem_area[:, None, None] * C[:, :, None] * C[:, None, :]
     B = mesh.elem_signs * mesh.edge_length[mesh.elem_edges]
-    conv = conv0 * mesh.elem_area[:, None] * C if couplings else None
+    conv = None
+    if couplings:
+        w = fields.w[:, None]
+        conv = (Ae0 * w[..., 0] + Ae1 * w[..., 1]) \
+            * mesh.elem_area[:, None] * C
     react = (fields.r + fields.divw) * mesh.elem_area
     return M, B, conv, react
 
@@ -390,9 +399,7 @@ def neumann_fixed_coefficients(mesh: Triangulation, problem: ProblemData,
 
 def load_vector(disc: Discretization) -> np.ndarray:
     """Element integrals of the source term, by the seven-point rule."""
-    pts = disc.seven_points
-    vals = disc.problem.f(pts[..., 0], pts[..., 1])
-    return quad.SEVEN_POINT.integrate(vals, disc.mesh.elem_area)
+    return quad.SEVEN_POINT.integrate(disc.source, disc.mesh.elem_area)
 
 
 def _coo_to_csc(rows, cols, vals, dim: int) -> sp.csc_matrix:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .assembly import Discretization, MixedSolution, UPWIND, dot
+from .assembly import Discretization, MixedSolution, UPWIND, dot, \
+    mat_vec
 from .mesh import DIRICHLET, INTERIOR, Triangulation
 from .postprocess import FluxField, tangential_jump_sq
 from .problem import patch_quantities
@@ -134,12 +135,11 @@ class EstimatorContext:
         self.patch = patch_quantities(mesh, self.fields)
         self.weights = residual_weights(mesh, self.fields)
 
-        slopes = None
-        if subtract_boundary_data:
-            slopes = (_data_slope(disc, "inv"), _data_slope(disc, "invsqrt"))
-        # one evaluation of u_h at the edge points, weighted twice
+        weightings = ("inv", "invsqrt")
+        slopes = _data_slopes(disc, weightings) if subtract_boundary_data \
+            else None
         self.jump_inv, self.jump_half = tangential_jump_sq(
-            mesh, self.flux, ("inv", "invsqrt"), boundary_slopes=slopes)
+            mesh, self.flux, weightings, boundary_slopes=slopes)
 
         self.norm_sq = self._weighted_norm_sq()
         self._singular_elems = None
@@ -148,38 +148,43 @@ class EstimatorContext:
 
     def _weighted_norm_sq(self) -> np.ndarray:
         """int_K |S^-1 u_h|^2 per element (quadratic integrand)."""
-        vals = self.flux.weighted(np.arange(self.mesh.num_elements),
-                                  self.disc.midpoints)
-        return quad.MIDPOINT.integrate(dot(vals, vals), self.mesh.elem_area)
+        u = self.flux.u(slice(None), quad.MIDPOINT.physical_points(
+            self.mesh.elem_coords))
+        v0, v1 = mat_vec(self.fields.Sinv[:, None], u)
+        return quad.MIDPOINT.integrate(v0 * v0 + v1 * v1,
+                                       self.mesh.elem_area)
 
     def _residual_norm_sq(self) -> np.ndarray:
         """int_K R^2 with the pure-diffusion reduction where it applies.
 
         Elements with no convection and no reaction satisfy the discrete
         identity div u_h = mean(f), so the residual reduces to f - f_K
-        there and vanishes identically for f = 0.
+        there and vanishes identically for f = 0.  The other elements
+        take the general residual.
         """
-        mesh, fields = self.mesh, self.fields
-        rule = quad.SEVEN_POINT
-        pts = self.disc.seven_points
-        fvals = self.disc.problem.f(pts[..., 0], pts[..., 1])
-        if fvals.shape != pts.shape[:-1]:
-            fvals = np.broadcast_to(fvals, pts.shape[:-1])
-
+        fields, rule = self.fields, quad.SEVEN_POINT
         pure = (fields.C_w == 0.0) & (fields.r == 0.0) & (fields.divw == 0.0)
-        fmean = fvals @ rule.weights
-        reduced = fvals - fmean[:, None]
+        if not pure.any():
+            resid = self._general_residual(slice(None))
+        else:
+            fvals = self.disc.source
+            resid = fvals - (fvals @ rule.weights)[:, None]
+            if not pure.all():
+                general = np.flatnonzero(~pure)
+                resid[general] = self._general_residual(general)
+        return rule.integrate(resid**2, self.mesh.elem_area)
 
-        sinv_u = self.flux.weighted(np.arange(mesh.num_elements), pts)
-        div_u = 2.0 * self.flux.b
-        general = (
-            fvals
-            - div_u[:, None]
-            + dot(sinv_u, fields.w[:, None])
-            - ((fields.r + fields.divw) * self.solution.pressure)[:, None]
-        )
-        resid = np.where(pure[:, None], reduced, general)
-        return rule.integrate(resid**2, mesh.elem_area)
+    def _general_residual(self, elems) -> np.ndarray:
+        """f - div u_h + w . S^-1 u_h - (r + div w) p_K at the seven-point
+        nodes of ``elems`` (indices or a slice), with w . S^-1 u_h = g . u_h
+        for g = S^-T w."""
+        fields, flux = self.fields, self.flux
+        g = np.column_stack(mat_vec(fields.Sinv[elems].swapaxes(1, 2),
+                                    fields.w[elems]))
+        u = flux.u(elems, self.disc.seven_points[elems])
+        react = (fields.r + fields.divw)[elems] * self.solution.pressure[elems]
+        return (self.disc.source[elems] - 2.0 * flux.b[elems, None]
+                + dot(u, g[:, None]) - react[:, None])
 
     # -- per-element estimator families -------------------------------------
 
@@ -330,8 +335,10 @@ class EstimatorContext:
                                   total=total, policy=policy)
 
 
-def _data_slope(disc: Discretization, weighting: str):
-    """Expected boundary tangential trace of the weighted flux, from data.
+def _data_slopes(disc: Discretization, weightings: tuple[str, ...]):
+    """Expected boundary tangential traces of the weighted fluxes, from
+    data: a callable ``slopes(edge_ids, pts)`` returning one array per
+    weighting, from one evaluation of the datum.
 
     gamma_t(S^-1 u) = -dp/dt on the boundary; the S^-1/2 variant scales by
     sqrt(c_S) and requires a scalar diffusion tensor.  The tangential
@@ -340,7 +347,7 @@ def _data_slope(disc: Discretization, weighting: str):
     correction.
     """
     mesh, problem, fields = disc.mesh, disc.problem, disc.fields
-    if weighting == "invsqrt" and np.any(
+    if "invsqrt" in weightings and np.any(
         fields.C_S - fields.c_S > 1e-12 * fields.C_S
     ):
         raise EstimatorError(
@@ -348,12 +355,12 @@ def _data_slope(disc: Discretization, weighting: str):
             "needs a scalar diffusion tensor"
         )
     left = mesh.edge_elems[:, 0]
-    factor = np.ones(mesh.num_edges) if weighting == "inv" \
-        else np.sqrt(fields.c_S[left])
+    factors = [np.ones(mesh.num_edges) if w == "inv"
+               else np.sqrt(fields.c_S[left]) for w in weightings]
     dirichlet = mesh.edge_flag == DIRICHLET
 
-    def slope(edge_ids, pts):
-        out = np.zeros(pts.shape[:-1])
+    def slopes(edge_ids, pts):
+        out = [np.zeros(pts.shape[:-1]) for _ in weightings]
         rows = np.flatnonzero(dirichlet[edge_ids])
         if rows.size:
             e = edge_ids[rows]
@@ -364,7 +371,8 @@ def _data_slope(disc: Discretization, weighting: str):
             dpdt = (problem.dirichlet_data(plus[..., 0], plus[..., 1])
                     - problem.dirichlet_data(minus[..., 0], minus[..., 1])) \
                 / (2.0 * delta)[:, None]
-            out[rows] = -factor[e][:, None] * dpdt
+            for values, factor in zip(out, factors):
+                values[rows] = -factor[e][:, None] * dpdt
         return out
 
-    return slope
+    return slopes

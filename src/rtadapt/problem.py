@@ -164,7 +164,10 @@ class ProblemData:
                  boundary_rule: Callable = None):
         self.coefficients = list(coefficients)
         self.bounds = [derive_bounds(c) for c in self.coefficients]
-        self.f = f if f is not None else (lambda x, y: np.zeros_like(x))
+        # a zero source as a read-only view, which holds no memory while
+        # the Discretization keeps its values
+        self.f = f if f is not None \
+            else (lambda x, y: np.broadcast_to(0.0, np.shape(x)))
         self.dirichlet_data = (dirichlet_data if dirichlet_data is not None
                                else (lambda x, y: np.zeros_like(x)))
         self.neumann_data = (neumann_data if neumann_data is not None
@@ -261,13 +264,20 @@ class ExactSolution:
 
     ``singular_points`` lists the points (x, y) where grad p is unbounded;
     error integrals use a singularity-aware rule on elements having such
-    a point as a vertex.
+    a point as a vertex.  ``joint``, where given, returns the values of
+    ``u`` and ``p`` from one evaluation, for ``u_and_p``.
     """
 
     p: Callable
     grad_p: Callable
     u: Callable
     singular_points: tuple = ()
+    joint: Callable | None = None
+
+    def u_and_p(self, x, y):
+        if self.joint is not None:
+            return self.joint(x, y)
+        return self.u(x, y), self.p(x, y)
 
 
 # ----------------------------------------------------------------------
@@ -302,27 +312,40 @@ def _lshape_exact() -> ExactSolution:
         theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
         return rho, theta
 
-    def p(x, y):
-        rho, theta = polar(x, y)
+    def value(rho, s):
         with np.errstate(invalid="ignore"):
-            out = rho**two_thirds * np.sin(two_thirds * theta)
+            out = rho**two_thirds * s
         return np.where(rho == 0.0, 0.0, out)
 
-    def grad_p(x, y):
+    def p(x, y):
+        rho, theta = polar(x, y)
+        return value(rho, np.sin(two_thirds * theta))
+
+    def gradient(x, y):
+        """grad p, rho and sin(2 theta / 3), from one polar evaluation."""
         rho, theta = polar(x, y)
         safe = np.where(rho == 0.0, 1.0, rho)
         fac = two_thirds * safe ** (two_thirds - 1.0)
         s, c = np.sin(two_thirds * theta), np.cos(two_thirds * theta)
-        gx = fac * (s * np.cos(theta) - c * np.sin(theta))
-        gy = fac * (s * np.sin(theta) + c * np.cos(theta))
+        sin_t, cos_t = np.sin(theta), np.cos(theta)
         zero = rho == 0.0
-        return np.stack([np.where(zero, 0.0, gx), np.where(zero, 0.0, gy)],
-                        axis=-1)
+        grad = np.empty(rho.shape + (2,))
+        grad[..., 0] = np.where(zero, 0.0, fac * (s * cos_t - c * sin_t))
+        grad[..., 1] = np.where(zero, 0.0, fac * (s * sin_t + c * cos_t))
+        return grad, rho, s
+
+    def grad_p(x, y):
+        return gradient(x, y)[0]
 
     def u(x, y):
         return -grad_p(x, y)
 
-    return ExactSolution(p, grad_p, u, singular_points=((0.0, 0.0),))
+    def joint(x, y):
+        grad, rho, s = gradient(x, y)
+        return -grad, value(rho, s)
+
+    return ExactSolution(p, grad_p, u, singular_points=((0.0, 0.0),),
+                         joint=joint)
 
 
 def _kellogg_exact(case: int) -> ExactSolution:
@@ -340,37 +363,47 @@ def _kellogg_exact(case: int) -> ExactSolution:
         quad = np.minimum((theta // (0.5 * math.pi)).astype(int), 3)
         return r, theta, quad
 
-    def p(x, y):
-        r, theta, quad = polar(x, y)
-        phi = a_vals[quad] * np.sin(alpha * theta) \
-            + b_vals[quad] * np.cos(alpha * theta)
+    def value(r, phi):
         with np.errstate(invalid="ignore"):
             out = r**alpha * phi
         return np.where(r == 0.0, 0.0, out)
 
+    def p(x, y):
+        r, theta, quad = polar(x, y)
+        return value(r, a_vals[quad] * np.sin(alpha * theta)
+                     + b_vals[quad] * np.cos(alpha * theta))
+
     def gradient(x, y):
-        """grad p and the quadrant index, from one polar evaluation."""
+        """grad p, the quadrant index, r and phi = a sin(alpha theta) +
+        b cos(alpha theta), from one polar evaluation."""
         r, theta, quad = polar(x, y)
         a, b = a_vals[quad], b_vals[quad]
         sin_a, cos_a = np.sin(alpha * theta), np.cos(alpha * theta)
+        phi = a * sin_a + b * cos_a
         power = np.where(r == 0.0, 1.0, r) ** (alpha - 1.0)
-        radial = alpha * power * (a * sin_a + b * cos_a)
+        radial = alpha * power * phi
         angular = power * (alpha * (a * cos_a - b * sin_a))
+        del a, b, sin_a, cos_a, power       # fewer arrays alive at the peak
         sin_t, cos_t = np.sin(theta), np.cos(theta)
-        gx = radial * cos_t - angular * sin_t
-        gy = radial * sin_t + angular * cos_t
         zero = r == 0.0
-        return np.stack([np.where(zero, 0.0, gx), np.where(zero, 0.0, gy)],
-                        axis=-1), quad
+        grad = np.empty(r.shape + (2,))
+        grad[..., 0] = np.where(zero, 0.0, radial * cos_t - angular * sin_t)
+        grad[..., 1] = np.where(zero, 0.0, radial * sin_t + angular * cos_t)
+        return grad, quad, r, phi
 
     def grad_p(x, y):
         return gradient(x, y)[0]
 
     def u(x, y):
-        grad, quad = gradient(x, y)
+        grad, quad, _, _ = gradient(x, y)
         return -s_vals[quad][..., None] * grad
 
-    return ExactSolution(p, grad_p, u, singular_points=((0.0, 0.0),))
+    def joint(x, y):
+        grad, quad, r, phi = gradient(x, y)
+        return -s_vals[quad][..., None] * grad, value(r, phi)
+
+    return ExactSolution(p, grad_p, u, singular_points=((0.0, 0.0),),
+                         joint=joint)
 
 
 def _layer_exact(eps: float, a: float) -> ExactSolution:

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class QuadratureError(Exception):
-    """A rule failed its exactness validation."""
-
-
 @dataclass(frozen=True)
 class TriangleRule:
     """Quadrature rule on a triangle.
@@ -107,25 +103,6 @@ def seven_point_rule() -> TriangleRule:
     return TriangleRule(np.array(pts), np.array(wts), degree=5)
 
 
-def collapsed_gauss_rule(n: int = 6) -> TriangleRule:
-    """Tensor Gauss rule collapsed onto the triangle (oracle rule).
-
-    An n-by-n Gauss-Legendre grid on the unit square mapped by
-    (s, t) -> (s(1-t), t) integrates total degree <= 2n-2 exactly.
-    Structurally independent of the symmetric production rules.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    s = 0.5 * (x + 1.0)
-    ws = 0.5 * w
-    S, T = np.meshgrid(s, s, indexing="ij")
-    WS, WT = np.meshgrid(ws, ws, indexing="ij")
-    xs = (S * (1.0 - T)).ravel()
-    ys = T.ravel()
-    wts = (WS * WT * (1.0 - T)).ravel()
-    lam = np.column_stack([1.0 - xs - ys, xs, ys])
-    return TriangleRule(lam, wts / wts.sum(), degree=2 * n - 2)
-
-
 def graded_collapsed_rule(n: int = 10, grading: int = 8) -> TriangleRule:
     """Collapsed Gauss rule graded toward vertex 0 (point-singularity rule).
 
@@ -157,53 +134,11 @@ def gauss_edge_rule(n: int) -> EdgeRule:
     return EdgeRule(0.5 * (x + 1.0), 0.5 * w, degree=2 * n - 1)
 
 
-def _reference_monomial_integral(i: int, j: int) -> float:
-    # int over {x,y>=0, x+y<=1} of x^i y^j = i! j! / (i+j+2)!
-    return math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
-
-
-def validate_triangle_rule(rule: TriangleRule, tol: float = 1e-14) -> None:
-    """Check the rule against closed-form monomial integrals.
-
-    Raises QuadratureError on the first monomial x^i y^j with
-    i + j <= rule.degree whose quadrature error exceeds ``tol``.
-    """
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pts = rule.physical_points(coords)
-    if abs(rule.weights.sum() - 1.0) > tol:
-        raise QuadratureError("rule weights do not sum to one")
-    for i in range(rule.degree + 1):
-        for j in range(rule.degree + 1 - i):
-            approx = 0.5 * np.dot(rule.weights, pts[:, 0] ** i * pts[:, 1] ** j)
-            exact = _reference_monomial_integral(i, j)
-            if abs(approx - exact) > tol * max(1.0, abs(exact)):
-                raise QuadratureError(
-                    f"rule of degree {rule.degree} misses x^{i} y^{j}: "
-                    f"{approx!r} vs {exact!r}"
-                )
-
-
-def validate_edge_rule(rule: EdgeRule, tol: float = 1e-14) -> None:
-    """Check an edge rule against 1D monomial integrals."""
-    for k in range(rule.degree + 1):
-        approx = np.dot(rule.weights, rule.points**k)
-        exact = 1.0 / (k + 1)
-        if abs(approx - exact) > tol:
-            raise QuadratureError(f"edge rule misses t^{k}")
-
-
-# Shared instances; validated once on import so a bad table fails loudly.
+# Shared instances; tests/test_quadrature.py checks each against the
+# monomial integrals up to its degree
 MIDPOINT = midpoint_rule()
 SEVEN_POINT = seven_point_rule()
-ORACLE_TRI = collapsed_gauss_rule(6)
 SINGULAR_VERTEX = graded_collapsed_rule(10, 8)
 EDGE_GAUSS2 = gauss_edge_rule(2)
 EDGE_GAUSS3 = gauss_edge_rule(3)
-ORACLE_EDGE = gauss_edge_rule(10)
 DATA_EDGE = gauss_edge_rule(20)
-
-for _rule in (MIDPOINT, SEVEN_POINT, ORACLE_TRI, SINGULAR_VERTEX):
-    validate_triangle_rule(_rule)
-for _erule in (EDGE_GAUSS2, EDGE_GAUSS3, ORACLE_EDGE, DATA_EDGE):
-    validate_edge_rule(_erule)
-del _rule, _erule

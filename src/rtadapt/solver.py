@@ -66,14 +66,13 @@ def _diagnose_singularity(system: HybridSystem) -> str:
 
 def rcm_permuted(matrix: sp.spmatrix) -> tuple[sp.csc_matrix, np.ndarray]:
     """The matrix with rows and columns in reverse Cuthill-McKee order on
-    the pattern of A + A^T, and that order: ``permuted[i, j] =
-    matrix[order[i], order[j]]``."""
+    its pattern, which the assembly makes symmetric, and that order:
+    ``permuted[i, j] = matrix[order[i], order[j]]``."""
     matrix = matrix.tocsc()
     structure = sp.csc_matrix((np.ones(matrix.nnz, dtype=np.int8),
                                matrix.indices, matrix.indptr),
                               shape=matrix.shape)
-    order = reverse_cuthill_mckee(structure + structure.T,
-                                  symmetric_mode=True)
+    order = reverse_cuthill_mckee(structure, symmetric_mode=True)
     return matrix[order][:, order].tocsc(), order
 
 
@@ -110,8 +109,10 @@ def solve(system: HybridSystem, num_edges: int) -> MixedSolution:
         raise SingularSystemError(_diagnose_singularity(system))
 
     solution, residual, rhs = system.recover(x, num_edges)
-    norm_b = np.linalg.norm(rhs)
-    residual = np.linalg.norm(residual)
+    # sums of squares: np.linalg.norm goes through the BLAS, whose threads
+    # cost far more than these vectors are worth
+    norm_b = np.sqrt((rhs * rhs).sum())
+    residual = np.sqrt((residual * residual).sum())
     relative = residual / norm_b if norm_b > 0.0 else residual
     if relative > RESIDUAL_TOL:
         raise SolverError(

@@ -1,5 +1,8 @@
 """Independent reference values shared by the test modules.
 
+First, the oracle quadrature (a collapsed Gauss rule on triangles and a
+10-point Gauss rule on edges) and the monomial checks that
+``tests/test_quadrature.py`` applies to every rule of the package.
 The energy-error and xi references call neither ``verify.energy_error``
 nor the estimator module: the energy error comes from a boundary identity
 and the xi indicator from a direct evaluation of its documented formula
@@ -10,9 +13,10 @@ and the upwind weights entity by entity, refine by recursive longest-edge
 checks on the array code of the package.  ``mixed_centered`` and
 ``mixed_upwind`` assemble the two schemes as the saddle-point systems
 that ``assembly.assemble_centered`` and ``assembly.assemble_upwind``
-hybridize.  At the end: helpers only the tests call, the tangential jumps
-one weighting at a time, and the ``einsum`` forms of the package's 2x2
-and quadrature kernels.
+hybridize.  At the end: helpers only the tests call, the per-point
+weighted flux and tangential jumps (one weighting at a time), which the
+package replaces by per-element contractions, and the ``einsum`` forms
+of the package's 2x2 and quadrature kernels.
 """
 
 import math
@@ -29,6 +33,73 @@ from rtadapt.estimators import EstimatorError
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                           Triangulation)
 from rtadapt.postprocess import FluxField, ptilde_values, tangential_jump_sq
+
+
+# ----------------------------------------------------------------------
+# oracle quadrature and the exactness checks of the package's rules
+# ----------------------------------------------------------------------
+
+class QuadratureError(Exception):
+    """A rule failed its exactness validation."""
+
+
+def collapsed_gauss_rule(n: int = 6) -> quad.TriangleRule:
+    """Tensor Gauss rule collapsed onto the triangle (oracle rule).
+
+    An n-by-n Gauss-Legendre grid on the unit square mapped by
+    (s, t) -> (s(1-t), t) integrates total degree <= 2n-2 exactly.
+    Structurally independent of the symmetric production rules.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    s = 0.5 * (x + 1.0)
+    ws = 0.5 * w
+    S, T = np.meshgrid(s, s, indexing="ij")
+    WS, WT = np.meshgrid(ws, ws, indexing="ij")
+    xs = (S * (1.0 - T)).ravel()
+    ys = T.ravel()
+    wts = (WS * WT * (1.0 - T)).ravel()
+    lam = np.column_stack([1.0 - xs - ys, xs, ys])
+    return quad.TriangleRule(lam, wts / wts.sum(), degree=2 * n - 2)
+
+
+def _reference_monomial_integral(i: int, j: int) -> float:
+    # int over {x,y>=0, x+y<=1} of x^i y^j = i! j! / (i+j+2)!
+    return math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
+
+
+def validate_triangle_rule(rule: quad.TriangleRule, tol: float = 1e-14
+                           ) -> None:
+    """Check the rule against closed-form monomial integrals.
+
+    Raises QuadratureError on the first monomial x^i y^j with
+    i + j <= rule.degree whose quadrature error exceeds ``tol``.
+    """
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pts = rule.physical_points(coords)
+    if abs(rule.weights.sum() - 1.0) > tol:
+        raise QuadratureError("rule weights do not sum to one")
+    for i in range(rule.degree + 1):
+        for j in range(rule.degree + 1 - i):
+            approx = 0.5 * np.dot(rule.weights, pts[:, 0] ** i * pts[:, 1] ** j)
+            exact = _reference_monomial_integral(i, j)
+            if abs(approx - exact) > tol * max(1.0, abs(exact)):
+                raise QuadratureError(
+                    f"rule of degree {rule.degree} misses x^{i} y^{j}: "
+                    f"{approx!r} vs {exact!r}"
+                )
+
+
+def validate_edge_rule(rule: quad.EdgeRule, tol: float = 1e-14) -> None:
+    """Check an edge rule against 1D monomial integrals."""
+    for k in range(rule.degree + 1):
+        approx = np.dot(rule.weights, rule.points**k)
+        exact = 1.0 / (k + 1)
+        if abs(approx - exact) > tol:
+            raise QuadratureError(f"edge rule misses t^{k}")
+
+
+ORACLE_TRI = collapsed_gauss_rule(6)
+ORACLE_EDGE = quad.gauss_edge_rule(10)
 
 
 def _coarse_S(data, mesh):
@@ -92,7 +163,7 @@ def boundary_identity_energy(mesh, data, exact, solution,
 
 
 def xi_reference(mesh, data, exact, solution, singular,
-                 rule=quad.ORACLE_EDGE) -> np.ndarray:
+                 rule=ORACLE_EDGE) -> np.ndarray:
     """Per-element xi as documented in ``EstimatorContext.xi_all`` with the
     Dirichlet datum subtracted, for a scalar diffusion coefficient.
 
@@ -924,12 +995,19 @@ def element_quadratic(coeffs, t):
     return ElementQuadratic(t, coeffs[t])
 
 
-def tangential_jump_sq_scaled(mesh, flux, boundary_slope=None,
-                              rule=quad.EDGE_GAUSS2):
+def tangential_jump_sq_scaled(mesh, flux, rule=quad.EDGE_GAUSS2):
     """Square-root-weighted variant: jumps of S^-1/2 u_h."""
-    slopes = None if boundary_slope is None else (boundary_slope,)
-    return tangential_jump_sq(mesh, flux, ("invsqrt",),
-                              boundary_slopes=slopes, rule=rule)[0]
+    return tangential_jump_sq(mesh, flux, ("invsqrt",), rule=rule)[0]
+
+
+def ptilde_gradient(coeffs, pts):
+    """Gradient of the postprocessed scalar at points (NT, nq, 2)."""
+    x = pts[..., 0]
+    y = pts[..., 1]
+    c = coeffs[:, None, :]
+    gx = c[..., 1] + 2.0 * c[..., 3] * x + c[..., 4] * y
+    gy = c[..., 2] + c[..., 4] * x + 2.0 * c[..., 5] * y
+    return np.stack([gx, gy], axis=-1)
 
 
 def edge_mean_mismatch(mesh, coeffs, rule=quad.EDGE_GAUSS2):
@@ -953,15 +1031,40 @@ def edge_mean_mismatch(mesh, coeffs, rule=quad.EDGE_GAUSS2):
     return out
 
 
+def weight(flux, elems, values, weighting="inv"):
+    """S^-1 or S^-1/2 of the given elements applied to values of u_h
+    there, shaped (..., nq, 2), point by point and component by
+    component."""
+    mat = flux.fields.Sinv if weighting == "inv" else flux.fields.Sinvhalf
+    m = mat[elems][..., None, :, :]
+    vx, vy = values[..., 0], values[..., 1]
+    out = np.empty(np.broadcast_shapes(m.shape[:-1], values.shape))
+    out[..., 0] = m[..., 0, 0] * vx + m[..., 0, 1] * vy
+    out[..., 1] = m[..., 1, 0] * vx + m[..., 1, 1] * vy
+    return out
+
+
+def weighted(flux, elems, pts, weighting="inv"):
+    """S^-1 u_h or S^-1/2 u_h of the given elements at points."""
+    return weight(flux, elems, flux.u(elems, pts), weighting)
+
+
+def tangential_trace(mesh, flux, weighting, elems, edges, values):
+    """Tangential component of the weighted flux of ``elems``, from the
+    values of u_h at the points of ``edges``."""
+    out = weight(flux, elems, values, weighting)
+    tangent = mesh.edge_tangent[edges][:, None]
+    return out[..., 0] * tangent[..., 0] + out[..., 1] * tangent[..., 1]
+
+
 def single_weighting_jump_sq(mesh, flux, weighting="inv",
                              boundary_slope=None, rule=quad.EDGE_GAUSS2):
-    """``postprocess.tangential_jump_sq`` for one weighting, evaluating u_h
-    anew through ``FluxField.weighted`` for each trace."""
+    """``postprocess.tangential_jump_sq`` for one weighting, weighting u_h
+    at each edge point; ``boundary_slope(edge_ids, pts)`` returns the
+    expected boundary trace of that weighting."""
     def trace(elems, edges, pts):
-        values = flux.weighted(elems, pts, weighting)
-        tangent = mesh.edge_tangent[edges][:, None]
-        return values[..., 0] * tangent[..., 0] \
-            + values[..., 1] * tangent[..., 1]
+        return tangential_trace(mesh, flux, weighting, elems, edges,
+                                flux.u(elems, pts))
 
     out = np.empty(mesh.num_edges)
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
@@ -998,13 +1101,13 @@ def einsum_integrate(rule, values, measure):
 
 
 def einsum_weighted(flux, elems, pts, weighting="inv"):
-    """``FluxField.weighted``."""
+    """``weighted``."""
     mat = flux.fields.Sinv if weighting == "inv" else flux.fields.Sinvhalf
     return np.einsum("...ab,...qb->...qa", mat[elems], flux.u(elems, pts))
 
 
 def einsum_tangential_trace(mesh, flux, weighting, elems, edges, pts):
-    """``postprocess._tangential_trace``."""
+    """``tangential_trace``."""
     return np.einsum("eqd,ed->eq", einsum_weighted(flux, elems, pts,
                                                    weighting),
                      mesh.edge_tangent[edges])
@@ -1050,7 +1153,7 @@ def einsum_local_blocks(mesh, fields, rule=quad.MIDPOINT):
 def einsum_weighted_norm_sq(ctx):
     """``EstimatorContext._weighted_norm_sq`` at the context's nodes."""
     mesh, rule = ctx.mesh, quad.MIDPOINT
-    pts = ctx.disc.midpoints
+    pts = einsum_physical_points(rule, mesh.elem_coords)
     vals = einsum_weighted(ctx.flux, np.arange(mesh.num_elements), pts)
     return einsum_integrate(rule, (vals**2).sum(axis=-1), mesh.elem_area)
 

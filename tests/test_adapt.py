@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -239,6 +241,38 @@ class TestSharedDiscretization:
         ctx.compute("theorem")
         assert jump_calls == [("inv", "invsqrt")]
         assert gathers == [(mesh.num_elements, 3)]
+
+    @pytest.mark.parametrize("case, scheme", [("kellogg1", "centered"),
+                                              ("layer", "upwind")])
+    def test_each_datum_evaluated_once(self, case, scheme):
+        """One iteration evaluates the source once, the Dirichlet datum
+        for its edge means and once per side of the central difference
+        that gives both boundary slopes, and the exact u and p once per
+        energy rule, jointly where the solution provides it."""
+        domain, data, exact = benchmark(case)
+        calls = Counter()
+
+        def counted(name, func):
+            def wrapper(x, y):
+                calls[name] += 1
+                return func(x, y)
+            return wrapper
+
+        data.f = counted("f", data.f)
+        data.dirichlet_data = counted("datum", data.dirichlet_data)
+        joint = exact.joint and counted("u_and_p", exact.joint)
+        exact = dataclasses.replace(exact, u=counted("u", exact.u),
+                                    p=counted("p", exact.p), joint=joint)
+        mesh = data.initial_mesh(domain).uniform_refine()
+        solution, ctx = adapt.run_iteration(mesh, data, scheme, True)
+        ctx.compute("theorem")
+        verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
+                            exact)
+        rules = 1 + len(exact.singular_points)
+        expected = {"f": 1, "datum": 3}
+        expected.update({"u_and_p": rules} if joint
+                        else {"u": rules, "p": rules})
+        assert calls == expected
 
     def test_loop_gathers_once_per_record(self, field_calls):
         domain, data, exact = benchmark("lshape")

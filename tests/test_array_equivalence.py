@@ -10,13 +10,16 @@ compared with recursive longest-edge (Rivara) bisection up to numbering.
 The kernels are checked on adaptive meshes of about 1.5k elements, under
 the benchmark's coefficients and under full anisotropic tensors: bit for
 bit where they keep the operation order of ``einsum``, within 1e-14 of
-the largest entry where a matmul sums in another order.  The tangential
-jumps of both weightings, from one evaluation of u_h, are bit-equal to
-one pass per weighting.
+the largest entry where they contract the coefficient tensors once per
+element instead of at every quadrature point.  The tangential jumps of a
+pass over both weightings are bit-equal to one pass per weighting.  The
+per-element contractions are also checked against the per-point forms
+on randomly refined meshes under random SPD tensors.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from oracles import (canonical, dict_topology, loop_dump, loop_estimator_csv,
@@ -28,8 +31,8 @@ from rtadapt import quadrature as quad, solver, verify
 from rtadapt.estimators import EstimatorContext, detect_singular_vertices
 from rtadapt.mesh import (DIRICHLET, DOMAINS, INTERIOR, NEUMANN,
                           Triangulation, build_initial_mesh)
-from rtadapt.problem import (ElementCoefficients, ProblemData, benchmark,
-                             patch_quantities)
+from rtadapt.problem import (ElementCoefficients, ExactSolution,
+                             ProblemData, benchmark, patch_quantities)
 
 STEPS = 12
 CASES = {
@@ -280,23 +283,27 @@ def test_integrate_matches_einsum(solved):
 
 
 def test_weighted_flux_is_bit_equal(solved):
+    """The per-point weighting of the oracles, the reference for the
+    per-element contractions."""
     disc, _, ctx, _ = solved
     elems = np.arange(disc.mesh.num_elements)
-    for pts in (disc.midpoints, disc.seven_points):
+    midpoints = quad.MIDPOINT.physical_points(disc.mesh.elem_coords)
+    for pts in (midpoints, disc.seven_points):
         for weighting in ("inv", "invsqrt"):
             assert np.array_equal(
-                ctx.flux.weighted(elems, pts, weighting),
+                oracles.weighted(ctx.flux, elems, pts, weighting),
                 oracles.einsum_weighted(ctx.flux, elems, pts, weighting))
 
 
 def test_tangential_trace_is_bit_equal(solved):
+    """The per-point tangential trace of the oracles."""
     disc, _, ctx, _ = solved
     mesh = disc.mesh
     edges = np.arange(mesh.num_edges)
     pts = postprocess._edge_points(mesh, edges, quad.EDGE_GAUSS2)
     for weighting in ("inv", "invsqrt"):
         assert np.array_equal(
-            postprocess._tangential_trace(
+            oracles.tangential_trace(
                 mesh, ctx.flux, weighting, mesh.edge_elems[:, 0], edges,
                 ctx.flux.u(mesh.edge_elems[:, 0], pts)),
             oracles.einsum_tangential_trace(mesh, ctx.flux, weighting,
@@ -304,22 +311,45 @@ def test_tangential_trace_is_bit_equal(solved):
                                             pts))
 
 
+def test_contracted_traces_match_per_point(solved):
+    """t . W u_h as v . u_h, one v = W^T t per (edge, side), on both sides
+    of every edge."""
+    disc, _, ctx, _ = solved
+    mesh = disc.mesh
+    edges = np.arange(mesh.num_edges)
+    pts = postprocess._edge_points(mesh, edges, quad.EDGE_GAUSS2)
+    for side in mesh.edge_elems.T:
+        edges_s, elems = edges[side >= 0], side[side >= 0]
+        values = ctx.flux.u(elems, pts[edges_s])
+        for weighting in ("inv", "invsqrt"):
+            assert_close(
+                postprocess._trace(mesh, ctx.flux, weighting, elems, edges_s,
+                                   values),
+                oracles.tangential_trace(mesh, ctx.flux, weighting, elems,
+                                         edges_s, values))
+
+
 def test_jumps_are_bit_equal_to_one_weighting_each(solved):
-    """The context's single pass over the edge points, u_h evaluated once
-    and weighted twice, gives the jumps of two single-weighting passes."""
+    """The context's pass over both weightings gives the jumps of two
+    single-weighting passes bit for bit, and the per-point jumps of the
+    oracles within 1e-14."""
     disc, solution, ctx, _ = solved
-    passes = [(ctx, None, None)]
+    passes = [(ctx, False)]
     fields = disc.fields
     # the square-root weighting of the data needs a scalar diffusion tensor
     if not np.any(fields.C_S - fields.c_S > 1e-12 * fields.C_S):
-        passes.append((EstimatorContext(disc, solution, True),
-                       estimators._data_slope(disc, "inv"),
-                       estimators._data_slope(disc, "invsqrt")))
-    for context, slope_inv, slope_half in passes:
-        for jumps, weighting, slope in ((context.jump_inv, "inv", slope_inv),
-                                        (context.jump_half, "invsqrt",
-                                         slope_half)):
-            assert np.array_equal(jumps, oracles.single_weighting_jump_sq(
+        passes.append((EstimatorContext(disc, solution, True), True))
+    for context, subtract in passes:
+        for jumps, weighting in ((context.jump_inv, "inv"),
+                                 (context.jump_half, "invsqrt")):
+            slopes = estimators._data_slopes(disc, (weighting,)) \
+                if subtract else None
+            assert np.array_equal(jumps, postprocess.tangential_jump_sq(
+                disc.mesh, context.flux, (weighting,),
+                boundary_slopes=slopes)[0])
+            slope = None if slopes is None \
+                else (lambda e, p, s=slopes: s(e, p)[0])
+            assert_close(jumps, oracles.single_weighting_jump_sq(
                 disc.mesh, context.flux, weighting, slope))
 
 
@@ -364,4 +394,63 @@ def test_energy_error_matches_einsum(solved):
     elems = np.arange(disc.mesh.num_elements)
     args = (quad.SEVEN_POINT, disc.seven_points, elems, disc.mesh,
             ctx.fields, ctx.flux, solution.pressure, exact)
+    assert_close(verify._error_sq(*args), oracles.einsum_error_sq(*args))
+
+
+# ----------------------------------------------------------------------
+# per-element contractions against the per-point forms, on random
+# refinements under random SPD tensors
+# ----------------------------------------------------------------------
+
+def random_problem(n_coarse, rng):
+    """Random SPD tensors (eigenvalues 0.01-10) on the coarse elements,
+    each element either pure diffusion or with a random velocity and a
+    positive reaction, a smooth source and a smooth exact solution."""
+    coeffs = []
+    for _ in range(n_coarse):
+        Q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        S = Q @ np.diag(rng.uniform(0.01, 10.0, 2)) @ Q.T
+        pure = rng.random() < 0.3
+        coeffs.append(ElementCoefficients(
+            0.5 * (S + S.T), np.zeros(2) if pure else rng.normal(size=2),
+            0.0 if pure else rng.uniform(0.1, 2.0)))
+    data = ProblemData(coeffs, f=lambda x, y: np.sin(3 * x) * np.cos(2 * y))
+    exact = ExactSolution(
+        p=lambda x, y: np.exp(x) * np.sin(y), grad_p=None,
+        u=lambda x, y: np.stack([np.cos(x + y), x * np.exp(y)], axis=-1))
+    return data, exact
+
+
+@given(domain=st.sampled_from(DOMAINS), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_contractions_match_per_point(domain, seed, data):
+    """The closed-form M and conv, the weighted norm, the residual, the
+    tangential jumps of both weightings and the energy kernel within 1e-14
+    of their per-point forms, for a random flux and pressure."""
+    rng = np.random.default_rng(seed)
+    mesh = build_initial_mesh(domain)
+    problem, exact = random_problem(mesh.num_elements, rng)
+    for _ in range(data.draw(st.integers(0, 3), label="depth")):
+        mesh = mesh.refine(data.draw(
+            st.sets(st.integers(0, mesh.num_elements - 1)), label="marked"))
+    disc = assembly.Discretization(mesh, problem)
+    solution = assembly.MixedSolution(rng.normal(size=mesh.num_edges),
+                                      rng.normal(size=mesh.num_elements),
+                                      assembly.CENTERED)
+    ctx = EstimatorContext(disc, solution)
+
+    M, _, conv, _ = assembly._local_blocks(disc)
+    eM, _, econv, _ = oracles.einsum_local_blocks(mesh, disc.fields)
+    assert_close(M, eM)
+    assert_close(conv, econv)
+    assert_close(ctx.norm_sq, oracles.einsum_weighted_norm_sq(ctx))
+    assert_close(ctx._residual_norm_sq(),
+                 oracles.einsum_residual_norm_sq(ctx))
+    assert_close(ctx.jump_inv,
+                 oracles.single_weighting_jump_sq(mesh, ctx.flux, "inv"))
+    assert_close(ctx.jump_half,
+                 oracles.single_weighting_jump_sq(mesh, ctx.flux, "invsqrt"))
+    args = (quad.SEVEN_POINT, disc.seven_points,
+            np.arange(mesh.num_elements), mesh, disc.fields, ctx.flux,
+            solution.pressure, exact)
     assert_close(verify._error_sq(*args), oracles.einsum_error_sq(*args))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from oracles import (dump_matrix, edge_patch, element_row,
+from oracles import (ORACLE_TRI, dump_matrix, edge_patch, element_row,
                      flux_through_edge, local_matrices,
                      loop_neumann_coefficients, mixed_centered, mixed_upwind,
                      upwind_value_coeffs, upwind_weight)
@@ -30,7 +30,7 @@ def reference_triangle():
 
 def oracle_mass_entry(mesh, Sinv, t, i, j):
     """High-order quadrature of int_K (S^-1 phi_i) . phi_j."""
-    rule = quad.ORACLE_TRI
+    rule = ORACLE_TRI
     coords = mesh.elem_coords[t]
     pts = rule.physical_points(coords)
     C = basis_factors(mesh)[t]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (edge_patch, element_indicator, flux_through_edge,
+from oracles import (ORACLE_TRI, edge_patch, element_indicator,
+                     flux_through_edge,
                      hat_hat_p, star_walk_singular_vertices,
-                     total_indicator, vertex_star)
+                     total_indicator, vertex_star, weighted)
 from rtadapt import adapt, assembly, quadrature as quad, solver
 from rtadapt.assembly import (Discretization, assemble_centered,
                               assemble_upwind)
@@ -61,9 +62,9 @@ class TestEtaD:
         mesh, data, _, sol, ctx = solved_context("layer", eps=0.01, a=0.1,
                                                  scheme="upwind")
         fields = ctx.fields
-        rule = quad.ORACLE_TRI
+        rule = ORACLE_TRI
         pts = rule.physical_points(mesh.elem_coords)
-        vals = ctx.flux.weighted(np.arange(mesh.num_elements), pts)
+        vals = weighted(ctx.flux, np.arange(mesh.num_elements), pts)
         norm_sq = rule.integrate((vals**2).sum(axis=-1), mesh.elem_area)
         oracle = np.sqrt(fields.c_wr) * mesh.elem_diam * np.sqrt(norm_sq)
         got = ctx.eta_D_all()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (ORACLE_EDGE, ORACLE_TRI, QuadratureError,
+                     validate_edge_rule, validate_triangle_rule)
 from rtadapt import quadrature as quad
 
 
@@ -13,7 +15,7 @@ def reference_integral(i, j):
 @pytest.mark.parametrize("rule,degree", [
     (quad.MIDPOINT, 2),
     (quad.SEVEN_POINT, 5),
-    (quad.ORACLE_TRI, 10),
+    (ORACLE_TRI, 10),
 ])
 def test_triangle_rules_exact_to_degree(rule, degree):
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -70,8 +72,20 @@ def test_rule_fails_beyond_its_degree():
 
 def test_validation_rejects_bad_rule():
     bad = quad.TriangleRule(quad.MIDPOINT.points, quad.MIDPOINT.weights, degree=5)
-    with pytest.raises(quad.QuadratureError):
-        quad.validate_triangle_rule(bad)
+    with pytest.raises(QuadratureError):
+        validate_triangle_rule(bad)
+
+
+@pytest.mark.parametrize("rule", [quad.MIDPOINT, quad.SEVEN_POINT,
+                                  quad.SINGULAR_VERTEX, ORACLE_TRI])
+def test_triangle_rule_tables_validate(rule):
+    validate_triangle_rule(rule)
+
+
+@pytest.mark.parametrize("rule", [quad.EDGE_GAUSS2, quad.EDGE_GAUSS3,
+                                  quad.DATA_EDGE, ORACLE_EDGE])
+def test_edge_rule_tables_validate(rule):
+    validate_edge_rule(rule)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])

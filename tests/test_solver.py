@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from oracles import SaddleSystem, mixed_centered
 from rtadapt import adapt, assembly, solver
@@ -150,6 +151,39 @@ def test_rcm_permuted_is_a_symmetric_permutation():
     permuted, order = solver.rcm_permuted(matrix)
     assert np.array_equal(np.sort(order), np.arange(matrix.shape[0]))
     assert abs(permuted - matrix[order][:, order]).max() == 0.0
+
+
+@pytest.mark.parametrize("scheme", [CENTERED, UPWIND])
+@pytest.mark.parametrize("case", ["lshape", "kellogg1", "layer"])
+def test_rcm_orders_the_symmetric_pattern(case, scheme):
+    """The assembled pattern equals its transpose, so RCM on the pattern
+    alone gives the order of RCM on the pattern of A + A^T."""
+    mesh, data = uniform(case, **(LAYER if case == "layer" else {}))
+    assemble = assemble_centered if scheme == CENTERED else assemble_upwind
+    matrix = assemble(Discretization(mesh, data)).matrix.tocsc()
+    structure = sp.csc_matrix((np.ones(matrix.nnz, dtype=np.int8),
+                               matrix.indices, matrix.indptr),
+                              shape=matrix.shape)
+    assert (structure != structure.T).nnz == 0
+    _, order = solver.rcm_permuted(matrix)
+    assert np.array_equal(order, reverse_cuthill_mckee(
+        structure + structure.T, symmetric_mode=True))
+
+
+def test_residual_norms_bypass_blas(monkeypatch):
+    """The residual check sums squares itself: np.linalg.norm goes through
+    BLAS, which may run threaded."""
+    mesh, data = uniform("layer", **LAYER)
+    system = assemble_upwind(Discretization(mesh, data))
+    reference = solve(system, mesh.num_edges)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    solution = solve(system, mesh.num_edges)
+    assert np.array_equal(solution.flux, reference.flux)
+    assert np.array_equal(solution.pressure, reference.pressure)
 
 
 def test_supernode_settings_reach_splu(monkeypatch):
