@@ -96,8 +96,8 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     u_left = flux.u(left[inner], pts)
     u_right = flux.u(right[inner], pts)
     for jumps, w in zip(out, weightings):
-        jump = _trace(mesh, flux, w, left[inner], inner, u_left) \
-            - _trace(mesh, flux, w, right[inner], inner, u_right)
+        jump = _tangential_trace(mesh, flux, w, left[inner], inner, u_left) \
+            - _tangential_trace(mesh, flux, w, right[inner], inner, u_right)
         jumps[inner] = rule.integrate(jump**2, mesh.edge_length[inner])
 
     bdry = np.flatnonzero(right < 0)
@@ -107,7 +107,7 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     u_left = flux.u(left[bdry], pts)
     slopes = None if boundary_slopes is None else boundary_slopes(bdry, pts)
     for k, (jumps, w) in enumerate(zip(out, weightings)):
-        jump = _trace(mesh, flux, w, left[bdry], bdry, u_left)
+        jump = _tangential_trace(mesh, flux, w, left[bdry], bdry, u_left)
         if slopes is not None:
             jump = jump - slopes[k]
         jumps[bdry] = rule.integrate(jump**2, mesh.edge_length[bdry])
@@ -121,9 +121,9 @@ def _edge_points(mesh: Triangulation, edges: np.ndarray,
     return rule.physical_points(a, b)                    # (ne, nq, 2)
 
 
-def _trace(mesh: Triangulation, flux: FluxField, weighting: str,
-           elems: np.ndarray, edges: np.ndarray,
-           values: np.ndarray) -> np.ndarray:
+def _tangential_trace(mesh: Triangulation, flux: FluxField, weighting: str,
+                      elems: np.ndarray, edges: np.ndarray,
+                      values: np.ndarray) -> np.ndarray:
     """Tangential component t . W u_h of the weighted flux of ``elems``,
     from the values (ne, nq, 2) of u_h at the points of ``edges``, as
     v . u_h with v = W^T t."""

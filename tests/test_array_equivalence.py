@@ -323,8 +323,8 @@ def test_contracted_traces_match_per_point(solved):
         values = ctx.flux.u(elems, pts[edges_s])
         for weighting in ("inv", "invsqrt"):
             assert_close(
-                postprocess._trace(mesh, ctx.flux, weighting, elems, edges_s,
-                                   values),
+                postprocess._tangential_trace(mesh, ctx.flux, weighting,
+                                              elems, edges_s, values),
                 oracles.tangential_trace(mesh, ctx.flux, weighting, elems,
                                          edges_s, values))
 
