@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (ORACLE_TRI, edge_patch, element_indicator,
-                     flux_through_edge,
-                     hat_hat_p, star_walk_singular_vertices,
-                     total_indicator, vertex_star, weighted)
+                     flux_through_edge, hat_hat_p,
+                     star_walk_singular_vertices, total_indicator,
+                     vertex_star, weighted)
 from rtadapt import adapt, assembly, quadrature as quad, solver
 from rtadapt.assembly import (Discretization, assemble_centered,
                               assemble_upwind)
