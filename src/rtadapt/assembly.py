@@ -303,7 +303,7 @@ def _local_blocks(disc: Discretization, couplings: bool = True):
     B : (NT, 3) divergence integrals, signed edge lengths
     conv : (NT, 3) convection couplings, int_K (S^-1 phi_i) . w, or None
         without ``couplings`` (the upwind scheme drops conv and react)
-    react : (NT,) (r + div w) |K|
+    react : (NT,) r |K|
     """
     mesh, fields = disc.mesh, disc.fields
     if np.any(mesh.elem_area <= 0.0):
@@ -322,7 +322,7 @@ def _local_blocks(disc: Discretization, couplings: bool = True):
         w = fields.w[:, None]
         conv = (Ae0 * w[..., 0] + Ae1 * w[..., 1]) \
             * mesh.elem_area[:, None] * C
-    react = (fields.r + fields.divw) * mesh.elem_area
+    react = fields.r * mesh.elem_area
     return M, B, conv, react
 
 

@@ -68,18 +68,19 @@ class EstimatorBreakdown:
 
 
 def residual_weights(mesh: Triangulation, fields) -> ResidualWeights:
-    """alpha_K = min(h_K / sqrt(c_S), 1 / sqrt(c_wr)), beta_K = C_wr h alpha.
+    """alpha_K = min(h_K / sqrt(c_S), 1 / sqrt(r)), beta_K = r h_K alpha_K.
 
-    With a vanishing combined reaction alpha_K falls back to the diffusive
-    scaling h_K / sqrt(c_S).
+    These are the paper's weights with c_wr = C_wr = r, which holds since
+    w is constant per element (div w = 0).  With a vanishing reaction
+    alpha_K falls back to the diffusive scaling h_K / sqrt(c_S).
     """
     diffusive = mesh.elem_diam / np.sqrt(fields.c_S)
     with np.errstate(divide="ignore"):
-        reactive = np.where(fields.c_wr > 0.0,
-                            1.0 / np.sqrt(np.maximum(fields.c_wr, 1e-300)),
+        reactive = np.where(fields.r > 0.0,
+                            1.0 / np.sqrt(np.maximum(fields.r, 1e-300)),
                             np.inf)
     alpha = np.minimum(diffusive, reactive)
-    beta = fields.C_wr * mesh.elem_diam * alpha
+    beta = fields.r * mesh.elem_diam * alpha
     return ResidualWeights(alpha=alpha, beta=beta)
 
 
@@ -163,7 +164,7 @@ class EstimatorContext:
         take the general residual.
         """
         fields, rule = self.fields, quad.SEVEN_POINT
-        pure = (fields.C_w == 0.0) & (fields.r == 0.0) & (fields.divw == 0.0)
+        pure = (fields.C_w == 0.0) & (fields.r == 0.0)
         if not pure.any():
             resid = self._general_residual(slice(None))
         else:
@@ -175,21 +176,21 @@ class EstimatorContext:
         return rule.integrate(resid**2, self.mesh.elem_area)
 
     def _general_residual(self, elems) -> np.ndarray:
-        """f - div u_h + w . S^-1 u_h - (r + div w) p_K at the seven-point
+        """f - div u_h + w . S^-1 u_h - r p_K at the seven-point
         nodes of ``elems`` (indices or a slice), with w . S^-1 u_h = g . u_h
         for g = S^-T w."""
         fields, flux = self.fields, self.flux
         g = np.column_stack(mat_vec(fields.Sinv[elems].swapaxes(1, 2),
                                     fields.w[elems]))
         u = flux.u(elems, self.disc.seven_points[elems])
-        react = (fields.r + fields.divw)[elems] * self.solution.pressure[elems]
+        react = fields.r[elems] * self.solution.pressure[elems]
         return (self.disc.source[elems] - 2.0 * flux.b[elems, None]
                 + dot(u, g[:, None]) - react[:, None])
 
     # -- per-element estimator families -------------------------------------
 
     def eta_D_all(self) -> np.ndarray:
-        return np.sqrt(self.fields.c_wr) * self.mesh.elem_diam \
+        return np.sqrt(self.fields.r) * self.mesh.elem_diam \
             * np.sqrt(self.norm_sq)
 
     def eta_R_all(self) -> np.ndarray:
@@ -214,9 +215,15 @@ class EstimatorContext:
         return np.sqrt(volume + face)
 
     def eta_C_all(self) -> np.ndarray:
-        volume = self.patch.lam_divw**2 * self.mesh.elem_diam**2 * self.norm_sq
-        face = self._jump_sum(self.jump_inv, self.patch.lam_w_sigma**2)
-        return np.sqrt(volume + face)
+        """eta_C,K^2 = sum over the edges sigma of K of delta_sigma
+        lam_w_sigma^2 h_sigma ||[t . S^-1 u_h]||_sigma^2.
+
+        The paper adds the volume term lambda_div^2 h_K^2 ||S^-1 u_h||_K^2,
+        lambda_div the patch maximum of |div w| / sqrt(c_wr).  w is
+        constant per element, so div w = 0 and that term vanishes.
+        """
+        return np.sqrt(self._jump_sum(self.jump_inv,
+                                      self.patch.lam_w_sigma**2))
 
     def _hat_hat_all(self) -> np.ndarray:
         """Face-value defect of the upwind pressure per edge.

@@ -175,9 +175,6 @@ class Triangulation:
             + self.vert_coords[self.edge_verts[:, 1]]
         )
 
-    def is_boundary_edge(self) -> np.ndarray:
-        return self.edge_flag != INTERIOR
-
     def min_angle(self) -> float:
         """Smallest interior angle over all elements, in radians."""
         xy = self.elem_coords
@@ -374,9 +371,7 @@ def _index_rows(*columns: np.ndarray) -> str:
 DOMAINS = ("lshape", "square2x2", "unit-square")
 
 
-def build_initial_mesh(domain: str,
-                       boundary_rule: Callable[[float, float], int] | None = None
-                       ) -> Triangulation:
+def build_initial_mesh(domain: str) -> Triangulation:
     """Initial coarse mesh of a benchmark domain.
 
     lshape      6 right isoceles triangles on (-1,1)x(0,1) u (-1,0)x(-1,0),
@@ -385,8 +380,7 @@ def build_initial_mesh(domain: str,
     unit-square 8 triangles on (0,1)^2, sub-square diagonals through the
                 center.
 
-    ``boundary_rule`` maps a boundary-edge midpoint to DIRICHLET/NEUMANN;
-    all boundary edges are Dirichlet by default.
+    All boundary edges are Dirichlet; ``apply_boundary_rule`` re-flags them.
     """
     if domain == "lshape":
         coords = np.array([
@@ -425,10 +419,7 @@ def build_initial_mesh(domain: str,
     else:
         raise MeshError(f"unknown domain id {domain!r}")
 
-    mesh = Triangulation(coords, elems)
-    if boundary_rule is not None:
-        mesh = apply_boundary_rule(mesh, boundary_rule)
-    return mesh
+    return Triangulation(coords, elems)
 
 
 def apply_boundary_rule(mesh: Triangulation,
@@ -436,7 +427,7 @@ def apply_boundary_rule(mesh: Triangulation,
     """Re-flag boundary edges by a midpoint classification rule."""
     mids = mesh.edge_midpoints()
     flags = {}
-    for e in np.flatnonzero(mesh.is_boundary_edge()):
+    for e in np.flatnonzero(mesh.edge_flag != INTERIOR):
         flags[tuple(mesh.edge_verts[e])] = int(rule(mids[e, 0], mids[e, 1]))
     return Triangulation(mesh.vert_coords, mesh.elem_verts, flags,
                          mesh.elem_ancestor, mesh.generation)

@@ -93,21 +93,23 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
 
     inner = np.flatnonzero(right >= 0)
     pts = _edge_points(mesh, inner, rule)
+    tangents = mesh.edge_tangent[inner]
     u_left = flux.u(left[inner], pts)
     u_right = flux.u(right[inner], pts)
     for jumps, w in zip(out, weightings):
-        jump = _tangential_trace(mesh, flux, w, left[inner], inner, u_left) \
-            - _tangential_trace(mesh, flux, w, right[inner], inner, u_right)
+        jump = _tangential_trace(flux, w, left[inner], tangents, u_left) \
+            - _tangential_trace(flux, w, right[inner], tangents, u_right)
         jumps[inner] = rule.integrate(jump**2, mesh.edge_length[inner])
 
     bdry = np.flatnonzero(right < 0)
     if boundary_slopes is not None:
         rule = quad.DATA_EDGE
     pts = _edge_points(mesh, bdry, rule)
+    tangents = mesh.edge_tangent[bdry]
     u_left = flux.u(left[bdry], pts)
     slopes = None if boundary_slopes is None else boundary_slopes(bdry, pts)
     for k, (jumps, w) in enumerate(zip(out, weightings)):
-        jump = _tangential_trace(mesh, flux, w, left[bdry], bdry, u_left)
+        jump = _tangential_trace(flux, w, left[bdry], tangents, u_left)
         if slopes is not None:
             jump = jump - slopes[k]
         jumps[bdry] = rule.integrate(jump**2, mesh.edge_length[bdry])
@@ -121,15 +123,13 @@ def _edge_points(mesh: Triangulation, edges: np.ndarray,
     return rule.physical_points(a, b)                    # (ne, nq, 2)
 
 
-def _tangential_trace(mesh: Triangulation, flux: FluxField, weighting: str,
-                      elems: np.ndarray, edges: np.ndarray,
-                      values: np.ndarray) -> np.ndarray:
+def _tangential_trace(flux: FluxField, weighting: str, elems: np.ndarray,
+                      tangents: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Tangential component t . W u_h of the weighted flux of ``elems``,
-    from the values (ne, nq, 2) of u_h at the points of ``edges``, as
-    v . u_h with v = W^T t."""
+    from the values (ne, nq, 2) of u_h at the points of edges with unit
+    ``tangents`` (ne, 2), as v . u_h with v = W^T t."""
     mat = flux.fields.Sinv if weighting == "inv" else flux.fields.Sinvhalf
-    v = np.column_stack(mat_vec(mat[elems].swapaxes(1, 2),
-                                mesh.edge_tangent[edges]))
+    v = np.column_stack(mat_vec(mat[elems].swapaxes(1, 2), tangents))
     return dot(values, v[:, None])
 
 

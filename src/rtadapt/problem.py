@@ -1,17 +1,17 @@
-"""Problem data, derived coefficient bounds, and benchmark definitions.
+"""Problem data, the coefficient table, patch weights and benchmarks.
 
 Coefficients are piecewise constant on the original triangulation; refined
 elements inherit them through their coarse ancestor, so no interpolation
 error ever enters.  Degenerate weights follow the convention that any
-quotient with a vanishing reaction-convection constant is zero whenever
-its numerator vanishes (which the data assumptions force).
+quotient with a vanishing reaction is zero whenever its numerator
+vanishes (which the data assumptions force).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -23,125 +23,72 @@ class ProblemDataError(Exception):
     """Coefficient data violating the admissibility assumptions."""
 
 
-@dataclass(frozen=True)
-class ElementCoefficients:
-    """Constant coefficients on one coarse element.
-
-    S : 2x2 symmetric positive-definite diffusion tensor
-    w : constant velocity vector
-    r : reaction constant
-    divw : divergence of the velocity (0 for constant w)
-    """
-
-    S: np.ndarray
-    w: np.ndarray
-    r: float
-    divw: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        if self.S.shape != (2, 2):
-            raise ProblemDataError("S must be 2x2")
-        if abs(self.S[0, 1] - self.S[1, 0]) > 1e-14 * (1 + abs(self.S).max()):
-            raise ProblemDataError("S must be symmetric")
-
-    @property
-    def c_wr(self) -> float:
-        return 0.5 * self.divw + self.r
-
-    @property
-    def C_wr(self) -> float:
-        return abs(self.divw + self.r)
-
-
-@dataclass(frozen=True)
-class CoefficientBounds:
-    """Per-element scalar bounds derived from ElementCoefficients."""
-
-    c_S: float
-    C_S: float
-    C_w: float
-    c_wr: float
-    C_wr: float
-    C_divw: float
-
-
-def derive_bounds(c: ElementCoefficients) -> CoefficientBounds:
-    """Exact eigenvalue bounds and convection-reaction constants.
-
-    Raises ProblemDataError for a non-SPD tensor, negative combined
-    reaction, or data violating the degenerate-case compatibility rule.
-    """
-    a, b, d = c.S[0, 0], c.S[0, 1], c.S[1, 1]
-    half_trace = 0.5 * (a + d)
-    radius = math.hypot(0.5 * (a - d), b)
-    c_s = half_trace - radius
-    c_big = half_trace + radius
-    if c_s <= 0.0:
-        raise ProblemDataError(f"diffusion tensor not SPD (min eigenvalue {c_s})")
-    c_wr = c.c_wr
-    if c_wr < 0.0:
-        raise ProblemDataError(f"combined reaction {c_wr} negative")
-    if c_wr == 0.0 and c.C_wr != 0.0:
-        raise ProblemDataError(
-            "vanishing combined reaction requires a vanishing reaction bound"
-        )
-    return CoefficientBounds(
-        c_S=c_s,
-        C_S=c_big,
-        C_w=float(np.hypot(c.w[0], c.w[1])),
-        c_wr=c_wr,
-        C_wr=c.C_wr,
-        C_divw=abs(c.divw),
-    )
-
-
 @dataclass
 class PatchQuantities:
     """Coefficient-variation weights over vertex-neighbor patches.
 
     Per edge: lam_sigma (largest C_S touching the edge) and
     lam_w_sigma = min(velocity/reaction quotient, mesh Peclet quotient).
-    Per element: lam_wr (largest combined reaction over the patch) and
-    lam_divw (largest divergence quotient over the patch).
+    Per element: lam_wr (largest reaction over the patch) and C_S_patch
+    (largest C_S over the patch).
     """
 
     lam_sigma: np.ndarray
     lam_w_sigma: np.ndarray
-    lambda_w_sigma: np.ndarray
-    p_w_sigma: np.ndarray
     lam_wr: np.ndarray
-    lam_divw: np.ndarray
     C_S_patch: np.ndarray
 
 
 @dataclass
 class CoefficientFields:
-    """Coefficient data gathered onto the elements of one mesh."""
+    """Coefficients and their bounds, one row per element.
+
+    c_S and C_S are the extreme eigenvalues of S, C_w = |w|.  The velocity
+    is constant on every element, so div w = 0 and the convection-reaction
+    bounds of the analysis reduce to the reaction: c_wr = C_wr = r.
+    """
 
     S: np.ndarray          # (NT, 2, 2)
     Sinv: np.ndarray       # (NT, 2, 2)
     Sinvhalf: np.ndarray   # (NT, 2, 2)
     w: np.ndarray          # (NT, 2)
     r: np.ndarray          # (NT,)
-    divw: np.ndarray       # (NT,)
     c_S: np.ndarray
     C_S: np.ndarray
     C_w: np.ndarray
-    c_wr: np.ndarray
-    C_wr: np.ndarray
-    C_divw: np.ndarray
 
 
-def _sym_inv(S: np.ndarray) -> np.ndarray:
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    return np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
+def coefficient_table(S, w, r) -> CoefficientFields:
+    """Validate per-element S (n, 2, 2), w (n, 2) and r (n,) and derive
+    S^-1, S^-1/2 and the bounds in one array pass.
 
-
-def _sym_inv_sqrt(S: np.ndarray) -> np.ndarray:
+    Raises ProblemDataError for mismatched shapes, a non-symmetric or
+    non-SPD tensor (NaN included) or a negative reaction.
+    """
+    S, w, r = (np.asarray(x, dtype=float) for x in (S, w, r))
+    n = r.shape[0] if r.ndim == 1 else -1
+    if S.shape != (n, 2, 2) or w.shape != (n, 2):
+        raise ProblemDataError(
+            f"coefficient shapes {S.shape}, {w.shape}, {r.shape} are not "
+            "(n, 2, 2), (n, 2), (n,)")
+    a, b, c, d = S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1]
+    if np.any(abs(b - c) > 1e-14 * (1 + abs(S).max(axis=(1, 2)))):
+        raise ProblemDataError("S must be symmetric")
+    half_trace = 0.5 * (a + d)
+    radius = np.hypot(0.5 * (a - d), b)
+    c_S = half_trace - radius
+    if not np.all(c_S > 0.0):
+        raise ProblemDataError(
+            f"diffusion tensor not SPD (min eigenvalue {c_S.min()})")
+    if not np.all(r >= 0.0):
+        raise ProblemDataError(f"reaction {r.min()} negative")
+    Sinv = np.empty_like(S)
+    Sinv[:, 0, 0], Sinv[:, 0, 1], Sinv[:, 1, 0], Sinv[:, 1, 1] = d, -b, -c, a
+    Sinv /= (a * d - b * c)[:, None, None]
     vals, vecs = np.linalg.eigh(S)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    Sinvhalf = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.swapaxes(1, 2)
+    return CoefficientFields(S, Sinv, Sinvhalf, w, r, c_S, half_trace + radius,
+                             np.hypot(w[:, 0], w[:, 1]))
 
 
 class ProblemData:
@@ -149,8 +96,10 @@ class ProblemData:
 
     Parameters
     ----------
-    coefficients : sequence of ElementCoefficients
-        One entry per element of the original triangulation.
+    S, w, r : arrays (n, 2, 2), (n, 2) and (n,)
+        Diffusion tensor, velocity and reaction, one row per element of
+        the original triangulation; kept as ``table``, a
+        ``CoefficientFields`` over those elements.
     f : callable (x, y) -> values
     dirichlet_data : callable (x, y) -> values, used on Dirichlet edges
     neumann_data : callable (x, y) -> values (outward normal flux), used
@@ -158,12 +107,11 @@ class ProblemData:
     boundary_rule : callable (x, y) -> flag for boundary-edge midpoints
     """
 
-    def __init__(self, coefficients: Sequence[ElementCoefficients],
-                 f: Callable = None, dirichlet_data: Callable = None,
+    def __init__(self, S, w, r, f: Callable = None,
+                 dirichlet_data: Callable = None,
                  neumann_data: Callable = None,
                  boundary_rule: Callable = None):
-        self.coefficients = list(coefficients)
-        self.bounds = [derive_bounds(c) for c in self.coefficients]
+        self.table = coefficient_table(S, w, r)
         # a zero source as a read-only view, which holds no memory while
         # the Discretization keeps its values
         self.f = f if f is not None \
@@ -173,14 +121,12 @@ class ProblemData:
         self.neumann_data = (neumann_data if neumann_data is not None
                              else (lambda x, y: np.zeros_like(x)))
         self.boundary_rule = boundary_rule
-        self._Sinv = [_sym_inv(c.S) for c in self.coefficients]
-        self._Sinvhalf = [_sym_inv_sqrt(c.S) for c in self.coefficients]
 
     def initial_mesh(self, domain: str) -> Triangulation:
         m = meshmod.build_initial_mesh(domain)
-        if len(self.coefficients) != m.num_elements:
+        if self.table.r.size != m.num_elements:
             raise ProblemDataError(
-                f"{len(self.coefficients)} coefficient sets for "
+                f"{self.table.r.size} coefficient sets for "
                 f"{m.num_elements} coarse elements"
             )
         if self.boundary_rule is not None:
@@ -188,28 +134,13 @@ class ProblemData:
         return m
 
     def fields(self, mesh: Triangulation) -> CoefficientFields:
-        """Gather coefficients onto the mesh elements via coarse ancestors."""
+        """Gather the coefficient table onto the mesh elements via their
+        coarse ancestors."""
         anc = mesh.elem_ancestor
-        if anc.max(initial=-1) >= len(self.coefficients):
+        if anc.max(initial=-1) >= self.table.r.size:
             raise ProblemDataError("mesh ancestor outside the coefficient table")
-
-        def gather(values):
-            return np.asarray(values)[anc]
-
         return CoefficientFields(
-            S=gather([c.S for c in self.coefficients]),
-            Sinv=gather(self._Sinv),
-            Sinvhalf=gather(self._Sinvhalf),
-            w=gather([c.w for c in self.coefficients]),
-            r=gather([c.r for c in self.coefficients]),
-            divw=gather([c.divw for c in self.coefficients]),
-            c_S=gather([b.c_S for b in self.bounds]),
-            C_S=gather([b.C_S for b in self.bounds]),
-            C_w=gather([b.C_w for b in self.bounds]),
-            c_wr=gather([b.c_wr for b in self.bounds]),
-            C_wr=gather([b.C_wr for b in self.bounds]),
-            C_divw=gather([b.C_divw for b in self.bounds]),
-        )
+            **{name: values[anc] for name, values in vars(self.table).items()})
 
 
 def patch_quantities(mesh: Triangulation, fields: CoefficientFields
@@ -220,42 +151,32 @@ def patch_quantities(mesh: Triangulation, fields: CoefficientFields
     elements meeting an edge or element only at a vertex.
     """
     tv = mesh.elem_verts
+    ev = mesh.edge_verts
 
     def star_max(values):
         out = np.zeros(mesh.num_vertices)
         np.maximum.at(out, tv.ravel(), np.repeat(values, 3))
         return out
 
-    def reaction_quotient(numerator):
-        """numerator / sqrt(c_wr) with 0/0 := 0 and x/0 := inf."""
-        root = np.sqrt(fields.c_wr)
-        out = np.divide(numerator, root, out=np.full(root.shape, np.inf),
-                        where=root > 0.0)
-        out[numerator == 0.0] = 0.0
-        return out
+    def edge_max(star):
+        return np.maximum(star[ev[:, 0]], star[ev[:, 1]])
 
+    def elem_max(star):
+        return np.maximum.reduce([star[tv[:, i]] for i in range(3)])
+
+    # C_w / sqrt(r) with 0/0 := 0 and x/0 := inf
+    root = np.sqrt(fields.r)
+    w_quot = np.divide(fields.C_w, root, out=np.full(root.shape, np.inf),
+                       where=root > 0.0)
+    w_quot[fields.C_w == 0.0] = 0.0
     star_cs = star_max(fields.C_S)
-    star_cwr = star_max(fields.c_wr)
-    star_divq = star_max(reaction_quotient(fields.C_divw))
-    star_wq = star_max(reaction_quotient(fields.C_w))
-    star_peclet = star_max(mesh.elem_diam * fields.C_w / np.sqrt(fields.c_S))
-
-    ev = mesh.edge_verts
-    lam_sigma = np.maximum(star_cs[ev[:, 0]], star_cs[ev[:, 1]])
-    lambda_w_sigma = np.maximum(star_wq[ev[:, 0]], star_wq[ev[:, 1]])
-    p_w_sigma = np.maximum(star_peclet[ev[:, 0]], star_peclet[ev[:, 1]])
-    lam_w_sigma = np.minimum(lambda_w_sigma, p_w_sigma)
-
-    lam_wr = np.maximum.reduce([star_cwr[tv[:, i]] for i in range(3)])
-    lam_divw = np.maximum.reduce([star_divq[tv[:, i]] for i in range(3)])
-    c_s_patch = np.maximum.reduce([star_cs[tv[:, i]] for i in range(3)])
-
-    for name, arr in (("edge convection weight", lam_w_sigma),
-                      ("element divergence weight", lam_divw)):
-        if not np.all(np.isfinite(arr)):
-            raise ProblemDataError(f"{name} is infinite; data violate (D6)")
-    return PatchQuantities(lam_sigma, lam_w_sigma, lambda_w_sigma,
-                           p_w_sigma, lam_wr, lam_divw, c_s_patch)
+    peclet = star_max(mesh.elem_diam * fields.C_w / np.sqrt(fields.c_S))
+    lam_w_sigma = np.minimum(edge_max(star_max(w_quot)), edge_max(peclet))
+    if not np.all(np.isfinite(lam_w_sigma)):
+        raise ProblemDataError(
+            "edge convection weight is infinite; data violate (D6)")
+    return PatchQuantities(edge_max(star_cs), lam_w_sigma,
+                           elem_max(star_max(fields.r)), elem_max(star_cs))
 
 
 @dataclass(frozen=True)
@@ -436,25 +357,19 @@ def benchmark(case_id: str, eps: float = 1e-3, a: float = 0.05
     are only meaningful for the internal-layer case.
     """
     eye = np.eye(2)
-    zero_w = np.zeros(2)
     if case_id == "lshape":
         exact = _lshape_exact()
-        coeffs = [ElementCoefficients(eye, zero_w, 0.0) for _ in range(6)]
-        data = ProblemData(coeffs, f=None, dirichlet_data=exact.p)
+        data = ProblemData(np.tile(eye, (6, 1, 1)), np.zeros((6, 2)),
+                           np.zeros(6), dirichlet_data=exact.p)
         return "lshape", data, exact
 
     if case_id in ("kellogg1", "kellogg2"):
         case = 1 if case_id == "kellogg1" else 2
         exact = _kellogg_exact(case)
-        s_vals = KELLOGG_CASES[case][1]
         # two coarse triangles per quadrant, ordered quadrant 1..4
-        coeffs = []
-        for quad in range(4):
-            for _ in range(2):
-                coeffs.append(
-                    ElementCoefficients(s_vals[quad] * eye, zero_w, 0.0)
-                )
-        data = ProblemData(coeffs, f=None, dirichlet_data=exact.p)
+        s_vals = np.repeat(KELLOGG_CASES[case][1], 2)
+        data = ProblemData(s_vals[:, None, None] * eye, np.zeros((8, 2)),
+                           np.zeros(8), dirichlet_data=exact.p)
         return "square2x2", data, exact
 
     if case_id == "layer":
@@ -473,13 +388,9 @@ def benchmark(case_id: str, eps: float = 1e-3, a: float = 0.05
         def boundary_rule(x, y):
             return NEUMANN if y > 1.0 - 1e-12 else DIRICHLET
 
-        coeffs = [
-            ElementCoefficients(eps * eye, np.array([0.0, 1.0]), 1.0)
-            for _ in range(8)
-        ]
-        data = ProblemData(coeffs, f=f, dirichlet_data=exact.p,
-                           neumann_data=lambda x, y: np.zeros_like(x),
-                           boundary_rule=boundary_rule)
+        data = ProblemData(np.tile(eps * eye, (8, 1, 1)),
+                           np.tile([0.0, 1.0], (8, 1)), np.ones(8), f=f,
+                           dirichlet_data=exact.p, boundary_rule=boundary_rule)
         return "unit-square", data, exact
 
     raise ProblemDataError(f"unknown benchmark {case_id!r}")

@@ -20,7 +20,8 @@ def energy_error(mesh: Triangulation, fields, flux: FluxField,
     """Weighted stress-plus-displacement error against the exact solution.
 
     E_K^2 = ||S^-1/2 (u - u_h)||_K^2 + c_wr ||p - p_K||_K^2, the first
-    term as the quadratic form (u - u_h)^T S^-1 (u - u_h).  Both terms
+    term as the quadratic form (u - u_h)^T S^-1 (u - u_h), with c_wr = r
+    since w is constant per element (div w = 0).  Both terms
     are integrated by the seven-point degree-5 rule, except on elements
     having one of ``exact.singular_points`` as a vertex: there the
     integrand behaves like r^(2 alpha - 2) and the seven-point rule
@@ -60,7 +61,7 @@ def _error_sq(rule: quad.TriangleRule, pts: np.ndarray, elems,
         + A[:, 1, 1, None] * d1 * d1
     stress_sq = rule.integrate(form, area)
     disp_sq = rule.integrate((p - pressure[elems, None]) ** 2, area)
-    return stress_sq + fields.c_wr[elems] * disp_sq
+    return stress_sq + fields.r[elems] * disp_sq
 
 
 def _singular_vertex_elements(mesh: Triangulation, points

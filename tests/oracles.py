@@ -103,7 +103,7 @@ ORACLE_EDGE = quad.gauss_edge_rule(10)
 
 
 def _coarse_S(data, mesh):
-    return np.array([c.S for c in data.coefficients])[mesh.elem_ancestor]
+    return data.table.S[mesh.elem_ancestor]
 
 
 def _outward_normals(mesh, edges):
@@ -135,8 +135,7 @@ def boundary_identity_energy(mesh, data, exact, solution,
     singular quadrature is involved.  The Dirichlet datum enters only
     through ``exact.p``, not through the assembly's edge means.
     """
-    for c in data.coefficients:
-        assert np.all(c.w == 0.0) and c.r == 0.0 and c.divw == 0.0
+    assert np.all(data.table.w == 0.0) and np.all(data.table.r == 0.0)
     elems = np.arange(mesh.num_elements)
     flux = FluxField(Discretization(mesh, data), solution)
     assert np.abs(2.0 * flux.b).max() <= 1e-10, "div u_h does not vanish"
@@ -252,13 +251,13 @@ def dict_topology(elem_verts, boundary_flags=None):
             edge_flag)
 
 
-def _guarded_quotient(numerator, c_wr):
-    """numerator / sqrt(c_wr) with 0/0 := 0."""
+def _guarded_quotient(numerator, r):
+    """numerator / sqrt(r) with 0/0 := 0."""
     if numerator == 0.0:
         return 0.0
-    if c_wr == 0.0:
+    if r == 0.0:
         return math.inf
-    return numerator / math.sqrt(c_wr)
+    return numerator / math.sqrt(r)
 
 
 def loop_patch_maxima(mesh, fields):
@@ -266,19 +265,15 @@ def loop_patch_maxima(mesh, fields):
     (element, vertex) pairs; returns a dict keyed by field name."""
     nv = mesh.num_vertices
     star_cs = np.zeros(nv)
-    star_cwr = np.zeros(nv)
-    star_divq = np.zeros(nv)
+    star_r = np.zeros(nv)
     star_wq = np.zeros(nv)
     star_peclet = np.zeros(nv)
-    div_quot = [_guarded_quotient(d, c)
-                for d, c in zip(fields.C_divw, fields.c_wr)]
-    w_quot = [_guarded_quotient(cw, c) for cw, c in zip(fields.C_w, fields.c_wr)]
+    w_quot = [_guarded_quotient(cw, r) for cw, r in zip(fields.C_w, fields.r)]
     peclet = mesh.elem_diam * fields.C_w / np.sqrt(fields.c_S)
     for t in range(mesh.num_elements):
         for v in mesh.elem_verts[t]:
             star_cs[v] = max(star_cs[v], fields.C_S[t])
-            star_cwr[v] = max(star_cwr[v], fields.c_wr[t])
-            star_divq[v] = max(star_divq[v], div_quot[t])
+            star_r[v] = max(star_r[v], fields.r[t])
             star_wq[v] = max(star_wq[v], w_quot[t])
             star_peclet[v] = max(star_peclet[v], peclet[t])
 
@@ -297,8 +292,7 @@ def loop_patch_maxima(mesh, fields):
                                  in zip(lambda_w_sigma, p_w_sigma)]),
         "lambda_w_sigma": lambda_w_sigma,
         "p_w_sigma": p_w_sigma,
-        "lam_wr": elem_max(star_cwr),
-        "lam_divw": elem_max(star_divq),
+        "lam_wr": elem_max(star_r),
         "C_S_patch": elem_max(star_cs),
     }
 
@@ -1146,7 +1140,7 @@ def einsum_local_blocks(mesh, fields, rule=quad.MIDPOINT):
     B = mesh.elem_signs * mesh.edge_length[mesh.elem_edges]
     conv0 = np.einsum("tqia,ta,q->ti", AD, fields.w, rule.weights)
     conv = conv0 * mesh.elem_area[:, None] * C
-    react = (fields.r + fields.divw) * mesh.elem_area
+    react = fields.r * mesh.elem_area
     return M, B, conv, react
 
 
@@ -1164,12 +1158,12 @@ def einsum_residual_norm_sq(ctx):
     pts = ctx.disc.seven_points
     fvals = np.broadcast_to(ctx.disc.problem.f(pts[..., 0], pts[..., 1]),
                             pts.shape[:-1])
-    pure = (fields.C_w == 0.0) & (fields.r == 0.0) & (fields.divw == 0.0)
+    pure = (fields.C_w == 0.0) & (fields.r == 0.0)
     reduced = fvals - (fvals @ rule.weights)[:, None]
     sinv_u = einsum_weighted(ctx.flux, np.arange(mesh.num_elements), pts)
     general = (fvals - 2.0 * ctx.flux.b[:, None]
                + np.einsum("tqd,td->tq", sinv_u, fields.w)
-               - ((fields.r + fields.divw) * ctx.solution.pressure)[:, None])
+               - (fields.r * ctx.solution.pressure)[:, None])
     resid = np.where(pure[:, None], reduced, general)
     return einsum_integrate(rule, resid**2, mesh.elem_area)
 
@@ -1183,4 +1177,4 @@ def einsum_error_sq(rule, pts, elems, mesh, fields, flux, pressure, exact):
     p_exact = exact.p(pts[..., 0], pts[..., 1])
     disp_sq = einsum_integrate(rule, (p_exact - pressure[elems, None]) ** 2,
                                area)
-    return stress_sq + fields.c_wr[elems] * disp_sq
+    return stress_sq + fields.r[elems] * disp_sq

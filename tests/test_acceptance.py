@@ -17,7 +17,7 @@ from rtadapt.estimators import EstimatorContext
 from rtadapt.mesh import DIRICHLET, NEUMANN, Triangulation
 from rtadapt.postprocess import FluxField, build_ptilde, ptilde_values, \
     tangential_jump_sq
-from rtadapt.problem import ElementCoefficients, ProblemData, benchmark
+from rtadapt.problem import ProblemData, benchmark
 
 from oracles import (ORACLE_EDGE, ORACLE_TRI, barycenters,
                      boundary_identity_energy, edge_patch,
@@ -105,7 +105,7 @@ def centered_conservation_defect(data, mesh, ctx, solution):
         "tab,tb->ta", fields.Sinv,
         ctx.flux.a + ctx.flux.b[:, None] * bary)
     conv_term = np.einsum("ta,ta->t", sinv_u_bar, fields.w) * mesh.elem_area
-    react_term = (fields.r + fields.divw) * solution.pressure * mesh.elem_area
+    react_term = fields.r * solution.pressure * mesh.elem_area
     return fsrc - div_term + conv_term - react_term, fsrc
 
 
@@ -349,15 +349,14 @@ def random_patch(rng):
     for _ in range(2):
         Q = rng.normal(size=(2, 2))
         S = Q @ Q.T + 0.4 * np.eye(2)
-        coeffs.append(ElementCoefficients(S, rng.normal(size=2),
-                                          float(rng.uniform(0.0, 2.0))))
+        coeffs.append((S, rng.normal(size=2), float(rng.uniform(0.0, 2.0))))
     poly = rng.normal(size=6)
 
     def f(x, y):
         return (poly[0] + poly[1] * x + poly[2] * y + poly[3] * x * x
                 + poly[4] * x * y + poly[5] * y * y)
 
-    data = ProblemData(coeffs, f=f)
+    data = ProblemData(*map(np.array, zip(*coeffs)), f=f)
     return mesh, data
 
 
@@ -402,7 +401,7 @@ def test_criterion_9_oracle_equivalence():
             sinv_u = u @ fields.Sinv[t].T
             resid = (data.f(pts[t][:, 0], pts[t][:, 1]) - 2.0 * ctx.flux.b[t]
                      + sinv_u @ fields.w[t]
-                     - (fields.r[t] + fields.divw[t]) * solution.pressure[t])
+                     - fields.r[t] * solution.pressure[t])
             r_sq = oracle_rule.integrate(resid**2, mesh.elem_area[t])
             u_sq = oracle_rule.integrate((sinv_u**2).sum(axis=-1),
                                          mesh.elem_area[t])

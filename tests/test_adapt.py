@@ -172,8 +172,8 @@ class TestAdaptiveLoop:
         # so the first marking round is empty and the loop stops
         domain, data, _ = benchmark("lshape")
         import rtadapt.problem as prb
-        silent = prb.ProblemData(data.coefficients, f=None,
-                                 dirichlet_data=None)
+        silent = prb.ProblemData(data.table.S, data.table.w, data.table.r,
+                                 f=None, dirichlet_data=None)
         mesh = silent.initial_mesh(domain)
         res = adaptive_loop(silent, mesh, max_iter=10)
         assert len(res.records) == 1

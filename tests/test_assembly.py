@@ -11,15 +11,16 @@ from rtadapt.assembly import (CENTERED, Discretization, assemble_centered,
                               assemble_upwind, basis_factors, reconstruct)
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, Triangulation,
                           build_initial_mesh)
-from rtadapt.problem import ElementCoefficients, ProblemData, benchmark
+from rtadapt.problem import ProblemData, benchmark
 
 
 def identity_problem(n_coarse, f=None, dirichlet=None, w=(0.0, 0.0), r=0.0,
                      S=None):
     S = np.eye(2) if S is None else S
-    coeffs = [ElementCoefficients(S, np.asarray(w, dtype=float), r)
-              for _ in range(n_coarse)]
-    return ProblemData(coeffs, f=f, dirichlet_data=dirichlet)
+    return ProblemData(np.tile(S, (n_coarse, 1, 1)),
+                       np.tile(np.asarray(w, dtype=float), (n_coarse, 1)),
+                       np.full(n_coarse, float(r)), f=f,
+                       dirichlet_data=dirichlet)
 
 
 def reference_triangle():
@@ -87,8 +88,7 @@ class TestLocalMatrices:
 
     def test_reaction_block(self):
         mesh = reference_triangle()
-        coeffs = [ElementCoefficients(np.eye(2), np.zeros(2), 3.0)]
-        data = ProblemData(coeffs)
+        data = identity_problem(1, r=3.0)
         local = local_matrices(Discretization(mesh, data))[0]
         assert local.react == pytest.approx(3.0 * 0.5)
 
@@ -162,7 +162,7 @@ class TestUpwindWeight:
 
 def with_neumann_data(data, g):
     """The problem ``data`` with the Neumann datum ``g``."""
-    return ProblemData(data.coefficients, f=data.f,
+    return ProblemData(data.table.S, data.table.w, data.table.r, f=data.f,
                        dirichlet_data=data.dirichlet_data, neumann_data=g,
                        boundary_rule=data.boundary_rule)
 

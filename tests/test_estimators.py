@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (ORACLE_TRI, edge_patch, element_indicator,
-                     flux_through_edge, hat_hat_p,
+                     flux_through_edge, hat_hat_p, loop_patch_maxima,
                      star_walk_singular_vertices, total_indicator,
                      vertex_star, weighted)
 from rtadapt import adapt, assembly, quadrature as quad, solver
@@ -14,7 +14,14 @@ from rtadapt.estimators import (EstimatorContext, EstimatorError,
                                 detect_singular_vertices, residual_weights)
 from rtadapt.mesh import build_initial_mesh
 from rtadapt.postprocess import FluxField
-from rtadapt.problem import ElementCoefficients, ProblemData, benchmark
+from rtadapt.problem import ProblemData, benchmark
+
+
+def diffusion_data(s, **kw):
+    """ProblemData with S = s_k I, w = 0 and r = 0 on coarse element k."""
+    s = np.asarray(s, dtype=float)
+    return ProblemData(s[:, None, None] * np.eye(2), np.zeros((s.size, 2)),
+                       np.zeros(s.size), **kw)
 
 
 def solved_context(case, refines=1, scheme="centered", **bench_kw):
@@ -66,7 +73,7 @@ class TestEtaD:
         pts = rule.physical_points(mesh.elem_coords)
         vals = weighted(ctx.flux, np.arange(mesh.num_elements), pts)
         norm_sq = rule.integrate((vals**2).sum(axis=-1), mesh.elem_area)
-        oracle = np.sqrt(fields.c_wr) * mesh.elem_diam * np.sqrt(norm_sq)
+        oracle = np.sqrt(fields.r) * mesh.elem_diam * np.sqrt(norm_sq)
         got = ctx.eta_D_all()
         assert np.abs(got - oracle).max() <= 1e-12 * (1 + oracle.max())
 
@@ -79,10 +86,8 @@ class TestEtaR:
     def test_pure_diffusion_general_source(self):
         # eta_R reduces to alpha_K || f - f_K ||_K
         mesh = build_initial_mesh("unit-square")
-        coeffs = [ElementCoefficients(np.eye(2), np.zeros(2), 0.0)
-                  for _ in range(8)]
-        data = ProblemData(coeffs, f=lambda x, y: x * y + x**2,
-                           dirichlet_data=lambda x, y: np.zeros_like(x))
+        data = diffusion_data(np.ones(8), f=lambda x, y: x * y + x**2,
+                              dirichlet_data=lambda x, y: np.zeros_like(x))
         sol = solver.solve(assemble_centered(Discretization(mesh, data)),
                            mesh.num_edges)
         ctx = EstimatorContext(Discretization(mesh, data), sol)
@@ -110,7 +115,7 @@ class TestEtaR:
             sinv_u = u @ fields.Sinv[t].T
             resid = (data.f(pts[:, 0], pts[:, 1]) - 2.0 * flux.b[t]
                      + sinv_u @ fields.w[t]
-                     - (fields.r[t] + fields.divw[t]) * sol.pressure[t])
+                     - fields.r[t] * sol.pressure[t])
             r_sq = rule.integrate(resid**2, mesh.elem_area[t])
             u_sq = rule.integrate((sinv_u**2).sum(axis=-1), mesh.elem_area[t])
             expected = math.sqrt(w.alpha[t] ** 2 * r_sq
@@ -121,9 +126,7 @@ class TestEtaR:
 class TestEtaNC:
     def test_jump_free_consistent_field(self):
         mesh = build_initial_mesh("unit-square")
-        coeffs = [ElementCoefficients(np.eye(2), np.zeros(2), 0.0)
-                  for _ in range(8)]
-        data = ProblemData(coeffs)
+        data = diffusion_data(np.ones(8))
         g = np.array([1.0, 2.0])
         rule = quad.gauss_edge_rule(3)
         a = mesh.vert_coords[mesh.edge_verts[:, 0]]
@@ -151,8 +154,7 @@ class TestEtaNC:
         from rtadapt.mesh import Triangulation
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         mesh = Triangulation(coords, np.array([[0, 1, 2], [0, 2, 3]]))
-        coeffs = [ElementCoefficients(np.eye(2), np.zeros(2), 0.0)] * 2
-        data = ProblemData(coeffs)
+        data = diffusion_data(np.ones(2))
         sol = assembly.MixedSolution(np.zeros(mesh.num_edges),
                                      np.zeros(mesh.num_elements), "centered")
         ctx = EstimatorContext(Discretization(mesh, data), sol)
@@ -183,7 +185,9 @@ class TestEtaC:
     def test_constant_velocity_volume_term_vanishes(self):
         mesh, data, _, sol, ctx = solved_context("layer", eps=0.1, a=0.1,
                                                  scheme="upwind")
-        assert np.all(ctx.patch.lam_divw == 0.0)
+        assert np.array_equal(
+            ctx.patch.lam_w_sigma,
+            loop_patch_maxima(mesh, ctx.fields)["lam_w_sigma"])
         face_only = ctx._jump_sum(ctx.jump_inv, ctx.patch.lam_w_sigma**2)
         assert np.allclose(ctx.eta_C_all(), np.sqrt(face_only), rtol=1e-14)
 
@@ -191,11 +195,8 @@ class TestEtaC:
         mesh, data, _, sol, ctx = solved_context("layer", eps=0.05, a=0.1)
         E = mesh.elem_edges
         deltas = np.where(mesh.edge_flag[E] == 0, 0.5, 1.0)
-        expected_sq = (ctx.patch.lam_divw**2 * mesh.elem_diam**2
-                       * ctx.norm_sq) + (
-            deltas * ctx.patch.lam_w_sigma[E]**2
-            * mesh.edge_length[E] * ctx.jump_inv[E]
-        ).sum(axis=1)
+        expected_sq = (deltas * ctx.patch.lam_w_sigma[E]**2
+                       * mesh.edge_length[E] * ctx.jump_inv[E]).sum(axis=1)
         assert np.allclose(ctx.eta_C_all(), np.sqrt(expected_sq), rtol=1e-12)
 
 
@@ -226,7 +227,8 @@ class TestHatHatP:
         domain, data, _ = benchmark("layer", eps=0.01, a=0.1)
         mesh = data.initial_mesh(domain)
         import rtadapt.problem as prb
-        data0 = prb.ProblemData(data.coefficients, f=data.f,
+        data0 = prb.ProblemData(data.table.S, data.table.w, data.table.r,
+                                f=data.f,
                                 dirichlet_data=None,
                                 boundary_rule=None)  # all-Dirichlet, zero datum
         mesh0 = data0.initial_mesh(domain)
@@ -325,8 +327,7 @@ class TestSingularVertices:
         # has its blocks at the two ends of the fan, which a closed fan
         # would join into one
         expected = {0} if len(set(s)) > 1 else set()
-        data = ProblemData([ElementCoefficients(c * np.eye(2), np.zeros(2),
-                                                0.0) for c in s])
+        data = diffusion_data(s)
         mesh = data.initial_mesh("lshape")
         assert vertex_star(mesh, 0)[1]
         rng = np.random.default_rng(5)

@@ -9,7 +9,8 @@ from oracles import (barycenters, canonical, edge_patch, rivara_refine,
 
 from rtadapt import mesh as meshmod
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
-                          Triangulation, build_initial_mesh)
+                          Triangulation, apply_boundary_rule,
+                          build_initial_mesh)
 
 
 def conformity_audit(mesh):
@@ -144,7 +145,7 @@ class TestRefine:
 
     def test_boundary_flags_inherited(self):
         rule = lambda x, y: NEUMANN if y > 1 - 1e-12 else DIRICHLET
-        m = build_initial_mesh("unit-square", boundary_rule=rule)
+        m = apply_boundary_rule(build_initial_mesh("unit-square"), rule)
         for _ in range(3):
             m = m.uniform_refine()
         mids = m.edge_midpoints()
@@ -246,7 +247,7 @@ def refine_at_random(coarse, data):
 class TestRefineProperties:
     @given(domain=st.sampled_from(meshmod.DOMAINS), data=st.data())
     def test_random_marks_on_domains(self, domain, data):
-        coarse = build_initial_mesh(domain, boundary_rule=side_rule)
+        coarse = apply_boundary_rule(build_initial_mesh(domain), side_rule)
         for mesh, marked, fine in refine_at_random(coarse, data):
             check_refinement(coarse, mesh, marked, fine)
             assert fine.min_angle() >= math.pi / 4 - 1e-12
@@ -312,7 +313,7 @@ class TestAdjacency:
 class TestIO:
     def test_dump_parse_round_trip(self):
         rule = lambda x, y: NEUMANN if y > 1 - 1e-12 else DIRICHLET
-        m = build_initial_mesh("unit-square", boundary_rule=rule)
+        m = apply_boundary_rule(build_initial_mesh("unit-square"), rule)
         m = m.refine([0, 3])
         again = Triangulation.parse(m.dump())
         assert again.num_elements == m.num_elements

@@ -10,14 +10,13 @@ from rtadapt.assembly import (Discretization, MixedSolution,
 from rtadapt.mesh import Triangulation, build_initial_mesh
 from rtadapt.postprocess import (FluxField, build_ptilde, nodal_average,
                                  ptilde_values, tangential_jump_sq)
-from rtadapt.problem import ElementCoefficients, ProblemData, benchmark
+from rtadapt.problem import ProblemData, benchmark
 
 
 def make_problem(mesh, S=None, n=None):
     n = mesh.num_elements if n is None else n
     S = np.eye(2) if S is None else S
-    coeffs = [ElementCoefficients(S, np.zeros(2), 0.0) for _ in range(n)]
-    return ProblemData(coeffs)
+    return ProblemData(np.tile(S, (n, 1, 1)), np.zeros((n, 2)), np.zeros(n))
 
 
 def dofs_from_field(mesh, func):

@@ -2,64 +2,150 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import barycenters
+from oracles import barycenters, loop_patch_maxima
 from rtadapt import mesh as meshmod, problem
-from rtadapt.mesh import DIRICHLET, NEUMANN
-from rtadapt.problem import (ElementCoefficients, ProblemDataError, benchmark,
-                             derive_bounds, patch_quantities)
+from rtadapt.mesh import DIRICHLET, INTERIOR, NEUMANN
+from rtadapt.problem import (ProblemData, ProblemDataError, benchmark,
+                             coefficient_table, patch_quantities)
 
 
-def make_coeffs(S, w=(0.0, 0.0), r=0.0, divw=0.0):
-    return ElementCoefficients(np.asarray(S, dtype=float), np.asarray(w),
-                               r, divw)
+def table_of(S, w=(0.0, 0.0), r=0.0, n=1):
+    """The coefficient table of n elements carrying S, w and r."""
+    return coefficient_table(np.tile(np.asarray(S, dtype=float), (n, 1, 1)),
+                             np.tile(np.asarray(w, dtype=float), (n, 1)),
+                             np.full(n, float(r)))
+
+
+def data_of(S, w=(0.0, 0.0), r=0.0, n=6, **kw):
+    """ProblemData with the same S, w and r on all n coarse elements."""
+    return ProblemData(np.tile(np.asarray(S, dtype=float), (n, 1, 1)),
+                       np.tile(np.asarray(w, dtype=float), (n, 1)),
+                       np.full(n, float(r)), **kw)
 
 
 class TestDeriveBounds:
+    """The bounds and the validation of ``coefficient_table``."""
+
     def test_scaled_identity(self):
-        b = derive_bounds(make_coeffs(5.0 * np.eye(2)))
+        b = table_of(5.0 * np.eye(2))
         assert b.c_S == b.C_S == pytest.approx(5.0)
         assert b.C_w == 0.0
-        assert b.c_wr == 0.0 and b.C_wr == 0.0
+        assert b.r == 0.0
 
     def test_layer_data(self):
         eps = 1e-3
-        b = derive_bounds(make_coeffs(eps * np.eye(2), w=(0.0, 1.0), r=1.0))
+        b = table_of(eps * np.eye(2), w=(0.0, 1.0), r=1.0)
         assert b.c_S == b.C_S == pytest.approx(eps)
         assert b.C_w == pytest.approx(1.0)
-        assert b.c_wr == pytest.approx(1.0)
-        assert b.C_wr == pytest.approx(1.0)
-        assert b.C_divw == 0.0
+        assert b.r == pytest.approx(1.0)
 
     def test_diagonal(self):
-        b = derive_bounds(make_coeffs(np.diag([2.0, 1.0])))
+        b = table_of(np.diag([2.0, 1.0]))
         assert b.c_S == pytest.approx(1.0)
         assert b.C_S == pytest.approx(2.0)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ProblemDataError):
-            derive_bounds(make_coeffs([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(ProblemDataError, match="SPD"):
+            table_of([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_rejects_nan_tensor(self):
+        with pytest.raises(ProblemDataError, match="SPD"):
+            table_of([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_rejects_non_symmetric(self):
+        with pytest.raises(ProblemDataError, match="symmetric"):
+            table_of([[2.0, 0.5], [0.4, 2.0]])
 
     def test_rejects_negative_reaction(self):
-        with pytest.raises(ProblemDataError):
-            derive_bounds(make_coeffs(np.eye(2), r=-1.0))
+        with pytest.raises(ProblemDataError, match="negative"):
+            table_of(np.eye(2), r=-1.0)
 
-    def test_rejects_degenerate_incompatibility(self):
-        # c_wr = divw/2 + r = 0 but divw + r != 0
-        with pytest.raises(ProblemDataError):
-            derive_bounds(make_coeffs(np.eye(2), r=-1.0, divw=2.0))
+    @pytest.mark.parametrize("shapes", [((3, 2, 2), (2, 2), (3,)),
+                                        ((3, 2, 2), (3, 2), (2,)),
+                                        ((3, 2, 3), (3, 2), (3,)),
+                                        ((3, 2, 2), (3, 3), (3,)),
+                                        ((3, 2, 2), (3, 2), (3, 1))])
+    def test_rejects_mismatched_shapes(self, shapes):
+        S, w, r = shapes
+        with pytest.raises(ProblemDataError, match="shapes"):
+            coefficient_table(np.tile(np.eye(*S[1:]), (S[0], 1, 1)),
+                              np.zeros(w), np.zeros(r))
+
+    def test_rejects_wrong_coefficient_count(self):
+        with pytest.raises(ProblemDataError, match="coarse elements"):
+            data_of(np.eye(2), n=5).initial_mesh("lshape")
+
+    def test_rejects_ancestor_outside_table(self):
+        data = data_of(np.eye(2), n=8)
+        mesh = meshmod.build_initial_mesh("square2x2")
+        data.fields(mesh)
+        small = data_of(np.eye(2), n=7)
+        with pytest.raises(ProblemDataError, match="ancestor"):
+            small.fields(mesh)
 
     def test_eigenvalue_bounds_random_spd(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             Q = rng.normal(size=(2, 2))
             S = Q @ Q.T + 0.1 * np.eye(2)
-            b = derive_bounds(make_coeffs(S))
+            b = table_of(S)
             v = rng.normal(size=(100, 2))
             quad_form = np.einsum("kd,de,ke->k", v, S, v)
             norms = (v**2).sum(axis=1)
             assert np.all(quad_form >= b.c_S * norms - 1e-10)
             assert np.all(quad_form <= b.C_S * norms + 1e-10)
+
+
+@st.composite
+def coefficient_sets(draw):
+    """n elements with SPD S of eigenvalues in [1e-2, 1e2] in a random
+    orientation, w in [-10, 10]^2 and r in [0, 10]."""
+    n = draw(st.integers(1, 8))
+    log_eig = st.floats(-2.0, 2.0)
+    eigs = 10.0 ** np.array(draw(st.lists(st.tuples(log_eig, log_eig),
+                                          min_size=n, max_size=n)))
+    angle = np.array(draw(st.lists(st.floats(0.0, math.pi), min_size=n,
+                                   max_size=n)))
+    c, s = np.cos(angle), np.sin(angle)
+    Q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    S = (Q * eigs[:, None, :]) @ Q.swapaxes(1, 2)
+    S = 0.5 * (S + S.swapaxes(1, 2))
+    coord = st.floats(-10.0, 10.0)
+    w = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n,
+                               max_size=n)))
+    r = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n,
+                               max_size=n)))
+    return S, w, r
+
+
+class TestCoefficientTable:
+    @given(coefficient_sets())
+    def test_bounds_and_inverses(self, coeffs):
+        S, w, r = coeffs
+        t = coefficient_table(S, w, r)
+        eig = np.linalg.eigvalsh(S)
+        assert np.all(np.abs(t.c_S - eig[:, 0]) <= 1e-11 * eig[:, 0])
+        assert np.all(np.abs(t.C_S - eig[:, 1]) <= 1e-11 * eig[:, 1])
+        assert np.abs(t.Sinv @ S - np.eye(2)).max() <= 1e-11
+        assert np.abs(t.Sinvhalf @ S @ t.Sinvhalf - np.eye(2)).max() <= 1e-11
+        assert np.array_equal(t.C_w, np.hypot(w[:, 0], w[:, 1]))
+        assert np.array_equal(t.r, r)
+
+    @given(coefficient_sets(), st.integers(0, 2))
+    def test_fields_gather_the_table(self, coeffs, steps):
+        S, w, r = coeffs
+        n = 8
+        S, w, r = (np.resize(x, (n,) + x.shape[1:]) for x in (S, w, r))
+        data = ProblemData(S, w, r)
+        mesh = data.initial_mesh("square2x2")
+        for _ in range(steps):
+            mesh = mesh.uniform_refine()
+        fields = data.fields(mesh)
+        anc = mesh.elem_ancestor
+        for name, values in vars(data.table).items():
+            assert np.array_equal(getattr(fields, name), values[anc]), name
 
 
 class TestPatchQuantities:
@@ -70,7 +156,6 @@ class TestPatchQuantities:
         assert np.allclose(patch.lam_sigma, 1.0)
         assert np.all(patch.lam_w_sigma == 0.0)
         assert np.all(patch.lam_wr == 0.0)
-        assert np.all(patch.lam_divw == 0.0)
 
     def test_checkerboard_interface_edge(self):
         _, data, _ = benchmark("kellogg1")
@@ -85,10 +170,13 @@ class TestPatchQuantities:
     def test_zero_velocity_weights_vanish(self):
         _, data, _ = benchmark("kellogg2")
         mesh = data.initial_mesh("square2x2")
-        patch = patch_quantities(mesh, data.fields(mesh))
-        assert np.all(patch.lambda_w_sigma == 0.0)
-        assert np.all(patch.p_w_sigma == 0.0)
-        assert np.all(patch.lam_w_sigma == 0.0)
+        fields = data.fields(mesh)
+        oracle = loop_patch_maxima(mesh, fields)
+        lam_w_sigma = patch_quantities(mesh, fields).lam_w_sigma
+        assert np.all(oracle["lambda_w_sigma"] == 0.0)
+        assert np.all(oracle["p_w_sigma"] == 0.0)
+        assert np.array_equal(lam_w_sigma, oracle["lam_w_sigma"])
+        assert np.all(lam_w_sigma == 0.0)
 
 
 class TestBenchmarks:
@@ -118,7 +206,7 @@ class TestBenchmarks:
         domain, data, _ = benchmark("layer", eps=0.01, a=0.05)
         mesh = data.initial_mesh(domain)
         mids = mesh.edge_midpoints()
-        for e in np.flatnonzero(mesh.is_boundary_edge()):
+        for e in np.flatnonzero(mesh.edge_flag != INTERIOR):
             expected = NEUMANN if mids[e, 1] > 1 - 1e-12 else DIRICHLET
             assert mesh.edge_flag[e] == expected
 
@@ -139,9 +227,10 @@ class TestBenchmarks:
         assert rel.max() < 1e-6
 
 
-def pde_residual(exact, coeff, x, y, h=1e-5):
-    """-div(S grad p) + div(p w) + r p by central differences."""
-    S, w, r = coeff.S, coeff.w, coeff.r
+def pde_residual(exact, table, k, x, y, h=1e-5):
+    """-div(S grad p) + div(p w) + r p by central differences, for the
+    coefficients of coarse element k."""
+    S, w, r = table.S[k], table.w[k], table.r[k]
 
     def flux_x(xx, yy):
         g = exact.grad_p(xx, yy)
@@ -169,7 +258,7 @@ class TestExactSolutionsSatisfyPde:
             if inside and math.hypot(x, y) > 0.2:
                 pts.append((x, y))
         x, y = np.array(pts).T
-        resid = pde_residual(exact, data.coefficients[0], x, y)
+        resid = pde_residual(exact, data.table, 0, x, y)
         scale = np.abs(exact.p(x, y)).max()
         assert np.abs(resid).max() < 1e-4 * scale
 
@@ -183,8 +272,7 @@ class TestExactSolutionsSatisfyPde:
             sx, sy = signs[quad_i]
             x = sx * rng.uniform(0.3, 0.9, size=10)
             y = sy * rng.uniform(0.3, 0.9, size=10)
-            coeff = data.coefficients[2 * quad_i]
-            resid = pde_residual(exact, coeff, x, y)
+            resid = pde_residual(exact, data.table, 2 * quad_i, x, y)
             assert np.abs(resid).max() < 1e-4
 
     def test_layer_with_source(self):
@@ -192,7 +280,7 @@ class TestExactSolutionsSatisfyPde:
         rng = np.random.default_rng(2)
         x = rng.uniform(0.1, 0.9, size=20)
         y = rng.uniform(0.1, 0.9, size=20)
-        resid = pde_residual(exact, data.coefficients[0], x, y) - data.f(x, y)
+        resid = pde_residual(exact, data.table, 0, x, y) - data.f(x, y)
         assert np.abs(resid).max() < 1e-4
 
     @pytest.mark.parametrize("case", ["kellogg1", "kellogg2"])
@@ -224,8 +312,7 @@ class TestFieldsGather:
         rng = np.random.default_rng(5)
         Q = rng.normal(size=(2, 2))
         S = Q @ Q.T + 0.5 * np.eye(2)
-        coeffs = [make_coeffs(S)] * 6
-        data = problem.ProblemData(coeffs)
+        data = data_of(S)
         mesh = data.initial_mesh("lshape")
         fields = data.fields(mesh)
         root = fields.Sinvhalf[0]

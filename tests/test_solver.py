@@ -242,7 +242,7 @@ def test_wrong_multipliers_fail_the_mixed_residual():
 
 
 def forged_reaction(data, mesh, elements, value=None):
-    """``data`` whose r + div w makes the local blocks of ``elements``
+    """``data`` whose r makes the local blocks of ``elements``
     singular (pressure Schur complement zero), or sets it to ``value``."""
     fields = data.fields(mesh)
     M, B, conv, _ = assembly._local_blocks(Discretization(mesh, data))
@@ -250,8 +250,7 @@ def forged_reaction(data, mesh, elements, value=None):
     for t in elements:
         # s = -react - (B - conv)^T M^-1 B vanishes
         react = -(B[t] - conv[t]) @ np.linalg.solve(M[t], B[t])
-        r[t] = (react / mesh.elem_area[t] - fields.divw[t]
-                if value is None else value)
+        r[t] = react / mesh.elem_area[t] if value is None else value
     forged_fields = dataclasses.replace(fields, r=r)
     data.fields = lambda mesh: forged_fields
     return data

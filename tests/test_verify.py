@@ -7,8 +7,7 @@ from rtadapt import assembly, quadrature as quad, solver, verify
 from rtadapt.assembly import Discretization
 from rtadapt.mesh import build_initial_mesh
 from rtadapt.postprocess import FluxField
-from rtadapt.problem import (ElementCoefficients, ExactSolution, ProblemData,
-                             benchmark)
+from rtadapt.problem import ExactSolution, ProblemData, benchmark
 
 from oracles import barycenters, boundary_identity_energy
 
@@ -17,9 +16,8 @@ class TestEnergyError:
     def test_rt0_representable_solution_is_exact(self):
         """Affine p with S = I, w = r = 0: zero error up to roundoff."""
         mesh = build_initial_mesh("unit-square").uniform_refine()
-        coeffs = [ElementCoefficients(np.eye(2), np.zeros(2), 0.0)
-                  for _ in range(8)]
-        data = ProblemData(coeffs)
+        data = ProblemData(np.tile(np.eye(2), (8, 1, 1)), np.zeros((8, 2)),
+                           np.zeros(8))
         fields = data.fields(mesh)
 
         grad = np.array([2.0, -1.0])
@@ -103,7 +101,7 @@ class TestEnergyError:
         disp_sq = rule.integrate(
             (exact.p(pts[..., 0], pts[..., 1]) - sol.pressure[:, None])**2,
             mesh.elem_area)
-        expected_sq = stress_sq + fields.c_wr * disp_sq
+        expected_sq = stress_sq + fields.r * disp_sq
         assert np.abs(kernel_sq - expected_sq).max() \
             <= 1e-14 * expected_sq.max()
 
