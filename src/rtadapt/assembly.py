@@ -32,7 +32,6 @@ pressure-pressure block.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +159,6 @@ class Discretization:
     seven_points : (NT, 7, 2) physical nodes of ``quad.SEVEN_POINT``
     source : (NT, 7) the source f there
     edge_fluxes : (NT, 3) convective fluxes w_{K,sigma}
-    left_fluxes : (NE,) the same per edge, from its first element (upwind
-        scheme only, gathered on first use)
     pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
     """
 
@@ -175,10 +172,6 @@ class Discretization:
                                       pts.shape[:-1])
         self.edge_fluxes = _edge_fluxes(mesh, self.fields)
         self.pd_mean = dirichlet_edge_means(mesh, problem)
-
-    @functools.cached_property
-    def left_fluxes(self) -> np.ndarray:
-        return _left_values(self.mesh, self.edge_fluxes)
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -343,7 +336,7 @@ def upwind_weights(disc: Discretization) -> np.ndarray:
     two-dimensional edge the measure and the diameter coincide.
     """
     mesh, fields = disc.mesh, disc.fields
-    w_flux = disc.left_fluxes
+    w_flux = _left_values(mesh, disc.edge_fluxes)
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     boundary = right < 0
     c_s_left = fields.c_S[left]
@@ -357,6 +350,23 @@ def upwind_weights(disc: Discretization) -> np.ndarray:
     return np.where((w_flux == 0.0) | (boundary & (w_flux < 0.0)), 0.0, nu)
 
 
+def upwind_sides(mesh: Triangulation, edge_fluxes: np.ndarray, nu: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upwind face rule, per (element, local edge), shape (NT, 3) each:
+    the element across (-1 on the boundary), and the coefficients c_own of
+    the element's own pressure and c_other of the value across (the
+    neighbour's pressure or the Dirichlet datum) in the face value.  An
+    element with outflow w_{K,sigma} >= 0 is upstream and weighs its own
+    pressure by 1 - nu."""
+    lr = mesh.edge_elems[mesh.elem_edges]
+    other = np.where(lr[..., 0] == np.arange(mesh.num_elements)[:, None],
+                     lr[..., 1], lr[..., 0])
+    nu = nu[mesh.elem_edges]
+    upstream = edge_fluxes >= 0.0
+    return (other, np.where(upstream, 1.0 - nu, nu),
+            np.where(upstream, nu, 1.0 - nu))
+
+
 def _left_values(mesh: Triangulation, per_elem_edge: np.ndarray) -> np.ndarray:
     """Gather a per-(element, local edge) array to per-edge, first-element side."""
     out = np.zeros(mesh.num_edges, dtype=per_elem_edge.dtype)
@@ -366,34 +376,32 @@ def _left_values(mesh: Triangulation, per_elem_edge: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_means(mesh: Triangulation, flag: int, data, rule: quad.EdgeRule
-                ) -> np.ndarray:
-    """Edge means of ``data`` on the edges flagged ``flag``, zero elsewhere."""
+def _edge_means(mesh: Triangulation, flag: int, data) -> np.ndarray:
+    """Edge means of ``data`` on the edges flagged ``flag``, zero elsewhere,
+    by the three-point Gauss rule."""
     means = np.zeros(mesh.num_edges)
     edges = np.flatnonzero(mesh.edge_flag == flag)
     if edges.size:
-        a = mesh.vert_coords[mesh.edge_verts[edges, 0]]
-        b = mesh.vert_coords[mesh.edge_verts[edges, 1]]
-        pts = rule.physical_points(a, b)
+        rule = quad.EDGE_GAUSS3
+        pts = rule.physical_points(mesh.vert_coords[mesh.edge_verts[edges]])
         means[edges] = data(pts[..., 0], pts[..., 1]) @ rule.weights
     return means
 
 
-def dirichlet_edge_means(mesh: Triangulation, problem: ProblemData,
-                         rule: quad.EdgeRule = quad.EDGE_GAUSS3) -> np.ndarray:
+def dirichlet_edge_means(mesh: Triangulation, problem: ProblemData
+                         ) -> np.ndarray:
     """Edge means of the Dirichlet datum (zero on non-Dirichlet edges)."""
-    return _edge_means(mesh, DIRICHLET, problem.dirichlet_data, rule)
+    return _edge_means(mesh, DIRICHLET, problem.dirichlet_data)
 
 
-def neumann_fixed_coefficients(mesh: Triangulation, problem: ProblemData,
-                               rule: quad.EdgeRule = quad.EDGE_GAUSS3
+def neumann_fixed_coefficients(mesh: Triangulation, problem: ProblemData
                                ) -> np.ndarray:
     """Fixed DOF coefficients on Neumann edges (zero on the other edges).
 
     The prescribed outward flux density g is converted to the global-normal
     coefficient through the incident element's orientation sign.
     """
-    means = _edge_means(mesh, NEUMANN, problem.neumann_data, rule)
+    means = _edge_means(mesh, NEUMANN, problem.neumann_data)
     return _left_values(mesh, mesh.elem_signs) * means
 
 
@@ -472,11 +480,7 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     wflux = disc.edge_fluxes
     flag = mesh.edge_flag[E]
     own_elem = np.arange(nt)[:, None]
-    lr = mesh.edge_elems[E]
-    other = np.where(lr[..., 0] == own_elem, lr[..., 1], lr[..., 0])
-    upstream = wflux >= 0.0
-    c_own = np.where(upstream, 1.0 - nu[E], nu[E])
-    c_other = np.where(upstream, nu[E], 1.0 - nu[E])
+    other, c_own, c_other = upwind_sides(mesh, wflux, nu)
     interior = (wflux != 0.0) & (flag == INTERIOR)
     dirich = (wflux != 0.0) & (flag == DIRICHLET)
     # face values: the upwind mix with the neighbour or the Dirichlet datum;

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .assembly import Discretization, MixedSolution, UPWIND, dot, \
-    mat_vec
+    mat_vec, upwind_sides
 from .mesh import DIRICHLET, INTERIOR, Triangulation
 from .postprocess import FluxField, tangential_jump_sq
 from .problem import patch_quantities
@@ -27,14 +27,6 @@ class EstimatorError(Exception):
 
 
 POLICIES = ("theorem", "xi")
-
-
-@dataclass
-class ResidualWeights:
-    """Residual scaling factors alpha_K and beta_K."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
 
 
 @dataclass
@@ -67,8 +59,10 @@ class EstimatorBreakdown:
         return "\n".join(lines) + "\n"
 
 
-def residual_weights(mesh: Triangulation, fields) -> ResidualWeights:
-    """alpha_K = min(h_K / sqrt(c_S), 1 / sqrt(r)), beta_K = r h_K alpha_K.
+def residual_weights(mesh: Triangulation, fields
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Residual scaling factors (alpha_K, beta_K): alpha_K = min(h_K /
+    sqrt(c_S), 1 / sqrt(r)), beta_K = r h_K alpha_K.
 
     These are the paper's weights with c_wr = C_wr = r, which holds since
     w is constant per element (div w = 0).  With a vanishing reaction
@@ -80,8 +74,7 @@ def residual_weights(mesh: Triangulation, fields) -> ResidualWeights:
                             1.0 / np.sqrt(np.maximum(fields.r, 1e-300)),
                             np.inf)
     alpha = np.minimum(diffusive, reactive)
-    beta = fields.r * mesh.elem_diam * alpha
-    return ResidualWeights(alpha=alpha, beta=beta)
+    return alpha, fields.r * mesh.elem_diam * alpha
 
 
 def detect_singular_vertices(mesh: Triangulation, C_S: np.ndarray,
@@ -135,15 +128,10 @@ class EstimatorContext:
         self.flux = FluxField(disc, solution)
         self.patch = patch_quantities(mesh, self.fields)
         self.weights = residual_weights(mesh, self.fields)
-
-        weightings = ("inv", "invsqrt")
-        slopes = _data_slopes(disc, weightings) if subtract_boundary_data \
-            else None
+        slopes = _data_slopes(disc) if subtract_boundary_data else None
         self.jump_inv, self.jump_half = tangential_jump_sq(
-            mesh, self.flux, weightings, boundary_slopes=slopes)
-
+            mesh, self.flux, boundary_slopes=slopes)
         self.norm_sq = self._weighted_norm_sq()
-        self._singular_elems = None
 
     # -- volume ingredients ------------------------------------------------
 
@@ -194,9 +182,9 @@ class EstimatorContext:
             * np.sqrt(self.norm_sq)
 
     def eta_R_all(self) -> np.ndarray:
-        w = self.weights
-        return np.sqrt(w.alpha**2 * self._residual_norm_sq()
-                       + w.beta**2 * self.norm_sq)
+        alpha, beta = self.weights
+        return np.sqrt(alpha**2 * self._residual_norm_sq()
+                       + beta**2 * self.norm_sq)
 
     def _jump_sum(self, jumps: np.ndarray, edge_factor: np.ndarray,
                   delta: bool = True) -> np.ndarray:
@@ -226,35 +214,25 @@ class EstimatorContext:
                                       self.patch.lam_w_sigma**2))
 
     def _hat_hat_all(self) -> np.ndarray:
-        """Face-value defect of the upwind pressure per edge.
+        """Face-value defect of the upwind pressure per (element, local
+        edge), by the scheme's own face rule (``assembly.upwind_sides``).
 
-        Interior edges: (1/2 - nu)(upstream - downstream).  Boundary
-        edges: upwind face value minus the element constant, which for a
-        homogeneous Dirichlet datum reduces to -nu p_K (outflow) or
-        -(1 - nu) p_K (inflow).
+        Interior edges: (1/2 - c_other)(p_K - p_other), which is
+        (1/2 - nu)(upstream - downstream) up to its sign.  Dirichlet
+        edges: the face value minus the element constant, which for a
+        homogeneous datum reduces to -nu p_K (outflow) or -(1 - nu) p_K
+        (inflow).  Neumann edges take the interior value, so the defect
+        vanishes.
         """
-        mesh = self.mesh
-        nu = self.solution.nu
+        E = self.mesh.elem_edges
         p = self.solution.pressure
-        wflux_left = self.disc.left_fluxes
-        left = mesh.edge_elems[:, 0]
-        right = mesh.edge_elems[:, 1]
-        out = np.zeros(mesh.num_edges)
-
-        interior = right >= 0
-        up = np.where(wflux_left >= 0.0, left, np.where(interior, right, left))
-        down = np.where(wflux_left >= 0.0, np.where(interior, right, left), left)
-        out[interior] = (0.5 - nu[interior]) \
-            * (p[up[interior]] - p[down[interior]])
-
-        dirich = (~interior) & (mesh.edge_flag == DIRICHLET)
-        if np.any(dirich):
-            c_own = np.where(wflux_left >= 0.0, 1.0 - nu, nu)
-            c_dat = np.where(wflux_left >= 0.0, nu, 1.0 - nu)
-            p_hat = c_own * p[left] + c_dat * self.disc.pd_mean
-            out[dirich] = p_hat[dirich] - p[left[dirich]]
-        # Neumann edges use the interior value, so the defect vanishes
-        return out
+        other, c_own, c_other = upwind_sides(self.mesh, self.disc.edge_fluxes,
+                                             self.solution.nu)
+        flag = self.mesh.edge_flag[E]
+        p_hat = c_own * p[:, None] + c_other * self.disc.pd_mean[E]
+        return np.where(
+            flag == INTERIOR, (0.5 - c_other) * (p[:, None] - p[other]),
+            np.where(flag == DIRICHLET, p_hat - p[:, None], 0.0))
 
     def eta_U_all(self) -> np.ndarray:
         if self.solution.scheme != UPWIND:
@@ -267,25 +245,15 @@ class EstimatorContext:
         E = mesh.elem_edges
         lengths = mesh.edge_length[E]
         wn = wflux / lengths                             # (w . n)|_sigma
-        patch_norm = self.norm_sq[mesh.edge_elems[:, 0]]
-        interior = mesh.edge_elems[:, 1] >= 0
-        patch_norm = patch_norm + np.where(
-            interior, self.norm_sq[mesh.edge_elems[:, 1].clip(min=0)], 0.0
-        )
-        face = wn**2 * (hathat[E] ** 2 * lengths + lengths * patch_norm[E])
+        patch_norm = np.where(mesh.edge_elems >= 0,
+                              self.norm_sq[mesh.edge_elems], 0.0).sum(axis=1)
+        face = wn**2 * (hathat**2 * lengths + lengths * patch_norm[E])
         return np.sqrt(self.mesh.elem_diam / self.fields.c_S
                        * face.sum(axis=1))
 
     def singular_elements(self) -> np.ndarray:
-        if self._singular_elems is None:
-            singular = detect_singular_vertices(self.mesh, self.fields.C_S)
-            mask = np.zeros(self.mesh.num_elements, dtype=bool)
-            if singular:
-                for i in range(3):
-                    mask |= np.isin(self.mesh.elem_verts[:, i],
-                                    list(singular))
-            self._singular_elems = mask
-        return self._singular_elems
+        singular = detect_singular_vertices(self.mesh, self.fields.C_S)
+        return np.isin(self.mesh.elem_verts, list(singular)).any(axis=1)
 
     def xi_all(self) -> np.ndarray:
         """Alternative face indicator switching on singular nodes.
@@ -309,65 +277,52 @@ class EstimatorContext:
         eta_1 = 7.990 on the first Kellogg mesh against the paper's
         5.0938.
         """
-        plain = self._jump_sum(self.jump_half, np.ones(self.mesh.num_edges),
-                               delta=False)
-        weighted = self._jump_sum(
-            self.jump_inv,
-            np.ones(self.mesh.num_edges), delta=False,
-        )
-        weighted = weighted * self.patch.C_S_patch
+        ones = np.ones(self.mesh.num_edges)
+        plain = self._jump_sum(self.jump_half, ones, delta=False)
+        weighted = self._jump_sum(self.jump_inv, ones, delta=False) \
+            * self.patch.C_S_patch
         return np.sqrt(np.where(self.singular_elements(), weighted, plain))
 
     def compute(self, policy: str = "theorem") -> EstimatorBreakdown:
         """Assemble the full per-element breakdown under a marking policy."""
         if policy not in POLICIES:
             raise EstimatorError(f"unknown indicator policy {policy!r}")
-        nt = self.mesh.num_elements
         eta_D = self.eta_D_all()
         eta_R = self.eta_R_all()
         eta_NC = self.eta_NC_all()
         eta_C = self.eta_C_all()
         eta_U = (self.eta_U_all() if self.solution.scheme == UPWIND
-                 else np.zeros(nt))
+                 else np.zeros(self.mesh.num_elements))
         xi = self.xi_all()
-        if policy == "theorem":
-            total_sq = eta_D**2 + eta_R**2 + eta_NC**2 + eta_C**2
-            if self.solution.scheme == UPWIND:
-                total_sq = total_sq + eta_U**2
-            total = np.sqrt(total_sq)
-        else:
-            total = xi.copy()
+        # eta_U is zero for the centered scheme, and adding it changes nothing
+        total = xi.copy() if policy == "xi" else np.sqrt(
+            eta_D**2 + eta_R**2 + eta_NC**2 + eta_C**2 + eta_U**2)
         return EstimatorBreakdown(eta_D=eta_D, eta_R=eta_R, eta_NC=eta_NC,
                                   eta_C=eta_C, eta_U=eta_U, xi=xi,
                                   total=total, policy=policy)
 
 
-def _data_slopes(disc: Discretization, weightings: tuple[str, ...]):
-    """Expected boundary tangential traces of the weighted fluxes, from
-    data: a callable ``slopes(edge_ids, pts)`` returning one array per
-    weighting, from one evaluation of the datum.
+def _data_slopes(disc: Discretization):
+    """Expected boundary tangential trace of S^-1 u_h, from data: a
+    callable ``slopes(edge_ids, pts)`` returning -dp/dt at the points, zero
+    off Dirichlet edges.
 
-    gamma_t(S^-1 u) = -dp/dt on the boundary; the S^-1/2 variant scales by
-    sqrt(c_S) and requires a scalar diffusion tensor.  The tangential
-    derivative of the Dirichlet datum is taken by central differences
-    along the edge line; Neumann edges carry no datum and get no
-    correction.
+    gamma_t(S^-1 u) = -dp/dt on the boundary; ``tangential_jump_sq``
+    scales it by sqrt(c_S) for the S^-1/2 weighting, which requires a
+    scalar diffusion tensor.  The tangential derivative of the Dirichlet
+    datum is taken by central differences along the edge line; Neumann
+    edges carry no datum and get no correction.
     """
     mesh, problem, fields = disc.mesh, disc.problem, disc.fields
-    if "invsqrt" in weightings and np.any(
-        fields.C_S - fields.c_S > 1e-12 * fields.C_S
-    ):
+    if np.any(fields.C_S - fields.c_S > 1e-12 * fields.C_S):
         raise EstimatorError(
             "boundary data subtraction for the square-root weighting "
             "needs a scalar diffusion tensor"
         )
-    left = mesh.edge_elems[:, 0]
-    factors = [np.ones(mesh.num_edges) if w == "inv"
-               else np.sqrt(fields.c_S[left]) for w in weightings]
     dirichlet = mesh.edge_flag == DIRICHLET
 
     def slopes(edge_ids, pts):
-        out = [np.zeros(pts.shape[:-1]) for _ in weightings]
+        out = np.zeros(pts.shape[:-1])
         rows = np.flatnonzero(dirichlet[edge_ids])
         if rows.size:
             e = edge_ids[rows]
@@ -375,11 +330,10 @@ def _data_slopes(disc: Discretization, weightings: tuple[str, ...]):
             step = delta[:, None, None] * mesh.edge_tangent[e][:, None, :]
             plus = pts[rows] + step
             minus = pts[rows] - step
-            dpdt = (problem.dirichlet_data(plus[..., 0], plus[..., 1])
-                    - problem.dirichlet_data(minus[..., 0], minus[..., 1])) \
+            out[rows] = -(problem.dirichlet_data(plus[..., 0], plus[..., 1])
+                          - problem.dirichlet_data(minus[..., 0],
+                                                   minus[..., 1])) \
                 / (2.0 * delta)[:, None]
-            for values, factor in zip(out, factors):
-                values[rows] = -factor[e][:, None] * dpdt
         return out
 
     return slopes

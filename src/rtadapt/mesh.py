@@ -66,9 +66,14 @@ class Triangulation:
         nt = self.elem_verts.shape[0]
         if ancestors is None:
             ancestors = np.arange(nt, dtype=np.int64)
-        self.elem_ancestor = np.asarray(ancestors, dtype=np.int64)
+        self.elem_ancestor = anc = np.asarray(ancestors, dtype=np.int64)
         if not np.all(np.isfinite(self.vert_coords)):
             raise MeshError("non-finite vertex coordinates")
+        ids, nv = self.elem_verts, self.num_vertices
+        if ids.size and not 0 <= ids.min() <= ids.max() < nv:
+            raise MeshError(f"element vertex id outside 0..{nv - 1}")
+        if anc.shape != (nt,) or np.any(anc < 0):
+            raise MeshError(f"ancestors are not {nt} nonnegative ids")
 
         self._build_topology(boundary_flags or {})
         self._build_geometry()

@@ -65,12 +65,10 @@ def ptilde_values(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
-                       weightings: tuple[str, ...], boundary_slopes=None,
-                       rule: quad.EdgeRule = quad.EDGE_GAUSS2
-                       ) -> tuple[np.ndarray, ...]:
-    """Edge integrals of the squared tangential jump of the weighted flux,
-    one array of shape (NE,) per weighting ("inv" for S^-1 u_h, "invsqrt"
-    for S^-1/2 u_h).
+                       boundary_slopes=None, rule: quad.Rule = quad.EDGE_GAUSS2
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Edge integrals of the squared tangential jumps of S^-1 u_h and of
+    S^-1/2 u_h, two arrays of shape (NE,).
 
     u_h is evaluated once at the edge points.  On the side of element K
     the trace is t . W u_h = v . u_h with v = W^T t, W the weighting
@@ -79,15 +77,17 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     boundary edges take the one-sided trace.  These integrands are
     quadratic along each edge, so the two-point ``rule`` is exact for
     them.  ``boundary_slopes``, a callable ``slopes(edge_ids, pts)``
-    returning one array per weighting, optionally supplies the expected
-    tangential traces on boundary edges (from boundary data), which are
-    subtracted before squaring.  That trace is as smooth as the data but
-    not polynomial, so boundary edges are then integrated with
-    ``quad.DATA_EDGE`` instead (20-point Gauss; on the benchmark meshes it
-    agrees with a 40-point rule to about 1e-11 relative, 4e-8 on the
-    coarsest internal-layer mesh).
+    returning -dp/dt there, optionally supplies the expected tangential
+    trace of S^-1 u_h on boundary edges (from boundary data), scaled by
+    sqrt(c_S) for S^-1/2 u_h, which is subtracted before squaring.  That
+    trace is as smooth as the data but not polynomial, so boundary edges
+    are then integrated with ``quad.DATA_EDGE`` instead (20-point Gauss;
+    on the benchmark meshes it agrees with a 40-point rule to about 1e-11
+    relative, 4e-8 on the coarsest internal-layer mesh).
     """
-    out = tuple(np.empty(mesh.num_edges) for _ in weightings)
+    fields = flux.fields
+    weightings = (fields.Sinv, fields.Sinvhalf)
+    out = (np.empty(mesh.num_edges), np.empty(mesh.num_edges))
     left = mesh.edge_elems[:, 0]
     right = mesh.edge_elems[:, 1]
 
@@ -96,9 +96,9 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     tangents = mesh.edge_tangent[inner]
     u_left = flux.u(left[inner], pts)
     u_right = flux.u(right[inner], pts)
-    for jumps, w in zip(out, weightings):
-        jump = _tangential_trace(flux, w, left[inner], tangents, u_left) \
-            - _tangential_trace(flux, w, right[inner], tangents, u_right)
+    for jumps, mat in zip(out, weightings):
+        jump = _tangential_trace(mat, left[inner], tangents, u_left) \
+            - _tangential_trace(mat, right[inner], tangents, u_right)
         jumps[inner] = rule.integrate(jump**2, mesh.edge_length[inner])
 
     bdry = np.flatnonzero(right < 0)
@@ -107,28 +107,28 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     pts = _edge_points(mesh, bdry, rule)
     tangents = mesh.edge_tangent[bdry]
     u_left = flux.u(left[bdry], pts)
-    slopes = None if boundary_slopes is None else boundary_slopes(bdry, pts)
-    for k, (jumps, w) in enumerate(zip(out, weightings)):
-        jump = _tangential_trace(flux, w, left[bdry], tangents, u_left)
-        if slopes is not None:
-            jump = jump - slopes[k]
+    slopes = (0.0, 0.0)
+    if boundary_slopes is not None:
+        slope = boundary_slopes(bdry, pts)
+        slopes = (slope, np.sqrt(fields.c_S[left[bdry]])[:, None] * slope)
+    for jumps, mat, slope in zip(out, weightings, slopes):
+        jump = _tangential_trace(mat, left[bdry], tangents, u_left) - slope
         jumps[bdry] = rule.integrate(jump**2, mesh.edge_length[bdry])
     return out
 
 
 def _edge_points(mesh: Triangulation, edges: np.ndarray,
-                 rule: quad.EdgeRule) -> np.ndarray:
-    a = mesh.vert_coords[mesh.edge_verts[edges, 0]]
-    b = mesh.vert_coords[mesh.edge_verts[edges, 1]]
-    return rule.physical_points(a, b)                    # (ne, nq, 2)
+                 rule: quad.Rule) -> np.ndarray:
+    """Physical nodes (ne, nq, 2) of an edge rule on ``edges``."""
+    return rule.physical_points(mesh.vert_coords[mesh.edge_verts[edges]])
 
 
-def _tangential_trace(flux: FluxField, weighting: str, elems: np.ndarray,
+def _tangential_trace(mat: np.ndarray, elems: np.ndarray,
                       tangents: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Tangential component t . W u_h of the weighted flux of ``elems``,
-    from the values (ne, nq, 2) of u_h at the points of edges with unit
-    ``tangents`` (ne, 2), as v . u_h with v = W^T t."""
-    mat = flux.fields.Sinv if weighting == "inv" else flux.fields.Sinvhalf
+    """Tangential component t . W u_h of the flux weighted by the tensors
+    ``mat`` (NT, 2, 2) of ``elems``, from the values (ne, nq, 2) of u_h at
+    the points of edges with unit ``tangents`` (ne, 2), as v . u_h with
+    v = W^T t."""
     v = np.column_stack(mat_vec(mat[elems].swapaxes(1, 2), tangents))
     return dot(values, v[:, None])
 

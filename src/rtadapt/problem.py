@@ -205,16 +205,17 @@ class ExactSolution:
 # benchmarks
 # ----------------------------------------------------------------------
 
-KELLOGG_CASES = {
-    # alpha, (s_1..s_4), (a_1..a_4), (b_1..b_4)
-    1: (
-        0.53544095,
+CORNER_CASES = {
+    # domain, alpha, (s_1..s_4), (a_1..a_4), (b_1..b_4) per quadrant
+    "lshape": ("lshape", 2.0 / 3.0, (1.0,) * 4, (1.0,) * 4, (0.0,) * 4),
+    "kellogg1": (
+        "square2x2", 0.53544095,
         (5.0, 1.0, 5.0, 1.0),
         (0.44721360, -0.74535599, -0.94411759, -2.40170264),
         (1.00000000, 2.33333333, 0.55555555, -0.48148148),
     ),
-    2: (
-        0.12690207,
+    "kellogg2": (
+        "square2x2", 0.12690207,
         (100.0, 1.0, 100.0, 1.0),
         (0.10000000, -9.60396040, -0.48035487, 7.70156488),
         (1.00000000, 2.96039604, -0.88275659, -6.45646175),
@@ -222,55 +223,10 @@ KELLOGG_CASES = {
 }
 
 
-def _lshape_exact() -> ExactSolution:
-    two_thirds = 2.0 / 3.0
-
-    def polar(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        rho = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
-        return rho, theta
-
-    def value(rho, s):
-        with np.errstate(invalid="ignore"):
-            out = rho**two_thirds * s
-        return np.where(rho == 0.0, 0.0, out)
-
-    def p(x, y):
-        rho, theta = polar(x, y)
-        return value(rho, np.sin(two_thirds * theta))
-
-    def gradient(x, y):
-        """grad p, rho and sin(2 theta / 3), from one polar evaluation."""
-        rho, theta = polar(x, y)
-        safe = np.where(rho == 0.0, 1.0, rho)
-        fac = two_thirds * safe ** (two_thirds - 1.0)
-        s, c = np.sin(two_thirds * theta), np.cos(two_thirds * theta)
-        sin_t, cos_t = np.sin(theta), np.cos(theta)
-        zero = rho == 0.0
-        grad = np.empty(rho.shape + (2,))
-        grad[..., 0] = np.where(zero, 0.0, fac * (s * cos_t - c * sin_t))
-        grad[..., 1] = np.where(zero, 0.0, fac * (s * sin_t + c * cos_t))
-        return grad, rho, s
-
-    def grad_p(x, y):
-        return gradient(x, y)[0]
-
-    def u(x, y):
-        return -grad_p(x, y)
-
-    def joint(x, y):
-        grad, rho, s = gradient(x, y)
-        return -grad, value(rho, s)
-
-    return ExactSolution(p, grad_p, u, singular_points=((0.0, 0.0),),
-                         joint=joint)
-
-
-def _kellogg_exact(case: int) -> ExactSolution:
-    alpha, s_vals, a_vals, b_vals = KELLOGG_CASES[case]
+def _corner_exact(alpha: float, s_vals, a_vals, b_vals) -> ExactSolution:
+    """Corner singularity p = r^alpha (a_i sin(alpha theta) + b_i cos(alpha
+    theta)) with u = -s_i grad p in quadrant i (Kellogg's form), theta in
+    [0, 2 pi)."""
     a_vals = np.asarray(a_vals)
     b_vals = np.asarray(b_vals)
     s_vals = np.asarray(s_vals)
@@ -357,20 +313,15 @@ def benchmark(case_id: str, eps: float = 1e-3, a: float = 0.05
     are only meaningful for the internal-layer case.
     """
     eye = np.eye(2)
-    if case_id == "lshape":
-        exact = _lshape_exact()
-        data = ProblemData(np.tile(eye, (6, 1, 1)), np.zeros((6, 2)),
-                           np.zeros(6), dirichlet_data=exact.p)
-        return "lshape", data, exact
-
-    if case_id in ("kellogg1", "kellogg2"):
-        case = 1 if case_id == "kellogg1" else 2
-        exact = _kellogg_exact(case)
-        # two coarse triangles per quadrant, ordered quadrant 1..4
-        s_vals = np.repeat(KELLOGG_CASES[case][1], 2)
-        data = ProblemData(s_vals[:, None, None] * eye, np.zeros((8, 2)),
-                           np.zeros(8), dirichlet_data=exact.p)
-        return "square2x2", data, exact
+    if case_id in CORNER_CASES:
+        domain, *case = CORNER_CASES[case_id]
+        exact = _corner_exact(*case)
+        # two coarse triangles per quadrant, quadrants in order; the
+        # L-shape has three
+        s = np.repeat(case[1], 2)[:6 if domain == "lshape" else 8]
+        data = ProblemData(s[:, None, None] * eye, np.zeros((s.size, 2)),
+                           np.zeros(s.size), dirichlet_data=exact.p)
+        return domain, data, exact
 
     if case_id == "layer":
         if eps <= 0.0 or a <= 0.0:

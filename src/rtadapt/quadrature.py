@@ -1,9 +1,9 @@
 """Quadrature rules on triangles and edges.
 
-Triangle rules are stored in barycentric coordinates with weights summing
-to one; physical integrals are obtained by multiplying with the element
-area.  Edge rules live on the unit interval with weights summing to one
-and scale with the edge length.
+A rule is stored in barycentric coordinates, three per node on a triangle
+and two on an edge, with weights summing to one; physical nodes are the
+barycentric rows times the vertex coordinates, and physical integrals are
+obtained by multiplying with the element area or the edge length.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class TriangleRule:
-    """Quadrature rule on a triangle.
+class Rule:
+    """Quadrature rule on a triangle or an edge.
 
     Attributes
     ----------
     points : numpy.ndarray
-        Barycentric coordinates, shape (n, 3), rows summing to one.
+        Barycentric coordinates, shape (n, 3) on a triangle or (n, 2) on
+        an edge, rows summing to one.
     weights : numpy.ndarray
         Weights summing to one, shape (n,).
     degree : int
@@ -37,12 +38,13 @@ class TriangleRule:
         return self.points.shape[0]
 
     def physical_points(self, coords: np.ndarray) -> np.ndarray:
-        """Map the rule nodes onto triangles.
+        """Map the rule nodes onto triangles or edges.
 
         Parameters
         ----------
         coords : numpy.ndarray
-            Vertex coordinates with shape (..., 3, 2).
+            Vertex coordinates with shape (..., 3, 2) for a triangle rule
+            or (..., 2, 2) for an edge rule.
 
         Returns
         -------
@@ -50,44 +52,24 @@ class TriangleRule:
         """
         return self.points @ coords
 
-    def integrate(self, values: np.ndarray, area) -> np.ndarray:
-        """Integrate nodal values over triangles of the given areas.
+    def integrate(self, values: np.ndarray, measure) -> np.ndarray:
+        """Integrate nodal values over triangles or edges of the given
+        areas or lengths.
 
-        ``values`` has shape (..., n); ``area`` broadcasts against the
+        ``values`` has shape (..., n); ``measure`` broadcasts against the
         leading axes.
         """
-        return values @ self.weights * area
+        return values @ self.weights * measure
 
 
-@dataclass(frozen=True)
-class EdgeRule:
-    """Gauss rule on the unit interval (weights sum to one)."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    degree: int
-
-    @property
-    def npoints(self) -> int:
-        return self.points.shape[0]
-
-    def physical_points(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Map nodes onto segments a->b; a, b have shape (..., 2)."""
-        t = self.points
-        return a[..., None, :] * (1.0 - t)[:, None] + b[..., None, :] * t[:, None]
-
-    def integrate(self, values: np.ndarray, length) -> np.ndarray:
-        return values @ self.weights * length
-
-
-def midpoint_rule() -> TriangleRule:
+def midpoint_rule() -> Rule:
     """Edge-midpoint rule, exact for quadratics."""
     pts = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     wts = np.full(3, 1.0 / 3.0)
-    return TriangleRule(pts, wts, degree=2)
+    return Rule(pts, wts, degree=2)
 
 
-def seven_point_rule() -> TriangleRule:
+def seven_point_rule() -> Rule:
     """Seven-point degree-5 rule (centroid plus two symmetric orbits)."""
     s15 = math.sqrt(15.0)
     a = (6.0 + s15) / 21.0
@@ -100,10 +82,10 @@ def seven_point_rule() -> TriangleRule:
         rest = 1.0 - 2.0 * c
         pts += [[rest, c, c], [c, rest, c], [c, c, rest]]
         wts += [w, w, w]
-    return TriangleRule(np.array(pts), np.array(wts), degree=5)
+    return Rule(np.array(pts), np.array(wts), degree=5)
 
 
-def graded_collapsed_rule(n: int = 10, grading: int = 8) -> TriangleRule:
+def graded_collapsed_rule(n: int = 10, grading: int = 8) -> Rule:
     """Collapsed Gauss rule graded toward vertex 0 (point-singularity rule).
 
     An n-by-n Gauss-Legendre grid on (tau, t) in the unit square is mapped
@@ -125,13 +107,14 @@ def graded_collapsed_rule(n: int = 10, grading: int = 8) -> TriangleRule:
     wts = (2.0 * grading * TAU ** (2 * grading - 1) * WTAU * WT).ravel()
     lam = np.column_stack([(1.0 - S).ravel(), (S * (1.0 - T)).ravel(),
                            (S * T).ravel()])
-    return TriangleRule(lam, wts / wts.sum(), degree=0)
+    return Rule(lam, wts / wts.sum(), degree=0)
 
 
-def gauss_edge_rule(n: int) -> EdgeRule:
-    """n-point Gauss rule on [0, 1], exact to degree 2n-1."""
+def gauss_edge_rule(n: int) -> Rule:
+    """n-point Gauss rule on an edge, exact to degree 2n-1."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return EdgeRule(0.5 * (x + 1.0), 0.5 * w, degree=2 * n - 1)
+    t = 0.5 * (x + 1.0)
+    return Rule(np.column_stack([1.0 - t, t]), 0.5 * w, degree=2 * n - 1)
 
 
 # Shared instances; tests/test_quadrature.py checks each against the

@@ -44,7 +44,7 @@ def energy_error(mesh: Triangulation, fields, flux: FluxField,
     return float(np.sqrt(per_elem_sq.sum())), per_elem
 
 
-def _error_sq(rule: quad.TriangleRule, pts: np.ndarray, elems,
+def _error_sq(rule: quad.Rule, pts: np.ndarray, elems,
               mesh: Triangulation, fields, flux: FluxField,
               pressure: np.ndarray, exact: ExactSolution) -> np.ndarray:
     """E_K^2 on ``elems`` (indices or a slice) by ``rule`` at its physical

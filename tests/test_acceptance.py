@@ -395,7 +395,7 @@ def test_criterion_9_oracle_equivalence():
 
         # residual estimator against an independent recomputation
         got_eta_r = ctx.eta_R_all()
-        w = ctx.weights
+        alpha, beta = ctx.weights
         for t in range(2):
             u = ctx.flux.a[t] + ctx.flux.b[t] * pts[t]
             sinv_u = u @ fields.Sinv[t].T
@@ -405,14 +405,13 @@ def test_criterion_9_oracle_equivalence():
             r_sq = oracle_rule.integrate(resid**2, mesh.elem_area[t])
             u_sq = oracle_rule.integrate((sinv_u**2).sum(axis=-1),
                                          mesh.elem_area[t])
-            oracle_eta = math.sqrt(w.alpha[t]**2 * r_sq + w.beta[t]**2 * u_sq)
+            oracle_eta = math.sqrt(alpha[t]**2 * r_sq + beta[t]**2 * u_sq)
             dev = abs(got_eta_r[t] - oracle_eta) / (1 + oracle_eta)
             worst = max(worst, float(dev))
 
         # tangential jump integrals against the dense edge rule
-        got_j = tangential_jump_sq(mesh, ctx.flux, ("inv",))[0]
-        oracle_j = tangential_jump_sq(mesh, ctx.flux, ("inv",),
-                                      rule=ORACLE_EDGE)[0]
+        got_j = tangential_jump_sq(mesh, ctx.flux)[0]
+        oracle_j = tangential_jump_sq(mesh, ctx.flux, rule=ORACLE_EDGE)[0]
         dev = np.abs(got_j - oracle_j).max() / (1 + oracle_j.max())
         worst = max(worst, float(dev))
 

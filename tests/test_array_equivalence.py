@@ -11,8 +11,8 @@ The kernels are checked on adaptive meshes of about 1.5k elements, under
 the benchmark's coefficients and under full anisotropic tensors: bit for
 bit where they keep the operation order of ``einsum``, within 1e-14 of
 the largest entry where they contract the coefficient tensors once per
-element instead of at every quadrature point.  The tangential jumps of a
-pass over both weightings are bit-equal to one pass per weighting.  The
+element instead of at every quadrature point.  The estimator context's
+tangential jumps are bit-equal to one ``tangential_jump_sq`` pass.  The
 per-element contractions are also checked against the per-point forms
 on randomly refined meshes under random SPD tensors.
 """
@@ -325,9 +325,10 @@ def test_contracted_traces_match_per_point(solved):
     for side in mesh.edge_elems.T:
         edges_s, elems = edges[side >= 0], side[side >= 0]
         values = ctx.flux.u(elems, pts[edges_s])
-        for weighting in ("inv", "invsqrt"):
+        for weighting, mat in (("inv", disc.fields.Sinv),
+                               ("invsqrt", disc.fields.Sinvhalf)):
             assert_close(
-                postprocess._tangential_trace(ctx.flux, weighting, elems,
+                postprocess._tangential_trace(mat, elems,
                                               mesh.edge_tangent[edges_s],
                                               values),
                 oracles.tangential_trace(mesh, ctx.flux, weighting, elems,
@@ -335,27 +336,31 @@ def test_contracted_traces_match_per_point(solved):
 
 
 def test_jumps_are_bit_equal_to_one_weighting_each(solved):
-    """The context's pass over both weightings gives the jumps of two
-    single-weighting passes bit for bit, and the per-point jumps of the
-    oracles within 1e-14."""
+    """The context's two weightings are those of one ``tangential_jump_sq``
+    pass bit for bit, and each matches the per-point single-weighting
+    jumps of the oracles within 1e-14, with the data slope scaled by
+    sqrt(c_S) for S^-1/2."""
     disc, solution, ctx, _ = solved
+    mesh = disc.mesh
     passes = [(ctx, False)]
     fields = disc.fields
     # the square-root weighting of the data needs a scalar diffusion tensor
     if not np.any(fields.C_S - fields.c_S > 1e-12 * fields.C_S):
         passes.append((EstimatorContext(disc, solution, True), True))
     for context, subtract in passes:
-        for jumps, weighting in ((context.jump_inv, "inv"),
-                                 (context.jump_half, "invsqrt")):
-            slopes = estimators._data_slopes(disc, (weighting,)) \
-                if subtract else None
-            assert np.array_equal(jumps, postprocess.tangential_jump_sq(
-                disc.mesh, context.flux, (weighting,),
-                boundary_slopes=slopes)[0])
+        slopes = estimators._data_slopes(disc) if subtract else None
+        both = postprocess.tangential_jump_sq(mesh, context.flux,
+                                              boundary_slopes=slopes)
+        for jumps, again, weighting in zip(
+                (context.jump_inv, context.jump_half), both,
+                ("inv", "invsqrt")):
+            assert np.array_equal(jumps, again)
+            scale = (lambda e: 1.0) if weighting == "inv" else (
+                lambda e: np.sqrt(fields.c_S[mesh.edge_elems[e, 0]])[:, None])
             slope = None if slopes is None \
-                else (lambda e, p, s=slopes: s(e, p)[0])
+                else (lambda e, p, s=slopes, f=scale: f(e) * s(e, p))
             assert_close(jumps, oracles.single_weighting_jump_sq(
-                disc.mesh, context.flux, weighting, slope))
+                mesh, context.flux, weighting, slope))
 
 
 def test_reconstruction_is_bit_equal(solved):

@@ -276,9 +276,7 @@ class TestHybridAgainstOracle:
         coeffs = postprocess.build_ptilde(mesh, data.fields(mesh), sol)
         interior = np.flatnonzero(system.edge_dof >= 0)
         rule = quad.EDGE_GAUSS2          # exact for quadratic traces
-        pts = rule.physical_points(
-            mesh.vert_coords[mesh.edge_verts[interior, 0]],
-            mesh.vert_coords[mesh.edge_verts[interior, 1]])
+        pts = rule.physical_points(mesh.vert_coords[mesh.edge_verts[interior]])
         for side in (0, 1):
             elems = mesh.edge_elems[interior, side]
             means = postprocess.ptilde_values(coeffs[elems], pts) \
@@ -477,7 +475,7 @@ class TestSolutionMapping:
                 e = mesh.elem_edges[t, i]
                 va = mesh.vert_coords[mesh.edge_verts[e, 0]]
                 vb = mesh.vert_coords[mesh.edge_verts[e, 1]]
-                pts = rule.physical_points(va, vb)
+                pts = rule.physical_points(np.stack([va, vb], axis=-2))
                 u = a[t] + b[t] * pts
                 trace = u @ mesh.edge_normal[e]
                 mean = rule.integrate(trace, 1.0)

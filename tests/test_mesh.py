@@ -334,3 +334,39 @@ class TestIO:
         assert svg.startswith("<svg")
         assert svg.count("<polygon") == m.num_elements
         assert svg.count("<line") == m.num_edges
+
+
+class TestDumpValidation:
+    """Edited dumps whose element rows index outside the mesh raise
+    MeshError instead of aliasing a vertex or gathering another coarse
+    element's coefficients."""
+
+    @staticmethod
+    def edited(column, value):
+        """The dump of a refined square2x2 with one entry of its last
+        element row (``id v0 v1 v2 e0 e1 e2 ancestor``) replaced."""
+        m = build_initial_mesh("square2x2").refine([0, 5])
+        lines = m.dump().splitlines()
+        row = lines[-1].split()
+        row[column] = str(value(m))
+        return "\n".join(lines[:-1] + [" ".join(row)]) + "\n"
+
+    @pytest.mark.parametrize("column, value, message", [
+        (7, lambda m: -1, "ancestors"),
+        (7, lambda m: -m.num_elements, "ancestors"),
+        (1, lambda m: -1, "vertex id"),
+        (2, lambda m: -m.num_vertices, "vertex id"),
+        (3, lambda m: m.num_vertices, "vertex id"),
+    ], ids=["ancestor-1", "ancestor-NT", "vertex-1", "vertex-NV",
+            "vertex+NV"])
+    def test_out_of_range_index(self, column, value, message):
+        with pytest.raises(MeshError, match=message):
+            Triangulation.parse(self.edited(column, value))
+
+    def test_ancestor_count_must_match(self):
+        m = Triangulation.parse(self.edited(7, lambda m: 0))   # valid edit
+        for ancestors in (m.elem_ancestor[:3], m.elem_ancestor[:, None],
+                          list(m.elem_ancestor) + [0]):
+            with pytest.raises(MeshError, match="ancestors"):
+                Triangulation(m.vert_coords, m.elem_verts,
+                              ancestors=ancestors)

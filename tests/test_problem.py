@@ -180,15 +180,36 @@ class TestPatchQuantities:
 
 
 class TestBenchmarks:
+    def test_lshape_is_the_corner_solution(self):
+        """The L-shape case of the corner family is p = r^(2/3) sin(2
+        theta / 3), bit for bit, and u = -grad p = (2/3) r^(-1/3)
+        (sin(theta/3), -cos(theta/3)) within 1e-14 relative, on random
+        points of (-1, 1) x (0, 1) u (-1, 0) x (-1, 0)."""
+        domain, data, exact = benchmark("lshape")
+        assert domain == "lshape"
+        assert np.array_equal(data.table.S, np.tile(np.eye(2), (6, 1, 1)))
+        pts = np.random.default_rng(23).uniform(-1.0, 1.0, (200_000, 2))
+        x, y = pts[(pts[:, 0] < 0.0) | (pts[:, 1] > 0.0)].T
+        r = np.hypot(x, y)
+        theta = np.arctan2(y, x)
+        theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
+        assert np.array_equal(exact.p(x, y),
+                              r ** (2.0 / 3.0) * np.sin(2.0 / 3.0 * theta))
+        u = (2.0 / 3.0) * r[:, None] ** (-1.0 / 3.0) * np.column_stack(
+            [np.sin(theta / 3.0), -np.cos(theta / 3.0)])
+        for got in (exact.u(x, y), exact.u_and_p(x, y)[0]):
+            err = np.hypot(*(got - u).T) / np.hypot(*u.T)
+            assert err.max() <= 1e-14
+
     def test_kellogg1_constants(self):
-        alpha, s, a, b = problem.KELLOGG_CASES[1]
+        _, alpha, s, a, b = problem.CORNER_CASES["kellogg1"]
         assert alpha == 0.53544095
         assert a[0] == 0.44721360
         assert b[0] == 1.0
         assert s == (5.0, 1.0, 5.0, 1.0)
 
     def test_kellogg2_constants(self):
-        alpha, s, a, b = problem.KELLOGG_CASES[2]
+        _, alpha, s, a, b = problem.CORNER_CASES["kellogg2"]
         assert alpha == 0.12690207
         assert s[0] == s[2] == 100.0
 
