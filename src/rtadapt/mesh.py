@@ -306,6 +306,8 @@ class Triangulation:
         """Rebuild a mesh from its dump (edge ids are re-derived)."""
         rows = [line.split() for line in text.strip().splitlines()]
         nv, ne, nt = (int(x) for x in rows[0])
+        if len(rows) != 1 + nv + ne + nt:
+            raise MeshError(f"{len(rows) - 1} rows for header {nv} {ne} {nt}")
         coords = np.array(
             [[float(r[1]), float(r[2])] for r in rows[1 : 1 + nv]]
         )

@@ -337,9 +337,10 @@ class TestIO:
 
 
 class TestDumpValidation:
-    """Edited dumps whose element rows index outside the mesh raise
-    MeshError instead of aliasing a vertex or gathering another coarse
-    element's coefficients."""
+    """Edited dumps whose element rows index outside the mesh, or whose
+    row count differs from the header, raise MeshError instead of
+    aliasing a vertex, gathering another coarse element's coefficients
+    or leaving a hole."""
 
     @staticmethod
     def edited(column, value):
@@ -362,6 +363,16 @@ class TestDumpValidation:
     def test_out_of_range_index(self, column, value, message):
         with pytest.raises(MeshError, match=message):
             Triangulation.parse(self.edited(column, value))
+
+    @pytest.mark.parametrize("keep", [slice(None, -2), slice(None, -1)],
+                             ids=["two-rows-cut", "one-row-cut"])
+    def test_row_count_must_match_header(self, keep):
+        """A dump cut off after its first element rows would otherwise
+        parse into a mesh with a hole."""
+        lines = build_initial_mesh("square2x2").refine([0, 5]).dump() \
+            .splitlines()
+        with pytest.raises(MeshError, match="rows for header"):
+            Triangulation.parse("\n".join(lines[keep]) + "\n")
 
     def test_ancestor_count_must_match(self):
         m = Triangulation.parse(self.edited(7, lambda m: 0))   # valid edit
