@@ -237,7 +237,8 @@ def _corner_exact(alpha: float, s_vals, a_vals, b_vals) -> ExactSolution:
         r = np.hypot(x, y)
         theta = np.arctan2(y, x)
         theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
-        quad = np.minimum((theta // (0.5 * math.pi)).astype(int), 3)
+        # theta >= 0, so truncation is the floor, and cheaper than //
+        quad = np.minimum((theta / (0.5 * math.pi)).astype(int), 3)
         return r, theta, quad
 
     def value(r, phi):
