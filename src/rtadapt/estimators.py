@@ -245,15 +245,18 @@ class EstimatorContext:
         E = mesh.elem_edges
         lengths = mesh.edge_length[E]
         wn = wflux / lengths                             # (w . n)|_sigma
-        patch_norm = np.where(mesh.edge_elems >= 0,
-                              self.norm_sq[mesh.edge_elems], 0.0).sum(axis=1)
+        left, right = mesh.edge_elems.T
+        patch_norm = self.norm_sq[left] \
+            + np.where(right >= 0, self.norm_sq[right], 0.0)
         face = wn**2 * (hathat**2 * lengths + lengths * patch_norm[E])
         return np.sqrt(self.mesh.elem_diam / self.fields.c_S
                        * face.sum(axis=1))
 
     def singular_elements(self) -> np.ndarray:
         singular = detect_singular_vertices(self.mesh, self.fields.C_S)
-        return np.isin(self.mesh.elem_verts, list(singular)).any(axis=1)
+        # reduced over the leading axis, which numpy does faster than over
+        # an axis of length 3
+        return np.isin(self.mesh.elem_verts.T, list(singular)).any(axis=0)
 
     def xi_all(self) -> np.ndarray:
         """Alternative face indicator switching on singular nodes.
