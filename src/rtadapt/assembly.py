@@ -69,18 +69,21 @@ class MixedSolution:
     flux: np.ndarray
     pressure: np.ndarray
     scheme: str
+    # upwind scheme only: the assembly's weights and ``upwind_sides``
     nu: np.ndarray | None = None
+    sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
 class HybridSystem:
     """A scheme condensed onto the multipliers of the interior edges.
 
-    On element t the fluxes u and the pressure p solve
-    ``blocks[t] @ (u, p) = load[t] - (B lambda, 0)``, lambda the pressure
-    trace: the multiplier on interior edges, zero elsewhere (the Dirichlet
-    edge means are part of ``load``).  Upwind element rows add
-    ``coupling`` times the pressures of the ``neighbours``.
+    The element arrays are entry-major: ``blocks[i, j]`` is one (NT,) row.
+    On element t the fluxes u and the pressure p solve ``blocks[..., t] @
+    (u, p) = load[:, t] - (B lambda, 0)``, lambda the pressure trace: the
+    multiplier on interior edges, zero elsewhere (the Dirichlet edge means
+    are part of ``load``).  Upwind element rows add ``coupling``, zero off
+    the interior edges, times the pressures across (``sides[0]``).
 
     ``inverse`` inverts the blocks (centered: the unknowns of ``matrix``
     are the multipliers) or their flux parts (upwind: the multipliers,
@@ -95,14 +98,14 @@ class HybridSystem:
     edge_dof: np.ndarray          # (NE,) multiplier per interior edge, else -1
     edge_flag: np.ndarray         # (NE,)
     elem_edges: np.ndarray        # (NT, 3)
-    blocks: np.ndarray            # (NT, 4, 4) element blocks [[M, -B], [c, d]]
-    load: np.ndarray              # (NT, 4) their right-hand sides
-    inverse: np.ndarray           # (NT, 4, 4) centered, (NT, 3, 3) upwind
+    blocks: np.ndarray            # (4, 4, NT) element blocks [[M, -B], [c, d]]
+    load: np.ndarray              # (4, NT) their right-hand sides
+    inverse: np.ndarray           # (4, 4, NT) centered, (3, 3, NT) upwind
     fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
-    # upwind scheme only: per-edge weights, and per element and local edge
-    # the element across and the coefficient of its pressure
+    # upwind scheme only: per-edge weights, the face rule of
+    # ``upwind_sides`` and the (3, NT) coefficients of the pressures across
     nu: np.ndarray | None = None
-    neighbours: np.ndarray | None = None
+    sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     coupling: np.ndarray | None = None
 
     @property
@@ -114,7 +117,8 @@ class HybridSystem:
         with the residual and the right-hand side of the mixed equations
         (free edge rows, then element rows), evaluated without the mixed
         matrix."""
-        E = self.elem_edges
+        E = self.elem_edges.T
+        flat = E.ravel()
         trace = np.zeros(num_edges)
         interior = self.edge_dof >= 0
         trace[interior] = x[self.edge_dof[interior]]
@@ -122,31 +126,30 @@ class HybridSystem:
         if self.coupling is None:
             local = _apply(self.inverse, _local_rhs(
                 self.load, self.blocks, self.fixed_flux[E], trace[E]))
-            pressure = local[:, 3].copy()
+            pressure = local[3].copy()
         else:
             # B (lambda - p) on the free edges of each element
             pressure = x[np.count_nonzero(interior):].copy()
-            jump = np.where(neumann[E], 0.0, trace[E] - pressure[:, None])
+            jump = np.where(neumann[E], 0.0, trace[E] - pressure)
             local = _apply(self.inverse, _local_rhs(
-                self.load, self.blocks, self.fixed_flux[E], jump)[:, :3])
+                self.load, self.blocks, self.fixed_flux[E], jump)[:3])
         # the two sides of an interior edge agree up to round-off
-        flux = np.bincount(E.ravel(), local[:, :3].ravel(), num_edges) \
-            / np.bincount(E.ravel(), minlength=num_edges)
+        flux = np.bincount(flat, local[:3].ravel(), num_edges) \
+            / np.bincount(flat, minlength=num_edges)
         flux[neumann] = self.fixed_flux[neumann]
 
         def rows(per_element):
-            edge_rows = np.bincount(E.ravel(), per_element[:, :3].ravel(),
-                                    num_edges)
-            return np.concatenate([edge_rows[~neumann], per_element[:, 3]])
+            edge_rows = np.bincount(flat, per_element[:3].ravel(), num_edges)
+            return np.concatenate([edge_rows[~neumann], per_element[3]])
 
-        values = np.column_stack([flux[E], pressure])
+        values = np.concatenate([flux[E], pressure[None]])
         residual = _apply(self.blocks, values) - self.load
         if self.coupling is not None:
-            residual[:, 3] += (self.coupling
-                               * pressure[self.neighbours]).sum(axis=1)
-        fixed = np.column_stack([self.fixed_flux[E], np.zeros_like(pressure)])
+            residual[3] += (self.coupling
+                            * pressure[self.sides[0]]).sum(axis=0)
+        fixed = np.concatenate([self.fixed_flux[E], np.zeros((1, E.shape[1]))])
         scheme = CENTERED if self.coupling is None else UPWIND
-        return (MixedSolution(flux, pressure, scheme, self.nu),
+        return (MixedSolution(flux, pressure, scheme, self.nu, self.sides),
                 rows(residual), rows(self.load - _apply(self.blocks, fixed)))
 
 
@@ -188,10 +191,11 @@ def mat_vec(mat: np.ndarray, vec: np.ndarray
 
 
 def _apply(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Batched products (NT, m, n) by (NT, n), summed column by column."""
-    out = blocks[..., 0] * vectors[:, None, 0]
-    for j in range(1, blocks.shape[-1]):
-        out += blocks[..., j] * vectors[:, None, j]
+    """Batched products of the entry-major blocks (m, n, NT) and vectors
+    (n, NT), (m, NT) out, summed column by column."""
+    out = blocks[:, 0] * vectors[0]
+    for j in range(1, blocks.shape[1]):
+        out += blocks[:, j] * vectors[j]
     return out
 
 
@@ -200,17 +204,17 @@ def _local_rhs(load, blocks, fixed, trace):
     (B trace, 0), with the fixed flux in the Neumann rows.  ``load`` and
     ``trace`` vanish on Neumann edges and ``fixed`` vanishes off them."""
     rhs = load.copy()
-    rhs[:, :3] += fixed + blocks[:, :3, 3] * trace
+    rhs[:3] += fixed + blocks[:3, 3] * trace
     return rhs
 
 
 def _eliminate_neumann(mesh: Triangulation, blocks: np.ndarray) -> np.ndarray:
-    """A copy of the (NT, n, n) element blocks, n >= 3, with each Neumann
+    """A copy of the (n, n, NT) element blocks, n >= 3, with each Neumann
     edge row made an identity row for the fixed flux."""
     eliminated = blocks.copy()
-    t, i = np.nonzero(mesh.edge_flag[mesh.elem_edges] == NEUMANN)
-    eliminated[t, i] = 0.0
-    eliminated[t, i, i] = 1.0
+    i, t = np.nonzero(mesh.edge_flag[mesh.elem_edges.T] == NEUMANN)
+    eliminated[i, :, t] = 0.0
+    eliminated[i, i, t] = 1.0
     return eliminated
 
 
@@ -222,15 +226,15 @@ def _singular_at(bad: np.ndarray) -> None:
 
 
 def _inverse3(blocks: np.ndarray) -> np.ndarray:
-    """Cofactor inverses of the (NT, 3, 3) blocks, stored entry by entry.
-    Raises SingularSystemError at a zero or non-finite determinant."""
-    (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(blocks, 0, -1)
+    """Cofactor inverses of the entry-major (3, 3, NT) blocks.  Raises
+    SingularSystemError at a zero or non-finite determinant."""
+    (a, b, c), (d, e, f), (g, h, i) = blocks
     adjugate = np.array([[e * i - f * h, c * h - b * i, b * f - c * e],
                          [f * g - d * i, a * i - c * g, c * d - a * f],
                          [d * h - e * g, b * g - a * h, a * e - b * d]])
     det = a * adjugate[0, 0] + b * adjugate[1, 0] + c * adjugate[2, 0]
     _singular_at(~np.isfinite(det) | (det == 0.0))
-    return np.moveaxis(adjugate / det, -1, 0)
+    return adjugate / det
 
 
 def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -242,27 +246,28 @@ def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
     the first element whose block is not finite or whose s vanishes to
     working precision against its terms d and c M^-1 b.
     """
-    _singular_at(~np.isfinite(blocks).all(axis=(1, 2)))
-    b, c, d = blocks[:, :3, 3], blocks[:, 3, :3], blocks[:, 3, 3]
-    Minv = _inverse3(blocks[:, :3, :3])
+    _singular_at(~np.isfinite(blocks).all(axis=(0, 1)))
+    b, c, d = blocks[:3, 3], blocks[3, :3], blocks[3, 3]
+    Minv = _inverse3(blocks[:3, :3])
     Minv_b = _apply(Minv, b)
-    c_Minv = _apply(np.swapaxes(Minv, 1, 2), c)
-    c_Minv_b = (c * Minv_b).sum(axis=1)
+    c_Minv = _apply(Minv.swapaxes(0, 1), c)
+    c_Minv_b = (c * Minv_b).sum(axis=0)
     s = d - c_Minv_b
     _singular_at(~(np.abs(s) > SINGULAR_TOL * (np.abs(d) + np.abs(c_Minv_b))))
     inverse = np.empty_like(blocks)
-    inverse[:, :3, :3] = Minv + Minv_b[:, :, None] * c_Minv[:, None, :] \
-        / s[:, None, None]
-    inverse[:, :3, 3] = -Minv_b / s[:, None]
-    inverse[:, 3, :3] = -c_Minv / s[:, None]
-    inverse[:, 3, 3] = 1.0 / s
+    top = np.multiply(Minv_b[:, None], c_Minv, out=inverse[:3, :3])
+    top /= s
+    top += Minv
+    inverse[:3, 3] = -Minv_b / s
+    inverse[3, :3] = -c_Minv / s
+    inverse[3, 3] = 1.0 / s
     return inverse
 
 
 def basis_factors(mesh: Triangulation) -> np.ndarray:
-    """Per-(element, local edge) scalars s_i |sigma_i| / (2 |K|)."""
-    lengths = mesh.edge_length[mesh.elem_edges]
-    return mesh.elem_signs * lengths / (2.0 * mesh.elem_area[:, None])
+    """Per-(local edge, element) scalars s_i |sigma_i| / (2 |K|), (3, NT)."""
+    lengths = mesh.edge_length[mesh.elem_edges.T]
+    return mesh.elem_signs.T * lengths / (2.0 * mesh.elem_area)
 
 
 def reconstruct(mesh: Triangulation, solution: MixedSolution
@@ -271,18 +276,17 @@ def reconstruct(mesh: Triangulation, solution: MixedSolution
 
     Returns (a, b) with shapes (NT, 2) and (NT,).
     """
-    C = basis_factors(mesh)
-    dofs = solution.flux[mesh.elem_edges] * C
-    b = dofs.sum(axis=1)
-    X = mesh.elem_coords
-    a = -(dofs[:, 0, None] * X[:, 0] + dofs[:, 1, None] * X[:, 1]
-          + dofs[:, 2, None] * X[:, 2])
-    return a, b
+    dofs = solution.flux[mesh.elem_edges.T] * basis_factors(mesh)
+    X = mesh.elem_coords.T                                  # (2, 3, NT)
+    a = np.empty((mesh.num_elements, 2))
+    for k in range(2):
+        a[:, k] = -(dofs[0] * X[k, 0] + dofs[1] * X[k, 1] + dofs[2] * X[k, 2])
+    return a, dofs.sum(axis=0)
 
 
 def _local_blocks(disc: Discretization, couplings: bool = True):
     """Local matrices of the mixed bilinear forms, for every element, in
-    closed form.
+    closed form, entry-major (element axis last).
 
     With phi_i = C_i (x - P_i) = C_i (y + e_i), y = x - m_K and e_i =
     m_K - P_i, the first moment of y over K vanishes and its second
@@ -292,30 +296,34 @@ def _local_blocks(disc: Discretization, couplings: bool = True):
                                                + 1/12 sum_k A e_k . e_k),
         int_K (A phi_i) . w = C_i |K| A e_i . w.
 
-    M : (NT, 3, 3) weighted velocity mass matrices, int_K (S^-1 phi_i) . phi_j
-    B : (NT, 3) divergence integrals, signed edge lengths
-    conv : (NT, 3) convection couplings, int_K (S^-1 phi_i) . w, or None
+    M : (3, 3, NT) weighted mass matrices, int_K (S^-1 phi_i) . phi_j
+    B : (3, NT) divergence integrals, signed edge lengths
+    conv : (3, NT) convection couplings, int_K (S^-1 phi_i) . w, or None
         without ``couplings`` (the upwind scheme drops conv and react)
     react : (NT,) r |K|
     """
     mesh, fields = disc.mesh, disc.fields
     if np.any(mesh.elem_area <= 0.0):
         raise AssemblyError("degenerate element with nonpositive area")
+    area = mesh.elem_area
     C = basis_factors(mesh)
-    X = mesh.elem_coords
-    e = ((X[:, 0] + X[:, 1] + X[:, 2]) / 3.0)[:, None] - X  # (NT, 3, 2)
-    e0, e1 = e[..., 0], e[..., 1]
-    Ae0, Ae1 = mat_vec(fields.Sinv[:, None], e)
-    G = Ae0[:, :, None] * e0[:, None, :] + Ae1[:, :, None] * e1[:, None, :]
-    G += ((Ae0 * e0 + Ae1 * e1).sum(axis=1) / 12.0)[:, None, None]
-    M = G * mesh.elem_area[:, None, None] * C[:, :, None] * C[:, None, :]
-    B = mesh.elem_signs * mesh.edge_length[mesh.elem_edges]
+    X = np.ascontiguousarray(mesh.elem_coords.T)         # (2, 3, NT)
+    e0, e1 = ((X[:, 0] + X[:, 1] + X[:, 2]) / 3.0)[:, None] - X
+    (S00, S01), (S10, S11) = fields.Sinv.transpose(1, 2, 0)
+    Ae0 = S00 * e0 + S01 * e1
+    Ae1 = S10 * e0 + S11 * e1
+    M = Ae0[:, None] * e0
+    M += Ae1[:, None] * e1
+    M += (Ae0 * e0 + Ae1 * e1).sum(axis=0) / 12.0
+    M *= area
+    M *= C[:, None]
+    M *= C
+    B = mesh.elem_signs.T * mesh.edge_length[mesh.elem_edges.T]
     conv = None
     if couplings:
-        w = fields.w[:, None]
-        conv = (Ae0 * w[..., 0] + Ae1 * w[..., 1]) \
-            * mesh.elem_area[:, None] * C
-    react = fields.r * mesh.elem_area
+        w0, w1 = fields.w.T
+        conv = (Ae0 * w0 + Ae1 * w1) * area * C
+    react = fields.r * area
     return M, B, conv, react
 
 
@@ -350,19 +358,19 @@ def upwind_weights(disc: Discretization) -> np.ndarray:
     return np.where((w_flux == 0.0) | (boundary & (w_flux < 0.0)), 0.0, nu)
 
 
-def upwind_sides(mesh: Triangulation, edge_fluxes: np.ndarray, nu: np.ndarray
+def upwind_sides(mesh: Triangulation, wflux: np.ndarray, nu: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The upwind face rule, per (element, local edge), shape (NT, 3) each:
-    the element across (-1 on the boundary), and the coefficients c_own of
+    """The upwind face rule, per (local edge, element), shape (3, NT) each,
+    from the convective fluxes ``wflux`` w_{K,sigma} in that layout: the
+    element across (-1 on the boundary), and the coefficients c_own of
     the element's own pressure and c_other of the value across (the
     neighbour's pressure or the Dirichlet datum) in the face value.  An
     element with outflow w_{K,sigma} >= 0 is upstream and weighs its own
     pressure by 1 - nu."""
-    lr = mesh.edge_elems[mesh.elem_edges]
-    other = np.where(lr[..., 0] == np.arange(mesh.num_elements)[:, None],
-                     lr[..., 1], lr[..., 0])
-    nu = nu[mesh.elem_edges]
-    upstream = edge_fluxes >= 0.0
+    left, right = (mesh.edge_elems[:, k][mesh.elem_edges.T] for k in (0, 1))
+    other = np.where(left == np.arange(mesh.num_elements), right, left)
+    nu = nu[mesh.elem_edges.T]
+    upstream = wflux >= 0.0
     return (other, np.where(upstream, 1.0 - nu, nu),
             np.where(upstream, nu, 1.0 - nu))
 
@@ -418,19 +426,16 @@ def _coo_to_csc(rows, cols, vals, dim: int) -> sp.csc_matrix:
 
 
 def _element_system(disc: Discretization, M, B, c, d, load_p):
-    """Element blocks [[M, -B], [c, d]] with their right-hand sides, and
-    the fixed Neumann coefficients."""
+    """Entry-major element blocks [[M, -B], [c, d]] with their right-hand
+    sides, and the fixed Neumann coefficients."""
     mesh = disc.mesh
-    E = mesh.elem_edges
-    blocks = np.empty((mesh.num_elements, 4, 4))
-    blocks[:, :3, :3] = M
-    blocks[:, :3, 3] = -B
-    blocks[:, 3, :3] = c
-    blocks[:, 3, 3] = d
-    load = np.empty((mesh.num_elements, 4))
+    blocks = np.empty((4, 4, mesh.num_elements))
+    blocks[:3, :3] = M
+    blocks[:3, 3] = -B
+    blocks[3, :3] = c
+    blocks[3, 3] = d
     # natural Dirichlet term; the datum means vanish off Dirichlet edges
-    load[:, :3] = -B * disc.pd_mean[E]
-    load[:, 3] = load_p
+    load = np.concatenate([-B * disc.pd_mean[mesh.elem_edges.T], load_p[None]])
     return blocks, load, neumann_fixed_coefficients(mesh, disc.problem)
 
 
@@ -454,13 +459,12 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
 
     # (u, p) = inverse @ (local rhs - (B lambda, 0)) turns continuity
     # into schur @ lambda = sum of B_i (inverse @ local rhs)_i
-    schur = B[:, :, None] * inverse[:, :3, :3] * B[:, None, :]
-    local = B * _apply(inverse[:, :3, :], _local_rhs(load, blocks, fixed[E],
-                                                     0.0))
+    schur = B[:, None] * inverse[:3, :3] * B
+    local = B * _apply(inverse[:3], _local_rhs(load, blocks, fixed[E.T], 0.0))
     edge_dof, n = _multipliers(mesh)
-    dof = edge_dof[E]
-    rows = np.broadcast_to(dof[:, :, None], schur.shape)
-    cols = np.broadcast_to(dof[:, None, :], schur.shape)
+    dof = edge_dof[E.T]
+    rows = np.broadcast_to(dof[:, None], schur.shape)
+    cols = np.broadcast_to(dof, schur.shape)
     keep = (rows >= 0) & (cols >= 0)
     matrix = _coo_to_csc(rows[keep], cols[keep], schur[keep], n)
     rhs = np.bincount(dof[dof >= 0], local[dof >= 0], n)
@@ -474,13 +478,12 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     onto the interior edges and the element pressures."""
     mesh = disc.mesh
     M, B, _, _ = _local_blocks(disc, couplings=False)
-    E = mesh.elem_edges
+    E = mesh.elem_edges.T
     nt = mesh.num_elements
     nu = upwind_weights(disc)
-    wflux = disc.edge_fluxes
+    wflux = disc.edge_fluxes.T
     flag = mesh.edge_flag[E]
-    own_elem = np.arange(nt)[:, None]
-    other, c_own, c_other = upwind_sides(mesh, wflux, nu)
+    sides = other, c_own, c_other = upwind_sides(mesh, wflux, nu)
     interior = (wflux != 0.0) & (flag == INTERIOR)
     dirich = (wflux != 0.0) & (flag == DIRICHLET)
     # face values: the upwind mix with the neighbour or the Dirichlet datum;
@@ -488,37 +491,37 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     own = -wflux * np.where(flag == NEUMANN, 1.0, c_own)
     coupling = np.where(interior, -wflux * c_other, 0.0)
     datum = np.where(dirich, wflux * c_other, 0.0) * disc.pd_mean[E]
-    d = -disc.fields.r * mesh.elem_area + own.sum(axis=1)
+    d = -disc.fields.r * mesh.elem_area + own.sum(axis=0)
     blocks, load, fixed = _element_system(
-        disc, M, B, -B, d, datum.sum(axis=1) - load_vector(disc))
+        disc, M, B, -B, d, datum.sum(axis=0) - load_vector(disc))
 
     # u = inverse @ (local rhs - B lambda + B p) on each element: v and q
     # are the responses to p and to the local rhs, -H the response to lambda
-    inverse = _inverse3(_eliminate_neumann(mesh, blocks[:, :3, :3]))
+    inverse = _inverse3(_eliminate_neumann(mesh, blocks[:3, :3]))
     b = np.where(flag == NEUMANN, 0.0, B)
-    c = blocks[:, 3, :3]
+    c = blocks[3, :3]
     v = _apply(inverse, b)
-    q = _apply(inverse, _local_rhs(load, blocks, fixed[E], 0.0)[:, :3])
-    H = inverse * b[:, None, :]
-    cH = _apply(np.swapaxes(H, 1, 2), c)
+    q = _apply(inverse, _local_rhs(load, blocks, fixed[E], 0.0)[:3])
+    H = inverse * b
+    cH = _apply(H.swapaxes(0, 1), c)
 
     edge_dof, n = _multipliers(mesh)
     dof = edge_dof[E]
-    prow = np.broadcast_to(n + own_elem, (nt, 3))
-    rows_ll = np.broadcast_to(dof[:, :, None], H.shape)
-    cols_ll = np.broadcast_to(dof[:, None, :], H.shape)
+    prow = np.broadcast_to(n + np.arange(nt), (3, nt))
+    rows_ll = np.broadcast_to(dof[:, None], H.shape)
+    cols_ll = np.broadcast_to(dof, H.shape)
     ll = (rows_ll >= 0) & (cols_ll >= 0)
     lp = dof >= 0
-    rows = [rows_ll[ll], dof[lp], prow[lp], prow[:, 0], prow[interior]]
-    cols = [cols_ll[ll], prow[lp], dof[lp], prow[:, 0], n + other[interior]]
-    vals = [(-B[:, :, None] * H)[ll], (B * v)[lp], -cH[lp],
-            (c * v).sum(axis=1) + d, coupling[interior]]
+    rows = [rows_ll[ll], dof[lp], prow[lp], prow[0], prow[interior]]
+    cols = [cols_ll[ll], prow[lp], dof[lp], prow[0], n + other[interior]]
+    vals = [(-B[:, None] * H)[ll], (B * v)[lp], -cH[lp],
+            (c * v).sum(axis=0) + d, coupling[interior]]
     matrix = _coo_to_csc(np.concatenate(rows), np.concatenate(cols),
                          np.concatenate(vals), n + nt)
     rhs = np.concatenate([np.bincount(dof[lp], (-B * q)[lp], n),
-                          load[:, 3] - (c * q).sum(axis=1)])
+                          load[3] - (c * q).sum(axis=0)])
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
-                        edge_flag=mesh.edge_flag, elem_edges=E, blocks=blocks,
-                        load=load, inverse=inverse, fixed_flux=fixed, nu=nu,
-                        neighbours=np.where(interior, other, own_elem),
+                        edge_flag=mesh.edge_flag, elem_edges=mesh.elem_edges,
+                        blocks=blocks, load=load, inverse=inverse,
+                        fixed_flux=fixed, nu=nu, sides=sides,
                         coupling=coupling)

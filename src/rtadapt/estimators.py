@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .assembly import Discretization, MixedSolution, UPWIND, dot, \
-    mat_vec, upwind_sides
+from .assembly import Discretization, MixedSolution, UPWIND, dot, mat_vec
 from .mesh import DIRICHLET, INTERIOR, Triangulation
 from .postprocess import FluxField, tangential_jump_sq
 from .problem import patch_quantities
@@ -190,12 +189,11 @@ class EstimatorContext:
                   delta: bool = True) -> np.ndarray:
         """Sum over element edges of factor * h_sigma * jump integral."""
         mesh = self.mesh
-        E = mesh.elem_edges
+        E = mesh.elem_edges.T
         contrib = edge_factor[E] * mesh.edge_length[E] * jumps[E]
         if delta:
-            deltas = np.where(mesh.edge_flag[E] == INTERIOR, 0.5, 1.0)
-            contrib = contrib * deltas
-        return contrib.sum(axis=1)
+            contrib *= np.where(mesh.edge_flag[E] == INTERIOR, 0.5, 1.0)
+        return contrib.sum(axis=0)
 
     def eta_NC_all(self) -> np.ndarray:
         volume = self.patch.lam_wr * self.mesh.elem_diam**2 * self.norm_sq
@@ -214,8 +212,9 @@ class EstimatorContext:
                                       self.patch.lam_w_sigma**2))
 
     def _hat_hat_all(self) -> np.ndarray:
-        """Face-value defect of the upwind pressure per (element, local
-        edge), by the scheme's own face rule (``assembly.upwind_sides``).
+        """Face-value defect of the upwind pressure per (local edge,
+        element), (3, NT), by the face rule that the assembly used
+        (``assembly.upwind_sides``, carried by the solution).
 
         Interior edges: (1/2 - c_other)(p_K - p_other), which is
         (1/2 - nu)(upstream - downstream) up to its sign.  Dirichlet
@@ -224,15 +223,14 @@ class EstimatorContext:
         (inflow).  Neumann edges take the interior value, so the defect
         vanishes.
         """
-        E = self.mesh.elem_edges
+        E = self.mesh.elem_edges.T
         p = self.solution.pressure
-        other, c_own, c_other = upwind_sides(self.mesh, self.disc.edge_fluxes,
-                                             self.solution.nu)
+        other, c_own, c_other = self.solution.sides
         flag = self.mesh.edge_flag[E]
-        p_hat = c_own * p[:, None] + c_other * self.disc.pd_mean[E]
+        p_hat = c_own * p + c_other * self.disc.pd_mean[E]
         return np.where(
-            flag == INTERIOR, (0.5 - c_other) * (p[:, None] - p[other]),
-            np.where(flag == DIRICHLET, p_hat - p[:, None], 0.0))
+            flag == INTERIOR, (0.5 - c_other) * (p - p[other]),
+            np.where(flag == DIRICHLET, p_hat - p, 0.0))
 
     def eta_U_all(self) -> np.ndarray:
         if self.solution.scheme != UPWIND:
@@ -240,17 +238,16 @@ class EstimatorContext:
                 "the upwind estimator is undefined for a centered solution"
             )
         mesh = self.mesh
-        hathat = self._hat_hat_all()
-        wflux = self.disc.edge_fluxes                    # (NT, 3)
-        E = mesh.elem_edges
+        hathat = self._hat_hat_all()                     # (3, NT)
+        E = mesh.elem_edges.T
         lengths = mesh.edge_length[E]
-        wn = wflux / lengths                             # (w . n)|_sigma
+        wn = self.disc.edge_fluxes.T / lengths          # (w . n)|_sigma
         left, right = mesh.edge_elems.T
         patch_norm = self.norm_sq[left] \
             + np.where(right >= 0, self.norm_sq[right], 0.0)
         face = wn**2 * (hathat**2 * lengths + lengths * patch_norm[E])
         return np.sqrt(self.mesh.elem_diam / self.fields.c_S
-                       * face.sum(axis=1))
+                       * face.sum(axis=0))
 
     def singular_elements(self) -> np.ndarray:
         singular = detect_singular_vertices(self.mesh, self.fields.C_S)
@@ -307,8 +304,8 @@ class EstimatorContext:
 
 def _data_slopes(disc: Discretization):
     """Expected boundary tangential trace of S^-1 u_h, from data: a
-    callable ``slopes(edge_ids, pts)`` returning -dp/dt at the points, zero
-    off Dirichlet edges.
+    callable ``slopes(edge_ids, x, y)`` returning -dp/dt at the points
+    (x, y) of shape (nq, ne), zero off Dirichlet edges.
 
     gamma_t(S^-1 u) = -dp/dt on the boundary; ``tangential_jump_sq``
     scales it by sqrt(c_S) for the S^-1/2 weighting, which requires a
@@ -324,19 +321,18 @@ def _data_slopes(disc: Discretization):
         )
     dirichlet = mesh.edge_flag == DIRICHLET
 
-    def slopes(edge_ids, pts):
-        out = np.zeros(pts.shape[:-1])
-        rows = np.flatnonzero(dirichlet[edge_ids])
-        if rows.size:
-            e = edge_ids[rows]
+    def slopes(edge_ids, x, y):
+        out = np.zeros(x.shape)
+        cols = np.flatnonzero(dirichlet[edge_ids])
+        if cols.size:
+            e = edge_ids[cols]
             delta = 6e-6 * mesh.edge_length[e]
-            step = delta[:, None, None] * mesh.edge_tangent[e][:, None, :]
-            plus = pts[rows] + step
-            minus = pts[rows] - step
-            out[rows] = -(problem.dirichlet_data(plus[..., 0], plus[..., 1])
-                          - problem.dirichlet_data(minus[..., 0],
-                                                   minus[..., 1])) \
-                / (2.0 * delta)[:, None]
+            dx = delta * mesh.edge_tangent[e, 0]
+            dy = delta * mesh.edge_tangent[e, 1]
+            x, y = x[:, cols], y[:, cols]
+            out[:, cols] = -(problem.dirichlet_data(x + dx, y + dy)
+                             - problem.dirichlet_data(x - dx, y - dy)) \
+                / (2.0 * delta)
         return out
 
     return slopes

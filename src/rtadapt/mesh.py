@@ -143,7 +143,7 @@ class Triangulation:
         self.edge_normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
         self.edge_tangent = tangent
 
-        self.elem_diam = self.edge_length[self.elem_edges].max(axis=1)
+        self.elem_diam = self.edge_length[self.elem_edges.T].max(axis=0)
 
         # sign of the global edge normal against the element outward normal:
         # edge i of element t runs from vertex i+1 to i+2 in ccw order, so the
@@ -230,10 +230,11 @@ class Triangulation:
         xy = self.vert_coords
         ev = self.edge_verts
         d = xy[ev[:, 1]] - xy[ev[:, 0]]
-        length2 = (d[:, 0] ** 2 + d[:, 1] ** 2)[self.elem_edges]
-        pair = (ev[:, 0] * nv + ev[:, 1])[self.elem_edges]
-        longest = length2 == length2.max(axis=1, keepdims=True)
-        ref = np.where(longest, pair, nv * nv).argmin(axis=1)
+        length2 = (d[:, 0] ** 2 + d[:, 1] ** 2)[self.elem_edges.T]
+        pair = (ev[:, 0] * nv + ev[:, 1])[self.elem_edges.T]
+        k0, k1, k2 = np.where(length2 == length2.max(axis=0), pair, nv * nv)
+        # the first smallest key, as argmin takes it
+        ref = np.where(k2 < np.minimum(k0, k1), 2, np.where(k1 < k0, 1, 0))
         ref_edge = self.elem_edges[np.arange(nt), ref]
 
         split = np.zeros(self.num_edges, dtype=bool)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import quadrature as quad
-from .assembly import Discretization, MixedSolution, dot, mat_vec, \
-    reconstruct
+from .assembly import Discretization, MixedSolution, mat_vec, reconstruct
 from .mesh import Triangulation
 from .problem import CoefficientFields
 
@@ -70,67 +69,70 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     """Edge integrals of the squared tangential jumps of S^-1 u_h and of
     S^-1/2 u_h, two arrays of shape (NE,).
 
-    u_h is evaluated once at the edge points.  On the side of element K
-    the trace is t . W u_h = v . u_h with v = W^T t, W the weighting
-    tensor of K, so each weighting takes one vector per (edge, side).
+    Each side's trace is t . W u_h = v . u_h, v = W^T t (``_traces``).
     Interior edges take the difference of the two one-sided traces;
     boundary edges take the one-sided trace.  These integrands are
-    quadratic along each edge, so the two-point ``rule`` is exact for
-    them.  ``boundary_slopes``, a callable ``slopes(edge_ids, pts)``
-    returning -dp/dt there, optionally supplies the expected tangential
-    trace of S^-1 u_h on boundary edges (from boundary data), scaled by
-    sqrt(c_S) for S^-1/2 u_h, which is subtracted before squaring.  That
-    trace is as smooth as the data but not polynomial, so boundary edges
-    are then integrated with ``quad.DATA_EDGE`` instead (20-point Gauss;
-    on the benchmark meshes it agrees with a 40-point rule to about 1e-11
-    relative, 4e-8 on the coarsest internal-layer mesh).
+    quadratic along each edge, so the two-point ``rule`` is exact for them.
+    ``boundary_slopes``, a callable ``slopes(edge_ids, x, y)``
+    returning -dp/dt at the points (x, y) of shape (nq, ne), optionally
+    supplies the expected tangential trace of S^-1 u_h on boundary edges
+    (from boundary data), scaled by sqrt(c_S) for S^-1/2 u_h, which is
+    subtracted before squaring.  That trace is as smooth as the data but
+    not polynomial, so boundary edges are then integrated with
+    ``quad.DATA_EDGE`` instead (20-point Gauss; on the benchmark meshes it
+    agrees with a 40-point rule to about 1e-11 relative, 4e-8 on the
+    coarsest internal-layer mesh).
     """
-    fields = flux.fields
-    weightings = (fields.Sinv, fields.Sinvhalf)
     out = (np.empty(mesh.num_edges), np.empty(mesh.num_edges))
-    left = mesh.edge_elems[:, 0]
-    right = mesh.edge_elems[:, 1]
+    left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
+    h = mesh.edge_length
 
     inner = np.flatnonzero(right >= 0)
-    pts = _edge_points(mesh, inner, rule)
-    tangents = mesh.edge_tangent[inner]
-    u_left = flux.u(left[inner], pts)
-    u_right = flux.u(right[inner], pts)
-    for jumps, mat in zip(out, weightings):
-        jump = _tangential_trace(mat, left[inner], tangents, u_left) \
-            - _tangential_trace(mat, right[inner], tangents, u_right)
-        jumps[inner] = rule.integrate(jump**2, mesh.edge_length[inner])
+    x, y = _edge_points(mesh, inner, rule)
+    for jumps, one, other in zip(out, _traces(mesh, flux, left, inner, x, y),
+                                 _traces(mesh, flux, right, inner, x, y)):
+        jumps[inner] = _integrate_sq(rule, one - other, h[inner])
 
     bdry = np.flatnonzero(right < 0)
     if boundary_slopes is not None:
         rule = quad.DATA_EDGE
-    pts = _edge_points(mesh, bdry, rule)
-    tangents = mesh.edge_tangent[bdry]
-    u_left = flux.u(left[bdry], pts)
+    x, y = _edge_points(mesh, bdry, rule)
     slopes = (0.0, 0.0)
     if boundary_slopes is not None:
-        slope = boundary_slopes(bdry, pts)
-        slopes = (slope, np.sqrt(fields.c_S[left[bdry]])[:, None] * slope)
-    for jumps, mat, slope in zip(out, weightings, slopes):
-        jump = _tangential_trace(mat, left[bdry], tangents, u_left) - slope
-        jumps[bdry] = rule.integrate(jump**2, mesh.edge_length[bdry])
+        slope = boundary_slopes(bdry, x, y)
+        slopes = (slope, np.sqrt(flux.fields.c_S[left[bdry]]) * slope)
+    for jumps, trace, slope in zip(out, _traces(mesh, flux, left, bdry, x, y),
+                                   slopes):
+        jumps[bdry] = _integrate_sq(rule, trace - slope, h[bdry])
     return out
 
 
-def _edge_points(mesh: Triangulation, edges: np.ndarray,
-                 rule: quad.Rule) -> np.ndarray:
-    """Physical nodes (ne, nq, 2) of an edge rule on ``edges``."""
-    return rule.physical_points(mesh.vert_coords[mesh.edge_verts[edges]])
+def _edge_points(mesh: Triangulation, edges: np.ndarray, rule: quad.Rule
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y coordinates (nq, ne) of the nodes of an edge rule on
+    ``edges``, each equal to that component of ``rule.physical_points``."""
+    ends = np.take(mesh.edge_verts, edges, axis=0).T
+    return tuple(rule.points @ mesh.vert_coords[:, k][ends] for k in range(2))
 
 
-def _tangential_trace(mat: np.ndarray, elems: np.ndarray,
-                      tangents: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Tangential component t . W u_h of the flux weighted by the tensors
-    ``mat`` (NT, 2, 2) of ``elems``, from the values (ne, nq, 2) of u_h at
-    the points of edges with unit ``tangents`` (ne, 2), as v . u_h with
-    v = W^T t."""
-    v = np.column_stack(mat_vec(mat[elems].swapaxes(1, 2), tangents))
-    return dot(values, v[:, None])
+def _traces(mesh: Triangulation, flux: FluxField, side: np.ndarray,
+            edges: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """The traces t . W u_h (nq, ne) of the elements ``side[edges]`` at
+    the points (x, y) of ``edges``, for W = S^-1 and then S^-1/2, from
+    per-edge rows gathered from column views (faster in numpy)."""
+    elems = side[edges]
+    b = flux.b[elems]
+    u0, u1 = (flux.a[:, k][elems] + b * xk for k, xk in enumerate((x, y)))
+    t0, t1 = (mesh.edge_tangent[:, k][edges] for k in range(2))
+    for mat in (flux.fields.Sinv, flux.fields.Sinvhalf):
+        (w00, w01), (w10, w11) = ([mat[:, i, j][elems] for j in range(2)]
+                                  for i in range(2))
+        yield u0 * (w00 * t0 + w10 * t1) + u1 * (w01 * t0 + w11 * t1)
+
+
+def _integrate_sq(rule: quad.Rule, values: np.ndarray, length) -> np.ndarray:
+    """``rule.integrate`` of the squares of ``values`` (nq, ne)."""
+    return rule.integrate(np.ascontiguousarray((values**2).T), length)
 
 
 def nodal_average(mesh: Triangulation, pressure: np.ndarray) -> np.ndarray:

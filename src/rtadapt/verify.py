@@ -72,9 +72,9 @@ def _singular_vertex_elements(mesh: Triangulation, points
     for x, y in points:
         hit |= (np.abs(mesh.vert_coords[:, 0] - x) <= 1e-12) \
             & (np.abs(mesh.vert_coords[:, 1] - y) <= 1e-12)
-    at_elem = hit[mesh.elem_verts]
-    elems = np.flatnonzero(at_elem.any(axis=1))
-    return elems, np.argmax(at_elem[elems], axis=1)
+    at = hit[mesh.elem_verts.T]                  # (3, NT)
+    elems = np.flatnonzero(at.any(axis=0))
+    return elems, np.where(at[0, elems], 0, np.where(at[1, elems], 1, 2))
 
 
 def eoc(dofs, errors) -> np.ndarray:

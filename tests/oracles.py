@@ -741,9 +741,16 @@ class LocalMatrices:
     react: float
 
 
+def element_major_blocks(disc):
+    """``assembly._local_blocks`` with the element axis first: M (NT, 3, 3),
+    B and conv (NT, 3), react (NT,)."""
+    M, B, conv, react = _local_blocks(disc)
+    return M.transpose(2, 0, 1), B.T, conv.T, react
+
+
 def local_matrices(disc):
     """``assembly._local_blocks`` as one LocalMatrices per element."""
-    M, B, conv, react = _local_blocks(disc)
+    M, B, conv, react = element_major_blocks(disc)
     return [LocalMatrices(M[t], B[t], conv[t], float(react[t]))
             for t in range(disc.mesh.num_elements)]
 
@@ -828,7 +835,7 @@ def mixed_upwind(mesh, problem):
 
 def _mixed(mesh, problem, scheme):
     disc = Discretization(mesh, problem)
-    M, B, conv, react = _local_blocks(disc)
+    M, B, conv, react = element_major_blocks(disc)
     fsrc = load_vector(disc)
     pd_mean = disc.pd_mean
     fixed = loop_neumann_coefficients(mesh, problem)
@@ -952,7 +959,7 @@ def edge_patch(mesh, e):
 def hat_hat_edges(ctx):
     """Face-value defect of the upwind pressure per edge, from the side of
     its first element (``EstimatorContext._hat_hat_all``)."""
-    return _left_values(ctx.mesh, ctx._hat_hat_all())
+    return _left_values(ctx.mesh, ctx._hat_hat_all().T)
 
 
 def hat_hat_p(ctx, e):

@@ -304,7 +304,8 @@ def test_tangential_trace_is_bit_equal(solved):
     disc, _, ctx, _ = solved
     mesh = disc.mesh
     edges = np.arange(mesh.num_edges)
-    pts = postprocess._edge_points(mesh, edges, quad.EDGE_GAUSS2)
+    pts = quad.EDGE_GAUSS2.physical_points(
+        mesh.vert_coords[mesh.edge_verts[edges]])
     for weighting in ("inv", "invsqrt"):
         assert np.array_equal(
             oracles.tangential_trace(
@@ -317,22 +318,23 @@ def test_tangential_trace_is_bit_equal(solved):
 
 def test_contracted_traces_match_per_point(solved):
     """t . W u_h as v . u_h, one v = W^T t per (edge, side), on both sides
-    of every edge."""
+    of every edge, from per-edge rows at the edge points of
+    ``_edge_points``, which are those of ``physical_points`` bit for bit."""
     disc, _, ctx, _ = solved
     mesh = disc.mesh
     edges = np.arange(mesh.num_edges)
-    pts = postprocess._edge_points(mesh, edges, quad.EDGE_GAUSS2)
+    pts = quad.EDGE_GAUSS2.physical_points(
+        mesh.vert_coords[mesh.edge_verts[edges]])
     for side in mesh.edge_elems.T:
         edges_s, elems = edges[side >= 0], side[side >= 0]
+        x, y = postprocess._edge_points(mesh, edges_s, quad.EDGE_GAUSS2)
+        assert np.array_equal(np.stack([x.T, y.T], axis=-1), pts[edges_s])
         values = ctx.flux.u(elems, pts[edges_s])
-        for weighting, mat in (("inv", disc.fields.Sinv),
-                               ("invsqrt", disc.fields.Sinvhalf)):
-            assert_close(
-                postprocess._tangential_trace(mat, elems,
-                                              mesh.edge_tangent[edges_s],
-                                              values),
-                oracles.tangential_trace(mesh, ctx.flux, weighting, elems,
-                                         edges_s, values))
+        for weighting, trace in zip(("inv", "invsqrt"), postprocess._traces(
+                mesh, ctx.flux, side, edges_s, x, y)):
+            assert_close(trace.T,
+                         oracles.tangential_trace(mesh, ctx.flux, weighting,
+                                                  elems, edges_s, values))
 
 
 def test_jumps_are_bit_equal_to_one_weighting_each(solved):
@@ -357,8 +359,9 @@ def test_jumps_are_bit_equal_to_one_weighting_each(solved):
             assert np.array_equal(jumps, again)
             scale = (lambda e: 1.0) if weighting == "inv" else (
                 lambda e: np.sqrt(fields.c_S[mesh.edge_elems[e, 0]])[:, None])
-            slope = None if slopes is None \
-                else (lambda e, p, s=slopes, f=scale: f(e) * s(e, p))
+            slope = None if slopes is None else (
+                lambda e, p, s=slopes, f=scale:
+                f(e) * s(e, p[..., 0].T, p[..., 1].T).T)
             assert_close(jumps, oracles.single_weighting_jump_sq(
                 mesh, context.flux, weighting, slope))
 
@@ -381,7 +384,7 @@ def test_edge_fluxes_are_bit_equal(solved):
 
 def test_local_blocks_match_einsum(solved):
     disc = solved[0]
-    M, B, conv, react = assembly._local_blocks(disc)
+    M, B, conv, react = oracles.element_major_blocks(disc)
     eM, eB, econv, ereact = oracles.einsum_local_blocks(disc.mesh,
                                                         disc.fields)
     assert_close(M, eM)
@@ -450,7 +453,7 @@ def test_contractions_match_per_point(domain, seed, data):
                                       assembly.CENTERED)
     ctx = EstimatorContext(disc, solution)
 
-    M, _, conv, _ = assembly._local_blocks(disc)
+    M, _, conv, _ = oracles.element_major_blocks(disc)
     eM, _, econv, _ = oracles.einsum_local_blocks(mesh, disc.fields)
     assert_close(M, eM)
     assert_close(conv, econv)

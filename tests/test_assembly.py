@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 from oracles import (ORACLE_TRI, dump_matrix, edge_patch, element_row,
                      flux_through_edge, local_matrices,
                      loop_neumann_coefficients, mixed_centered, mixed_upwind,
                      upwind_value_coeffs, upwind_weight)
 from rtadapt import adapt, assembly, postprocess, quadrature as quad, solver
-from rtadapt.assembly import (CENTERED, Discretization, assemble_centered,
+from rtadapt.assembly import (CENTERED, Discretization, SingularSystemError,
+                              assemble_centered,
                               assemble_upwind, basis_factors, reconstruct)
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, Triangulation,
                           build_initial_mesh)
@@ -34,7 +36,7 @@ def oracle_mass_entry(mesh, Sinv, t, i, j):
     rule = ORACLE_TRI
     coords = mesh.elem_coords[t]
     pts = rule.physical_points(coords)
-    C = basis_factors(mesh)[t]
+    C = basis_factors(mesh)[:, t]
     phi_i = C[i] * (pts - coords[i])
     phi_j = C[j] * (pts - coords[j])
     integrand = np.einsum("qa,ab,qb->q", phi_i, Sinv, phi_j)
@@ -437,9 +439,11 @@ class TestClosedFormInverse:
 
     @staticmethod
     def close(inverse, blocks):
-        reference = np.linalg.inv(blocks)
+        """Entry-major (n, n, NT) inverses against LAPACK's."""
+        reference = np.linalg.inv(blocks.transpose(2, 0, 1))
         scale = np.abs(reference).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(inverse - reference) <= 1e-13 * scale)
+        assert np.all(np.abs(inverse.transpose(2, 0, 1) - reference)
+                      <= 1e-13 * scale)
 
     @pytest.mark.parametrize("case", ["lshape", "kellogg1", "kellogg2",
                                       "layer"])
@@ -453,9 +457,100 @@ class TestClosedFormInverse:
                    assembly._eliminate_neumann(mesh, centered.blocks))
         upwind = assemble_upwind(disc)
         self.close(upwind.inverse, assembly._eliminate_neumann(
-            mesh, upwind.blocks[:, :3, :3]))
+            mesh, upwind.blocks[:3, :3]))
         M = assembly._local_blocks(disc)[0]
         self.close(assembly._inverse3(M), M)
+
+
+def coefficient_sets(n):
+    """n coarse coefficient sets: an SPD S with eigenvalues in [1e-2, 1e2],
+    w in [-10, 10]^2 and r >= 0."""
+    one = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                    st.floats(0.0, np.pi),
+                    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                    st.floats(0.0, 10.0))
+    return st.lists(one, min_size=n, max_size=n)
+
+
+def drawn_blocks(sets, neumann):
+    """Entry-major centered element blocks (4, 4, 16) of the once refined
+    unit square under the coefficient ``sets``, with the flux rows set in
+    the (3, 16) mask ``neumann`` made identity rows, as Neumann rows are."""
+    S, w, r = [], [], []
+    for lo, hi, angle, vel, react in sets:
+        Q = np.array([[np.cos(angle), -np.sin(angle)],
+                      [np.sin(angle), np.cos(angle)]])
+        S.append(Q @ np.diag([10.0**lo, 10.0**hi]) @ Q.T)
+        w.append(vel)
+        r.append(react)
+    mesh = build_initial_mesh("unit-square").uniform_refine()
+    data = ProblemData(np.array(S), np.array(w), np.array(r))
+    M, B, conv, react = assembly._local_blocks(Discretization(mesh, data))
+    blocks = np.empty((4, 4, mesh.num_elements))
+    blocks[:3, :3] = M
+    blocks[:3, 3] = -B
+    blocks[3, :3] = -B + conv
+    blocks[3, 3] = -react
+    i, t = np.nonzero(neumann)
+    blocks[i, :, t] = 0.0
+    blocks[i, i, t] = 1.0
+    return blocks
+
+
+def assert_inverse(inverse, blocks):
+    """Per element within 1e-12 of LAPACK's inverse, relative to its
+    largest entry, on blocks of condition number up to 1e4.  Beyond that
+    the bound grows with the condition number, as neither inverse is more
+    accurate there: in 32,000 blocks of 2,000 random draws of
+    ``drawn_blocks`` with Neumann rows, 0.9% have a condition number
+    above 1e4, up to 5.5e6, and differ by up to 1.9e-11; the others
+    differ by at most 2.9e-13."""
+    elementwise = blocks.transpose(2, 0, 1)
+    reference = np.linalg.inv(elementwise)
+    scale = np.abs(reference).max(axis=(1, 2)) \
+        * np.maximum(1.0, np.linalg.cond(elementwise) / 1e4)
+    assert np.all(np.abs(inverse.transpose(2, 0, 1) - reference)
+                  <= 1e-12 * scale[:, None, None])
+
+
+class TestBatchedInverseProperties:
+    """``_inverse3`` and ``_invert_blocks`` on element blocks under random
+    SPD tensors, velocities, reactions and Neumann rows."""
+
+    @given(sets=coefficient_sets(8), data=st.data())
+    def test_agree_with_lapack(self, sets, data):
+        # at most two Neumann edges per element, as on a mesh of more than
+        # one element; three would leave a pure-Neumann element
+        rows = data.draw(st.lists(st.sampled_from(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
+             (1, 0, 1), (0, 1, 1)]), min_size=16, max_size=16),
+            label="neumann")
+        blocks = drawn_blocks(sets, np.array(rows, dtype=bool).T)
+        assert_inverse(assembly._inverse3(blocks[:3, :3]), blocks[:3, :3])
+        assert_inverse(assembly._invert_blocks(blocks), blocks)
+
+    @given(sets=coefficient_sets(8),
+           singular=st.sets(st.integers(0, 15), min_size=1, max_size=3))
+    def test_vanishing_schur_complement_names_first_element(self, sets,
+                                                             singular):
+        blocks = drawn_blocks(sets, np.zeros((3, 16), dtype=bool))
+        b, c = blocks[:3, 3], blocks[3, :3]
+        Minv = assembly._inverse3(blocks[:3, :3])
+        # d = c M^-1 b in the kernel's own arithmetic, so s = 0 exactly
+        c_Minv_b = (c * assembly._apply(Minv, b)).sum(axis=0)
+        elems = sorted(singular)
+        blocks[3, 3, elems] = c_Minv_b[elems]
+        with pytest.raises(SingularSystemError,
+                           match=f"element {elems[0]}$"):
+            assembly._invert_blocks(blocks)
+
+    @given(sets=coefficient_sets(8), elem=st.integers(0, 15),
+           row=st.integers(0, 2))
+    def test_zero_determinant_names_the_element(self, sets, elem, row):
+        blocks = drawn_blocks(sets, np.zeros((3, 16), dtype=bool))
+        blocks[row, :3, elem] = 0.0
+        with pytest.raises(SingularSystemError, match=f"element {elem}$"):
+            assembly._inverse3(blocks[:3, :3])
 
 
 class TestSolutionMapping:

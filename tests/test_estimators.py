@@ -236,15 +236,14 @@ class TestHatHatP:
         system = assemble_upwind(Discretization(mesh0, data0))
         sol = solver.solve(system, mesh0.num_edges)
         sol.pressure[:] = 2.0
-        sol.nu[:] = 0.1
         ctx = EstimatorContext(Discretization(mesh0, data0), sol)
         vals = hat_hat_edges(ctx)
         wflux = assembly._left_values(
             mesh0, assembly._edge_fluxes(mesh0, ctx.fields))
         top = np.flatnonzero((mesh0.edge_flag != 0) & (wflux > 0))
-        assert top.size > 0
+        assert top.size > 0 and np.all(sol.nu[top] > 0.0)
         for e in top:
-            assert vals[e] == pytest.approx(-0.1 * 2.0, rel=1e-13)
+            assert vals[e] == pytest.approx(-sol.nu[e] * 2.0, rel=1e-13)
 
     def test_requires_upwind_solution(self):
         mesh, data, _, sol, ctx = solved_context("kellogg1", refines=0)
@@ -280,7 +279,7 @@ class TestEtaU:
             wn = w_ke / mesh.edge_length[e]
             patch = edge_patch(mesh, e)
             omega = sum(ctx.norm_sq[s] for s in patch)
-            total += wn**2 * (hathat[t, i] ** 2 * mesh.edge_length[e]
+            total += wn**2 * (hathat[i, t] ** 2 * mesh.edge_length[e]
                               + mesh.edge_length[e] * omega)
         expected = math.sqrt(mesh.elem_diam[t] / fields.c_S[t] * total)
         assert got[t] == pytest.approx(expected, rel=1e-12)

@@ -136,8 +136,8 @@ class TestTangentialJumps:
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
 
-        def slope(edges, pts):
-            return np.sin(4.0 * pts[..., 0]) * np.exp(pts[..., 1])
+        def slope(edges, x, y):
+            return np.sin(4.0 * x) * np.exp(y)
 
         got = tangential_jump_sq(mesh, flux, boundary_slopes=slope)[0]
         bdry = np.flatnonzero(mesh.edge_elems[:, 1] < 0)
@@ -150,7 +150,8 @@ class TestTangentialJumps:
                 "eqd,ed->eq",
                 weighted(flux, mesh.edge_elems[bdry, 0], pts),
                 mesh.edge_tangent[bdry])
-            ref = rule.integrate((trace - slope(bdry, pts))**2,
+            ref = rule.integrate((trace - slope(bdry, pts[..., 0],
+                                                pts[..., 1]))**2,
                                  mesh.edge_length[bdry])
             close = np.allclose(got[bdry], ref, rtol=rel, atol=0.0)
             # the dense rule agrees; the old two-point rule does not

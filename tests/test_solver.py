@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from oracles import SaddleSystem, mixed_centered
+from oracles import SaddleSystem, element_major_blocks, mixed_centered
 from rtadapt import adapt, assembly, solver
 from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
                               assemble_centered, assemble_upwind)
@@ -245,7 +245,7 @@ def forged_reaction(data, mesh, elements, value=None):
     """``data`` whose r makes the local blocks of ``elements``
     singular (pressure Schur complement zero), or sets it to ``value``."""
     fields = data.fields(mesh)
-    M, B, conv, _ = assembly._local_blocks(Discretization(mesh, data))
+    M, B, conv, _ = element_major_blocks(Discretization(mesh, data))
     r = fields.r.copy()
     for t in elements:
         # s = -react - (B - conv)^T M^-1 B vanishes
