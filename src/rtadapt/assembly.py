@@ -21,13 +21,13 @@ term (edge means), Neumann fluxes are fixed.
 Both schemes are solved in hybridized form (Arnold & Brezzi, M2AN 1985):
 RT0 continuity is broken and enforced by one multiplier per interior
 edge, the pressure trace, and the fluxes are eliminated element by
-element (:class:`HybridSystem`).  The centered scheme eliminates the
-pressure too, with one batched 4x4 inversion, which leaves a system on
-the interior edges with Crouzeix-Raviart sparsity.  The upwind scheme
-couples neighbouring pressures through its face values, so it eliminates
-the fluxes only, with one batched 3x3 inversion, and keeps the element
-pressures next to the multipliers; the face-value coupling stays in the
-pressure-pressure block.
+element with one batched 3x3 inversion (:class:`HybridSystem`).  The
+centered pressure row couples no neighbours, so the centered scheme
+condenses the pressure too, by one scalar Schur step per element, which
+leaves a system on the interior edges with Crouzeix-Raviart sparsity.
+The upwind scheme couples neighbouring pressures through its face
+values, so it keeps the element pressures next to the multipliers; the
+face-value coupling stays in the pressure-pressure block.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ class MixedSolution:
     flux: np.ndarray
     pressure: np.ndarray
     scheme: str
-    # upwind scheme only: the assembly's weights and ``upwind_sides``
+    # upwind scheme only: the assembly's weights, ``upwind_sides`` and
+    # the (3, NT) convective fluxes w_{K,sigma}
     nu: np.ndarray | None = None
     sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    wflux: np.ndarray | None = None
 
 
 @dataclass
@@ -85,12 +87,13 @@ class HybridSystem:
     are part of ``load``).  Upwind element rows add ``coupling``, zero off
     the interior edges, times the pressures across (``sides[0]``).
 
-    ``inverse`` inverts the blocks (centered: the unknowns of ``matrix``
-    are the multipliers) or their flux parts (upwind: the multipliers,
-    then the element pressures), with each Neumann row made an identity
-    row for the fixed flux.  ``matrix`` enforces flux continuity, sum of
-    B_i u_i over both sides, per interior edge, followed by the upwind
-    element rows.
+    ``inverse`` inverts the flux parts of the blocks, with each Neumann
+    row made an identity row for the fixed flux.  The centered scheme
+    condenses its pressure to p = offset + sum of gain_i lambda_i over the
+    element's edges, and the unknowns of ``matrix`` are the multipliers;
+    the upwind unknowns are the multipliers, then the element pressures.
+    ``matrix`` enforces flux continuity, sum of B_i u_i over both sides,
+    per interior edge, followed by the upwind element rows.
     """
 
     matrix: sp.csc_matrix
@@ -100,13 +103,18 @@ class HybridSystem:
     elem_edges: np.ndarray        # (NT, 3)
     blocks: np.ndarray            # (4, 4, NT) element blocks [[M, -B], [c, d]]
     load: np.ndarray              # (4, NT) their right-hand sides
-    inverse: np.ndarray           # (4, 4, NT) centered, (3, 3, NT) upwind
+    inverse: np.ndarray           # (3, 3, NT) inverses of the flux parts
     fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
+    # centered scheme only: the condensed pressure, (NT,) and (3, NT)
+    offset: np.ndarray | None = None
+    gain: np.ndarray | None = None
     # upwind scheme only: per-edge weights, the face rule of
-    # ``upwind_sides`` and the (3, NT) coefficients of the pressures across
+    # ``upwind_sides``, the (3, NT) coefficients of the pressures across
+    # and the convective fluxes
     nu: np.ndarray | None = None
     sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     coupling: np.ndarray | None = None
+    wflux: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -123,18 +131,18 @@ class HybridSystem:
         interior = self.edge_dof >= 0
         trace[interior] = x[self.edge_dof[interior]]
         neumann = self.edge_flag == NEUMANN
-        if self.coupling is None:
-            local = _apply(self.inverse, _local_rhs(
-                self.load, self.blocks, self.fixed_flux[E], trace[E]))
-            pressure = local[3].copy()
-        else:
-            # B (lambda - p) on the free edges of each element
+        lam = trace[E]
+        if self.gain is None:
             pressure = x[np.count_nonzero(interior):].copy()
-            jump = np.where(neumann[E], 0.0, trace[E] - pressure)
-            local = _apply(self.inverse, _local_rhs(
-                self.load, self.blocks, self.fixed_flux[E], jump)[:3])
+        else:
+            pressure = self.offset + (self.gain * lam).sum(axis=0)
+        # B (lambda - p) on the free edges of each element; the load and
+        # the jump vanish in the Neumann rows, which hold the fixed flux
+        jump = np.where(neumann[E], 0.0, lam - pressure)
+        local = _apply(self.inverse, self.load[:3] + (
+            self.fixed_flux[E] + self.blocks[:3, 3] * jump))
         # the two sides of an interior edge agree up to round-off
-        flux = np.bincount(flat, local[:3].ravel(), num_edges) \
+        flux = np.bincount(flat, local.ravel(), num_edges) \
             / np.bincount(flat, minlength=num_edges)
         flux[neumann] = self.fixed_flux[neumann]
 
@@ -149,7 +157,8 @@ class HybridSystem:
                             * pressure[self.sides[0]]).sum(axis=0)
         fixed = np.concatenate([self.fixed_flux[E], np.zeros((1, E.shape[1]))])
         scheme = CENTERED if self.coupling is None else UPWIND
-        return (MixedSolution(flux, pressure, scheme, self.nu, self.sides),
+        return (MixedSolution(flux, pressure, scheme, self.nu, self.sides,
+                              self.wflux),
                 rows(residual), rows(self.load - _apply(self.blocks, fixed)))
 
 
@@ -161,7 +170,6 @@ class Discretization:
     fields : coefficient fields on the elements (``problem.fields``)
     seven_points : (NT, 7, 2) physical nodes of ``quad.SEVEN_POINT``
     source : (NT, 7) the source f there
-    edge_fluxes : (NT, 3) convective fluxes w_{K,sigma}
     pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
     """
 
@@ -173,7 +181,6 @@ class Discretization:
             quad.SEVEN_POINT.physical_points(mesh.elem_coords)
         self.source = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1]),
                                       pts.shape[:-1])
-        self.edge_fluxes = _edge_fluxes(mesh, self.fields)
         self.pd_mean = dirichlet_edge_means(mesh, problem)
 
 
@@ -199,25 +206,6 @@ def _apply(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _local_rhs(load, blocks, fixed, trace):
-    """Right-hand sides of the eliminated local systems: ``load`` minus
-    (B trace, 0), with the fixed flux in the Neumann rows.  ``load`` and
-    ``trace`` vanish on Neumann edges and ``fixed`` vanishes off them."""
-    rhs = load.copy()
-    rhs[:3] += fixed + blocks[:3, 3] * trace
-    return rhs
-
-
-def _eliminate_neumann(mesh: Triangulation, blocks: np.ndarray) -> np.ndarray:
-    """A copy of the (n, n, NT) element blocks, n >= 3, with each Neumann
-    edge row made an identity row for the fixed flux."""
-    eliminated = blocks.copy()
-    i, t = np.nonzero(mesh.edge_flag[mesh.elem_edges.T] == NEUMANN)
-    eliminated[i, :, t] = 0.0
-    eliminated[i, i, t] = 1.0
-    return eliminated
-
-
 def _singular_at(bad: np.ndarray) -> None:
     """Raise SingularSystemError naming the first element set in ``bad``."""
     if bad.any():
@@ -237,31 +225,39 @@ def _inverse3(blocks: np.ndarray) -> np.ndarray:
     return adjugate / det
 
 
-def _invert_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Batched inverse of the blocks [[M, b], [c, d]] through the Schur
-    complement s = d - c M^-1 b of the pressure entry.
-
-    M is nonsingular on every element of positive area, so a block is
-    singular exactly when s vanishes.  Raises SingularSystemError naming
-    the first element whose block is not finite or whose s vanishes to
-    working precision against its terms d and c M^-1 b.
-    """
+def _eliminate_fluxes(blocks: np.ndarray, neumann: np.ndarray, rhs):
+    """Solve the flux rows of the element blocks [[M, -B], [c, d]], with
+    those set in the (3, NT) mask ``neumann`` made identity rows and
+    right-hand sides ``rhs``, for u = q + v p - H lambda.  Returns the
+    inverse of the eliminated M, v, q, H and cH = H^T c.  Raises
+    SingularSystemError naming the first element whose block is not
+    finite or whose M is singular."""
     _singular_at(~np.isfinite(blocks).all(axis=(0, 1)))
-    b, c, d = blocks[:3, 3], blocks[3, :3], blocks[3, 3]
-    Minv = _inverse3(blocks[:3, :3])
-    Minv_b = _apply(Minv, b)
-    c_Minv = _apply(Minv.swapaxes(0, 1), c)
-    c_Minv_b = (c * Minv_b).sum(axis=0)
-    s = d - c_Minv_b
-    _singular_at(~(np.abs(s) > SINGULAR_TOL * (np.abs(d) + np.abs(c_Minv_b))))
-    inverse = np.empty_like(blocks)
-    top = np.multiply(Minv_b[:, None], c_Minv, out=inverse[:3, :3])
-    top /= s
-    top += Minv
-    inverse[:3, 3] = -Minv_b / s
-    inverse[3, :3] = -c_Minv / s
-    inverse[3, 3] = 1.0 / s
-    return inverse
+    M = blocks[:3, :3].copy()
+    i, t = np.nonzero(neumann)
+    M[i, :, t] = 0.0
+    M[i, i, t] = 1.0
+    inverse = _inverse3(M)
+    b = np.where(neumann, 0.0, -blocks[:3, 3])
+    v = _apply(inverse, b)
+    q = _apply(inverse, rhs)
+    H = inverse * b
+    cH = _apply(H.swapaxes(0, 1), blocks[3, :3])
+    return inverse, v, q, H, cH
+
+
+def _condense_pressure(blocks: np.ndarray, load: np.ndarray, v, q, cH):
+    """Solve the uncoupled pressure rows c . u + d p = load_p, with u from
+    ``_eliminate_fluxes``, for p = offset + gain . lambda.  M is
+    nonsingular on every element of positive area, so a block is singular
+    exactly when s = c . v + d vanishes; raises SingularSystemError naming
+    the first element where it does to working precision against d and
+    c . v."""
+    c, d = blocks[3, :3], blocks[3, 3]
+    c_v = (c * v).sum(axis=0)
+    s = c_v + d
+    _singular_at(~(np.abs(s) > SINGULAR_TOL * (np.abs(d) + np.abs(c_v))))
+    return (load[3] - (c * q).sum(axis=0)) / s, cH / s
 
 
 def basis_factors(mesh: Triangulation) -> np.ndarray:
@@ -284,7 +280,7 @@ def reconstruct(mesh: Triangulation, solution: MixedSolution
     return a, dofs.sum(axis=0)
 
 
-def _local_blocks(disc: Discretization, couplings: bool = True):
+def _local_blocks(disc: Discretization):
     """Local matrices of the mixed bilinear forms, for every element, in
     closed form, entry-major (element axis last).
 
@@ -298,8 +294,7 @@ def _local_blocks(disc: Discretization, couplings: bool = True):
 
     M : (3, 3, NT) weighted mass matrices, int_K (S^-1 phi_i) . phi_j
     B : (3, NT) divergence integrals, signed edge lengths
-    conv : (3, NT) convection couplings, int_K (S^-1 phi_i) . w, or None
-        without ``couplings`` (the upwind scheme drops conv and react)
+    conv : (3, NT) convection couplings, int_K (S^-1 phi_i) . w
     react : (NT,) r |K|
     """
     mesh, fields = disc.mesh, disc.fields
@@ -319,10 +314,8 @@ def _local_blocks(disc: Discretization, couplings: bool = True):
     M *= C[:, None]
     M *= C
     B = mesh.elem_signs.T * mesh.edge_length[mesh.elem_edges.T]
-    conv = None
-    if couplings:
-        w0, w1 = fields.w.T
-        conv = (Ae0 * w0 + Ae1 * w1) * area * C
+    w0, w1 = fields.w.T
+    conv = (Ae0 * w0 + Ae1 * w1) * area * C
     react = fields.r * area
     return M, B, conv, react
 
@@ -334,17 +327,18 @@ def _edge_fluxes(mesh: Triangulation, fields: CoefficientFields) -> np.ndarray:
     return mesh.elem_signs * wn * mesh.edge_length[E]
 
 
-def upwind_weights(disc: Discretization) -> np.ndarray:
+def upwind_weights(disc: Discretization, wflux: np.ndarray) -> np.ndarray:
     """Per-edge upstream weights, oriented by the first incident element.
 
     nu = min(c_S |sigma| / (h_sigma |w_sigma|), 1/2) with c_S the harmonic
     average of the smallest diffusion eigenvalues across the edge (the
-    one-sided value on the boundary) and w_sigma the convective edge flux;
-    zero for a vanishing flux and on inflow boundary edges.  For a
-    two-dimensional edge the measure and the diameter coincide.
+    one-sided value on the boundary) and w_sigma the convective edge flux
+    of ``wflux`` (NT, 3), from ``_edge_fluxes``; zero for a vanishing flux
+    and on inflow boundary edges.  For a two-dimensional edge the measure
+    and the diameter coincide.
     """
     mesh, fields = disc.mesh, disc.fields
-    w_flux = _left_values(mesh, disc.edge_fluxes)
+    w_flux = _left_values(mesh, wflux)
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     boundary = right < 0
     c_s_left = fields.c_S[left]
@@ -418,13 +412,6 @@ def load_vector(disc: Discretization) -> np.ndarray:
     return quad.SEVEN_POINT.integrate(disc.source, disc.mesh.elem_area)
 
 
-def _coo_to_csc(rows, cols, vals, dim: int) -> sp.csc_matrix:
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsc()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return matrix
-
-
 def _element_system(disc: Discretization, M, B, c, d, load_p):
     """Entry-major element blocks [[M, -B], [c, d]] with their right-hand
     sides, and the fixed Neumann coefficients."""
@@ -447,6 +434,15 @@ def _multipliers(mesh: Triangulation) -> tuple[np.ndarray, int]:
     return edge_dof, interior.size
 
 
+def _multiplier_triplets(dof: np.ndarray, values: np.ndarray):
+    """The (row, column, value) triplets of the (3, 3, NT) ``values`` that
+    couple two multipliers, ``dof`` (3, NT) -1 off the interior edges."""
+    rows = np.broadcast_to(dof[:, None], values.shape)
+    cols = np.broadcast_to(dof, values.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], values[keep]
+
+
 def assemble_centered(disc: Discretization) -> HybridSystem:
     """Centered mixed scheme (volumetric convection, full reaction block),
     hybridized onto the interior edges."""
@@ -454,34 +450,36 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
     M, B, conv, react = _local_blocks(disc)
     blocks, load, fixed = _element_system(disc, M, B, -B + conv, -react,
                                           -load_vector(disc))
-    inverse = _invert_blocks(_eliminate_neumann(mesh, blocks))
-    E = mesh.elem_edges
+    E = mesh.elem_edges.T
+    inverse, v, q, H, cH = _eliminate_fluxes(
+        blocks, mesh.edge_flag[E] == NEUMANN, load[:3] + fixed[E])
+    offset, gain = _condense_pressure(blocks, load, v, q, cH)
 
-    # (u, p) = inverse @ (local rhs - (B lambda, 0)) turns continuity
-    # into schur @ lambda = sum of B_i (inverse @ local rhs)_i
-    schur = B[:, None] * inverse[:3, :3] * B
-    local = B * _apply(inverse[:3], _local_rhs(load, blocks, fixed[E.T], 0.0))
+    # u = q + v p - H lambda with p = offset + gain . lambda turns
+    # continuity into schur @ lambda = sum of B_i (q + v offset)_i
     edge_dof, n = _multipliers(mesh)
-    dof = edge_dof[E.T]
-    rows = np.broadcast_to(dof[:, None], schur.shape)
-    cols = np.broadcast_to(dof, schur.shape)
-    keep = (rows >= 0) & (cols >= 0)
-    matrix = _coo_to_csc(rows[keep], cols[keep], schur[keep], n)
-    rhs = np.bincount(dof[dof >= 0], local[dof >= 0], n)
+    dof = edge_dof[E]
+    rows, cols, vals = _multiplier_triplets(
+        dof, B[:, None] * (H - v[:, None] * gain))
+    free = dof >= 0
+    rhs = np.bincount(dof[free], (B * (q + v * offset))[free], n)
+    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
-                        edge_flag=mesh.edge_flag, elem_edges=E, blocks=blocks,
-                        load=load, inverse=inverse, fixed_flux=fixed)
+                        edge_flag=mesh.edge_flag, elem_edges=mesh.elem_edges,
+                        blocks=blocks, load=load, inverse=inverse,
+                        fixed_flux=fixed, offset=offset, gain=gain)
 
 
 def assemble_upwind(disc: Discretization) -> HybridSystem:
     """Upwind-weighted mixed scheme with face-value convection, hybridized
     onto the interior edges and the element pressures."""
     mesh = disc.mesh
-    M, B, _, _ = _local_blocks(disc, couplings=False)
+    M, B, _, react = _local_blocks(disc)
     E = mesh.elem_edges.T
     nt = mesh.num_elements
-    nu = upwind_weights(disc)
-    wflux = disc.edge_fluxes.T
+    edge_fluxes = _edge_fluxes(mesh, disc.fields)
+    nu = upwind_weights(disc, edge_fluxes)
+    wflux = edge_fluxes.T
     flag = mesh.edge_flag[E]
     sides = other, c_own, c_other = upwind_sides(mesh, wflux, nu)
     interior = (wflux != 0.0) & (flag == INTERIOR)
@@ -491,37 +489,29 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     own = -wflux * np.where(flag == NEUMANN, 1.0, c_own)
     coupling = np.where(interior, -wflux * c_other, 0.0)
     datum = np.where(dirich, wflux * c_other, 0.0) * disc.pd_mean[E]
-    d = -disc.fields.r * mesh.elem_area + own.sum(axis=0)
+    d = -react + own.sum(axis=0)
     blocks, load, fixed = _element_system(
         disc, M, B, -B, d, datum.sum(axis=0) - load_vector(disc))
-
-    # u = inverse @ (local rhs - B lambda + B p) on each element: v and q
-    # are the responses to p and to the local rhs, -H the response to lambda
-    inverse = _inverse3(_eliminate_neumann(mesh, blocks[:3, :3]))
-    b = np.where(flag == NEUMANN, 0.0, B)
+    inverse, v, q, H, cH = _eliminate_fluxes(blocks, flag == NEUMANN,
+                                             load[:3] + fixed[E])
     c = blocks[3, :3]
-    v = _apply(inverse, b)
-    q = _apply(inverse, _local_rhs(load, blocks, fixed[E], 0.0)[:3])
-    H = inverse * b
-    cH = _apply(H.swapaxes(0, 1), c)
 
     edge_dof, n = _multipliers(mesh)
     dof = edge_dof[E]
     prow = np.broadcast_to(n + np.arange(nt), (3, nt))
-    rows_ll = np.broadcast_to(dof[:, None], H.shape)
-    cols_ll = np.broadcast_to(dof, H.shape)
-    ll = (rows_ll >= 0) & (cols_ll >= 0)
+    rows_ll, cols_ll, vals_ll = _multiplier_triplets(dof, -B[:, None] * H)
     lp = dof >= 0
-    rows = [rows_ll[ll], dof[lp], prow[lp], prow[0], prow[interior]]
-    cols = [cols_ll[ll], prow[lp], dof[lp], prow[0], n + other[interior]]
-    vals = [(-B[:, None] * H)[ll], (B * v)[lp], -cH[lp],
-            (c * v).sum(axis=0) + d, coupling[interior]]
-    matrix = _coo_to_csc(np.concatenate(rows), np.concatenate(cols),
-                         np.concatenate(vals), n + nt)
+    rows = [rows_ll, dof[lp], prow[lp], prow[0], prow[interior]]
+    cols = [cols_ll, prow[lp], dof[lp], prow[0], n + other[interior]]
+    vals = [vals_ll, (B * v)[lp], -cH[lp], (c * v).sum(axis=0) + d,
+            coupling[interior]]
+    matrix = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                   np.concatenate(cols))),
+                           shape=(n + nt, n + nt))
     rhs = np.concatenate([np.bincount(dof[lp], (-B * q)[lp], n),
                           load[3] - (c * q).sum(axis=0)])
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
                         edge_flag=mesh.edge_flag, elem_edges=mesh.elem_edges,
                         blocks=blocks, load=load, inverse=inverse,
                         fixed_flux=fixed, nu=nu, sides=sides,
-                        coupling=coupling)
+                        coupling=coupling, wflux=wflux)

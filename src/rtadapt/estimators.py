@@ -241,7 +241,7 @@ class EstimatorContext:
         hathat = self._hat_hat_all()                     # (3, NT)
         E = mesh.elem_edges.T
         lengths = mesh.edge_length[E]
-        wn = self.disc.edge_fluxes.T / lengths          # (w . n)|_sigma
+        wn = self.solution.wflux / lengths              # (w . n)|_sigma
         left, right = mesh.edge_elems.T
         patch_norm = self.norm_sq[left] \
             + np.where(right >= 0, self.norm_sq[right], 0.0)

@@ -63,7 +63,8 @@ def coefficient_table(S, w, r) -> CoefficientFields:
     S^-1, S^-1/2 and the bounds in one array pass.
 
     Raises ProblemDataError for mismatched shapes, a non-symmetric or
-    non-SPD tensor (NaN included) or a negative reaction.
+    non-SPD tensor (NaN included), a non-finite velocity or a negative
+    reaction.
     """
     S, w, r = (np.asarray(x, dtype=float) for x in (S, w, r))
     n = r.shape[0] if r.ndim == 1 else -1
@@ -80,6 +81,8 @@ def coefficient_table(S, w, r) -> CoefficientFields:
     if not np.all(c_S > 0.0):
         raise ProblemDataError(
             f"diffusion tensor not SPD (min eigenvalue {c_S.min()})")
+    if not np.all(np.isfinite(w)):
+        raise ProblemDataError("velocity not finite")
     if not np.all(r >= 0.0):
         raise ProblemDataError(f"reaction {r.min()} negative")
     Sinv = np.empty_like(S)
@@ -139,8 +142,10 @@ class ProblemData:
         anc = mesh.elem_ancestor
         if anc.max(initial=-1) >= self.table.r.size:
             raise ProblemDataError("mesh ancestor outside the coefficient table")
-        return CoefficientFields(
-            **{name: values[anc] for name, values in vars(self.table).items()})
+        # np.take gathers rows several times faster than values[anc]
+        return CoefficientFields(**{
+            name: np.take(values, anc, axis=0)
+            for name, values in vars(self.table).items()})
 
 
 def patch_quantities(mesh: Triangulation, fields: CoefficientFields

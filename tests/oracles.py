@@ -27,8 +27,8 @@ import scipy.sparse as sp
 
 from rtadapt import quadrature as quad
 from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
-                              MixedSolution, _left_values, _local_blocks,
-                              load_vector)
+                              MixedSolution, _edge_fluxes, _left_values,
+                              _local_blocks, load_vector)
 from rtadapt.estimators import EstimatorError
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                           Triangulation)
@@ -410,7 +410,7 @@ def upwind_weight(c_s_left, c_s_right, edge_length, w_flux, boundary):
 def loop_upwind_weights(disc):
     """``assembly.upwind_weights`` edge by edge through ``upwind_weight``."""
     mesh, fields = disc.mesh, disc.fields
-    w_flux = _left_values(mesh, disc.edge_fluxes)
+    w_flux = _left_values(mesh, _edge_fluxes(mesh, fields))
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     return np.array([
         upwind_weight(fields.c_S[left[e]],
@@ -891,7 +891,7 @@ def _mixed(mesh, problem, scheme):
     else:
         vals.append(-disc.fields.r * mesh.elem_area)
         nu_edges = loop_upwind_weights(disc)
-        wflux = disc.edge_fluxes
+        wflux = _edge_fluxes(mesh, disc.fields)
         nu = nu_edges[E]
         flag = mesh.edge_flag[E]
         lr = mesh.edge_elems[E]

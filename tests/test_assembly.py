@@ -433,9 +433,34 @@ class TestHybridUpwind:
             assert np.linalg.norm(residual) > 1e-8 * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("assemble", [assemble_centered, assemble_upwind])
+class TestAssembledSystem:
+    @staticmethod
+    def layer_disc():
+        domain, data, _ = benchmark("layer")
+        return Discretization(data.initial_mesh(domain).uniform_refine(),
+                              data)
+
+    def test_matrix_has_canonical_format(self, assemble):
+        """Sorted row indices in each column and no duplicate entries,
+        which the factorization and the pattern comparisons rely on."""
+        matrix = assemble(self.layer_disc()).matrix
+        assert matrix.format == "csc" and matrix.has_canonical_format
+        cols = np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))
+        assert np.all(np.diff(cols * matrix.shape[0] + matrix.indices) > 0)
+
+    def test_non_finite_block_names_the_element(self, assemble):
+        disc = self.layer_disc()
+        # past the validation of the coefficient table
+        disc.fields.r[5] = np.inf
+        with pytest.raises(SingularSystemError, match="element 5$"):
+            assemble(disc)
+
+
 class TestClosedFormInverse:
-    """The cofactor inverses of assembly against LAPACK's, on the element
-    blocks of every benchmark after one uniform refinement."""
+    """The cofactor inverses and the pressure condensation of assembly
+    against LAPACK, on the element blocks of every benchmark after one
+    uniform refinement."""
 
     @staticmethod
     def close(inverse, blocks):
@@ -451,15 +476,23 @@ class TestClosedFormInverse:
         domain, data, _ = benchmark(case)
         mesh = data.initial_mesh(domain).uniform_refine()
         assert (NEUMANN in mesh.edge_flag) == (case == "layer")
+        neumann = mesh.edge_flag[mesh.elem_edges.T] == NEUMANN
         disc = Discretization(mesh, data)
         centered = assemble_centered(disc)
-        self.close(centered.inverse,
-                   assembly._eliminate_neumann(mesh, centered.blocks))
+        self.close(centered.inverse, identity_rows(
+            centered.blocks[:3, :3], neumann))
         upwind = assemble_upwind(disc)
-        self.close(upwind.inverse, assembly._eliminate_neumann(
-            mesh, upwind.blocks[:3, :3]))
+        self.close(upwind.inverse, identity_rows(
+            upwind.blocks[:3, :3], neumann))
         M = assembly._local_blocks(disc)[0]
         self.close(assembly._inverse3(M), M)
+        # the condensed (u, p) of the centered blocks, to their own load
+        # and a random trace
+        lam = np.random.default_rng(3).normal(size=neumann.shape)
+        rhs = centered.load.copy()
+        rhs[:3] += centered.fixed_flux[mesh.elem_edges.T]
+        assert_solutions(*eliminated_solutions(centered.blocks, neumann,
+                                               rhs, lam), 1e-13, False)
 
 
 def coefficient_sets(n):
@@ -472,10 +505,20 @@ def coefficient_sets(n):
     return st.lists(one, min_size=n, max_size=n)
 
 
+def identity_rows(blocks, neumann):
+    """A copy of the (n, n, NT) blocks with the flux rows set in the (3, NT)
+    mask ``neumann`` made identity rows, as Neumann rows are."""
+    eliminated = blocks.copy()
+    i, t = np.nonzero(neumann)
+    eliminated[i, :, t] = 0.0
+    eliminated[i, i, t] = 1.0
+    return eliminated
+
+
 def drawn_blocks(sets, neumann):
     """Entry-major centered element blocks (4, 4, 16) of the once refined
     unit square under the coefficient ``sets``, with the flux rows set in
-    the (3, 16) mask ``neumann`` made identity rows, as Neumann rows are."""
+    the (3, 16) mask ``neumann`` made identity rows."""
     S, w, r = [], [], []
     for lo, hi, angle, vel, react in sets:
         Q = np.array([[np.cos(angle), -np.sin(angle)],
@@ -491,10 +534,7 @@ def drawn_blocks(sets, neumann):
     blocks[:3, 3] = -B
     blocks[3, :3] = -B + conv
     blocks[3, 3] = -react
-    i, t = np.nonzero(neumann)
-    blocks[i, :, t] = 0.0
-    blocks[i, i, t] = 1.0
-    return blocks
+    return identity_rows(blocks, neumann)
 
 
 def assert_inverse(inverse, blocks):
@@ -513,9 +553,41 @@ def assert_inverse(inverse, blocks):
                   <= 1e-12 * scale[:, None, None])
 
 
+def eliminated_solutions(blocks, neumann, rhs, lam):
+    """The per-element (u, p) of [[M, -B], [c, d]] (u, p) = rhs - (B lambda,
+    0), blocks (4, 4, NT), rhs (4, NT) and lambda (3, NT), with the flux
+    rows set in the (3, NT) mask ``neumann`` made identity rows.
+
+    Returns (u, p) from ``_eliminate_fluxes`` and ``_condense_pressure``,
+    as the centered assembly computes it, and from LAPACK's solver, with
+    the eliminated blocks and their right-hand sides, element-major."""
+    _, v, q, H, cH = assembly._eliminate_fluxes(blocks, neumann, rhs[:3])
+    offset, gain = assembly._condense_pressure(blocks, rhs, v, q, cH)
+    p = offset + (gain * lam).sum(axis=0)
+    u = q + v * p - assembly._apply(H, lam)
+    eliminated = identity_rows(blocks, neumann)
+    full = rhs.copy()
+    full[:3] += eliminated[:3, 3] * lam
+    A, f = eliminated.transpose(2, 0, 1), full.T
+    return (np.concatenate([u, p[None]]).T,
+            np.linalg.solve(A, f[..., None])[..., 0], A, f)
+
+
+def assert_solutions(solution, reference, A, f, tol, conditioned=True):
+    """Per element within ``tol`` of LAPACK's solution, relative to the
+    largest entries of the inverse and of the right-hand side, and with
+    ``conditioned`` proportionally looser for a condition number above
+    1e4, as in ``assert_inverse``."""
+    scale = np.abs(np.linalg.inv(A)).max(axis=(1, 2)) * np.abs(f).max(axis=1)
+    if conditioned:
+        scale *= np.maximum(1.0, np.linalg.cond(A) / 1e4)
+    assert np.all(np.abs(solution - reference) <= tol * scale[:, None])
+
+
 class TestBatchedInverseProperties:
-    """``_inverse3`` and ``_invert_blocks`` on element blocks under random
-    SPD tensors, velocities, reactions and Neumann rows."""
+    """``_inverse3``, and the flux elimination with the pressure
+    condensation, on element blocks under random SPD tensors, velocities,
+    reactions, Neumann rows, right-hand sides and traces."""
 
     @given(sets=coefficient_sets(8), data=st.data())
     def test_agree_with_lapack(self, sets, data):
@@ -525,24 +597,32 @@ class TestBatchedInverseProperties:
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
              (1, 0, 1), (0, 1, 1)]), min_size=16, max_size=16),
             label="neumann")
-        blocks = drawn_blocks(sets, np.array(rows, dtype=bool).T)
+        neumann = np.array(rows, dtype=bool).T
+        blocks = drawn_blocks(sets, neumann)
         assert_inverse(assembly._inverse3(blocks[:3, :3]), blocks[:3, :3])
-        assert_inverse(assembly._invert_blocks(blocks), blocks)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        rhs = rng.normal(size=(4, 16))
+        lam = np.where(neumann, 0.0, rng.normal(size=(3, 16)))
+        assert_solutions(*eliminated_solutions(blocks, neumann, rhs, lam),
+                         1e-12)
 
     @given(sets=coefficient_sets(8),
            singular=st.sets(st.integers(0, 15), min_size=1, max_size=3))
     def test_vanishing_schur_complement_names_first_element(self, sets,
                                                              singular):
-        blocks = drawn_blocks(sets, np.zeros((3, 16), dtype=bool))
-        b, c = blocks[:3, 3], blocks[3, :3]
-        Minv = assembly._inverse3(blocks[:3, :3])
-        # d = c M^-1 b in the kernel's own arithmetic, so s = 0 exactly
-        c_Minv_b = (c * assembly._apply(Minv, b)).sum(axis=0)
+        neumann = np.zeros((3, 16), dtype=bool)
+        blocks = drawn_blocks(sets, neumann)
+        load = np.zeros((4, 16))
+        _, v, q, _, cH = assembly._eliminate_fluxes(blocks, neumann,
+                                                    load[:3])
+        # d = -c . v in the kernel's own arithmetic, so s = 0 exactly
+        c_v = (blocks[3, :3] * v).sum(axis=0)
         elems = sorted(singular)
-        blocks[3, 3, elems] = c_Minv_b[elems]
+        blocks[3, 3, elems] = -c_v[elems]
         with pytest.raises(SingularSystemError,
                            match=f"element {elems[0]}$"):
-            assembly._invert_blocks(blocks)
+            assembly._condense_pressure(blocks, load, v, q, cH)
 
     @given(sets=coefficient_sets(8), elem=st.integers(0, 15),
            row=st.integers(0, 2))

@@ -58,6 +58,12 @@ class TestDeriveBounds:
         with pytest.raises(ProblemDataError, match="symmetric"):
             table_of([[2.0, 0.5], [0.4, 2.0]])
 
+    @pytest.mark.parametrize("w", [(np.nan, 0.0), (0.0, np.inf),
+                                   (-np.inf, 1.0)])
+    def test_rejects_non_finite_velocity(self, w):
+        with pytest.raises(ProblemDataError, match="velocity not finite"):
+            table_of(np.eye(2), w=w)
+
     def test_rejects_negative_reaction(self):
         with pytest.raises(ProblemDataError, match="negative"):
             table_of(np.eye(2), r=-1.0)
