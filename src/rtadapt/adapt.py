@@ -105,19 +105,17 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
                   scheme: str = assembly.CENTERED, policy: str = "theorem",
                   theta: float = 0.5, mode: str = "adaptive",
                   max_dof: int = 100_000, max_iter: int = 60,
-                  exact: ExactSolution | None = None,
-                  subtract_boundary_data: bool = True) -> RunResult:
+                  exact: ExactSolution | None = None) -> RunResult:
     """Iterate solve -> estimate -> mark -> refine until a stop criterion.
 
     Stops after recording the first iteration whose element count reaches
     ``max_dof``, after ``max_iter`` records, or when the marked set is
     empty (indicator stagnation).  Deterministic for fixed inputs.
 
-    Benchmark runs keep ``subtract_boundary_data`` on: the boundary face
-    terms then measure the mismatch against the Dirichlet datum rather
-    than the raw one-sided trace, which is the consistent reading for
-    nonhomogeneous data and reduces to the plain trace when the datum
-    vanishes.
+    The estimators subtract the boundary data: the boundary face terms
+    measure the mismatch against the Dirichlet datum rather than the raw
+    one-sided trace, which is the consistent reading for nonhomogeneous
+    data and reduces to the plain trace when the datum vanishes.
     """
     if mode not in ("adaptive", "uniform"):
         raise AdaptError(f"unknown refinement mode {mode!r}")
@@ -126,8 +124,7 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
     last = None
     for k in range(1, max_iter + 1):
         start = time.perf_counter()
-        solution, ctx = run_iteration(mesh, problem, scheme,
-                                      subtract_boundary_data)
+        solution, ctx = run_iteration(mesh, problem, scheme, True)
         breakdown = ctx.compute(policy)
         if exact is not None:
             energy, _ = verify.energy_error(mesh, ctx.fields, ctx.flux,

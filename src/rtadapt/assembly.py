@@ -69,9 +69,8 @@ class MixedSolution:
     flux: np.ndarray
     pressure: np.ndarray
     scheme: str
-    # upwind scheme only: the assembly's weights, ``upwind_sides`` and
-    # the (3, NT) convective fluxes w_{K,sigma}
-    nu: np.ndarray | None = None
+    # upwind scheme only: ``upwind_sides`` and the (3, NT) convective
+    # fluxes w_{K,sigma}
     sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     wflux: np.ndarray | None = None
 
@@ -108,10 +107,8 @@ class HybridSystem:
     # centered scheme only: the condensed pressure, (NT,) and (3, NT)
     offset: np.ndarray | None = None
     gain: np.ndarray | None = None
-    # upwind scheme only: per-edge weights, the face rule of
-    # ``upwind_sides``, the (3, NT) coefficients of the pressures across
-    # and the convective fluxes
-    nu: np.ndarray | None = None
+    # upwind scheme only: the face rule of ``upwind_sides``, the (3, NT)
+    # coefficients of the pressures across and the convective fluxes
     sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     coupling: np.ndarray | None = None
     wflux: np.ndarray | None = None
@@ -157,8 +154,7 @@ class HybridSystem:
                             * pressure[self.sides[0]]).sum(axis=0)
         fixed = np.concatenate([self.fixed_flux[E], np.zeros((1, E.shape[1]))])
         scheme = CENTERED if self.coupling is None else UPWIND
-        return (MixedSolution(flux, pressure, scheme, self.nu, self.sides,
-                              self.wflux),
+        return (MixedSolution(flux, pressure, scheme, self.sides, self.wflux),
                 rows(residual), rows(self.load - _apply(self.blocks, fixed)))
 
 
@@ -513,5 +509,5 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
                         edge_flag=mesh.edge_flag, elem_edges=mesh.elem_edges,
                         blocks=blocks, load=load, inverse=inverse,
-                        fixed_flux=fixed, nu=nu, sides=sides,
-                        coupling=coupling, wflux=wflux)
+                        fixed_flux=fixed, sides=sides, coupling=coupling,
+                        wflux=wflux)

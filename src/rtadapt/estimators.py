@@ -39,7 +39,6 @@ class EstimatorBreakdown:
     eta_U: np.ndarray
     xi: np.ndarray
     total: np.ndarray
-    policy: str
 
     def family_totals(self) -> dict:
         return {
@@ -299,7 +298,7 @@ class EstimatorContext:
             eta_D**2 + eta_R**2 + eta_NC**2 + eta_C**2 + eta_U**2)
         return EstimatorBreakdown(eta_D=eta_D, eta_R=eta_R, eta_NC=eta_NC,
                                   eta_C=eta_C, eta_U=eta_U, xi=xi,
-                                  total=total, policy=policy)
+                                  total=total)
 
 
 def _data_slopes(disc: Discretization):

@@ -54,15 +54,12 @@ class Triangulation:
         Boundary edges without an entry default to DIRICHLET.
     ancestors : (NT,) int array, optional
         Coarse-ancestor element ids; defaults to 0..NT-1 (a root mesh).
-    generation : int
-        Refinement step counter.
     """
 
     def __init__(self, vert_coords, elem_verts, boundary_flags=None,
-                 ancestors=None, generation=0):
+                 ancestors=None):
         self.vert_coords = np.asarray(vert_coords, dtype=float)
         self.elem_verts = np.asarray(elem_verts, dtype=np.int64)
-        self.generation = int(generation)
         nt = self.elem_verts.shape[0]
         if ancestors is None:
             ancestors = np.arange(nt, dtype=np.int64)
@@ -277,8 +274,7 @@ class Triangulation:
         flags = dict(zip(zip(ends.tolist(), others.tolist()),
                          np.concatenate([flag, flag[half]]).tolist()))
 
-        refined = Triangulation(coords, children[present], flags, ancestors,
-                                self.generation + 1)
+        refined = Triangulation(coords, children[present], flags, ancestors)
         if not math.isclose(refined.total_area, self.total_area,
                             rel_tol=1e-12, abs_tol=0.0):
             raise MeshError("refinement changed the total area")
@@ -438,4 +434,4 @@ def apply_boundary_rule(mesh: Triangulation,
     for e in np.flatnonzero(mesh.edge_flag != INTERIOR):
         flags[tuple(mesh.edge_verts[e])] = int(rule(mids[e, 0], mids[e, 1]))
     return Triangulation(mesh.vert_coords, mesh.elem_verts, flags,
-                         mesh.elem_ancestor, mesh.generation)
+                         mesh.elem_ancestor)

@@ -186,24 +186,19 @@ def patch_quantities(mesh: Triangulation, fields: CoefficientFields
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Reference solution fields for error computation.
+    """Reference solution for error computation.
 
-    ``singular_points`` lists the points (x, y) where grad p is unbounded;
-    error integrals use a singularity-aware rule on elements having such
-    a point as a vertex.  ``joint``, where given, returns the values of
-    ``u`` and ``p`` from one evaluation, for ``u_and_p``.
+    ``p(x, y)`` is the scalar displacement, which the benchmarks also take
+    as their Dirichlet datum.  ``u_and_p(x, y)`` returns the flux u =
+    -S grad p, shape (..., 2), and p at the same points from one
+    evaluation.  ``singular_points`` lists the points (x, y) where grad p
+    is unbounded; error integrals use a singularity-aware rule on elements
+    having such a point as a vertex.
     """
 
     p: Callable
-    grad_p: Callable
-    u: Callable
+    u_and_p: Callable
     singular_points: tuple = ()
-    joint: Callable | None = None
-
-    def u_and_p(self, x, y):
-        if self.joint is not None:
-            return self.joint(x, y)
-        return self.u(x, y), self.p(x, y)
 
 
 # ----------------------------------------------------------------------
@@ -274,41 +269,32 @@ def _corner_exact(alpha: float, s_vals, a_vals, b_vals) -> ExactSolution:
         grad[..., 1] = np.where(zero, 0.0, radial * sin_t + angular * cos_t)
         return grad, quad, r, phi
 
-    def grad_p(x, y):
-        return gradient(x, y)[0]
-
-    def u(x, y):
-        grad, quad, _, _ = gradient(x, y)
-        return -s_vals[quad][..., None] * grad
-
-    def joint(x, y):
+    def u_and_p(x, y):
         grad, quad, r, phi = gradient(x, y)
         return -s_vals[quad][..., None] * grad, value(r, phi)
 
-    return ExactSolution(p, grad_p, u, singular_points=((0.0, 0.0),),
-                         joint=joint)
+    return ExactSolution(p, u_and_p, singular_points=((0.0, 0.0),))
 
 
 def _layer_exact(eps: float, a: float) -> ExactSolution:
-    def profile(x):
-        return 0.5 * (1.0 - np.tanh((0.5 - x) / a))
+    """p = (1 - tanh((1/2 - x) / a)) / 2, constant in y, and u = -eps grad
+    p."""
+    def profile(x, y):
+        """The offset (1/2 - x) / a and ones in the shape of y."""
+        x = np.asarray(x, dtype=float)
+        return (0.5 - x) / a, np.ones_like(np.asarray(y, dtype=float))
 
     def p(x, y):
-        x = np.asarray(x, dtype=float)
-        return profile(x) * np.ones_like(np.asarray(y, dtype=float))
+        z, ones = profile(x, y)
+        return 0.5 * (1.0 - np.tanh(z)) * ones
 
-    def p_x(x):
-        return 0.5 / (a * np.cosh((0.5 - x) / a) ** 2)
+    def u_and_p(x, y):
+        z, ones = profile(x, y)
+        p_x = 0.5 / (a * np.cosh(z) ** 2)
+        u = -eps * np.stack([p_x * ones, np.zeros_like(ones)], axis=-1)
+        return u, 0.5 * (1.0 - np.tanh(z)) * ones
 
-    def grad_p(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.stack([p_x(x) * np.ones_like(y), np.zeros_like(y)], axis=-1)
-
-    def u(x, y):
-        return -eps * grad_p(x, y)
-
-    return ExactSolution(p, grad_p, u)
+    return ExactSolution(p, u_and_p)
 
 
 def benchmark(case_id: str, eps: float = 1e-3, a: float = 0.05

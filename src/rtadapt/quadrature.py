@@ -33,10 +33,6 @@ class Rule:
     weights: np.ndarray
     degree: int
 
-    @property
-    def npoints(self) -> int:
-        return self.points.shape[0]
-
     def physical_points(self, coords: np.ndarray) -> np.ndarray:
         """Map the rule nodes onto triangles or edges.
 

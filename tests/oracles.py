@@ -145,8 +145,8 @@ def boundary_identity_energy(mesh, data, exact, solution,
     b = mesh.vert_coords[mesh.edge_verts[edges, 1]]
     pts = rule.physical_points(np.stack([a, b], axis=-2))
     normal = _outward_normals(mesh, edges)[:, None, :]
-    p = exact.p(pts[..., 0], pts[..., 1])
-    u_n = (exact.u(pts[..., 0], pts[..., 1]) * normal).sum(axis=-1)
+    u, p = exact.u_and_p(pts[..., 0], pts[..., 1])
+    u_n = (u * normal).sum(axis=-1)
     uh_n = (flux.u(mesh.edge_elems[edges, 0], pts) * normal).sum(axis=-1)
     length = np.hypot(*(b - a).T)
     p_u = rule.integrate(p * u_n, length).sum()
@@ -169,9 +169,10 @@ def xi_reference(mesh, data, exact, solution, singular,
     xi_K^2 = sum over the edges sigma of K of h_sigma int_sigma J^2, with
     J the tangential jump of S^-1 u_h times C_S_patch(K) on elements in
     ``singular``, of S^-1/2 u_h elsewhere.  On Dirichlet edges the jump
-    is the trace plus s^(1/2 or 1) * dg/dt, with dg/dt = grad p . t taken
-    from ``exact.grad_p``.  C_S_patch(K) is the largest coefficient over
-    the elements sharing a vertex with K, from the coarse coefficients.
+    is the trace plus s^(1/2 or 1) * dg/dt, with dg/dt = grad p . t and
+    grad p = -u / s from ``exact.u_and_p``.  C_S_patch(K) is the largest
+    coefficient over the elements sharing a vertex with K, from the coarse
+    coefficients.
     """
     S = _coarse_S(data, mesh)
     s = S[:, 0, 0]
@@ -195,8 +196,8 @@ def xi_reference(mesh, data, exact, solution, singular,
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     inner = right >= 0
     dirichlet = mesh.edge_flag == DIRICHLET
-    dg_dt = (exact.grad_p(pts[..., 0], pts[..., 1])
-             * tangent[:, None, :]).sum(axis=-1)
+    u = exact.u_and_p(pts[..., 0], pts[..., 1])[0]
+    dg_dt = -(u * tangent[:, None, :]).sum(axis=-1) / s[left][:, None]
     face = {}
     for name, power in (("inv", 1.0), ("half", 0.5)):
         jump = trace(left, power)
@@ -447,7 +448,7 @@ def rivara_refine(mesh, marked):
     builder = _RivaraBuilder(mesh)
     for t in sorted(set(int(t) for t in marked)):
         builder.ensure_bisected(t)
-    return builder.freeze(mesh.generation + 1)
+    return builder.freeze()
 
 
 class _RivaraBuilder:
@@ -562,7 +563,7 @@ class _RivaraBuilder:
                 self._split_pair(key)
                 stack.pop()
 
-    def freeze(self, generation: int):
+    def freeze(self):
         coords = np.array(self.coords)
         nt = len(self.elems)
         elem_verts = np.empty((nt, 3), dtype=np.int64)
@@ -570,7 +571,7 @@ class _RivaraBuilder:
         for new_id, (v0, v1, v2, anc) in enumerate(self.elems.values()):
             elem_verts[new_id] = (v0, v1, v2)
             ancestors[new_id] = anc
-        return Triangulation(coords, elem_verts, self.bflag, ancestors, generation)
+        return Triangulation(coords, elem_verts, self.bflag, ancestors)
 
 
 # ----------------------------------------------------------------------
@@ -815,7 +816,7 @@ class SaddleSystem:
         free = self.edge_dof >= 0
         flux[free] = x[self.edge_dof[free]]
         solution = MixedSolution(flux=flux, pressure=x[self.n_free:],
-                                 scheme=self.scheme, nu=self.nu)
+                                 scheme=self.scheme)
         return solution, self.matrix @ x - self.rhs, self.rhs
 
 
@@ -964,7 +965,7 @@ def hat_hat_edges(ctx):
 
 def hat_hat_p(ctx, e):
     """``hat_hat_edges`` on one edge."""
-    if ctx.solution.scheme != UPWIND or ctx.solution.nu is None:
+    if ctx.solution.scheme != UPWIND or ctx.solution.sides is None:
         raise EstimatorError("upwind face values need an upwind solution")
     return float(hat_hat_edges(ctx)[e])
 
@@ -1181,10 +1182,10 @@ def einsum_residual_norm_sq(ctx):
 def einsum_error_sq(rule, pts, elems, mesh, fields, flux, pressure, exact):
     """``verify._error_sq`` at the physical nodes ``pts`` of ``rule``."""
     area = mesh.elem_area[elems]
-    diff = exact.u(pts[..., 0], pts[..., 1]) - flux.u(elems, pts)
+    u, p_exact = exact.u_and_p(pts[..., 0], pts[..., 1])
+    diff = u - flux.u(elems, pts)
     weighted = np.einsum("tab,tqb->tqa", fields.Sinvhalf[elems], diff)
     stress_sq = einsum_integrate(rule, (weighted**2).sum(axis=-1), area)
-    p_exact = exact.p(pts[..., 0], pts[..., 1])
     disp_sq = einsum_integrate(rule, (p_exact - pressure[elems, None]) ** 2,
                                area)
     return stress_sq + fields.r[elems] * disp_sq

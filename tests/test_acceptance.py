@@ -114,7 +114,8 @@ def upwind_conservation_defect(data, mesh, ctx, solution):
     fields = ctx.fields
     fsrc = assembly.load_vector(Discretization(mesh, data))
     pd_mean = assembly.dirichlet_edge_means(mesh, data)
-    nu = solution.nu
+    nu = assembly.upwind_weights(ctx.disc,
+                                 assembly._edge_fluxes(mesh, fields))
     defect = 2.0 * ctx.flux.b * mesh.elem_area \
         + fields.r * solution.pressure * mesh.elem_area - fsrc
     for t in range(mesh.num_elements):

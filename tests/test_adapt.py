@@ -182,8 +182,7 @@ class TestAdaptiveLoop:
     def test_lshape_error_monotone_after_two(self):
         domain, data, exact = benchmark("lshape")
         mesh = data.initial_mesh(domain)
-        res = adaptive_loop(data, mesh, theta=0.5, max_iter=14, exact=exact,
-                            subtract_boundary_data=True)
+        res = adaptive_loop(data, mesh, theta=0.5, max_iter=14, exact=exact)
         errs = [r.energy_error for r in res.records]
         assert all(b <= a + 1e-12 for a, b in zip(errs[1:], errs[2:]))
 
@@ -247,8 +246,8 @@ class TestSharedDiscretization:
     def test_each_datum_evaluated_once(self, case, scheme):
         """One iteration evaluates the source once, the Dirichlet datum
         for its edge means and once per side of the central difference
-        that gives both boundary slopes, and the exact u and p once per
-        energy rule, jointly where the solution provides it."""
+        that gives both boundary slopes, and the exact u and p jointly once
+        per energy rule."""
         domain, data, exact = benchmark(case)
         calls = Counter()
 
@@ -260,19 +259,16 @@ class TestSharedDiscretization:
 
         data.f = counted("f", data.f)
         data.dirichlet_data = counted("datum", data.dirichlet_data)
-        joint = exact.joint and counted("u_and_p", exact.joint)
-        exact = dataclasses.replace(exact, u=counted("u", exact.u),
-                                    p=counted("p", exact.p), joint=joint)
+        exact = dataclasses.replace(
+            exact, p=counted("p", exact.p),
+            u_and_p=counted("u_and_p", exact.u_and_p))
         mesh = data.initial_mesh(domain).uniform_refine()
         solution, ctx = adapt.run_iteration(mesh, data, scheme, True)
         ctx.compute("theorem")
         verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
                             exact)
         rules = 1 + len(exact.singular_points)
-        expected = {"f": 1, "datum": 3}
-        expected.update({"u_and_p": rules} if joint
-                        else {"u": rules, "p": rules})
-        assert calls == expected
+        assert calls == {"f": 1, "datum": 3, "u_and_p": rules}
 
     def test_loop_gathers_once_per_record(self, field_calls):
         domain, data, exact = benchmark("lshape")

@@ -282,7 +282,7 @@ def test_integrate_matches_einsum(solved):
     rng = np.random.default_rng(8)
     for rule, measure in ((quad.SEVEN_POINT, mesh.elem_area),
                           (quad.DATA_EDGE, mesh.edge_length)):
-        values = rng.normal(size=(measure.size, rule.npoints))
+        values = rng.normal(size=(measure.size, rule.weights.size))
         assert_close(rule.integrate(values, measure),
                      oracles.einsum_integrate(rule, values, measure))
 
@@ -431,8 +431,9 @@ def random_problem(n_coarse, rng):
     data = ProblemData(*map(np.array, zip(*coeffs)),
                        f=lambda x, y: np.sin(3 * x) * np.cos(2 * y))
     exact = ExactSolution(
-        p=lambda x, y: np.exp(x) * np.sin(y), grad_p=None,
-        u=lambda x, y: np.stack([np.cos(x + y), x * np.exp(y)], axis=-1))
+        p=lambda x, y: np.exp(x) * np.sin(y),
+        u_and_p=lambda x, y: (np.stack([np.cos(x + y), x * np.exp(y)],
+                                       axis=-1), np.exp(x) * np.sin(y)))
     return data, exact
 
 

@@ -188,9 +188,9 @@ class TestPatchQuantities:
 class TestBenchmarks:
     def test_lshape_is_the_corner_solution(self):
         """The L-shape case of the corner family is p = r^(2/3) sin(2
-        theta / 3), bit for bit, and u = -grad p = (2/3) r^(-1/3)
-        (sin(theta/3), -cos(theta/3)) within 1e-14 relative, on random
-        points of (-1, 1) x (0, 1) u (-1, 0) x (-1, 0)."""
+        theta / 3), bit for bit from ``p`` and ``u_and_p``, and u = -grad p
+        = (2/3) r^(-1/3) (sin(theta/3), -cos(theta/3)) within 1e-14
+        relative, on random points of (-1, 1) x (0, 1) u (-1, 0) x (-1, 0)."""
         domain, data, exact = benchmark("lshape")
         assert domain == "lshape"
         assert np.array_equal(data.table.S, np.tile(np.eye(2), (6, 1, 1)))
@@ -199,13 +199,14 @@ class TestBenchmarks:
         r = np.hypot(x, y)
         theta = np.arctan2(y, x)
         theta = np.where(theta < 0.0, theta + 2.0 * math.pi, theta)
-        assert np.array_equal(exact.p(x, y),
-                              r ** (2.0 / 3.0) * np.sin(2.0 / 3.0 * theta))
+        expected = r ** (2.0 / 3.0) * np.sin(2.0 / 3.0 * theta)
+        got, p = exact.u_and_p(x, y)
+        assert np.array_equal(exact.p(x, y), expected)
+        assert np.array_equal(p, expected)
         u = (2.0 / 3.0) * r[:, None] ** (-1.0 / 3.0) * np.column_stack(
             [np.sin(theta / 3.0), -np.cos(theta / 3.0)])
-        for got in (exact.u(x, y), exact.u_and_p(x, y)[0]):
-            err = np.hypot(*(got - u).T) / np.hypot(*u.T)
-            assert err.max() <= 1e-14
+        err = np.hypot(*(got - u).T) / np.hypot(*u.T)
+        assert err.max() <= 1e-14
 
     def test_kellogg1_constants(self):
         _, alpha, s, a, b = problem.CORNER_CASES["kellogg1"]
@@ -243,38 +244,58 @@ class TestBenchmarks:
         rng = np.random.default_rng(11)
         x = rng.uniform(0.2, 0.8, size=10)
         y = rng.uniform(0.0, 1.0, size=10)
-        u = exact.u(x, y)
+        u = exact.u_and_p(x, y)[0]
         p_x = 0.5 / (a * np.cosh((0.5 - x) / a) ** 2)
         assert np.allclose(u[:, 0], -eps * p_x, rtol=1e-13)
         assert np.all(u[:, 1] == 0.0)
         # gradient against central differences
         h = 1e-6
         dpdx = (exact.p(x + h, y) - exact.p(x - h, y)) / (2 * h)
-        rel = np.abs(exact.grad_p(x, y)[:, 0] - dpdx) / np.abs(dpdx)
+        rel = np.abs(-u[:, 0] / eps - dpdx) / np.abs(dpdx)
         assert rel.max() < 1e-6
 
 
 def pde_residual(exact, table, k, x, y, h=1e-5):
-    """-div(S grad p) + div(p w) + r p by central differences, for the
+    """div u + div(p w) + r p by central differences, u = -S grad p from
+    ``exact.u_and_p`` (``test_u_is_minus_s_grad_p``), for the
     coefficients of coarse element k."""
-    S, w, r = table.S[k], table.w[k], table.r[k]
+    w, r = table.w[k], table.r[k]
 
-    def flux_x(xx, yy):
-        g = exact.grad_p(xx, yy)
-        return S[0, 0] * g[..., 0] + S[0, 1] * g[..., 1]
+    def u(xx, yy):
+        return exact.u_and_p(xx, yy)[0]
 
-    def flux_y(xx, yy):
-        g = exact.grad_p(xx, yy)
-        return S[1, 0] * g[..., 0] + S[1, 1] * g[..., 1]
-
-    div_S_grad = (flux_x(x + h, y) - flux_x(x - h, y)) / (2 * h) \
-        + (flux_y(x, y + h) - flux_y(x, y - h)) / (2 * h)
+    div_u = (u(x + h, y)[:, 0] - u(x - h, y)[:, 0]) / (2 * h) \
+        + (u(x, y + h)[:, 1] - u(x, y - h)[:, 1]) / (2 * h)
     div_pw = w[0] * (exact.p(x + h, y) - exact.p(x - h, y)) / (2 * h) \
         + w[1] * (exact.p(x, y + h) - exact.p(x, y - h)) / (2 * h)
-    return -div_S_grad + div_pw + r * exact.p(x, y)
+    return div_u + div_pw + r * exact.p(x, y)
 
 
 class TestExactSolutionsSatisfyPde:
+    @pytest.mark.parametrize("case",
+                             ["lshape", "kellogg1", "kellogg2", "layer"])
+    def test_u_is_minus_s_grad_p(self, case):
+        """``u_and_p`` gives p bit for bit as ``p`` does, and u = -S grad p
+        within 1e-6 of central differences of p, on points inside each
+        coefficient quadrant (inside the unit square for the layer)."""
+        _, data, exact = benchmark(case)
+        signs = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+        regions = [(0, 1, 1)] if case == "layer" else [
+            (2 * q, sx, sy) for q, (sx, sy) in enumerate(signs)
+        ][:3 if case == "lshape" else 4]
+        rng = np.random.default_rng(3)
+        h = 1e-6
+        for k, sx, sy in regions:
+            x = sx * rng.uniform(0.1, 0.9, size=10)
+            y = sy * rng.uniform(0.1, 0.9, size=10)
+            u, p = exact.u_and_p(x, y)
+            assert np.array_equal(p, exact.p(x, y))
+            grad = np.column_stack([exact.p(x + h, y) - exact.p(x - h, y),
+                                    exact.p(x, y + h) - exact.p(x, y - h)])
+            expected = -grad / (2 * h) @ data.table.S[k].T
+            assert np.abs(u - expected).max() \
+                <= 1e-6 * np.abs(expected).max()
+
     def test_lshape_harmonic(self):
         _, data, exact = benchmark("lshape")
         rng = np.random.default_rng(0)
@@ -315,8 +336,8 @@ class TestExactSolutionsSatisfyPde:
         _, data, exact = benchmark(case)
         radii = np.linspace(0.1, 0.9, 9)
         # across the positive y-axis: normal (1, 0)
-        u_right = exact.u(1e-9 * np.ones_like(radii), radii)
-        u_left = exact.u(-1e-9 * np.ones_like(radii), radii)
+        u_right = exact.u_and_p(1e-9 * np.ones_like(radii), radii)[0]
+        u_left = exact.u_and_p(-1e-9 * np.ones_like(radii), radii)[0]
         rel = np.abs(u_right[:, 0] - u_left[:, 0]) / np.abs(u_right[:, 0])
         assert rel.max() < 1e-5
         # the tangential component of the stress jumps with the coefficient

@@ -27,7 +27,7 @@ def test_triangle_rules_exact_to_degree(rule, degree):
 
 
 def test_seven_point_rule_shape():
-    assert quad.SEVEN_POINT.npoints == 7
+    assert quad.SEVEN_POINT.points.shape == (7, 3)
     assert quad.SEVEN_POINT.weights.sum() == pytest.approx(1.0, abs=1e-15)
     # all nodes strictly interior, never on a vertex singularity
     assert quad.SEVEN_POINT.points.min() > 0.0
