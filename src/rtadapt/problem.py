@@ -63,8 +63,8 @@ def coefficient_table(S, w, r) -> CoefficientFields:
     S^-1, S^-1/2 and the bounds in one array pass.
 
     Raises ProblemDataError for mismatched shapes, a non-symmetric or
-    non-SPD tensor (NaN included), a non-finite velocity or a negative
-    reaction.
+    non-SPD tensor (NaN included), a non-finite velocity or reaction, or a
+    negative reaction.
     """
     S, w, r = (np.asarray(x, dtype=float) for x in (S, w, r))
     n = r.shape[0] if r.ndim == 1 else -1
@@ -81,8 +81,9 @@ def coefficient_table(S, w, r) -> CoefficientFields:
     if not np.all(c_S > 0.0):
         raise ProblemDataError(
             f"diffusion tensor not SPD (min eigenvalue {c_S.min()})")
-    if not np.all(np.isfinite(w)):
-        raise ProblemDataError("velocity not finite")
+    for name, values in (("velocity", w), ("reaction", r)):
+        if not np.all(np.isfinite(values)):
+            raise ProblemDataError(f"{name} not finite")
     if not np.all(r >= 0.0):
         raise ProblemDataError(f"reaction {r.min()} negative")
     Sinv = np.empty_like(S)

@@ -455,8 +455,8 @@ class TestAssembledSystem:
 
     def test_non_finite_block_names_the_element(self, assemble):
         disc = self.layer_disc()
-        # an infinite reaction on one element; the coefficient table
-        # accepts it
+        # an infinite reaction on one element, set past the coefficient
+        # table, which rejects it
         disc.fields.r[5] = np.inf
         with pytest.raises(SingularSystemError, match="element 5$"):
             assemble(disc)

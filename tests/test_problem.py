@@ -64,6 +64,11 @@ class TestDeriveBounds:
         with pytest.raises(ProblemDataError, match="velocity not finite"):
             table_of(np.eye(2), w=w)
 
+    @pytest.mark.parametrize("r", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_reaction(self, r):
+        with pytest.raises(ProblemDataError, match="reaction not finite"):
+            table_of(np.eye(2), r=r)
+
     def test_rejects_negative_reaction(self):
         with pytest.raises(ProblemDataError, match="negative"):
             table_of(np.eye(2), r=-1.0)
