@@ -320,6 +320,21 @@ class TestIO:
         assert np.array_equal(again.edge_flag, m.edge_flag)
         assert np.array_equal(again.elem_ancestor, m.elem_ancestor)
 
+    @given(domain=st.sampled_from(meshmod.DOMAINS), data=st.data())
+    def test_dump_parse_round_trip_of_refined_meshes(self, domain, data):
+        """Randomly refined meshes with Neumann and Dirichlet sides parse
+        back from their dumps with the same coordinates (bit for bit),
+        elements, edges, flags and ancestors."""
+        coarse = apply_boundary_rule(build_initial_mesh(domain), side_rule)
+        fine = coarse
+        for _, _, fine in refine_at_random(coarse, data):
+            pass
+        assert np.any(fine.edge_flag == NEUMANN)
+        again = Triangulation.parse(fine.dump())
+        for name in ("vert_coords", "elem_verts", "edge_verts", "elem_edges",
+                     "edge_elems", "edge_flag", "elem_ancestor"):
+            assert np.array_equal(getattr(again, name), getattr(fine, name))
+
     def test_dump_header(self):
         m = build_initial_mesh("lshape")
         header = m.dump().splitlines()[0].split()
