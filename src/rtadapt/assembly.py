@@ -33,6 +33,7 @@ face-value coupling stays in the pressure-pressure block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,15 +65,12 @@ SINGULAR_TOL = 1e-12
 
 @dataclass
 class MixedSolution:
-    """Edge flux coefficients and elementwise pressure constants."""
+    """Edge flux coefficients and elementwise pressure constants.  The
+    upwind face rule belongs to the mesh, ``Discretization.face_rule``."""
 
     flux: np.ndarray
     pressure: np.ndarray
     scheme: str
-    # upwind scheme only: ``upwind_sides`` and the (3, NT) convective
-    # fluxes w_{K,sigma}
-    sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    wflux: np.ndarray | None = None
 
 
 @dataclass
@@ -84,7 +82,8 @@ class HybridSystem:
     (u, p) = load[:, t] - (B lambda, 0)``, lambda the pressure trace: the
     multiplier on interior edges, zero elsewhere (the Dirichlet edge means
     are part of ``load``).  Upwind element rows add ``coupling``, zero off
-    the interior edges, times the pressures across (``sides[0]``).
+    the interior edges, times the pressures across, by the face rule of
+    ``disc``, the Discretization the system was assembled from.
 
     ``inverse`` inverts the flux parts of the blocks, with each Neumann
     row made an identity row for the fixed flux.  The centered scheme
@@ -98,8 +97,7 @@ class HybridSystem:
     matrix: sp.csc_matrix
     rhs: np.ndarray
     edge_dof: np.ndarray          # (NE,) multiplier per interior edge, else -1
-    edge_flag: np.ndarray         # (NE,)
-    elem_edges: np.ndarray        # (NT, 3)
+    disc: Discretization
     blocks: np.ndarray            # (4, 4, NT) element blocks [[M, -B], [c, d]]
     load: np.ndarray              # (4, NT) their right-hand sides
     inverse: np.ndarray           # (3, 3, NT) inverses of the flux parts
@@ -107,11 +105,8 @@ class HybridSystem:
     # centered scheme only: the condensed pressure, (NT,) and (3, NT)
     offset: np.ndarray | None = None
     gain: np.ndarray | None = None
-    # upwind scheme only: the face rule of ``upwind_sides``, the (3, NT)
-    # coefficients of the pressures across and the convective fluxes
-    sides: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # upwind scheme only: the (3, NT) coefficients of the pressures across
     coupling: np.ndarray | None = None
-    wflux: np.ndarray | None = None
 
     @property
     def dimension(self) -> int:
@@ -122,12 +117,12 @@ class HybridSystem:
         with the residual and the right-hand side of the mixed equations
         (free edge rows, then element rows), evaluated without the mixed
         matrix."""
-        E = self.elem_edges.T
+        E = self.disc.mesh.elem_edges.T
         flat = E.ravel()
         trace = np.zeros(num_edges)
         interior = self.edge_dof >= 0
         trace[interior] = x[self.edge_dof[interior]]
-        neumann = self.edge_flag == NEUMANN
+        neumann = self.disc.mesh.edge_flag == NEUMANN
         lam = trace[E]
         if self.gain is None:
             pressure = x[np.count_nonzero(interior):].copy()
@@ -150,12 +145,12 @@ class HybridSystem:
         values = np.concatenate([flux[E], pressure[None]])
         residual = _apply(self.blocks, values) - self.load
         if self.coupling is not None:
-            residual[3] += (self.coupling
-                            * pressure[self.sides[0]]).sum(axis=0)
+            other = self.disc.face_rule[1]
+            residual[3] += (self.coupling * pressure[other]).sum(axis=0)
         fixed = np.concatenate([self.fixed_flux[E], np.zeros((1, E.shape[1]))])
         scheme = CENTERED if self.coupling is None else UPWIND
-        return (MixedSolution(flux, pressure, scheme, self.sides, self.wflux),
-                rows(residual), rows(self.load - _apply(self.blocks, fixed)))
+        return (MixedSolution(flux, pressure, scheme), rows(residual),
+                rows(self.load - _apply(self.blocks, fixed)))
 
 
 class Discretization:
@@ -167,6 +162,7 @@ class Discretization:
     seven_points : (NT, 7, 2) physical nodes of ``quad.SEVEN_POINT``
     source : (NT, 7) the source f there
     pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
+    face_rule : the upwind face rule, on first use (the upwind scheme's)
     """
 
     def __init__(self, mesh: Triangulation, problem: ProblemData):
@@ -178,6 +174,14 @@ class Discretization:
         self.source = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1]),
                                       pts.shape[:-1])
         self.pd_mean = dirichlet_edge_means(mesh, problem)
+
+    @cached_property
+    def face_rule(self) -> tuple[np.ndarray, ...]:
+        """(wflux, other, c_own, c_other), (3, NT) each: the convective
+        fluxes w_{K,sigma} and the face rule of ``upwind_sides``."""
+        fluxes = _edge_fluxes(self.mesh, self.fields)
+        return (fluxes.T, *upwind_sides(self.mesh, fluxes.T,
+                                        upwind_weights(self, fluxes)))
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -462,8 +466,7 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
     free = dof >= 0
     rhs = np.bincount(dof[free], (B * (q + v * offset))[free], n)
     matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-    return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
-                        edge_flag=mesh.edge_flag, elem_edges=mesh.elem_edges,
+    return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
                         blocks=blocks, load=load, inverse=inverse,
                         fixed_flux=fixed, offset=offset, gain=gain)
 
@@ -475,11 +478,8 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     M, B, _, react = _local_blocks(disc)
     E = mesh.elem_edges.T
     nt = mesh.num_elements
-    edge_fluxes = _edge_fluxes(mesh, disc.fields)
-    nu = upwind_weights(disc, edge_fluxes)
-    wflux = edge_fluxes.T
+    wflux, other, c_own, c_other = disc.face_rule
     flag = mesh.edge_flag[E]
-    sides = other, c_own, c_other = upwind_sides(mesh, wflux, nu)
     interior = (wflux != 0.0) & (flag == INTERIOR)
     dirich = (wflux != 0.0) & (flag == DIRICHLET)
     # face values: the upwind mix with the neighbour or the Dirichlet datum;
@@ -508,8 +508,6 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
                            shape=(n + nt, n + nt))
     rhs = np.concatenate([np.bincount(dof[lp], (-B * q)[lp], n),
                           load[3] - (c * q).sum(axis=0)])
-    return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
-                        edge_flag=mesh.edge_flag, elem_edges=mesh.elem_edges,
+    return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
                         blocks=blocks, load=load, inverse=inverse,
-                        fixed_flux=fixed, sides=sides, coupling=coupling,
-                        wflux=wflux)
+                        fixed_flux=fixed, coupling=coupling)

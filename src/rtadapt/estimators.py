@@ -213,7 +213,7 @@ class EstimatorContext:
     def _hat_hat_all(self) -> np.ndarray:
         """Face-value defect of the upwind pressure per (local edge,
         element), (3, NT), by the face rule that the assembly used
-        (``assembly.upwind_sides``, carried by the solution).
+        (``Discretization.face_rule``).
 
         Interior edges: (1/2 - c_other)(p_K - p_other), which is
         (1/2 - nu)(upstream - downstream) up to its sign.  Dirichlet
@@ -224,7 +224,7 @@ class EstimatorContext:
         """
         E = self.mesh.elem_edges.T
         p = self.solution.pressure
-        other, c_own, c_other = self.solution.sides
+        _, other, c_own, c_other = self.disc.face_rule
         flag = self.mesh.edge_flag[E]
         p_hat = c_own * p + c_other * self.disc.pd_mean[E]
         return np.where(
@@ -240,7 +240,7 @@ class EstimatorContext:
         hathat = self._hat_hat_all()                     # (3, NT)
         E = mesh.elem_edges.T
         lengths = mesh.edge_length[E]
-        wn = self.solution.wflux / lengths              # (w . n)|_sigma
+        wn = self.disc.face_rule[0] / lengths           # (w . n)|_sigma
         left, right = mesh.edge_elems.T
         patch_norm = self.norm_sq[left] \
             + np.where(right >= 0, self.norm_sq[right], 0.0)

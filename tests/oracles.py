@@ -965,7 +965,7 @@ def hat_hat_edges(ctx):
 
 def hat_hat_p(ctx, e):
     """``hat_hat_edges`` on one edge."""
-    if ctx.solution.scheme != UPWIND or ctx.solution.sides is None:
+    if ctx.solution.scheme != UPWIND:
         raise EstimatorError("upwind face values need an upwind solution")
     return float(hat_hat_edges(ctx)[e])
 

@@ -241,6 +241,28 @@ class TestSharedDiscretization:
         assert jump_calls == [True]
         assert gathers == [(mesh.num_elements, 3)]
 
+    @pytest.mark.parametrize("case, scheme, expected",
+                             [("kellogg1", "centered", 0),
+                              ("layer", "upwind", 1)])
+    def test_face_rule_built_once_per_upwind_iteration(
+            self, monkeypatch, case, scheme, expected):
+        """The assembly, the residual of the recovery and eta_U share the
+        Discretization's face rule, and the centered scheme never builds
+        it."""
+        calls = []
+        sides = assembly.upwind_sides
+
+        def counted(*args):
+            calls.append(args[0].num_elements)
+            return sides(*args)
+
+        monkeypatch.setattr(assembly, "upwind_sides", counted)
+        domain, data, _ = benchmark(case)
+        mesh = data.initial_mesh(domain).uniform_refine()
+        _, ctx = adapt.run_iteration(mesh, data, scheme, True)
+        ctx.compute("theorem")
+        assert calls == [mesh.num_elements] * expected
+
     @pytest.mark.parametrize("case, scheme", [("kellogg1", "centered"),
                                               ("layer", "upwind")])
     def test_each_datum_evaluated_once(self, case, scheme):
