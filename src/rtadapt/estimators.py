@@ -27,6 +27,8 @@ class EstimatorError(Exception):
 
 POLICIES = ("theorem", "xi")
 
+TOP_CLASS_TOL = 1e-9
+
 
 @dataclass
 class EstimatorBreakdown:
@@ -75,13 +77,12 @@ def residual_weights(mesh: Triangulation, fields
     return alpha, fields.r * mesh.elem_diam * alpha
 
 
-def detect_singular_vertices(mesh: Triangulation, C_S: np.ndarray,
-                             rel_tol: float = 1e-9) -> set:
+def detect_singular_vertices(mesh: Triangulation, C_S: np.ndarray) -> set:
     """Vertices where the maximal-coefficient elements do not form one fan.
 
     A vertex v is singular when the elements of its star attaining the
-    largest diffusion bound there (within ``rel_tol`` relatively), its top
-    class, split into more than one edge-connected block around v.
+    largest diffusion bound there (within ``TOP_CLASS_TOL`` relatively),
+    its top class, split into more than one edge-connected block around v.
 
     The blocks are counted through their ends.  Each edge at v counts as a
     transition of v when exactly one of its sides lies in the top class; a
@@ -100,7 +101,7 @@ def detect_singular_vertices(mesh: Triangulation, C_S: np.ndarray,
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     transitions = np.zeros(mesh.num_vertices, dtype=np.int64)
     for v in mesh.edge_verts.T:
-        cut = top[v] * (1.0 - rel_tol)
+        cut = top[v] * (1.0 - TOP_CLASS_TOL)
         in_left = C_S[left] >= cut
         in_right = (right >= 0) & (C_S[right] >= cut)
         transitions += np.bincount(v[in_left != in_right],
@@ -233,9 +234,8 @@ class EstimatorContext:
 
     def eta_U_all(self) -> np.ndarray:
         if self.solution.scheme != UPWIND:
-            raise EstimatorError(
-                "the upwind estimator is undefined for a centered solution"
-            )
+            raise EstimatorError("the upwind estimator is undefined for a "
+                                 "centered solution")
         mesh = self.mesh
         hathat = self._hat_hat_all()                     # (3, NT)
         E = mesh.elem_edges.T
