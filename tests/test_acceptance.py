@@ -34,7 +34,8 @@ def solve_state(data, mesh, scheme):
     assemble = assemble_centered if scheme == "centered" else assemble_upwind
     disc = Discretization(mesh, data)
     solution = solver.solve(assemble(disc), mesh.num_edges)
-    return solution, EstimatorContext(disc, solution)
+    return solution, EstimatorContext(disc, solution,
+                                      subtract_boundary_data=True)
 
 
 # ----------------------------------------------------------------------
