@@ -99,6 +99,41 @@ class TestParseConfig:
         assert again == config
 
 
+# (golden file under tests/data/history, CLI arguments): small versions of
+# the five studies whose artifacts are compared in full between versions
+GOLDEN_STUDIES = [
+    ("kellogg1-xi", ["--benchmark", "kellogg1", "--policy", "xi",
+                     "--theta", "0.7", "--max-dof", "1200"]),
+    ("layer-upwind", ["--benchmark", "layer", "--scheme", "upwind",
+                      "--eps", "1e-3", "--max-dof", "1200"]),
+    ("lshape-uniform", ["--benchmark", "lshape", "--mode", "uniform",
+                        "--max-dof", "1536"]),
+    ("kellogg2-xi", ["--benchmark", "kellogg2", "--policy", "xi",
+                     "--theta", "0.94", "--max-dof", "1200",
+                     "--max-iter", "100"]),
+    ("layer-centered", ["--benchmark", "layer", "--scheme", "centered",
+                        "--max-dof", "1200", "--max-iter", "100"]),
+]
+
+
+@pytest.mark.parametrize("name, args", GOLDEN_STUDIES,
+                         ids=[name for name, _ in GOLDEN_STUDIES])
+def test_history_matches_golden_file(tmp_path, name, args):
+    """The same iterations and element counts as the recorded history, and
+    every other column within 1e-10 relative (nan where it was nan)."""
+    assert main(["run", *args, "--out", str(tmp_path)]) == 0
+    golden = (Path(__file__).parent / "data" / "history" / f"{name}.csv"
+              ).read_text().splitlines()
+    history = (tmp_path / "history.csv").read_text().splitlines()
+    assert history[:2] == golden[:2]
+    assert len(history) == len(golden)
+    got, want = (np.array([line.split(",") for line in lines[2:]])
+                 for lines in (history, golden))
+    assert np.array_equal(got[:, :2], want[:, :2])
+    assert np.allclose(got[:, 2:].astype(float), want[:, 2:].astype(float),
+                       rtol=1e-10, atol=0.0, equal_nan=True)
+
+
 class TestRun:
     def test_lshape_tiny_run_artifacts(self, tmp_path):
         rc = main(["run", "--benchmark", "lshape", "--max-iter", "3",
