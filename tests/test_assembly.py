@@ -195,6 +195,21 @@ class TestAssembleCentered:
             asym = abs(system.matrix - system.matrix.T).max()
             assert asym <= 1e-14
 
+    @given(case=st.sampled_from(["lshape", "kellogg1", "kellogg2"]),
+           data=st.data())
+    def test_symmetric_for_pure_diffusion_on_refined_meshes(self, case,
+                                                            data):
+        """Symmetric to round-off of its largest entry on every mesh of a
+        random refinement sequence."""
+        domain, problem, _ = benchmark(case)
+        mesh = problem.initial_mesh(domain)
+        for _ in range(data.draw(st.integers(1, 4), label="depth")):
+            marked = data.draw(st.sets(st.integers(0, mesh.num_elements - 1)),
+                               label="marked")
+            mesh = mesh.refine(marked)
+            matrix = assemble_centered(Discretization(mesh, problem)).matrix
+            assert abs(matrix - matrix.T).max() <= 1e-14 * abs(matrix).max()
+
     def test_pure_diffusion_zero_source_rhs_support(self):
         _, data, _ = benchmark("lshape")
         mesh = data.initial_mesh("lshape")
