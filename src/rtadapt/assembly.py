@@ -66,7 +66,7 @@ SINGULAR_TOL = 1e-12
 @dataclass
 class MixedSolution:
     """Edge flux coefficients and elementwise pressure constants.  The
-    upwind face rule belongs to the mesh, ``Discretization.face_rule``."""
+    upwind face rule is a per-mesh quantity, ``Discretization.face_rule``."""
 
     flux: np.ndarray
     pressure: np.ndarray
@@ -162,7 +162,7 @@ class Discretization:
     seven_points : (NT, 7, 2) physical nodes of ``quad.SEVEN_POINT``
     source : (NT, 7) the source f there
     pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
-    face_rule : the upwind face rule, on first use (the upwind scheme's)
+    face_rule : the upwind face rule, built on first use (upwind only)
     """
 
     def __init__(self, mesh: Triangulation, problem: ProblemData):

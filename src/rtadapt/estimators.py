@@ -234,8 +234,9 @@ class EstimatorContext:
 
     def eta_U_all(self) -> np.ndarray:
         if self.solution.scheme != UPWIND:
-            raise EstimatorError("the upwind estimator is undefined for a "
-                                 "centered solution")
+            raise EstimatorError(
+                "the upwind estimator is undefined for a centered solution"
+            )
         mesh = self.mesh
         hathat = self._hat_hat_all()                     # (3, NT)
         E = mesh.elem_edges.T
