@@ -95,7 +95,7 @@ def run_iteration(mesh: Triangulation, problem: ProblemData, scheme: str,
     else:
         raise AdaptError(f"unknown scheme {scheme!r}")
     disc = assembly.Discretization(mesh, problem)
-    solution = solver.solve(assemble(disc), mesh.num_edges)
+    solution = solver.solve(assemble(disc))
     ctx = EstimatorContext(disc, solution,
                            subtract_boundary_data=subtract_boundary_data)
     return solution, ctx

@@ -43,10 +43,6 @@ from .mesh import DIRICHLET, INTERIOR, NEUMANN, Triangulation
 from .problem import CoefficientFields, ProblemData
 
 
-class AssemblyError(Exception):
-    pass
-
-
 class SolverError(Exception):
     pass
 
@@ -112,17 +108,18 @@ class HybridSystem:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def recover(self, x: np.ndarray, num_edges: int):
+    def recover(self, x: np.ndarray):
         """Fluxes and pressures element by element from the solution x,
         with the residual and the right-hand side of the mixed equations
         (free edge rows, then element rows), evaluated without the mixed
         matrix."""
-        E = self.disc.mesh.elem_edges.T
+        mesh = self.disc.mesh
+        num_edges, E = mesh.num_edges, mesh.elem_edges.T
         flat = E.ravel()
         trace = np.zeros(num_edges)
         interior = self.edge_dof >= 0
         trace[interior] = x[self.edge_dof[interior]]
-        neumann = self.disc.mesh.edge_flag == NEUMANN
+        neumann = mesh.edge_flag == NEUMANN
         lam = trace[E]
         if self.gain is None:
             pressure = x[np.count_nonzero(interior):].copy()
@@ -298,8 +295,6 @@ def _local_blocks(disc: Discretization):
     react : (NT,) r |K|
     """
     mesh, fields = disc.mesh, disc.fields
-    if np.any(mesh.elem_area <= 0.0):
-        raise AssemblyError("degenerate element with nonpositive area")
     area = mesh.elem_area
     C = basis_factors(mesh)
     X = np.ascontiguousarray(mesh.elem_coords.T)         # (2, 3, NT)

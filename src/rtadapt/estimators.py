@@ -129,7 +129,7 @@ class EstimatorContext:
         self.weights = residual_weights(mesh, self.fields)
         slopes = _data_slopes(disc) if subtract_boundary_data else None
         self.jump_inv, self.jump_half = tangential_jump_sq(
-            mesh, self.flux, boundary_slopes=slopes)
+            self.flux, boundary_slopes=slopes)
         self.norm_sq = self._weighted_norm_sq()
 
     # -- volume ingredients ------------------------------------------------

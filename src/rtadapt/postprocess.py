@@ -63,11 +63,11 @@ def ptilde_values(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
             + c[..., 4] * x * y + c[..., 5] * y * y)
 
 
-def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
-                       boundary_slopes=None, rule: quad.Rule = quad.EDGE_GAUSS2
+def tangential_jump_sq(flux: FluxField, boundary_slopes=None,
+                       rule: quad.Rule = quad.EDGE_GAUSS2
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Edge integrals of the squared tangential jumps of S^-1 u_h and of
-    S^-1/2 u_h, two arrays of shape (NE,).
+    S^-1/2 u_h, two arrays of shape (NE,) on the mesh of ``flux``.
 
     Each side's trace is t . W u_h = v . u_h, v = W^T t (``_traces``).
     Interior edges take the difference of the two one-sided traces;
@@ -83,14 +83,15 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     agrees with a 40-point rule to about 1e-11 relative, 4e-8 on the
     coarsest internal-layer mesh).
     """
+    mesh = flux.disc.mesh
     out = (np.empty(mesh.num_edges), np.empty(mesh.num_edges))
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     h = mesh.edge_length
 
     inner = np.flatnonzero(right >= 0)
     x, y = _edge_points(mesh, inner, rule)
-    for jumps, one, other in zip(out, _traces(mesh, flux, left, inner, x, y),
-                                 _traces(mesh, flux, right, inner, x, y)):
+    for jumps, one, other in zip(out, _traces(flux, left, inner, x, y),
+                                 _traces(flux, right, inner, x, y)):
         jumps[inner] = _integrate_sq(rule, one - other, h[inner])
 
     bdry = np.flatnonzero(right < 0)
@@ -101,7 +102,7 @@ def tangential_jump_sq(mesh: Triangulation, flux: FluxField,
     if boundary_slopes is not None:
         slope = boundary_slopes(bdry, x, y)
         slopes = (slope, np.sqrt(flux.fields.c_S[left[bdry]]) * slope)
-    for jumps, trace, slope in zip(out, _traces(mesh, flux, left, bdry, x, y),
+    for jumps, trace, slope in zip(out, _traces(flux, left, bdry, x, y),
                                    slopes):
         jumps[bdry] = _integrate_sq(rule, trace - slope, h[bdry])
     return out
@@ -115,15 +116,15 @@ def _edge_points(mesh: Triangulation, edges: np.ndarray, rule: quad.Rule
     return tuple(rule.points @ mesh.vert_coords[:, k][ends] for k in range(2))
 
 
-def _traces(mesh: Triangulation, flux: FluxField, side: np.ndarray,
-            edges: np.ndarray, x: np.ndarray, y: np.ndarray):
+def _traces(flux: FluxField, side: np.ndarray, edges: np.ndarray,
+            x: np.ndarray, y: np.ndarray):
     """The traces t . W u_h (nq, ne) of the elements ``side[edges]`` at
     the points (x, y) of ``edges``, for W = S^-1 and then S^-1/2, from
     per-edge rows gathered from column views (faster in numpy)."""
     elems = side[edges]
     b = flux.b[elems]
     u0, u1 = (flux.a[:, k][elems] + b * xk for k, xk in enumerate((x, y)))
-    t0, t1 = (mesh.edge_tangent[:, k][edges] for k in range(2))
+    t0, t1 = (flux.disc.mesh.edge_tangent[:, k][edges] for k in range(2))
     for mat in (flux.fields.Sinv, flux.fields.Sinvhalf):
         (w00, w01), (w10, w11) = ([mat[:, i, j][elems] for j in range(2)]
                                   for i in range(2))

@@ -76,7 +76,7 @@ def rcm_permuted(matrix: sp.spmatrix) -> tuple[sp.csc_matrix, np.ndarray]:
     return matrix[order][:, order].tocsc(), order
 
 
-def solve(system: HybridSystem, num_edges: int) -> MixedSolution:
+def solve(system: HybridSystem) -> MixedSolution:
     """Factorize and solve, enforcing a relative residual of 1e-10 on the
     mixed equations.
 
@@ -108,7 +108,7 @@ def solve(system: HybridSystem, num_edges: int) -> MixedSolution:
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(_diagnose_singularity(system))
 
-    solution, residual, rhs = system.recover(x, num_edges)
+    solution, residual, rhs = system.recover(x)
     # sums of squares: np.linalg.norm goes through the BLAS, whose threads
     # cost far more than these vectors are worth
     norm_b = np.sqrt((rhs * rhs).sum())

@@ -809,7 +809,7 @@ class SaddleSystem:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def recover(self, x, num_edges):
+    def recover(self, x):
         """Mixed solution from the system's solution vector, with the
         residual and the right-hand side of the mixed equations."""
         flux = self.fixed_flux.copy()
@@ -1002,9 +1002,9 @@ def element_quadratic(coeffs, t):
     return ElementQuadratic(t, coeffs[t])
 
 
-def tangential_jump_sq_scaled(mesh, flux, rule=quad.EDGE_GAUSS2):
+def tangential_jump_sq_scaled(flux, rule=quad.EDGE_GAUSS2):
     """Square-root-weighted variant: jumps of S^-1/2 u_h."""
-    return tangential_jump_sq(mesh, flux, rule=rule)[1]
+    return tangential_jump_sq(flux, rule=rule)[1]
 
 
 def ptilde_gradient(coeffs, pts):

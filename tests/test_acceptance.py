@@ -33,7 +33,7 @@ def report(criterion, passed, detail):
 def solve_state(data, mesh, scheme):
     assemble = assemble_centered if scheme == "centered" else assemble_upwind
     disc = Discretization(mesh, data)
-    solution = solver.solve(assemble(disc), mesh.num_edges)
+    solution = solver.solve(assemble(disc))
     return solution, EstimatorContext(disc, solution,
                                       subtract_boundary_data=True)
 
@@ -223,8 +223,7 @@ def test_criterion_4_kellogg_first_iteration(kellogg_run):
 
     domain, _, _ = benchmark("kellogg1")
     mesh = data.initial_mesh(domain)
-    solution = solver.solve(assemble_centered(Discretization(mesh, data)),
-                            mesh.num_edges)
+    solution = solver.solve(assemble_centered(Discretization(mesh, data)))
     # the checkerboard's four coefficient classes meet only at the origin
     at_origin = np.all(mesh.vert_coords[mesh.elem_verts] == 0.0, axis=-1)
     e_ref = boundary_identity_energy(mesh, data, exact, solution)
@@ -412,8 +411,8 @@ def test_criterion_9_oracle_equivalence():
             worst = max(worst, float(dev))
 
         # tangential jump integrals against the dense edge rule
-        got_j = tangential_jump_sq(mesh, ctx.flux)[0]
-        oracle_j = tangential_jump_sq(mesh, ctx.flux, rule=ORACLE_EDGE)[0]
+        got_j = tangential_jump_sq(ctx.flux)[0]
+        oracle_j = tangential_jump_sq(ctx.flux, rule=ORACLE_EDGE)[0]
         dev = np.abs(got_j - oracle_j).max() / (1 + oracle_j.max())
         worst = max(worst, float(dev))
 
@@ -432,10 +431,8 @@ def test_criterion_10_scheme_limit():
     mesh = data.initial_mesh(domain)
     for _ in range(2):
         mesh = mesh.uniform_refine()
-    sol_c = solver.solve(assemble_centered(Discretization(mesh, data)),
-                         mesh.num_edges)
-    sol_u = solver.solve(assemble_upwind(Discretization(mesh, data)),
-                         mesh.num_edges)
+    sol_c = solver.solve(assemble_centered(Discretization(mesh, data)))
+    sol_u = solver.solve(assemble_upwind(Discretization(mesh, data)))
     scale = np.abs(sol_c.flux).max()
     flux_dev = float(np.abs(sol_c.flux - sol_u.flux).max() / scale)
     eta_u = EstimatorContext(Discretization(mesh, data), sol_u).eta_U_all()

@@ -261,7 +261,7 @@ def solved(request):
     disc = assembly.Discretization(mesh, data)
     assemble = assembly.assemble_centered if scheme == assembly.CENTERED \
         else assembly.assemble_upwind
-    solution = solver.solve(assemble(disc), mesh.num_edges)
+    solution = solver.solve(assemble(disc))
     return disc, solution, EstimatorContext(disc, solution), exact
 
 
@@ -332,7 +332,7 @@ def test_contracted_traces_match_per_point(solved):
         assert np.array_equal(np.stack([x.T, y.T], axis=-1), pts[edges_s])
         values = ctx.flux.u(elems, pts[edges_s])
         for weighting, trace in zip(("inv", "invsqrt"), postprocess._traces(
-                mesh, ctx.flux, side, edges_s, x, y)):
+                ctx.flux, side, edges_s, x, y)):
             assert_close(trace.T,
                          oracles.tangential_trace(mesh, ctx.flux, weighting,
                                                   elems, edges_s, values))
@@ -352,7 +352,7 @@ def test_jumps_are_bit_equal_to_one_weighting_each(solved):
         passes.append((EstimatorContext(disc, solution, True), True))
     for context, subtract in passes:
         slopes = estimators._data_slopes(disc) if subtract else None
-        both = postprocess.tangential_jump_sq(mesh, context.flux,
+        both = postprocess.tangential_jump_sq(context.flux,
                                               boundary_slopes=slopes)
         for jumps, again, weighting in zip(
                 (context.jump_inv, context.jump_half), both,

@@ -272,9 +272,8 @@ class TestHybridAgainstOracle:
     @pytest.mark.parametrize("case", sorted(HYBRID_CASES))
     def test_solutions_agree(self, case):
         mesh, data = HYBRID_CASES[case]()
-        hybrid = solver.solve(assemble_centered(Discretization(mesh, data)),
-                              mesh.num_edges)
-        mixed = solver.solve(mixed_centered(mesh, data), mesh.num_edges)
+        hybrid = solver.solve(assemble_centered(Discretization(mesh, data)))
+        mixed = solver.solve(mixed_centered(mesh, data))
         scale = np.abs(mixed.flux).max()
         assert np.abs(hybrid.flux - mixed.flux).max() <= 1e-10 * scale
         assert np.abs(hybrid.pressure - mixed.pressure).max() <= \
@@ -289,7 +288,7 @@ class TestHybridAgainstOracle:
         mesh, data = HYBRID_CASES[case]()
         system = assemble_centered(Discretization(mesh, data))
         lam = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-        sol = solver.solve(system, mesh.num_edges)
+        sol = solver.solve(system)
         coeffs = postprocess.build_ptilde(mesh, data.fields(mesh), sol)
         interior = np.flatnonzero(system.edge_dof >= 0)
         rule = quad.EDGE_GAUSS2          # exact for quadratic traces
@@ -308,14 +307,14 @@ class TestHybridAgainstOracle:
         hybrid = assemble_centered(Discretization(mesh, data))
         mixed = mixed_centered(mesh, data)
         lam = spla.splu(hybrid.matrix.tocsc()).solve(hybrid.rhs)
-        sol, residual, rhs = hybrid.recover(lam, mesh.num_edges)
+        sol, residual, rhs = hybrid.recover(lam)
         free = np.flatnonzero(mixed.edge_dof >= 0)
         x = np.concatenate([sol.flux[free], sol.pressure])
         assert np.abs(rhs - mixed.rhs).max() <= 1e-14 * np.abs(mixed.rhs).max()
         assert np.abs(residual - (mixed.matrix @ x - mixed.rhs)).max() <= \
             1e-14 * np.abs(mixed.rhs).max()
         # a wrong multiplier shows in the mixed residual
-        _, residual, _ = hybrid.recover(lam + 1e-6, mesh.num_edges)
+        _, residual, _ = hybrid.recover(lam + 1e-6)
         assert np.linalg.norm(residual) > 1e-8 * np.linalg.norm(rhs)
 
 
@@ -399,9 +398,9 @@ class TestHybridUpwind:
         system = assemble_upwind(disc)
         assert system.dimension == \
             np.count_nonzero(mesh.edge_flag == INTERIOR) + mesh.num_elements
-        hybrid = solver.solve(system, mesh.num_edges)
+        hybrid = solver.solve(system)
         mixed_system = mixed_upwind(mesh, data)
-        mixed = solver.solve(mixed_system, mesh.num_edges)
+        mixed = solver.solve(mixed_system)
         assert np.abs(hybrid.flux - mixed.flux).max() <= \
             1e-10 * np.abs(mixed.flux).max()
         assert np.abs(hybrid.pressure - mixed.pressure).max() <= \
@@ -422,9 +421,8 @@ class TestHybridUpwind:
         system = assemble_upwind(Discretization(mesh, data))
         assert abs(system.matrix - system.matrix.T).max() <= \
             1e-14 * abs(system.matrix).max()
-        upwind = solver.solve(system, mesh.num_edges)
-        centered = solver.solve(assemble_centered(Discretization(mesh, data)),
-                                mesh.num_edges)
+        upwind = solver.solve(system)
+        centered = solver.solve(assemble_centered(Discretization(mesh, data)))
         assert np.abs(upwind.flux - centered.flux).max() <= \
             1e-12 * np.abs(centered.flux).max()
         assert np.abs(upwind.pressure - centered.pressure).max() <= \
@@ -437,7 +435,7 @@ class TestHybridUpwind:
         hybrid = assemble_upwind(Discretization(mesh, data))
         mixed = mixed_upwind(mesh, data)
         x = spla.splu(hybrid.matrix.tocsc()).solve(hybrid.rhs)
-        sol, residual, rhs = hybrid.recover(x, mesh.num_edges)
+        sol, residual, rhs = hybrid.recover(x)
         free = np.flatnonzero(mixed.edge_dof >= 0)
         y = np.concatenate([sol.flux[free], sol.pressure])
         scale = np.abs(mixed.rhs).max()
@@ -448,7 +446,7 @@ class TestHybridUpwind:
         for i in (0, x.size - 1):
             wrong = x.copy()
             wrong[i] += 1e-6
-            _, residual, _ = hybrid.recover(wrong, mesh.num_edges)
+            _, residual, _ = hybrid.recover(wrong)
             assert np.linalg.norm(residual) > 1e-8 * np.linalg.norm(rhs)
 
 
@@ -687,7 +685,7 @@ class TestSolutionMapping:
         neumann = np.flatnonzero(mesh.edge_flag == NEUMANN)
         assert neumann.size == 2
         assert not np.any(system.fixed_flux)
-        sol = solver.solve(system, mesh.num_edges)
+        sol = solver.solve(system)
         for e in neumann:
             assert sol.flux[e] == system.fixed_flux[e] == 0.0
 
@@ -695,7 +693,7 @@ class TestSolutionMapping:
         mesh, data = neumann_layer()
         for system in (assemble_centered(Discretization(mesh, data)),
                        assemble_upwind(Discretization(mesh, data))):
-            sol = solver.solve(system, mesh.num_edges)
+            sol = solver.solve(system)
             neumann = mesh.edge_flag == NEUMANN
             assert np.all(system.fixed_flux[neumann] != 0.0)
             assert np.array_equal(sol.flux[neumann],

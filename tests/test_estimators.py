@@ -32,7 +32,7 @@ def solved_context(case, refines=1, scheme="centered", **bench_kw):
         mesh = mesh.uniform_refine()
     assemble = assemble_centered if scheme == "centered" else assemble_upwind
     disc = Discretization(mesh, data)
-    sol = solver.solve(assemble(disc), mesh.num_edges)
+    sol = solver.solve(assemble(disc))
     return mesh, data, exact, sol, EstimatorContext(disc, sol)
 
 
@@ -89,8 +89,7 @@ class TestEtaR:
         mesh = build_initial_mesh("unit-square")
         data = diffusion_data(np.ones(8), f=lambda x, y: x * y + x**2,
                               dirichlet_data=lambda x, y: np.zeros_like(x))
-        sol = solver.solve(assemble_centered(Discretization(mesh, data)),
-                           mesh.num_edges)
+        sol = solver.solve(assemble_centered(Discretization(mesh, data)))
         ctx = EstimatorContext(Discretization(mesh, data), sol)
         rule = quad.SEVEN_POINT
         pts = rule.physical_points(mesh.elem_coords)
@@ -163,7 +162,7 @@ class TestEtaNC:
         ctx.flux.b = np.array([0.0, 0.0])
         ctx.jump_inv = __import__(
             "rtadapt.postprocess", fromlist=["tangential_jump_sq"]
-        ).tangential_jump_sq(mesh, ctx.flux)[0]
+        ).tangential_jump_sq(ctx.flux)[0]
         diag = int(np.flatnonzero(mesh.edge_flag == 0)[0])
         tvec = mesh.edge_tangent[diag]
         jump_val = np.array([1.0, 1.0]) @ tvec
@@ -218,7 +217,7 @@ class TestHatHatP:
         domain, data, _ = benchmark("layer", eps=0.01, a=0.1)
         mesh = data.initial_mesh(domain)
         system = assemble_upwind(Discretization(mesh, data))
-        sol = solver.solve(system, mesh.num_edges)
+        sol = solver.solve(system)
         sol.pressure[:] = 3.14
         ctx = EstimatorContext(Discretization(mesh, data), sol)
         vals = hat_hat_edges(ctx)
@@ -236,7 +235,7 @@ class TestHatHatP:
                                 boundary_rule=None)  # all-Dirichlet, zero datum
         mesh0 = data0.initial_mesh(domain)
         system = assemble_upwind(Discretization(mesh0, data0))
-        sol = solver.solve(system, mesh0.num_edges)
+        sol = solver.solve(system)
         sol.pressure[:] = 2.0
         ctx = EstimatorContext(Discretization(mesh0, data0), sol)
         vals = hat_hat_edges(ctx)
@@ -258,8 +257,7 @@ class TestEtaU:
     def test_zero_velocity(self):
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2")
-        sol = solver.solve(assemble_upwind(Discretization(mesh, data)),
-                           mesh.num_edges)
+        sol = solver.solve(assemble_upwind(Discretization(mesh, data)))
         ctx = EstimatorContext(Discretization(mesh, data), sol)
         assert np.all(ctx.eta_U_all() == 0.0)
 
@@ -426,10 +424,8 @@ class TestStructuralProperties:
         """With w = r = 0 the centered and upwind solutions coincide."""
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2").uniform_refine()
-        sol_c = solver.solve(assemble_centered(Discretization(mesh, data)),
-                             mesh.num_edges)
-        sol_u = solver.solve(assemble_upwind(Discretization(mesh, data)),
-                             mesh.num_edges)
+        sol_c = solver.solve(assemble_centered(Discretization(mesh, data)))
+        sol_u = solver.solve(assemble_upwind(Discretization(mesh, data)))
         scale = np.abs(sol_c.flux).max()
         assert np.abs(sol_c.flux - sol_u.flux).max() <= 1e-10 * scale
         disc = Discretization(mesh, data)
@@ -442,8 +438,7 @@ class TestStructuralProperties:
         """Scaling the discrete solution scales every family (f = 0)."""
         _, data, _ = benchmark("kellogg1")
         mesh = data.initial_mesh("square2x2").uniform_refine()
-        sol = solver.solve(assemble_centered(Discretization(mesh, data)),
-                           mesh.num_edges)
+        sol = solver.solve(assemble_centered(Discretization(mesh, data)))
         disc = Discretization(mesh, data)
         bd1 = EstimatorContext(disc, sol).compute("theorem")
         scaled = assembly.MixedSolution(2.5 * sol.flux, 2.5 * sol.pressure,

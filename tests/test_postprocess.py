@@ -102,7 +102,7 @@ class TestTangentialJumps:
                 g, x.shape + (2,))),
             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
-        jumps = tangential_jump_sq(mesh, flux)[0]
+        jumps = tangential_jump_sq(flux)[0]
         interior = mesh.edge_flag == 0
         assert np.abs(jumps[interior]).max() <= 1e-26
         # one-sided boundary traces equal |gamma_t(g)|^2 * length
@@ -122,8 +122,8 @@ class TestTangentialJumps:
                                 rng.normal(size=mesh.num_elements),
                                 "centered")
             flux = FluxField(Discretization(mesh, data), sol)
-            got = tangential_jump_sq(mesh, flux)[0]
-            oracle = tangential_jump_sq(mesh, flux, rule=ORACLE_EDGE)[0]
+            got = tangential_jump_sq(flux)[0]
+            oracle = tangential_jump_sq(flux, rule=ORACLE_EDGE)[0]
             assert np.abs(got - oracle).max() <= 1e-12 * (1 + oracle.max())
 
     def test_boundary_data_rule(self):
@@ -139,7 +139,7 @@ class TestTangentialJumps:
         def slope(edges, x, y):
             return np.sin(4.0 * x) * np.exp(y)
 
-        got = tangential_jump_sq(mesh, flux, boundary_slopes=slope)[0]
+        got = tangential_jump_sq(flux, boundary_slopes=slope)[0]
         bdry = np.flatnonzero(mesh.edge_elems[:, 1] < 0)
         for rule, rel in ((quad.gauss_edge_rule(40), 1e-12),
                           (quad.EDGE_GAUSS2, 1e-4)):
@@ -157,7 +157,7 @@ class TestTangentialJumps:
             # the dense rule agrees; the old two-point rule does not
             assert close == (rule.weights.size == 40)
         interior = mesh.edge_elems[:, 1] >= 0
-        plain = tangential_jump_sq(mesh, flux)[0]
+        plain = tangential_jump_sq(flux)[0]
         assert np.array_equal(got[interior], plain[interior])
 
     def test_scaled_weighting_factor(self):
@@ -169,7 +169,7 @@ class TestTangentialJumps:
         sol = MixedSolution(rng.normal(size=mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data4), sol)
-        j_inv, j_half = tangential_jump_sq(mesh, flux)
+        j_inv, j_half = tangential_jump_sq(flux)
         assert np.allclose(j_half, 4.0 * j_inv, rtol=1e-12)
 
     def test_identity_weighting_coincides(self):
@@ -179,10 +179,10 @@ class TestTangentialJumps:
         sol = MixedSolution(rng.normal(size=mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
-        assert np.allclose(*tangential_jump_sq(mesh, flux), rtol=1e-14)
+        assert np.allclose(*tangential_jump_sq(flux), rtol=1e-14)
         assert np.array_equal(
-            tangential_jump_sq_scaled(mesh, flux),
-            tangential_jump_sq(mesh, flux)[1])
+            tangential_jump_sq_scaled(flux),
+            tangential_jump_sq(flux)[1])
 
     def test_zero_field(self):
         mesh = build_initial_mesh("lshape")
@@ -190,7 +190,7 @@ class TestTangentialJumps:
         sol = MixedSolution(np.zeros(mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
-        assert np.all(tangential_jump_sq(mesh, flux)[0] == 0.0)
+        assert np.all(tangential_jump_sq(flux)[0] == 0.0)
 
     def test_hand_computed_two_element_patch(self):
         # square split along the diagonal; prescribe raw affine fields
@@ -211,7 +211,7 @@ class TestTangentialJumps:
                 if mesh.edge_flag[e] == 0][0]
         t = mesh.edge_tangent[diag]
         expected = (np.array([1.0, 0.0]) @ t) ** 2 * mesh.edge_length[diag]
-        got = tangential_jump_sq(mesh, flux)[0][diag]
+        got = tangential_jump_sq(flux)[0][diag]
         assert got == pytest.approx(expected, rel=1e-14)
 
 
@@ -219,8 +219,7 @@ class TestSolvedSolutionProperties:
     def test_edge_mean_continuity_pure_diffusion(self):
         _, data, _ = benchmark("lshape")
         mesh = data.initial_mesh("lshape").uniform_refine()
-        sol = solver.solve(assemble_centered(Discretization(mesh, data)),
-                           mesh.num_edges)
+        sol = solver.solve(assemble_centered(Discretization(mesh, data)))
         coeffs = build_ptilde(mesh, data.fields(mesh), sol)
         mismatch = edge_mean_mismatch(mesh, coeffs)
         interior = mesh.edge_flag == 0
@@ -230,8 +229,7 @@ class TestSolvedSolutionProperties:
     def test_dirichlet_edge_means_match_data(self):
         _, data, _ = benchmark("lshape")
         mesh = data.initial_mesh("lshape").uniform_refine()
-        sol = solver.solve(assemble_centered(Discretization(mesh, data)),
-                           mesh.num_edges)
+        sol = solver.solve(assemble_centered(Discretization(mesh, data)))
         coeffs = build_ptilde(mesh, data.fields(mesh), sol)
         mismatch = edge_mean_mismatch(mesh, coeffs)
         pd = assembly.dirichlet_edge_means(mesh, data)
@@ -245,8 +243,7 @@ def test_edge_mean_continuity_reported_for_upwind():
     # upon, so this check only prints the observed magnitude
     domain, data, _ = benchmark("layer", eps=0.01, a=0.1)
     mesh = data.initial_mesh(domain).uniform_refine()
-    sol = solver.solve(assembly.assemble_upwind(Discretization(mesh, data)),
-                       mesh.num_edges)
+    sol = solver.solve(assembly.assemble_upwind(Discretization(mesh, data)))
     coeffs = build_ptilde(mesh, data.fields(mesh), sol)
     mismatch = edge_mean_mismatch(mesh, coeffs)
     interior = mesh.edge_flag == 0

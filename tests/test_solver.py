@@ -28,7 +28,7 @@ def forged(system, **changes):
 def test_smallest_mesh_residual():
     mesh, system = lshape_system()
     _, data, _ = benchmark("lshape")
-    sol = solve(assemble_centered(Discretization(mesh, data)), mesh.num_edges)
+    sol = solve(assemble_centered(Discretization(mesh, data)))
     x = np.concatenate([
         sol.flux[system.edge_dof >= 0][np.argsort(
             system.edge_dof[system.edge_dof >= 0])],
@@ -39,10 +39,10 @@ def test_smallest_mesh_residual():
 
 
 def test_manufactured_recovery():
-    mesh, system = lshape_system()
+    _, system = lshape_system()
     rng = np.random.default_rng(21)
     x_true = rng.normal(size=system.dimension)
-    sol = solve(forged(system, rhs=system.matrix @ x_true), mesh.num_edges)
+    sol = solve(forged(system, rhs=system.matrix @ x_true))
     got = np.concatenate([
         sol.flux[np.flatnonzero(system.edge_dof >= 0)], sol.pressure
     ])
@@ -53,18 +53,18 @@ def test_manufactured_recovery():
 
 
 def test_singular_system_raises():
-    mesh, system = lshape_system()
+    _, system = lshape_system()
     bad = system.matrix.tolil()
     bad[3, :] = 0.0
     with pytest.raises(SingularSystemError) as err:
-        solve(forged(system, matrix=bad.tocsr()), mesh.num_edges)
+        solve(forged(system, matrix=bad.tocsr()))
     assert "row 3" in str(err.value)
 
 
 def test_rhs_scaling_linearity():
-    mesh, system = lshape_system()
-    base = solve(system, mesh.num_edges)
-    scaled = solve(forged(system, rhs=7.0 * system.rhs), mesh.num_edges)
+    _, system = lshape_system()
+    base = solve(system)
+    scaled = solve(forged(system, rhs=7.0 * system.rhs))
     free = np.flatnonzero(system.edge_dof >= 0)
     assert np.allclose(scaled.flux[free], 7.0 * base.flux[free], rtol=1e-12)
     assert np.allclose(scaled.pressure, 7.0 * base.pressure, rtol=1e-12)
@@ -73,8 +73,7 @@ def test_rhs_scaling_linearity():
 def test_determinism():
     mesh, _ = lshape_system()
     _, data, _ = benchmark("lshape")
-    sols = [solve(assemble_centered(Discretization(mesh, data)),
-                  mesh.num_edges)
+    sols = [solve(assemble_centered(Discretization(mesh, data)))
             for _ in range(2)]
     assert np.array_equal(sols[0].flux, sols[1].flux)
     assert np.array_equal(sols[0].pressure, sols[1].pressure)
@@ -127,7 +126,7 @@ def test_fill_at_most_colamd(case, monkeypatch):
         return factors[-1]
 
     monkeypatch.setattr(solver.spla, "splu", recorded)
-    solve(system, mesh.num_edges)
+    solve(system)
     assert len(factors) == 1
     assert factors[0].nnz <= splu(system.matrix.tocsc()).nnz
 
@@ -142,7 +141,7 @@ def test_singular_row_named_in_system_numbering():
     bad = system.matrix.tolil()
     bad[row, :] = 0.0
     with pytest.raises(SingularSystemError, match=f"zero pivot row {row}:"):
-        solve(forged(system, matrix=bad.tocsc()), mesh.num_edges)
+        solve(forged(system, matrix=bad.tocsc()))
 
 
 def test_rcm_permuted_is_a_symmetric_permutation():
@@ -175,13 +174,13 @@ def test_residual_norms_bypass_blas(monkeypatch):
     BLAS, which may run threaded."""
     mesh, data = uniform("layer", **LAYER)
     system = assemble_upwind(Discretization(mesh, data))
-    reference = solve(system, mesh.num_edges)
+    reference = solve(system)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.norm called")
 
     monkeypatch.setattr(np.linalg, "norm", refuse)
-    solution = solve(system, mesh.num_edges)
+    solution = solve(system)
     assert np.array_equal(solution.flux, reference.flux)
     assert np.array_equal(solution.pressure, reference.pressure)
 
@@ -196,7 +195,7 @@ def test_supernode_settings_reach_splu(monkeypatch):
 
     monkeypatch.setattr(solver.spla, "splu", recorded)
     mesh, data = uniform("layer", **LAYER)
-    solve(assemble_upwind(Discretization(mesh, data)), mesh.num_edges)
+    solve(assemble_upwind(Discretization(mesh, data)))
     assert len(calls) == 1
     assert calls[0]["relax"] == solver.RELAX
     assert calls[0]["panel_size"] == solver.PANEL_SIZE
@@ -215,7 +214,7 @@ def test_heap_released_after_factorization(monkeypatch):
     monkeypatch.setattr(solver.spla, "splu", recorded)
     monkeypatch.setattr(solver, "_malloc_trim", events.append)
     mesh, data = uniform("layer", **LAYER)
-    solve(assemble_upwind(Discretization(mesh, data)), mesh.num_edges)
+    solve(assemble_upwind(Discretization(mesh, data)))
     assert events == ["splu", 0]
 
 
@@ -227,7 +226,7 @@ def test_dimension_guard():
         fixed_flux=np.zeros(0), scheme="centered",
     )
     with pytest.raises(SolverError):
-        solve(system, 0)
+        solve(system)
 
 
 def test_wrong_multipliers_fail_the_mixed_residual():
@@ -238,7 +237,7 @@ def test_wrong_multipliers_fail_the_mixed_residual():
     rhs = system.rhs.copy()
     rhs[0] += 1e-3 * np.abs(rhs).max()
     with pytest.raises(SolverError, match="residual"):
-        solve(forged(system, rhs=rhs), mesh.num_edges)
+        solve(forged(system, rhs=rhs))
 
 
 def forged_reaction(data, mesh, elements, value=None):

@@ -41,9 +41,8 @@ class TestEnergyError:
         mesh = data.initial_mesh(domain)
         values = []
         for _ in range(2):
-            sol = solver.solve(assembly.assemble_centered(Discretization(mesh,
-                               data)),
-                               mesh.num_edges)
+            sol = solver.solve(assembly.assemble_centered(
+                Discretization(mesh, data)))
             fields = data.fields(mesh)
             flux = FluxField(Discretization(mesh, data), sol)
             E, _ = verify.energy_error(mesh, fields, flux, sol.pressure,
@@ -60,9 +59,8 @@ class TestEnergyError:
         domain, data, exact = benchmark(case)
         mesh = data.initial_mesh(domain)
         for _ in range(2):
-            sol = solver.solve(assembly.assemble_centered(Discretization(mesh,
-                               data)),
-                               mesh.num_edges)
+            sol = solver.solve(assembly.assemble_centered(
+                Discretization(mesh, data)))
             fields = data.fields(mesh)
             flux = FluxField(Discretization(mesh, data), sol)
             E, _ = verify.energy_error(mesh, fields, flux, sol.pressure,
@@ -78,9 +76,8 @@ class TestEnergyError:
         domain, data, exact = benchmark("layer", eps=0.01, a=0.05)
         assert exact.singular_points == ()
         mesh = data.initial_mesh(domain).uniform_refine().uniform_refine()
-        sol = solver.solve(assembly.assemble_upwind(Discretization(mesh,
-                           data)),
-                           mesh.num_edges)
+        sol = solver.solve(assembly.assemble_upwind(
+            Discretization(mesh, data)))
         fields = data.fields(mesh)
         flux = FluxField(Discretization(mesh, data), sol)
         E, per = verify.energy_error(mesh, fields, flux, sol.pressure, exact)
@@ -108,9 +105,8 @@ class TestEnergyError:
     def test_decomposition(self):
         domain, data, exact = benchmark("layer", eps=0.1, a=0.1)
         mesh = data.initial_mesh(domain).uniform_refine()
-        sol = solver.solve(assembly.assemble_upwind(Discretization(mesh,
-                           data)),
-                           mesh.num_edges)
+        sol = solver.solve(assembly.assemble_upwind(
+            Discretization(mesh, data)))
         fields = data.fields(mesh)
         flux = FluxField(Discretization(mesh, data), sol)
         E, per = verify.energy_error(mesh, fields, flux, sol.pressure, exact)
