@@ -282,6 +282,17 @@ class TestAdjacency:
         with pytest.raises(MeshError):
             edge_patch(m, 10_000)
 
+    @pytest.mark.parametrize("apex", [(0.5, -1.0), (2.0, 0.0), (1.0, 0.0)],
+                             ids=["clockwise", "collinear", "repeated"])
+    def test_nonpositive_area_rejected(self, apex):
+        """Every element of nonpositive signed area raises MeshError, so
+        no Discretization is built on one."""
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], apex])
+        elems = np.array([[0, 1, 2], [0, 1, 3]])
+        with pytest.raises(MeshError, match="element 1 is not "
+                           "counterclockwise or degenerate"):
+            Triangulation(coords, elems)
+
     def test_edge_shared_by_three_elements(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
                            [0.5, 2.0]])
