@@ -217,6 +217,27 @@ def test_artifacts_match_loop_writers(tmp_path):
         == loop_nodal_csv(nodal)
 
 
+def test_estimator_csv_of_zero_columns(tmp_path):
+    """A centered pure-diffusion run, four of whose seven estimator
+    columns are +0.0 on every element, and a column of zeros with one
+    -0.0 entry, against the value-by-value writer."""
+    assert cli.main(["run", "--benchmark", "kellogg1", "--max-dof", "600",
+                     "--out", str(tmp_path)]) == 0
+    mesh = Triangulation.parse((tmp_path / "mesh_final.txt").read_text())
+    domain, data, _ = benchmark("kellogg1")
+    _, ctx = adapt.run_iteration(mesh, data, assembly.CENTERED,
+                                 subtract_boundary_data=True)
+    breakdown = ctx.compute("xi")
+    assert [name for name in ("eta_D", "eta_R", "eta_NC", "eta_C", "eta_U")
+            if not getattr(breakdown, name).any()] \
+        == ["eta_D", "eta_R", "eta_C", "eta_U"]
+    assert (tmp_path / "estimators.csv").read_text() \
+        == breakdown.to_csv() == loop_estimator_csv(breakdown)
+    breakdown.eta_C[3] = -0.0
+    assert breakdown.to_csv() == loop_estimator_csv(breakdown)
+    assert breakdown.to_csv().splitlines()[4].split(",")[4] == "-0"
+
+
 # ----------------------------------------------------------------------
 # 2x2 and quadrature kernels against their einsum forms
 # ----------------------------------------------------------------------
