@@ -1,13 +1,17 @@
 import dataclasses
+import functools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rtadapt import adapt, assembly, estimators, verify
 from rtadapt.adapt import AdaptError, adaptive_loop, dorfler_mark
+from rtadapt.cli import BENCHMARK_DEFAULTS
+from rtadapt.mesh import Triangulation, apply_boundary_rule, \
+    build_initial_mesh
 from rtadapt.problem import ProblemData, benchmark
 
 
@@ -297,3 +301,60 @@ class TestSharedDiscretization:
         res = adaptive_loop(data, data.initial_mesh(domain), max_iter=4,
                             exact=exact)
         assert field_calls == [r.dof for r in res.records]
+
+
+class TestRelabelingInvariance:
+    """The adaptive loop does not depend on how the initial mesh is
+    numbered: with its elements in another order, its vertices under other
+    ids and each element's vertices rotated, a study with the CLI defaults
+    of the benchmark records the same element counts, and E and eta
+    within round-off, step for step."""
+
+    STEPS = 15
+
+    @classmethod
+    def history(cls, case, mesh, data, exact):
+        scheme, policy, theta = BENCHMARK_DEFAULTS[case]
+        records = adaptive_loop(data, mesh, scheme=scheme, policy=policy,
+                                theta=theta, max_iter=cls.STEPS,
+                                exact=exact).records
+        return ([r.dof for r in records],
+                np.array([(r.energy_error, r.eta) for r in records]))
+
+    @classmethod
+    @functools.cache
+    def reference(cls, case):
+        domain, data, exact = benchmark(case)
+        return cls.history(case, data.initial_mesh(domain), data, exact)
+
+    @pytest.mark.parametrize("case", ["lshape", "kellogg1", "kellogg2",
+                                      "layer"])
+    @settings(max_examples=8)
+    @given(draw=st.data())
+    def test_same_history_under_relabeling(self, case, draw):
+        domain, data, exact = benchmark(case)
+        coarse = build_initial_mesh(domain)
+        nt, nv = coarse.num_elements, coarse.num_vertices
+        order = np.array(draw.draw(st.permutations(range(nt))))
+        new_id = np.array(draw.draw(st.permutations(range(nv))))
+        shift = np.array(draw.draw(st.lists(st.integers(0, 2), min_size=nt,
+                                            max_size=nt)))
+        # element t of the relabeled mesh is coarse element order[t], and
+        # keeps its coefficients; vertex v becomes new_id[v]
+        coords = np.empty_like(coarse.vert_coords)
+        coords[new_id] = coarse.vert_coords
+        verts = np.take_along_axis(new_id[coarse.elem_verts[order]],
+                                   (shift[:, None] + np.arange(3)) % 3, axis=1)
+        mesh = Triangulation(coords, verts)
+        if data.boundary_rule is not None:
+            mesh = apply_boundary_rule(mesh, data.boundary_rule)
+        table = data.table
+        relabeled = ProblemData(table.S[order], table.w[order],
+                                table.r[order], f=data.f,
+                                dirichlet_data=data.dirichlet_data,
+                                neumann_data=data.neumann_data,
+                                boundary_rule=data.boundary_rule)
+        dof, values = self.history(case, mesh, relabeled, exact)
+        ref_dof, ref_values = self.reference(case)
+        assert len(dof) == self.STEPS and dof == ref_dof
+        np.testing.assert_allclose(values, ref_values, rtol=1e-10, atol=0)
