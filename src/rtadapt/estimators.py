@@ -53,13 +53,11 @@ class EstimatorBreakdown:
         lines = ["element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total"]
         columns = (self.eta_D, self.eta_R, self.eta_NC, self.eta_C,
                    self.eta_U, self.xi, self.total)
-        # a column of +0.0 alone is written as "0", its %.17g text, by the
-        # row format instead of being formatted value by value
+        # an all-+0.0 column enters the row format as its %.17g text "0"
         zero = [not (c.any() or np.signbit(c).any()) for c in columns]
         fmt = "%d" + "".join(",0" if z else ",%.17g" for z in zero)
-        lines += [fmt % row for row in zip(
-            range(self.total.size),
-            *(c.tolist() for c, z in zip(columns, zero) if not z))]
+        kept = (c.tolist() for c, z in zip(columns, zero) if not z)
+        lines += [fmt % row for row in zip(range(self.total.size), *kept)]
         return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,6 @@ class FluxField:
 
     def __init__(self, disc: Discretization, solution: MixedSolution):
         self.disc = disc
-        self.fields = disc.fields
         self.a, self.b = reconstruct(disc.mesh, solution)
 
     def u(self, elems, pts):
@@ -101,7 +100,7 @@ def tangential_jump_sq(flux: FluxField, boundary_slopes=None,
     slopes = (0.0, 0.0)
     if boundary_slopes is not None:
         slope = boundary_slopes(bdry, x, y)
-        slopes = (slope, np.sqrt(flux.fields.c_S[left[bdry]]) * slope)
+        slopes = (slope, np.sqrt(flux.disc.fields.c_S[left[bdry]]) * slope)
     for jumps, trace, slope in zip(out, _traces(flux, left, bdry, x, y),
                                    slopes):
         jumps[bdry] = _integrate_sq(rule, trace - slope, h[bdry])
@@ -125,7 +124,7 @@ def _traces(flux: FluxField, side: np.ndarray, edges: np.ndarray,
     b = flux.b[elems]
     u0, u1 = (flux.a[:, k][elems] + b * xk for k, xk in enumerate((x, y)))
     t0, t1 = (flux.disc.mesh.edge_tangent[:, k][edges] for k in range(2))
-    for mat in (flux.fields.Sinv, flux.fields.Sinvhalf):
+    for mat in (flux.disc.fields.Sinv, flux.disc.fields.Sinvhalf):
         (w00, w01), (w10, w11) = ([mat[:, i, j][elems] for j in range(2)]
                                   for i in range(2))
         yield u0 * (w00 * t0 + w10 * t1) + u1 * (w01 * t0 + w11 * t1)

@@ -1042,7 +1042,8 @@ def weight(flux, elems, values, weighting="inv"):
     """S^-1 or S^-1/2 of the given elements applied to values of u_h
     there, shaped (..., nq, 2), point by point and component by
     component."""
-    mat = flux.fields.Sinv if weighting == "inv" else flux.fields.Sinvhalf
+    fields = flux.disc.fields
+    mat = fields.Sinv if weighting == "inv" else fields.Sinvhalf
     m = mat[elems][..., None, :, :]
     vx, vy = values[..., 0], values[..., 1]
     out = np.empty(np.broadcast_shapes(m.shape[:-1], values.shape))
@@ -1107,7 +1108,8 @@ def einsum_integrate(rule, values, measure):
 
 def einsum_weighted(flux, elems, pts, weighting="inv"):
     """``weighted``."""
-    mat = flux.fields.Sinv if weighting == "inv" else flux.fields.Sinvhalf
+    fields = flux.disc.fields
+    mat = fields.Sinv if weighting == "inv" else fields.Sinvhalf
     return np.einsum("...ab,...qb->...qa", mat[elems], flux.u(elems, pts))
 
 
