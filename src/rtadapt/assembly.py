@@ -373,10 +373,10 @@ def _left_values(mesh: Triangulation, per_elem_edge: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_means(mesh: Triangulation, flag: int, data, rule: quad.Rule
-                ) -> np.ndarray:
+def _edge_means(mesh: Triangulation, flag: int, data) -> np.ndarray:
     """Edge means of ``data`` on the edges flagged ``flag``, zero elsewhere,
-    by ``rule``."""
+    by ``quad.DATA_EDGE``, since boundary data need not be polynomial."""
+    rule = quad.DATA_EDGE
     means = np.zeros(mesh.num_edges)
     edges = np.flatnonzero(mesh.edge_flag == flag)
     if edges.size:
@@ -387,20 +387,19 @@ def _edge_means(mesh: Triangulation, flag: int, data, rule: quad.Rule
 
 def dirichlet_edge_means(mesh: Triangulation, problem: ProblemData
                          ) -> np.ndarray:
-    """Edge means of the Dirichlet datum (zero on non-Dirichlet edges), by
-    ``quad.DATA_EDGE``, since the datum need not be polynomial."""
-    return _edge_means(mesh, DIRICHLET, problem.dirichlet_data, quad.DATA_EDGE)
+    """Edge means of the Dirichlet datum (zero on non-Dirichlet edges)."""
+    return _edge_means(mesh, DIRICHLET, problem.dirichlet_data)
 
 
 def neumann_fixed_coefficients(mesh: Triangulation, problem: ProblemData
                                ) -> np.ndarray:
     """Fixed DOF coefficients on Neumann edges (zero on the other edges).
 
-    The prescribed outward flux density g, averaged by the three-point
-    Gauss rule, is converted to the global-normal coefficient through the
-    incident element's orientation sign.
+    The edge mean of the prescribed outward flux density g is converted to
+    the global-normal coefficient through the incident element's
+    orientation sign.
     """
-    means = _edge_means(mesh, NEUMANN, problem.neumann_data, quad.EDGE_GAUSS3)
+    means = _edge_means(mesh, NEUMANN, problem.neumann_data)
     return _left_values(mesh, mesh.elem_signs) * means
 
 

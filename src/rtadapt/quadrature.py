@@ -119,5 +119,4 @@ MIDPOINT = midpoint_rule()
 SEVEN_POINT = seven_point_rule()
 SINGULAR_VERTEX = graded_collapsed_rule(10, 8)
 EDGE_GAUSS2 = gauss_edge_rule(2)
-EDGE_GAUSS3 = gauss_edge_rule(3)
 DATA_EDGE = gauss_edge_rule(20)

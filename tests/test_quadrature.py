@@ -82,8 +82,8 @@ def test_triangle_rule_tables_validate(rule):
     validate_triangle_rule(rule)
 
 
-@pytest.mark.parametrize("rule", [quad.EDGE_GAUSS2, quad.EDGE_GAUSS3,
-                                  quad.DATA_EDGE, ORACLE_EDGE])
+@pytest.mark.parametrize("rule", [quad.EDGE_GAUSS2, quad.DATA_EDGE,
+                                  ORACLE_EDGE])
 def test_edge_rule_tables_validate(rule):
     validate_edge_rule(rule)
 
