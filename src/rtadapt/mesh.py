@@ -34,8 +34,6 @@ INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
 
-_FLAG_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet", NEUMANN: "neumann"}
-
 
 class MeshError(Exception):
     """Invalid mesh topology or geometry."""
