@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, solver, verify
-from .estimators import EstimatorBreakdown, EstimatorContext
+from .estimators import THEOREM, TOTAL, EstimatorBreakdown, EstimatorContext
 from .mesh import Triangulation
 from .problem import ExactSolution, ProblemData
 
@@ -17,6 +17,11 @@ from .problem import ExactSolution, ProblemData
 class AdaptError(Exception):
     pass
 
+
+# refinement modes: Dörfler marking, or every element
+ADAPTIVE = "adaptive"
+UNIFORM = "uniform"
+MODES = (ADAPTIVE, UNIFORM)
 
 # indicators within this relative distance of each other form a tie group
 TIE_TOL = 1e-10
@@ -29,14 +34,13 @@ class RunRecord:
     k: int
     dof: int
     energy_error: float          # nan when no exact solution is supplied
-    eta: float                   # global total of the active indicator
-    eta_D: float
-    eta_R: float
-    eta_NC: float
-    eta_C: float
-    eta_U: float
-    xi: float
+    totals: dict                 # EstimatorBreakdown.family_totals()
     wall_time: float
+
+    @property
+    def eta(self) -> float:
+        """Global total of the active indicator."""
+        return self.totals[TOTAL]
 
 
 @dataclass
@@ -88,12 +92,10 @@ def run_iteration(mesh: Triangulation, problem: ProblemData, scheme: str,
                   ) -> tuple[assembly.MixedSolution, EstimatorContext]:
     """Assemble, solve and set up the estimators on one mesh from one shared
     Discretization, which ``ctx.flux`` carries on to the energy error."""
-    if scheme == assembly.CENTERED:
-        assemble = assembly.assemble_centered
-    elif scheme == assembly.UPWIND:
-        assemble = assembly.assemble_upwind
-    else:
+    if scheme not in assembly.SCHEMES:
         raise AdaptError(f"unknown scheme {scheme!r}")
+    assemble = (assembly.assemble_centered if scheme == assembly.CENTERED
+                else assembly.assemble_upwind)
     disc = assembly.Discretization(mesh, problem)
     solution = solver.solve(assemble(disc))
     ctx = EstimatorContext(disc, solution,
@@ -102,8 +104,8 @@ def run_iteration(mesh: Triangulation, problem: ProblemData, scheme: str,
 
 
 def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
-                  scheme: str = assembly.CENTERED, policy: str = "theorem",
-                  theta: float = 0.5, mode: str = "adaptive",
+                  scheme: str = assembly.CENTERED, policy: str = THEOREM,
+                  theta: float = 0.5, mode: str = ADAPTIVE,
                   max_dof: int = 100_000, max_iter: int = 60,
                   exact: ExactSolution | None = None) -> RunResult:
     """Iterate solve -> estimate -> mark -> refine until a stop criterion.
@@ -117,7 +119,7 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
     one-sided trace, which is the consistent reading for nonhomogeneous
     data and reduces to the plain trace when the datum vanishes.
     """
-    if mode not in ("adaptive", "uniform"):
+    if mode not in MODES:
         raise AdaptError(f"unknown refinement mode {mode!r}")
     mesh = initial_mesh
     records = []
@@ -131,18 +133,15 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
                                             solution.pressure, exact)
         else:
             energy = math.nan
-        totals = breakdown.family_totals()
         records.append(RunRecord(
             k=k, dof=mesh.num_elements, energy_error=energy,
-            eta=totals["total"], eta_D=totals["eta_D"],
-            eta_R=totals["eta_R"], eta_NC=totals["eta_NC"],
-            eta_C=totals["eta_C"], eta_U=totals["eta_U"], xi=totals["xi"],
+            totals=breakdown.family_totals(),
             wall_time=time.perf_counter() - start,
         ))
         last = RunResult(records, mesh, solution, breakdown)
         if mesh.num_elements >= max_dof or k == max_iter:
             break
-        if mode == "uniform":
+        if mode == UNIFORM:
             marked = np.arange(mesh.num_elements)
         else:
             marked = dorfler_mark(breakdown.total, theta)

@@ -53,6 +53,7 @@ class SingularSystemError(SolverError):
 
 CENTERED = "centered"
 UPWIND = "upwind"
+SCHEMES = (CENTERED, UPWIND)
 
 # a local block counts as singular when its pressure Schur complement is
 # below this fraction of the terms it is computed from

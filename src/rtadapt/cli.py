@@ -3,7 +3,10 @@
 Artifacts per run: ``history.csv`` (one row per adaptive iteration with
 errors, estimator totals, convergence rates and effectivity), a final
 mesh dump and an SVG rendering shaded by the marking indicator, and for
-the internal-layer benchmark the nodally averaged displacement values.
+the benchmarks that take parameters (the internal layer) the nodally
+averaged displacement values.  Every name list (benchmarks, schemes,
+policies, modes, estimator families) is read from the module that
+implements it.
 """
 
 from __future__ import annotations
@@ -11,72 +14,87 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
-from . import adapt, mesh as meshmod, postprocess, problem, verify
+from . import (adapt, assembly, estimators, mesh as meshmod, postprocess,
+               problem, verify)
+from .assembly import CENTERED, UPWIND
+from .estimators import THEOREM, XI
 
 
 class ConfigError(Exception):
     pass
 
 
-BENCHMARKS = ("lshape", "kellogg1", "kellogg2", "layer")
-# benchmark -> (scheme, indicator policy, theta)
+# benchmark -> (scheme, indicator policy, theta), one row for each
+# benchmark of problem.BENCHMARKS
 BENCHMARK_DEFAULTS = {
-    "lshape": ("centered", "theorem", 0.5),
-    "kellogg1": ("centered", "xi", 0.7),
-    "kellogg2": ("centered", "xi", 0.94),
-    "layer": ("upwind", "theorem", 0.5),
+    "lshape": (CENTERED, THEOREM, 0.5),
+    "kellogg1": (CENTERED, XI, 0.7),
+    "kellogg2": (CENTERED, XI, 0.94),
+    "layer": (UPWIND, THEOREM, 0.5),
 }
+
+# config key -> its choices
+CHOICES = {"benchmark": tuple(problem.BENCHMARKS), "scheme": assembly.SCHEMES,
+           "policy": estimators.POLICIES, "mode": adapt.MODES}
+# the parameters of all benchmarks, in declaration order
+PARAMETERS = tuple(dict.fromkeys(
+    key for params in problem.BENCHMARKS.values() for key in params))
+# the marking indicator is the eta column of the history, ahead of these
+HISTORY_FAMILIES = tuple(name for name in estimators.FAMILIES
+                         if name != estimators.TOTAL)
 
 CSV_COMMENT = ("# marking=dorfler, threshold=theta^2 on the squared "
                "indicator sum")
-CSV_HEADER = ("k,dof,E,eta,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,"
-              "EOC_E,EOC_eta,effectivity")
+CSV_HEADER = ",".join(("k", "dof", "E", "eta") + HISTORY_FAMILIES
+                      + ("EOC_E", "EOC_eta", "effectivity"))
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved parameters of one study (runs are seed-free)."""
+    """Fully resolved parameters of one study (runs are seed-free);
+    ``params`` holds those of the benchmark (``problem.BENCHMARKS``)."""
 
     benchmark: str
     scheme: str
     policy: str
     theta: float
-    mode: str = "adaptive"
+    mode: str = adapt.ADAPTIVE
     max_dof: int = 100_000
     max_iter: int = 60
-    eps: float = 1e-3
-    a: float = 0.05
+    params: dict = field(default_factory=dict)
     out: str = "out"
 
     def validate(self) -> "RunConfig":
-        if self.benchmark not in BENCHMARKS:
-            raise ConfigError(f"unknown benchmark {self.benchmark!r}")
-        if self.scheme not in ("centered", "upwind"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if self.policy not in ("theorem", "xi"):
-            raise ConfigError(f"unknown policy {self.policy!r}")
+        for key, choices in CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}")
+        for key in self.params:
+            if key not in problem.BENCHMARKS[self.benchmark]:
+                takers = " and ".join(name for name, params
+                                      in problem.BENCHMARKS.items()
+                                      if key in params)
+                raise ConfigError(f"{key} only applies to the {takers} "
+                                  "benchmark")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta={self.theta} outside (0, 1]")
-        if self.mode not in ("adaptive", "uniform"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.eps <= 0.0 or self.a <= 0.0:
-            raise ConfigError("eps and a must be positive")
+        if any(value <= 0.0 for value in self.params.values()):
+            raise ConfigError(f"{' and '.join(self.params)} must be positive")
         if self.max_dof < 1 or self.max_iter < 1:
             raise ConfigError("stop criteria must be positive")
         return self
 
     def render(self) -> str:
-        """Canonical key=value form (one per line, diffable)."""
+        """Canonical key=value form (one per line, diffable), each entry of
+        ``params`` a key of its own."""
         lines = []
         for f in dc_fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float):
-                lines.append(f"{f.name}={value!r}")
-            else:
-                lines.append(f"{f.name}={value}")
+            items = value.items() if f.name == "params" else [(f.name, value)]
+            lines += [f"{key}={v!r}" if isinstance(v, float) else f"{key}={v}"
+                      for key, v in items]
         return "\n".join(lines) + "\n"
 
 
@@ -94,13 +112,16 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in dc_fields(RunConfig)}
+# config key -> type name: the fields of RunConfig, with the float
+# parameters of the benchmarks in the place of ``params``
+_KEY_TYPES = {f.name: f.type for f in dc_fields(RunConfig)
+              if f.name != "params"} | dict.fromkeys(PARAMETERS, "float")
 
 
 def _coerce(key: str, value: str):
-    if key not in _FIELD_TYPES:
+    if key not in _KEY_TYPES:
         raise ConfigError(f"unknown key {key!r}")
-    kind = _FIELD_TYPES[key]
+    kind = _KEY_TYPES[key]
     try:
         if kind == "float":
             return float(value)
@@ -114,7 +135,8 @@ def _coerce(key: str, value: str):
 def parse_config(args=None, config_file: str | None = None) -> RunConfig:
     """Resolve a RunConfig from flags and/or a key=value file.
 
-    Flags override file entries; benchmark defaults fill the rest.
+    Flags override file entries; benchmark defaults (``BENCHMARK_DEFAULTS``
+    and the parameters of ``problem.BENCHMARKS``) fill the rest.
     """
     values = {}
     if config_file is not None:
@@ -126,27 +148,20 @@ def parse_config(args=None, config_file: str | None = None) -> RunConfig:
     benchmark = values.get("benchmark")
     if benchmark is None:
         raise ConfigError("a benchmark must be selected")
-    if benchmark not in BENCHMARKS:
+    if benchmark not in problem.BENCHMARKS:
         raise ConfigError(f"unknown benchmark {benchmark!r}")
-    if benchmark != "layer":
-        for key in ("eps", "a"):
-            if key in values:
-                raise ConfigError(
-                    f"{key} only applies to the layer benchmark"
-                )
+    params = dict(problem.BENCHMARKS[benchmark])
+    params.update({key: values.pop(key) for key in PARAMETERS
+                   if key in values})
     scheme, policy, theta = BENCHMARK_DEFAULTS[benchmark]
     merged = dict(benchmark=benchmark, scheme=scheme, policy=policy,
-                  theta=theta)
+                  theta=theta, params=params)
     merged.update(values)
     return RunConfig(**merged).validate()
 
 
 def _build(config: RunConfig):
-    if config.benchmark == "layer":
-        domain, data, exact = problem.benchmark("layer", eps=config.eps,
-                                                a=config.a)
-    else:
-        domain, data, exact = problem.benchmark(config.benchmark)
+    domain, data, exact = problem.benchmark(config.benchmark, **config.params)
     return data.initial_mesh(domain), data, exact
 
 
@@ -167,8 +182,8 @@ def write_history(records, path: Path) -> None:
     eff = verify.effectivity(etas, errs)
     lines = [CSV_COMMENT, CSV_HEADER]
     for i, r in enumerate(records):
-        row = [r.k, r.dof, r.energy_error, r.eta, r.eta_D, r.eta_R,
-               r.eta_NC, r.eta_C, r.eta_U, r.xi,
+        row = [r.k, r.dof, r.energy_error, r.eta,
+               *(r.totals[name] for name in HISTORY_FAMILIES),
                eoc_e[i], eoc_eta[i], eff[i]]
         lines.append(",".join(
             str(v) if isinstance(v, int) else _fmt(v) for v in row
@@ -198,7 +213,7 @@ def run(config: RunConfig) -> int:
     )
     (outdir / "estimators.csv").write_text(result.breakdown.to_csv())
     (outdir / "config.txt").write_text(config.render())
-    if config.benchmark == "layer":
+    if config.params:
         nodal = postprocess.nodal_average(result.mesh,
                                           result.solution.pressure)
         rows = ["vertex,value"]
@@ -228,15 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute a refinement study")
-    runp.add_argument("--benchmark", choices=BENCHMARKS)
-    runp.add_argument("--scheme", choices=("centered", "upwind"))
-    runp.add_argument("--policy", choices=("theorem", "xi"))
+    for key, choices in CHOICES.items():
+        runp.add_argument(f"--{key}", choices=choices)
     runp.add_argument("--theta", type=float)
-    runp.add_argument("--mode", choices=("adaptive", "uniform"))
     runp.add_argument("--max-dof", type=int, dest="max_dof")
     runp.add_argument("--max-iter", type=int, dest="max_iter")
-    runp.add_argument("--eps", type=float)
-    runp.add_argument("--a", type=float)
+    for key in PARAMETERS:
+        runp.add_argument(f"--{key}", type=float)
     runp.add_argument("--out")
     runp.add_argument("--config", help="key=value config file")
 
@@ -252,11 +265,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         if ns.command == "run":
-            flag_values = {
-                key: getattr(ns, key)
-                for key in ("benchmark", "scheme", "policy", "theta", "mode",
-                            "max_dof", "max_iter", "eps", "a", "out")
-            }
+            flag_values = {key: getattr(ns, key) for key in _KEY_TYPES}
             config = parse_config(flag_values, config_file=ns.config)
             return run(config)
         if ns.command == "mesh":

@@ -10,6 +10,7 @@ degree-5 rule.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +26,19 @@ class EstimatorError(Exception):
     pass
 
 
-POLICIES = ("theorem", "xi")
+# marking policies: the paper's sum of the families, or xi alone
+THEOREM = "theorem"
+XI = "xi"
+POLICIES = (THEOREM, XI)
 
 TOP_CLASS_TOL = 1e-9
 
 
 @dataclass
 class EstimatorBreakdown:
-    """Per-element estimator values and the marking indicator."""
+    """Per-element values of the estimator families, the marking indicator
+    ``total`` last.  The field order is the order of ``FAMILIES`` and of
+    every artifact column that lists them."""
 
     eta_D: np.ndarray
     eta_R: np.ndarray
@@ -43,22 +49,23 @@ class EstimatorBreakdown:
     total: np.ndarray
 
     def family_totals(self) -> dict:
-        return {
-            name: float(np.sqrt((getattr(self, name) ** 2).sum()))
-            for name in ("eta_D", "eta_R", "eta_NC", "eta_C", "eta_U",
-                         "xi", "total")
-        }
+        """Global value, the root of the summed squares, of each family."""
+        return {name: float(np.sqrt((getattr(self, name) ** 2).sum()))
+                for name in FAMILIES}
 
     def to_csv(self) -> str:
-        lines = ["element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total"]
-        columns = (self.eta_D, self.eta_R, self.eta_NC, self.eta_C,
-                   self.eta_U, self.xi, self.total)
+        lines = [",".join(("element_id",) + FAMILIES)]
+        columns = [getattr(self, name) for name in FAMILIES]
         # an all-+0.0 column enters the row format as its %.17g text "0"
         zero = [not (c.any() or np.signbit(c).any()) for c in columns]
         fmt = "%d" + "".join(",0" if z else ",%.17g" for z in zero)
         kept = (c.tolist() for c, z in zip(columns, zero) if not z)
         lines += [fmt % row for row in zip(range(self.total.size), *kept)]
         return "\n".join(lines) + "\n"
+
+
+FAMILIES = tuple(f.name for f in dataclasses.fields(EstimatorBreakdown))
+TOTAL = FAMILIES[-1]
 
 
 def residual_weights(mesh: Triangulation, fields
@@ -285,23 +292,19 @@ class EstimatorContext:
             * self.patch.C_S_patch
         return np.sqrt(np.where(self.singular_elements(), weighted, plain))
 
-    def compute(self, policy: str = "theorem") -> EstimatorBreakdown:
+    def compute(self, policy: str = THEOREM) -> EstimatorBreakdown:
         """Assemble the full per-element breakdown under a marking policy."""
         if policy not in POLICIES:
             raise EstimatorError(f"unknown indicator policy {policy!r}")
-        eta_D = self.eta_D_all()
-        eta_R = self.eta_R_all()
-        eta_NC = self.eta_NC_all()
-        eta_C = self.eta_C_all()
-        eta_U = (self.eta_U_all() if self.solution.scheme == UPWIND
-                 else np.zeros(self.mesh.num_elements))
+        summed = dict(eta_D=self.eta_D_all(), eta_R=self.eta_R_all(),
+                      eta_NC=self.eta_NC_all(), eta_C=self.eta_C_all(),
+                      eta_U=(self.eta_U_all() if self.solution.scheme == UPWIND
+                             else np.zeros(self.mesh.num_elements)))
         xi = self.xi_all()
         # eta_U is zero for the centered scheme, and adding it changes nothing
-        total = xi.copy() if policy == "xi" else np.sqrt(
-            eta_D**2 + eta_R**2 + eta_NC**2 + eta_C**2 + eta_U**2)
-        return EstimatorBreakdown(eta_D=eta_D, eta_R=eta_R, eta_NC=eta_NC,
-                                  eta_C=eta_C, eta_U=eta_U, xi=xi,
-                                  total=total)
+        total = xi.copy() if policy == XI else np.sqrt(
+            sum(values**2 for values in summed.values()))
+        return EstimatorBreakdown(**summed, xi=xi, total=total)
 
 
 def _data_slopes(disc: Discretization):

@@ -370,7 +370,20 @@ def _index_rows(*columns: np.ndarray) -> str:
 # benchmark domains
 # ----------------------------------------------------------------------
 
-DOMAINS = ("lshape", "square2x2", "unit-square")
+# the unit squares around the origin, counterclockwise from (1, 0)
+_RING = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 1.0],
+         [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0], [1.0, -1.0]]
+# domain -> (vertex coordinates, counterclockwise element vertices)
+COARSE_MESHES = {
+    "lshape": (_RING[:8], [[0, k, k + 1] for k in range(1, 7)]),
+    "square2x2": (_RING, [[0, k, k % 8 + 1] for k in range(1, 9)]),
+    "unit-square": (
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.0],
+         [1.0, 0.5], [0.5, 1.0], [0.0, 0.5], [0.5, 0.5]],
+        [[0, 4, 8], [0, 8, 7], [1, 5, 8], [1, 8, 4],
+         [2, 6, 8], [2, 8, 5], [3, 7, 8], [3, 8, 6]]),
+}
+DOMAINS = tuple(COARSE_MESHES)
 
 
 def build_initial_mesh(domain: str) -> Triangulation:
@@ -384,44 +397,9 @@ def build_initial_mesh(domain: str) -> Triangulation:
 
     All boundary edges are Dirichlet; ``apply_boundary_rule`` re-flags them.
     """
-    if domain == "lshape":
-        coords = np.array([
-            [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-            [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0],
-        ])
-        elems = np.array([
-            [0, 1, 2], [0, 2, 3],
-            [0, 3, 4], [0, 4, 5],
-            [0, 5, 6], [0, 6, 7],
-        ])
-    elif domain == "square2x2":
-        coords = np.array([
-            [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-            [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0], [0.0, -1.0],
-            [1.0, -1.0],
-        ])
-        elems = np.array([
-            [0, 1, 2], [0, 2, 3],
-            [0, 3, 4], [0, 4, 5],
-            [0, 5, 6], [0, 6, 7],
-            [0, 7, 8], [0, 8, 1],
-        ])
-    elif domain == "unit-square":
-        coords = np.array([
-            [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-            [0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5],
-            [0.5, 0.5],
-        ])
-        elems = np.array([
-            [0, 4, 8], [0, 8, 7],
-            [1, 5, 8], [1, 8, 4],
-            [2, 6, 8], [2, 8, 5],
-            [3, 7, 8], [3, 8, 6],
-        ])
-    else:
+    if domain not in COARSE_MESHES:
         raise MeshError(f"unknown domain id {domain!r}")
-
-    return Triangulation(coords, elems)
+    return Triangulation(*COARSE_MESHES[domain])
 
 
 def apply_boundary_rule(mesh: Triangulation,

@@ -298,43 +298,56 @@ def _layer_exact(eps: float, a: float) -> ExactSolution:
     return ExactSolution(p, u_and_p)
 
 
-def benchmark(case_id: str, eps: float = 1e-3, a: float = 0.05
+# every benchmark and the parameters it takes, with their defaults: the
+# corner cases take none, the internal layer its diffusion eps and its
+# width a
+BENCHMARKS = {**{case: {} for case in CORNER_CASES},
+              "layer": {"eps": 1e-3, "a": 0.05}}
+
+
+def benchmark(case_id: str, **params
               ) -> tuple[str, ProblemData, ExactSolution]:
     """Benchmark problem definitions.
 
-    Returns (domain id, problem data, exact solution).  ``eps`` and ``a``
-    are only meaningful for the internal-layer case.
+    Returns (domain id, problem data, exact solution).  ``params`` set the
+    parameters that ``BENCHMARKS`` declares for the case, which default to
+    the values declared there; a parameter of another benchmark is
+    ignored, one that no benchmark takes is refused.
     """
+    if case_id not in BENCHMARKS:
+        raise ProblemDataError(f"unknown benchmark {case_id!r}")
+    for key in params:
+        if not any(key in taken for taken in BENCHMARKS.values()):
+            raise ProblemDataError(f"no benchmark takes a parameter {key!r}")
     eye = np.eye(2)
     if case_id in CORNER_CASES:
         domain, *case = CORNER_CASES[case_id]
         exact = _corner_exact(*case)
         # two coarse triangles per quadrant, quadrants in order; the
         # L-shape has three
-        s = np.repeat(case[1], 2)[:6 if domain == "lshape" else 8]
+        s = np.repeat(case[1], 2)[:len(meshmod.COARSE_MESHES[domain][1])]
         data = ProblemData(s[:, None, None] * eye, np.zeros((s.size, 2)),
                            np.zeros(s.size), dirichlet_data=exact.p)
         return domain, data, exact
 
-    if case_id == "layer":
-        if eps <= 0.0 or a <= 0.0:
-            raise ProblemDataError("layer benchmark needs eps > 0 and a > 0")
-        exact = _layer_exact(eps, a)
+    layer = {**BENCHMARKS[case_id], **params}
+    eps, a = layer["eps"], layer["a"]
+    if eps <= 0.0 or a <= 0.0:
+        raise ProblemDataError("layer benchmark needs eps > 0 and a > 0")
+    exact = _layer_exact(eps, a)
 
-        def f(x, y):
-            x = np.asarray(x, dtype=float)
-            z = (0.5 - x) / a
-            sech2 = 1.0 / np.cosh(z) ** 2
-            p_xx = sech2 * np.tanh(z) / a**2
-            return (-eps * p_xx + 0.5 * (1.0 - np.tanh(z))) \
-                * np.ones_like(np.asarray(y, dtype=float))
+    def f(x, y):
+        x = np.asarray(x, dtype=float)
+        z = (0.5 - x) / a
+        sech2 = 1.0 / np.cosh(z) ** 2
+        p_xx = sech2 * np.tanh(z) / a**2
+        return (-eps * p_xx + 0.5 * (1.0 - np.tanh(z))) \
+            * np.ones_like(np.asarray(y, dtype=float))
 
-        def boundary_rule(x, y):
-            return NEUMANN if y > 1.0 - 1e-12 else DIRICHLET
+    def boundary_rule(x, y):
+        return NEUMANN if y > 1.0 - 1e-12 else DIRICHLET
 
-        data = ProblemData(np.tile(eps * eye, (8, 1, 1)),
-                           np.tile([0.0, 1.0], (8, 1)), np.ones(8), f=f,
-                           dirichlet_data=exact.p, boundary_rule=boundary_rule)
-        return "unit-square", data, exact
-
-    raise ProblemDataError(f"unknown benchmark {case_id!r}")
+    data = ProblemData(np.tile(eps * eye, (8, 1, 1)),
+                       np.tile([0.0, 1.0], (8, 1)), np.ones(8), f=f,
+                       dirichlet_data=exact.p, boundary_rule=boundary_rule)
+    return "unit-square", data, exact

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rtadapt import cli
+from rtadapt import adapt, cli, problem
 from rtadapt.cli import (ConfigError, RunConfig, main, parse_config,
                          parse_config_text)
+from rtadapt.estimators import EstimatorBreakdown
 from rtadapt.mesh import Triangulation
 
 
@@ -62,8 +64,7 @@ class TestParseConfig:
         path.write_text("benchmark=layer\neps=0.01  # comment\na=0.02\n")
         config = parse_config({}, config_file=str(path))
         assert config.benchmark == "layer"
-        assert config.eps == 0.01
-        assert config.a == 0.02
+        assert config.params == {"eps": 0.01, "a": 0.02}
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -97,6 +98,17 @@ class TestParseConfig:
         path.write_text(config.render())
         again = parse_config({}, config_file=str(path))
         assert again == config
+
+    @pytest.mark.parametrize("key", ["benchmark", "scheme", "policy", "mode"])
+    def test_file_value_outside_the_choices(self, tmp_path, key):
+        entries = {"benchmark": "lshape", key: "sideways"}
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in entries.items()))
+        with pytest.raises(ConfigError, match=f"unknown {key} 'sideways'"):
+            parse_config({}, config_file=str(path))
+
+    def test_defaults_cover_the_declared_benchmarks(self):
+        assert set(cli.BENCHMARK_DEFAULTS) == set(problem.BENCHMARKS)
 
 
 # (golden file under tests/data/history, CLI arguments): small versions of
@@ -132,6 +144,25 @@ def test_history_matches_golden_file(tmp_path, name, args):
     assert np.array_equal(got[:, :2], want[:, :2])
     assert np.allclose(got[:, 2:].astype(float), want[:, 2:].astype(float),
                        rtol=1e-10, atol=0.0, equal_nan=True)
+
+
+def test_family_columns_follow_the_breakdown_fields(tmp_path):
+    """The record totals, history.csv and estimators.csv list the estimator
+    families in the field order of EstimatorBreakdown; the history writes
+    the last one, the marking indicator, as its eta column."""
+    names = [f.name for f in dataclasses.fields(EstimatorBreakdown)]
+    domain, data, exact = problem.benchmark("layer")
+    result = adapt.adaptive_loop(data, data.initial_mesh(domain),
+                                 scheme="upwind", max_iter=2, exact=exact)
+    cli.write_history(result.records, tmp_path / "history.csv")
+    header, *rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
+    assert header.split(",")[3:-3] == ["eta"] + names[:-1]
+    for record, row in zip(result.records, rows, strict=True):
+        assert list(record.totals) == names
+        assert [float(v) for v in row.split(",")[3:-3]] \
+            == [record.totals[name] for name in names[-1:] + names[:-1]]
+    assert result.breakdown.to_csv().split("\n", 1)[0] \
+        == ",".join(["element_id"] + names)
 
 
 class TestRun:
@@ -172,6 +203,18 @@ class TestRun:
         assert len(rows) == mesh.num_vertices + 1
         values = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("case", list(problem.BENCHMARKS))
+    def test_config_file_reruns_the_study(self, tmp_path, case):
+        """A run's config.txt, given back through --config, runs the same
+        study: it names only the parameters its benchmark takes."""
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["run", "--benchmark", case, "--max-iter", "2",
+                     "--out", str(first)]) == 0
+        assert main(["run", "--config", str(first / "config.txt"),
+                     "--out", str(again)]) == 0
+        assert (again / "history.csv").read_bytes() \
+            == (first / "history.csv").read_bytes()
 
     def test_bad_flag_exit_code(self, tmp_path):
         rc = main(["run", "--benchmark", "lshape", "--theta", "1.5",
