@@ -121,14 +121,12 @@ def detect_singular_vertices(mesh: Triangulation, C_S: np.ndarray) -> set:
 class EstimatorContext:
     """All estimator ingredients for one solved mesh.
 
-    ``subtract_boundary_data`` switches the boundary face terms from the
-    plain one-sided trace to the trace minus the tangential derivative of
-    the Dirichlet datum (computable from the boundary data alone); it only
-    affects Dirichlet boundary edges.
+    The boundary face terms measure the one-sided trace against the
+    trace that the Dirichlet datum implies (``tangential_jump_sq``), which
+    is the plain trace where the datum is constant or the edge Neumann.
     """
 
-    def __init__(self, disc: Discretization, solution: MixedSolution,
-                 subtract_boundary_data: bool = False):
+    def __init__(self, disc: Discretization, solution: MixedSolution):
         self.disc = disc
         self.mesh = mesh = disc.mesh
         self.solution = solution
@@ -136,9 +134,7 @@ class EstimatorContext:
         self.flux = FluxField(disc, solution)
         self.patch = patch_quantities(mesh, self.fields)
         self.weights = residual_weights(mesh, self.fields)
-        slopes = _data_slopes(disc) if subtract_boundary_data else None
-        self.jump_inv, self.jump_half = tangential_jump_sq(
-            self.flux, boundary_slopes=slopes)
+        self.jump_inv, self.jump_half = tangential_jump_sq(self.flux)
         self.norm_sq = self._weighted_norm_sq()
 
     # -- volume ingredients ------------------------------------------------
@@ -277,9 +273,9 @@ class EstimatorContext:
         - elsewhere J_sigma is the tangential jump of S^-1/2 u_h.
 
         On interior edges the jump is the difference of the two one-sided
-        traces.  On boundary edges it is the one-sided trace; with
-        ``subtract_boundary_data`` Dirichlet edges subtract the trace the
-        datum implies, -dg/dt (times sqrt(c_S) for S^-1/2).
+        traces.  On boundary edges it is the one-sided trace; Dirichlet
+        edges subtract the trace the datum implies, -dg/dt (times
+        sqrt(c_S) for S^-1/2).
 
         This is the implemented convention.  The source paper's own
         definition of xi is not available here, and this one gives
@@ -305,39 +301,3 @@ class EstimatorContext:
         total = xi.copy() if policy == XI else np.sqrt(
             sum(values**2 for values in summed.values()))
         return EstimatorBreakdown(**summed, xi=xi, total=total)
-
-
-def _data_slopes(disc: Discretization):
-    """Expected boundary tangential trace of S^-1 u_h, from data: a
-    callable ``slopes(edge_ids, x, y)`` returning -dp/dt at the points
-    (x, y) of shape (nq, ne), zero off Dirichlet edges.
-
-    gamma_t(S^-1 u) = -dp/dt on the boundary; ``tangential_jump_sq``
-    scales it by sqrt(c_S) for the S^-1/2 weighting, which requires a
-    scalar diffusion tensor.  The tangential derivative of the Dirichlet
-    datum is taken by central differences along the edge line; Neumann
-    edges carry no datum and get no correction.
-    """
-    mesh, problem, fields = disc.mesh, disc.problem, disc.fields
-    if np.any(fields.C_S - fields.c_S > 1e-12 * fields.C_S):
-        raise EstimatorError(
-            "boundary data subtraction for the square-root weighting "
-            "needs a scalar diffusion tensor"
-        )
-    dirichlet = mesh.edge_flag == DIRICHLET
-
-    def slopes(edge_ids, x, y):
-        out = np.zeros(x.shape)
-        cols = np.flatnonzero(dirichlet[edge_ids])
-        if cols.size:
-            e = edge_ids[cols]
-            delta = 6e-6 * mesh.edge_length[e]
-            dx = delta * mesh.edge_tangent[e, 0]
-            dy = delta * mesh.edge_tangent[e, 1]
-            x, y = x[:, cols], y[:, cols]
-            out[:, cols] = -(problem.dirichlet_data(x + dx, y + dy)
-                             - problem.dirichlet_data(x - dx, y - dy)) \
-                / (2.0 * delta)
-        return out
-
-    return slopes

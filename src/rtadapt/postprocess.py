@@ -13,8 +13,8 @@ import numpy as np
 
 from . import quadrature as quad
 from .assembly import Discretization, MixedSolution, mat_vec, reconstruct
-from .mesh import Triangulation
-from .problem import CoefficientFields
+from .mesh import DIRICHLET, Triangulation
+from .problem import CoefficientFields, ProblemDataError
 
 
 class FluxField:
@@ -62,25 +62,19 @@ def ptilde_values(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
             + c[..., 4] * x * y + c[..., 5] * y * y)
 
 
-def tangential_jump_sq(flux: FluxField, boundary_slopes=None,
-                       rule: quad.Rule = quad.EDGE_GAUSS2
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def tangential_jump_sq(flux: FluxField) -> tuple[np.ndarray, np.ndarray]:
     """Edge integrals of the squared tangential jumps of S^-1 u_h and of
     S^-1/2 u_h, two arrays of shape (NE,) on the mesh of ``flux``.
 
     Each side's trace is t . W u_h = v . u_h, v = W^T t (``_traces``).
-    Interior edges take the difference of the two one-sided traces;
-    boundary edges take the one-sided trace.  These integrands are
-    quadratic along each edge, so the two-point ``rule`` is exact for them.
-    ``boundary_slopes``, a callable ``slopes(edge_ids, x, y)``
-    returning -dp/dt at the points (x, y) of shape (nq, ne), optionally
-    supplies the expected tangential trace of S^-1 u_h on boundary edges
-    (from boundary data), scaled by sqrt(c_S) for S^-1/2 u_h, which is
-    subtracted before squaring.  That trace is as smooth as the data but
-    not polynomial, so boundary edges are then integrated with
-    ``quad.DATA_EDGE`` instead (20-point Gauss; on the benchmark meshes it
-    agrees with a 40-point rule to about 1e-11 relative, 4e-8 on the
-    coarsest internal-layer mesh).
+    Interior edges take the difference of the two one-sided traces, a
+    quadratic along the edge that ``quad.EDGE_GAUSS2`` integrates exactly.
+    Boundary edges take the one-sided trace minus the trace that the
+    Dirichlet datum implies (``datum_slopes``, zero on Neumann edges).
+    That is as smooth as the datum but not polynomial, so boundary edges
+    are integrated with ``quad.DATA_EDGE`` (20-point Gauss; on the
+    benchmark meshes it agrees with a 40-point rule to about 1e-11
+    relative, 4e-8 on the coarsest internal-layer mesh).
     """
     mesh = flux.disc.mesh
     out = (np.empty(mesh.num_edges), np.empty(mesh.num_edges))
@@ -88,23 +82,52 @@ def tangential_jump_sq(flux: FluxField, boundary_slopes=None,
     h = mesh.edge_length
 
     inner = np.flatnonzero(right >= 0)
-    x, y = _edge_points(mesh, inner, rule)
+    x, y = _edge_points(mesh, inner, quad.EDGE_GAUSS2)
     for jumps, one, other in zip(out, _traces(flux, left, inner, x, y),
                                  _traces(flux, right, inner, x, y)):
-        jumps[inner] = _integrate_sq(rule, one - other, h[inner])
+        jumps[inner] = _integrate_sq(quad.EDGE_GAUSS2, one - other, h[inner])
 
     bdry = np.flatnonzero(right < 0)
-    if boundary_slopes is not None:
-        rule = quad.DATA_EDGE
-    x, y = _edge_points(mesh, bdry, rule)
-    slopes = (0.0, 0.0)
-    if boundary_slopes is not None:
-        slope = boundary_slopes(bdry, x, y)
-        slopes = (slope, np.sqrt(flux.disc.fields.c_S[left[bdry]]) * slope)
+    x, y = _edge_points(mesh, bdry, quad.DATA_EDGE)
     for jumps, trace, slope in zip(out, _traces(flux, left, bdry, x, y),
-                                   slopes):
-        jumps[bdry] = _integrate_sq(rule, trace - slope, h[bdry])
+                                   datum_slopes(flux.disc, bdry, x, y)):
+        jumps[bdry] = _integrate_sq(quad.DATA_EDGE, trace - slope, h[bdry])
     return out
+
+
+def datum_slopes(disc: Discretization, edges: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tangential traces of S^-1 u and of S^-1/2 u that the Dirichlet
+    datum g implies at the points (x, y), of shape (nq, ne), of the
+    boundary ``edges``: -dg/dt and sqrt(c_S) times it, zero off
+    Dirichlet edges.
+
+    gamma_t(S^-1 u) = -dp/dt on the boundary, with dg/dt taken by central
+    differences along the edge line.  S^-1/2 u has sqrt(c_S) times that
+    trace only for a scalar diffusion tensor, so a nonzero slope on an
+    edge whose element has a non-scalar tensor raises ProblemDataError.
+    """
+    mesh, fields = disc.mesh, disc.fields
+    slope = np.zeros(x.shape)
+    cols = np.flatnonzero(mesh.edge_flag[edges] == DIRICHLET)
+    if cols.size:
+        e = edges[cols]
+        delta = 6e-6 * mesh.edge_length[e]
+        dx = delta * mesh.edge_tangent[e, 0]
+        dy = delta * mesh.edge_tangent[e, 1]
+        x, y = x[:, cols], y[:, cols]
+        datum = disc.problem.dirichlet_data
+        slope[:, cols] = -(datum(x + dx, y + dy) - datum(x - dx, y - dy)) \
+            / (2.0 * delta)
+    elems = mesh.edge_elems[edges, 0]
+    c_S, C_S = fields.c_S[elems], fields.C_S[elems]
+    clash = np.flatnonzero((C_S - c_S > 1e-12 * C_S) & slope.any(axis=0))
+    if clash.size:
+        raise ProblemDataError(
+            f"the Dirichlet datum has a slope on edge {edges[clash[0]]}, "
+            "whose diffusion tensor is not scalar; the S^-1/2 boundary "
+            "trace needs a scalar tensor there")
+    return slope, np.sqrt(c_S) * slope
 
 
 def _edge_points(mesh: Triangulation, edges: np.ndarray, rule: quad.Rule

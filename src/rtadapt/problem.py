@@ -311,14 +311,14 @@ def benchmark(case_id: str, **params
 
     Returns (domain id, problem data, exact solution).  ``params`` set the
     parameters that ``BENCHMARKS`` declares for the case, which default to
-    the values declared there; a parameter of another benchmark is
-    ignored, one that no benchmark takes is refused.
+    the values declared there; any other parameter is refused.
     """
     if case_id not in BENCHMARKS:
         raise ProblemDataError(f"unknown benchmark {case_id!r}")
     for key in params:
-        if not any(key in taken for taken in BENCHMARKS.values()):
-            raise ProblemDataError(f"no benchmark takes a parameter {key!r}")
+        if key not in BENCHMARKS[case_id]:
+            raise ProblemDataError(
+                f"benchmark {case_id!r} takes no parameter {key!r}")
     eye = np.eye(2)
     if case_id in CORNER_CASES:
         domain, *case = CORNER_CASES[case_id]

@@ -32,7 +32,7 @@ from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
 from rtadapt.estimators import EstimatorError
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                           Triangulation)
-from rtadapt.postprocess import FluxField, ptilde_values, tangential_jump_sq
+from rtadapt.postprocess import FluxField, ptilde_values
 
 
 # ----------------------------------------------------------------------
@@ -1011,9 +1011,11 @@ def element_quadratic(coeffs, t):
     return ElementQuadratic(t, coeffs[t])
 
 
-def tangential_jump_sq_scaled(flux, rule=quad.EDGE_GAUSS2):
-    """Square-root-weighted variant: jumps of S^-1/2 u_h."""
-    return tangential_jump_sq(flux, rule=rule)[1]
+def tangential_jump_sq_scaled(flux):
+    """Square-root-weighted variant, jumps of S^-1/2 u_h, by the dense edge
+    rule on every edge (a zero Dirichlet datum)."""
+    return single_weighting_jump_sq(flux.disc.mesh, flux, "invsqrt",
+                                    rule=ORACLE_EDGE)
 
 
 def ptilde_gradient(coeffs, pts):

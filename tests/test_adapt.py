@@ -161,6 +161,13 @@ class TestAdaptiveLoop:
         with pytest.raises(AdaptError):
             adaptive_loop(data, mesh, mode="random")
 
+    def test_plain_boundary_trace_refused(self):
+        """The estimators always subtract the boundary data."""
+        domain, data, _ = benchmark("lshape")
+        mesh = data.initial_mesh(domain)
+        with pytest.raises(AdaptError, match="always subtract"):
+            adapt.run_iteration(mesh, data, "centered", False)
+
     def test_deterministic(self):
         domain, data, exact = benchmark("kellogg1")
         mesh = data.initial_mesh(domain)
@@ -212,7 +219,7 @@ class TestSharedDiscretization:
     def test_one_gather_per_iteration(self, field_calls, case, scheme):
         domain, data, exact = benchmark(case)
         mesh = data.initial_mesh(domain).uniform_refine()
-        solution, ctx = adapt.run_iteration(mesh, data, scheme, True)
+        solution, ctx = adapt.run_iteration(mesh, data, scheme)
         ctx.compute("theorem")
         verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
                             exact)
@@ -227,9 +234,9 @@ class TestSharedDiscretization:
         jumps, left_values = estimators.tangential_jump_sq, \
             assembly._left_values
 
-        def counted_jumps(*args, **kwargs):
-            jump_calls.append(kwargs["boundary_slopes"] is not None)
-            return jumps(*args, **kwargs)
+        def counted_jumps(flux):
+            jump_calls.append(flux.disc.mesh.num_elements)
+            return jumps(flux)
 
         def counted_gather(mesh, per_elem_edge):
             if per_elem_edge.dtype.kind == "f":      # not the int8 signs
@@ -240,9 +247,9 @@ class TestSharedDiscretization:
         monkeypatch.setattr(assembly, "_left_values", counted_gather)
         domain, data, _ = benchmark("layer")
         mesh = data.initial_mesh(domain).uniform_refine()
-        _, ctx = adapt.run_iteration(mesh, data, "upwind", True)
+        _, ctx = adapt.run_iteration(mesh, data, "upwind")
         ctx.compute("theorem")
-        assert jump_calls == [True]
+        assert jump_calls == [mesh.num_elements]
         assert gathers == [(mesh.num_elements, 3)]
 
     @pytest.mark.parametrize("case, scheme, expected",
@@ -263,7 +270,7 @@ class TestSharedDiscretization:
         monkeypatch.setattr(assembly, "upwind_sides", counted)
         domain, data, _ = benchmark(case)
         mesh = data.initial_mesh(domain).uniform_refine()
-        _, ctx = adapt.run_iteration(mesh, data, scheme, True)
+        _, ctx = adapt.run_iteration(mesh, data, scheme)
         ctx.compute("theorem")
         assert calls == [mesh.num_elements] * expected
 
@@ -289,7 +296,7 @@ class TestSharedDiscretization:
             exact, p=counted("p", exact.p),
             u_and_p=counted("u_and_p", exact.u_and_p))
         mesh = data.initial_mesh(domain).uniform_refine()
-        solution, ctx = adapt.run_iteration(mesh, data, scheme, True)
+        solution, ctx = adapt.run_iteration(mesh, data, scheme)
         ctx.compute("theorem")
         verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
                             exact)

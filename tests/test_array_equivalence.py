@@ -26,7 +26,7 @@ from oracles import (canonical, dict_topology, loop_dump, loop_estimator_csv,
                      loop_nodal_csv, loop_patch_maxima, loop_svg,
                      loop_upwind_weights, rivara_refine,
                      star_walk_singular_vertices)
-from rtadapt import adapt, assembly, cli, estimators, postprocess
+from rtadapt import adapt, assembly, cli, postprocess
 from rtadapt import quadrature as quad, solver, verify
 from rtadapt.estimators import EstimatorContext, detect_singular_vertices
 from rtadapt.mesh import (DIRICHLET, DOMAINS, INTERIOR, NEUMANN,
@@ -53,8 +53,7 @@ def adaptive_meshes(case):
     mesh = data.initial_mesh(domain)
     meshes, marks = [mesh], []
     for _ in range(STEPS - 1):
-        _, ctx = adapt.run_iteration(mesh, data, scheme,
-                                     subtract_boundary_data=True)
+        _, ctx = adapt.run_iteration(mesh, data, scheme)
         marks.append(adapt.dorfler_mark(ctx.compute(policy).total, theta))
         mesh = mesh.refine(marks[-1])
         meshes.append(mesh)
@@ -204,8 +203,7 @@ def test_artifacts_match_loop_writers(tmp_path):
     assert NEUMANN in mesh.edge_flag
     assert text == loop_dump(mesh)
     domain, data, _ = benchmark("layer")
-    solution, ctx = adapt.run_iteration(mesh, data, assembly.UPWIND,
-                                        subtract_boundary_data=True)
+    solution, ctx = adapt.run_iteration(mesh, data, assembly.UPWIND)
     breakdown = ctx.compute("theorem")
     assert (tmp_path / "estimators.csv").read_text() \
         == breakdown.to_csv() == loop_estimator_csv(breakdown)
@@ -225,8 +223,7 @@ def test_estimator_csv_of_zero_columns(tmp_path):
                      "--out", str(tmp_path)]) == 0
     mesh = Triangulation.parse((tmp_path / "mesh_final.txt").read_text())
     domain, data, _ = benchmark("kellogg1")
-    _, ctx = adapt.run_iteration(mesh, data, assembly.CENTERED,
-                                 subtract_boundary_data=True)
+    _, ctx = adapt.run_iteration(mesh, data, assembly.CENTERED)
     breakdown = ctx.compute("xi")
     assert [name for name in ("eta_D", "eta_R", "eta_NC", "eta_C", "eta_U")
             if not getattr(breakdown, name).any()] \
@@ -362,30 +359,23 @@ def test_contracted_traces_match_per_point(solved):
 def test_jumps_are_bit_equal_to_one_weighting_each(solved):
     """The context's two weightings are those of one ``tangential_jump_sq``
     pass bit for bit, and each matches the per-point single-weighting
-    jumps of the oracles within 1e-14, with the data slope scaled by
-    sqrt(c_S) for S^-1/2."""
-    disc, solution, ctx, _ = solved
+    jumps of the oracles within 1e-14, with the datum's slope
+    (``postprocess.datum_slopes``) scaled by sqrt(c_S) for S^-1/2."""
+    disc, _, ctx, _ = solved
     mesh = disc.mesh
-    passes = [(ctx, False)]
-    fields = disc.fields
-    # the square-root weighting of the data needs a scalar diffusion tensor
-    if not np.any(fields.C_S - fields.c_S > 1e-12 * fields.C_S):
-        passes.append((EstimatorContext(disc, solution, True), True))
-    for context, subtract in passes:
-        slopes = estimators._data_slopes(disc) if subtract else None
-        both = postprocess.tangential_jump_sq(context.flux,
-                                              boundary_slopes=slopes)
-        for jumps, again, weighting in zip(
-                (context.jump_inv, context.jump_half), both,
-                ("inv", "invsqrt")):
-            assert np.array_equal(jumps, again)
-            scale = (lambda e: 1.0) if weighting == "inv" else (
-                lambda e: np.sqrt(fields.c_S[mesh.edge_elems[e, 0]])[:, None])
-            slope = None if slopes is None else (
-                lambda e, p, s=slopes, f=scale:
-                f(e) * s(e, p[..., 0].T, p[..., 1].T).T)
-            assert_close(jumps, oracles.single_weighting_jump_sq(
-                mesh, context.flux, weighting, slope))
+    both = postprocess.tangential_jump_sq(ctx.flux)
+    for jumps, again, weighting in zip((ctx.jump_inv, ctx.jump_half), both,
+                                       ("inv", "invsqrt")):
+        assert np.array_equal(jumps, again)
+
+        def slope(e, p, half=weighting == "invsqrt"):
+            s = postprocess.datum_slopes(disc, e, p[..., 0].T,
+                                         p[..., 1].T)[0].T
+            c_S = disc.fields.c_S[mesh.edge_elems[e, 0]]
+            return np.sqrt(c_S)[:, None] * s if half else s
+
+        assert_close(jumps, oracles.single_weighting_jump_sq(
+            mesh, ctx.flux, weighting, slope))
 
 
 def test_reconstruction_is_bit_equal(solved):

@@ -13,9 +13,9 @@ from rtadapt.assembly import (Discretization, assemble_centered,
                               assemble_upwind)
 from rtadapt.estimators import (EstimatorContext, EstimatorError,
                                 detect_singular_vertices, residual_weights)
-from rtadapt.mesh import build_initial_mesh
+from rtadapt.mesh import DIRICHLET, build_initial_mesh
 from rtadapt.postprocess import FluxField
-from rtadapt.problem import ProblemData, benchmark
+from rtadapt.problem import ProblemData, ProblemDataError, benchmark
 
 
 def diffusion_data(s, **kw):
@@ -23,6 +23,16 @@ def diffusion_data(s, **kw):
     s = np.asarray(s, dtype=float)
     return ProblemData(s[:, None, None] * np.eye(2), np.zeros((s.size, 2)),
                        np.zeros(s.size), **kw)
+
+
+def zero_datum(case):
+    """The coefficients of a benchmark with a homogeneous Dirichlet datum
+    and no source, on its coarse mesh."""
+    domain, data, _ = benchmark(case)
+    table = data.table
+    zero = ProblemData(table.S, table.w, table.r,
+                       boundary_rule=data.boundary_rule)
+    return zero, zero.initial_mesh(domain)
 
 
 def solved_context(case, refines=1, scheme="centered", **bench_kw):
@@ -135,8 +145,7 @@ class TestEtaNC:
         trace = np.einsum("d,ed->e", g, mesh.edge_normal)
         sol = assembly.MixedSolution(trace, np.zeros(mesh.num_elements),
                                      "centered")
-        ctx = EstimatorContext(Discretization(mesh, data), sol,
-                               subtract_boundary_data=False)
+        ctx = EstimatorContext(Discretization(mesh, data), sol)
         eta = ctx.eta_NC_all()
         # interior jumps vanish; only the one-sided boundary terms remain
         interior_only = ctx._jump_sum(
@@ -351,8 +360,7 @@ class TestXi:
         assert np.allclose(ctx.xi_all(), expected, rtol=1e-14)
 
     def test_zero_field(self):
-        _, data, _ = benchmark("kellogg1")
-        mesh = data.initial_mesh("square2x2")
+        data, mesh = zero_datum("kellogg1")
         sol = assembly.MixedSolution(np.zeros(mesh.num_edges),
                                      np.zeros(mesh.num_elements), "centered")
         ctx = EstimatorContext(Discretization(mesh, data), sol)
@@ -383,8 +391,7 @@ class TestTotals:
         assert np.allclose(bd.total, bd.eta_NC, rtol=1e-14)
 
     def test_zero_solution_zero_totals(self):
-        _, data, _ = benchmark("kellogg1")
-        mesh = data.initial_mesh("square2x2")
+        data, mesh = zero_datum("kellogg1")
         sol = assembly.MixedSolution(np.zeros(mesh.num_edges),
                                      np.zeros(mesh.num_elements), "centered")
         bd = EstimatorContext(Discretization(mesh, data), sol) \
@@ -419,6 +426,56 @@ class TestTotals:
         assert len(lines[1].split(",")) == 8
 
 
+class TestBoundaryData:
+    def test_zero_solution_measures_the_datum_slope(self):
+        """For u_h = 0 the Dirichlet face terms are the data-rule
+        integrals of the squared slope -dg/dt = t . S^-1 u of the datum,
+        and c_S times that for S^-1/2, up to the central differences."""
+        domain, data, exact = benchmark("kellogg1")
+        mesh = data.initial_mesh(domain).uniform_refine()
+        sol = assembly.MixedSolution(np.zeros(mesh.num_edges),
+                                     np.zeros(mesh.num_elements), "centered")
+        ctx = EstimatorContext(Discretization(mesh, data), sol)
+        edges = np.flatnonzero(mesh.edge_flag == DIRICHLET)
+        pts = quad.DATA_EDGE.physical_points(
+            mesh.vert_coords[mesh.edge_verts[edges]])
+        u, _ = exact.u_and_p(pts[..., 0], pts[..., 1])
+        s = ctx.fields.c_S[mesh.edge_elems[edges, 0]]
+        slope = np.einsum("eqd,ed->eq", u, mesh.edge_tangent[edges]) \
+            / s[:, None]
+        expected = quad.DATA_EDGE.integrate(slope**2,
+                                            mesh.edge_length[edges])
+        assert edges.size > 0 and np.all(expected > 0.0)
+        assert np.allclose(ctx.jump_inv[edges], expected, rtol=1e-9, atol=0)
+        assert np.allclose(ctx.jump_half[edges], s * expected, rtol=1e-9,
+                           atol=0)
+
+    @staticmethod
+    def anisotropic_kellogg1(**kw):
+        """kellogg1 with S = diag(1, 2) on the first coarse element."""
+        domain, data, exact = benchmark("kellogg1")
+        S = data.table.S.copy()
+        S[0] = np.diag([1.0, 2.0])
+        return domain, ProblemData(S, data.table.w, data.table.r, **kw), exact
+
+    def test_datum_slope_on_anisotropic_tensor_raises(self):
+        _, _, exact = benchmark("kellogg1")
+        domain, data, _ = self.anisotropic_kellogg1(dirichlet_data=exact.p)
+        mesh = data.initial_mesh(domain)
+        disc = Discretization(mesh, data)
+        sol = solver.solve(assemble_centered(disc))
+        with pytest.raises(ProblemDataError, match="not scalar"):
+            EstimatorContext(disc, sol)
+
+    def test_anisotropic_tensor_with_zero_datum_runs(self):
+        domain, data, _ = self.anisotropic_kellogg1(
+            f=lambda x, y: np.ones_like(x))
+        res = adapt.adaptive_loop(data, data.initial_mesh(domain),
+                                  policy="xi", theta=0.7, max_iter=3)
+        assert [r.k for r in res.records] == [1, 2, 3]
+        assert all(r.eta > 0.0 for r in res.records)
+
+
 class TestStructuralProperties:
     def test_scheme_limit_consistency(self):
         """With w = r = 0 the centered and upwind solutions coincide."""
@@ -435,9 +492,10 @@ class TestStructuralProperties:
         assert np.allclose(bd_c.total, bd_u.total, rtol=1e-12, atol=1e-14)
 
     def test_degree_one_homogeneity(self):
-        """Scaling the discrete solution scales every family (f = 0)."""
-        _, data, _ = benchmark("kellogg1")
-        mesh = data.initial_mesh("square2x2").uniform_refine()
+        """Scaling the discrete solution scales every family (f = 0 and
+        a zero datum)."""
+        data, mesh = zero_datum("kellogg1")
+        mesh = mesh.uniform_refine()
         sol = solver.solve(assemble_centered(Discretization(mesh, data)))
         disc = Discretization(mesh, data)
         bd1 = EstimatorContext(disc, sol).compute("theorem")

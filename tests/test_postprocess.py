@@ -3,7 +3,8 @@ import pytest
 
 from oracles import (ORACLE_EDGE, barycenters, edge_mean_mismatch,
                      element_quadratic, ptilde_gradient,
-                     tangential_jump_sq_scaled, weighted)
+                     single_weighting_jump_sq, tangential_jump_sq_scaled,
+                     weighted)
 from rtadapt import assembly, postprocess, quadrature as quad, solver
 from rtadapt.assembly import (Discretization, MixedSolution,
                               assemble_centered)
@@ -123,41 +124,60 @@ class TestTangentialJumps:
                                 "centered")
             flux = FluxField(Discretization(mesh, data), sol)
             got = tangential_jump_sq(flux)[0]
-            oracle = tangential_jump_sq(flux, rule=ORACLE_EDGE)[0]
+            oracle = single_weighting_jump_sq(mesh, flux, rule=ORACLE_EDGE)
             assert np.abs(got - oracle).max() <= 1e-12 * (1 + oracle.max())
 
     def test_boundary_data_rule(self):
-        """A subtracted boundary trace is not polynomial, so boundary
-        edges switch to the data rule; interior edges are untouched."""
+        """Dirichlet edges subtract the slope of the datum, which is not
+        polynomial, so boundary edges take the data rule; interior edges
+        do not see the datum."""
         mesh = build_initial_mesh("unit-square").uniform_refine()
-        data = make_problem(mesh)
+        n = mesh.num_elements
+        data = ProblemData(np.tile(np.eye(2), (n, 1, 1)), np.zeros((n, 2)),
+                           np.zeros(n),
+                           dirichlet_data=lambda x, y: np.sin(4.0 * x)
+                           * np.exp(y))
         rng = np.random.default_rng(15)
         sol = MixedSolution(rng.normal(size=mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
-        flux = FluxField(Discretization(mesh, data), sol)
-
-        def slope(edges, x, y):
-            return np.sin(4.0 * x) * np.exp(y)
-
-        got = tangential_jump_sq(flux, boundary_slopes=slope)[0]
+        disc = Discretization(mesh, data)
+        flux = FluxField(disc, sol)
+        got = tangential_jump_sq(flux)[0]
         bdry = np.flatnonzero(mesh.edge_elems[:, 1] < 0)
-        for rule, rel in ((quad.gauss_edge_rule(40), 1e-12),
-                          (quad.EDGE_GAUSS2, 1e-4)):
-            a = mesh.vert_coords[mesh.edge_verts[bdry, 0]]
-            b = mesh.vert_coords[mesh.edge_verts[bdry, 1]]
-            pts = rule.physical_points(np.stack([a, b], axis=-2))
+        tangent = mesh.edge_tangent[bdry]
+        ends = np.stack([mesh.vert_coords[mesh.edge_verts[bdry, k]]
+                         for k in range(2)], axis=-2)
+
+        def mismatch(rule):
+            """Points of ``rule`` on the boundary edges, the trace minus
+            the datum's exact slope -dg/dt there, and that slope."""
+            pts = rule.physical_points(ends)
+            x, y = pts[..., 0], pts[..., 1]
+            slope = -np.exp(y) * (4.0 * np.cos(4.0 * x) * tangent[:, None, 0]
+                                  + np.sin(4.0 * x) * tangent[:, None, 1])
             trace = np.einsum(
                 "eqd,ed->eq",
-                weighted(flux, mesh.edge_elems[bdry, 0], pts),
-                mesh.edge_tangent[bdry])
-            ref = rule.integrate((trace - slope(bdry, pts[..., 0],
-                                                pts[..., 1]))**2,
-                                 mesh.edge_length[bdry])
-            close = np.allclose(got[bdry], ref, rtol=rel, atol=0.0)
-            # the dense rule agrees; the old two-point rule does not
+                weighted(flux, mesh.edge_elems[bdry, 0], pts), tangent)
+            return pts, trace - slope, slope
+
+        # the central differences at the nodes of the data rule, and the
+        # most they can move the integrals (h int 2 err |m| + err^2)
+        pts, m, slope = mismatch(quad.DATA_EDGE)
+        diffs = postprocess.datum_slopes(disc, bdry, pts[..., 0].T,
+                                         pts[..., 1].T)[0].T
+        err = np.abs(diffs - slope).max()
+        assert err <= 1e-9 * np.abs(slope).max()
+        moved = quad.DATA_EDGE.integrate(2.0 * err * np.abs(m) + err**2,
+                                         mesh.edge_length[bdry])
+        for rule in (quad.gauss_edge_rule(40), quad.EDGE_GAUSS2):
+            ref = rule.integrate(mismatch(rule)[1]**2, mesh.edge_length[bdry])
+            close = np.all(np.abs(got[bdry] - ref) <= 1e-12 * ref + moved)
+            # the dense rule agrees; the two-point rule does not
             assert close == (rule.weights.size == 40)
+            assert np.allclose(got[bdry], ref, rtol=1e-4) == close
         interior = mesh.edge_elems[:, 1] >= 0
-        plain = tangential_jump_sq(flux)[0]
+        plain = tangential_jump_sq(
+            FluxField(Discretization(mesh, make_problem(mesh)), sol))[0]
         assert np.array_equal(got[interior], plain[interior])
 
     def test_scaled_weighting_factor(self):
@@ -179,10 +199,10 @@ class TestTangentialJumps:
         sol = MixedSolution(rng.normal(size=mesh.num_edges),
                             np.zeros(mesh.num_elements), "centered")
         flux = FluxField(Discretization(mesh, data), sol)
-        assert np.allclose(*tangential_jump_sq(flux), rtol=1e-14)
-        assert np.array_equal(
-            tangential_jump_sq_scaled(flux),
-            tangential_jump_sq(flux)[1])
+        j_inv, j_half = tangential_jump_sq(flux)
+        assert np.allclose(j_inv, j_half, rtol=1e-14)
+        oracle = tangential_jump_sq_scaled(flux)
+        assert np.abs(j_half - oracle).max() <= 1e-12 * (1 + oracle.max())
 
     def test_zero_field(self):
         mesh = build_initial_mesh("lshape")

@@ -235,6 +235,14 @@ class TestBenchmarks:
         with pytest.raises(ProblemDataError):
             benchmark("layer", a=0.0)
 
+    @pytest.mark.parametrize("case, key", [("lshape", "eps"),
+                                           ("kellogg2", "a"),
+                                           ("layer", "alpha")])
+    def test_foreign_parameter_refused(self, case, key):
+        with pytest.raises(ProblemDataError,
+                           match=f"{case!r} takes no parameter {key!r}"):
+            benchmark(case, **{key: 0.1})
+
     def test_layer_boundary_partition(self):
         domain, data, _ = benchmark("layer", eps=0.01, a=0.05)
         mesh = data.initial_mesh(domain)
