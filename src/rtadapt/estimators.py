@@ -4,8 +4,9 @@ Every estimator is computable from the mixed solution alone: volume terms
 are weighted norms of S^-1 u_h, face terms are tangential jumps of the
 weighted flux, and the upwind estimator adds face-value differences of
 the pressure constants.  Integrands are piecewise polynomial, so the
-production quadrature is exact except for the source term, which uses the
-degree-5 rule.
+production quadrature is exact except for two terms: the source term,
+which uses the degree-5 rule, and the boundary face terms, which integrate
+the trace minus the datum's slope with ``quad.DATA_EDGE``.
 """
 
 from __future__ import annotations

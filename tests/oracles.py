@@ -1011,13 +1011,6 @@ def element_quadratic(coeffs, t):
     return ElementQuadratic(t, coeffs[t])
 
 
-def tangential_jump_sq_scaled(flux):
-    """Square-root-weighted variant, jumps of S^-1/2 u_h, by the dense edge
-    rule on every edge (a zero Dirichlet datum)."""
-    return single_weighting_jump_sq(flux.disc.mesh, flux, "invsqrt",
-                                    rule=ORACLE_EDGE)
-
-
 def ptilde_gradient(coeffs, pts):
     """Gradient of the postprocessed scalar at points (NT, nq, 2)."""
     x = pts[..., 0]

@@ -3,8 +3,7 @@ import pytest
 
 from oracles import (ORACLE_EDGE, barycenters, edge_mean_mismatch,
                      element_quadratic, ptilde_gradient,
-                     single_weighting_jump_sq, tangential_jump_sq_scaled,
-                     weighted)
+                     single_weighting_jump_sq, weighted)
 from rtadapt import assembly, postprocess, quadrature as quad, solver
 from rtadapt.assembly import (Discretization, MixedSolution,
                               assemble_centered)
@@ -201,7 +200,8 @@ class TestTangentialJumps:
         flux = FluxField(Discretization(mesh, data), sol)
         j_inv, j_half = tangential_jump_sq(flux)
         assert np.allclose(j_inv, j_half, rtol=1e-14)
-        oracle = tangential_jump_sq_scaled(flux)
+        oracle = single_weighting_jump_sq(mesh, flux, "invsqrt",
+                                          rule=ORACLE_EDGE)
         assert np.abs(j_half - oracle).max() <= 1e-12 * (1 + oracle.max())
 
     def test_zero_field(self):
