@@ -18,7 +18,7 @@ class AdaptError(Exception):
     pass
 
 
-# refinement modes: Dörfler marking, or every element
+# refinement modes: Dörfler marking, or every element bisected twice
 ADAPTIVE = "adaptive"
 UNIFORM = "uniform"
 MODES = (ADAPTIVE, UNIFORM)
@@ -118,7 +118,9 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
 
     Stops after recording the first iteration whose element count reaches
     ``max_dof``, after ``max_iter`` records, or when the marked set is
-    empty (indicator stagnation).  Deterministic for fixed inputs.
+    empty (indicator stagnation).  A ``UNIFORM`` step halves h by two
+    ``uniform_refine`` rounds, so it can overshoot ``max_dof`` up to 4x.
+    Deterministic for fixed inputs.
     """
     if mode not in MODES:
         raise AdaptError(f"unknown refinement mode {mode!r}")
@@ -129,11 +131,8 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
         start = time.perf_counter()
         solution, ctx = run_iteration(mesh, problem, scheme)
         breakdown = ctx.compute(policy)
-        if exact is not None:
-            energy, _ = verify.energy_error(mesh, ctx.fields, ctx.flux,
-                                            solution.pressure, exact)
-        else:
-            energy = math.nan
+        energy = math.nan if exact is None else verify.energy_error(
+            mesh, ctx.fields, ctx.flux, solution.pressure, exact)[0]
         records.append(RunRecord(
             k=k, dof=mesh.num_elements, energy_error=energy,
             totals=breakdown.family_totals(),
@@ -142,13 +141,12 @@ def adaptive_loop(problem: ProblemData, initial_mesh: Triangulation,
         last = RunResult(records, mesh, solution, breakdown)
         if mesh.num_elements >= max_dof or k == max_iter:
             break
-        if mode == UNIFORM:
-            marked = np.arange(mesh.num_elements)
-        else:
+        if mode == ADAPTIVE:
             marked = dorfler_mark(breakdown.total, theta)
-        if marked.size == 0:
-            break
+            if marked.size == 0:
+                break
         # the next solve runs without this iteration's arrays
         last = solution = ctx = breakdown = None
-        mesh = mesh.refine(marked)
+        mesh = (mesh.uniform_refine().uniform_refine() if mode == UNIFORM
+                else mesh.refine(marked))
     return last

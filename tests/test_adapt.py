@@ -133,13 +133,32 @@ class TestAdaptiveLoop:
         assert all(b > a for a, b in zip(dofs, dofs[1:]))
         assert all(math.isfinite(r.energy_error) for r in res.records)
 
-    def test_uniform_mode_doubles(self):
+    def test_uniform_mode_quadruples(self):
         domain, data, _ = benchmark("lshape")
         mesh = data.initial_mesh(domain)
         res = adaptive_loop(data, mesh, mode="uniform", max_iter=4)
         dofs = [r.dof for r in res.records]
         for a, b in zip(dofs, dofs[1:]):
-            assert b == 2 * a
+            assert b == 4 * a
+
+    def test_uniform_step_is_two_uniform_refinements(self):
+        """Uniform record k solves on the mesh of 2(k - 1) uniform_refine
+        rounds: its E and eta equal those of a solve there bit for bit, and
+        the final mesh is that of six rounds."""
+        domain, data, exact = benchmark("lshape")
+        meshes = [data.initial_mesh(domain)]
+        for _ in range(6):
+            meshes.append(meshes[-1].uniform_refine())
+        res = adaptive_loop(data, meshes[0], mode="uniform", max_iter=4,
+                            exact=exact)
+        for record, mesh in zip(res.records, meshes[::2], strict=True):
+            solution, ctx = adapt.run_iteration(mesh, data, "centered")
+            eta = ctx.compute("theorem").family_totals()["total"]
+            energy, _ = verify.energy_error(mesh, ctx.fields, ctx.flux,
+                                            solution.pressure, exact)
+            assert record.dof == mesh.num_elements
+            assert record.energy_error == energy and record.eta == eta
+        assert res.mesh.dump() == meshes[6].dump()
 
     def test_max_dof_stop(self):
         domain, data, _ = benchmark("lshape")

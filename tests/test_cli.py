@@ -185,13 +185,14 @@ class TestRun:
         est = (tmp_path / "estimators.csv").read_text().splitlines()
         assert len(est) == dofs[-1] + 1
 
-    def test_uniform_mode_rows_double(self, tmp_path):
+    def test_uniform_mode_rows_quadruple(self, tmp_path):
+        """One row per halving of h."""
         rc = main(["run", "--benchmark", "lshape", "--mode", "uniform",
                    "--max-iter", "4", "--out", str(tmp_path)])
         assert rc == 0
         rows = (tmp_path / "history.csv").read_text().splitlines()[2:]
         dofs = [int(r.split(",")[1]) for r in rows]
-        assert dofs == [6, 12, 24, 48]
+        assert dofs == [6, 24, 96, 384]
 
     def test_layer_writes_nodal_csv(self, tmp_path):
         rc = main(["run", "--benchmark", "layer", "--eps", "0.1",
