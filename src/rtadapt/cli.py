@@ -46,8 +46,11 @@ PARAMETERS = tuple(dict.fromkeys(
 HISTORY_FAMILIES = tuple(name for name in estimators.FAMILIES
                          if name != estimators.TOTAL)
 
-CSV_COMMENT = ("# marking=dorfler, threshold=theta^2 on the squared "
-               "indicator sum")
+# the comment line of history.csv: how the run's mode refines
+CSV_COMMENT = {adapt.ADAPTIVE: "# marking=dorfler, threshold=theta^2 on the "
+                               "squared indicator sum",
+               adapt.UNIFORM: "# refinement=uniform, every element bisected "
+                              "twice per step"}
 CSV_HEADER = ",".join(("k", "dof", "E", "eta") + HISTORY_FAMILIES
                       + ("EOC_E", "EOC_eta", "effectivity"))
 
@@ -171,16 +174,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_history(records, path: Path) -> None:
+def write_history(records, path: Path, mode: str = adapt.ADAPTIVE) -> None:
     dofs = [r.dof for r in records]
     errs = [r.energy_error for r in records]
     etas = [r.eta for r in records]
-    eoc_e = [math.nan] + (list(verify.eoc(dofs, errs))
-                          if len(records) > 1 else [])
-    eoc_eta = [math.nan] + (list(verify.eoc(dofs, etas))
-                            if len(records) > 1 else [])
+    eoc_e, eoc_eta = ([math.nan] + (list(verify.eoc(dofs, values))
+                                    if len(records) > 1 else [])
+                      for values in (errs, etas))
     eff = verify.effectivity(etas, errs)
-    lines = [CSV_COMMENT, CSV_HEADER]
+    lines = [CSV_COMMENT[mode], CSV_HEADER]
     for i, r in enumerate(records):
         row = [r.k, r.dof, r.energy_error, r.eta,
                *(r.totals[name] for name in HISTORY_FAMILIES),
@@ -206,7 +208,7 @@ def run(config: RunConfig) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
-    write_history(result.records, outdir / "history.csv")
+    write_history(result.records, outdir / "history.csv", config.mode)
     (outdir / "mesh_final.txt").write_text(result.mesh.dump())
     (outdir / "mesh_final.svg").write_text(
         result.mesh.to_svg(result.breakdown.total)

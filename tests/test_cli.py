@@ -186,11 +186,15 @@ class TestRun:
         assert len(est) == dofs[-1] + 1
 
     def test_uniform_mode_rows_quadruple(self, tmp_path):
-        """One row per halving of h."""
+        """One row per halving of h, under a comment line that names the
+        uniform refinement instead of the Dörfler marking."""
         rc = main(["run", "--benchmark", "lshape", "--mode", "uniform",
                    "--max-iter", "4", "--out", str(tmp_path)])
         assert rc == 0
-        rows = (tmp_path / "history.csv").read_text().splitlines()[2:]
+        comment, _, *rows = (tmp_path / "history.csv").read_text() \
+            .splitlines()
+        assert comment == "# refinement=uniform, every element bisected " \
+            "twice per step"
         dofs = [int(r.split(",")[1]) for r in rows]
         assert dofs == [6, 24, 96, 384]
 
