@@ -14,8 +14,8 @@ from rtadapt import adapt, assembly, quadrature as quad, solver, verify
 from rtadapt.assembly import (Discretization, assemble_centered,
                               assemble_upwind)
 from rtadapt.estimators import EstimatorContext
-from rtadapt.mesh import DIRICHLET, NEUMANN, Triangulation
-from rtadapt.postprocess import FluxField, build_ptilde, ptilde_values, \
+from rtadapt.mesh import DIRICHLET, Triangulation
+from rtadapt.postprocess import build_ptilde, ptilde_values, \
     tangential_jump_sq
 from rtadapt.problem import ProblemData, benchmark
 

@@ -14,7 +14,6 @@ from rtadapt.assembly import (Discretization, assemble_centered,
 from rtadapt.estimators import (EstimatorContext, EstimatorError,
                                 detect_singular_vertices, residual_weights)
 from rtadapt.mesh import DIRICHLET, build_initial_mesh
-from rtadapt.postprocess import FluxField
 from rtadapt.problem import ProblemData, ProblemDataError, benchmark
 
 
