@@ -174,7 +174,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_history(records, path: Path, mode: str = adapt.ADAPTIVE) -> None:
+def write_history(records, path: Path, mode: str) -> None:
     dofs = [r.dof for r in records]
     errs = [r.energy_error for r in records]
     etas = [r.eta for r in records]

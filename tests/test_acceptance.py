@@ -280,8 +280,7 @@ def test_criterion_6_lshape_rates(lshape_runs):
 
     dofs_u = np.array([r.dof for r in uniform.records], dtype=float)
     errs_u = np.array([r.energy_error for r in uniform.records])
-    # one record per halving of h: the last three span 384 to 6,144
-    # elements
+    # the last three records, one per halving of h, span 384-6,144 elements
     slope_u = np.polyfit(np.log(dofs_u[-3:]), np.log(errs_u[-3:]), 1)[0]
 
     bary = barycenters(adaptive.mesh)

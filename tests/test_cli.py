@@ -154,7 +154,8 @@ def test_family_columns_follow_the_breakdown_fields(tmp_path):
     domain, data, exact = problem.benchmark("layer")
     result = adapt.adaptive_loop(data, data.initial_mesh(domain),
                                  scheme="upwind", max_iter=2, exact=exact)
-    cli.write_history(result.records, tmp_path / "history.csv")
+    cli.write_history(result.records, tmp_path / "history.csv",
+                      adapt.ADAPTIVE)
     header, *rows = (tmp_path / "history.csv").read_text().splitlines()[1:]
     assert header.split(",")[3:-3] == ["eta"] + names[:-1]
     for record, row in zip(result.records, rows, strict=True):
