@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 from . import (adapt, assembly, estimators, mesh as meshmod, postprocess,
-               problem, verify)
+               problem, solver, verify)
 from .assembly import CENTERED, UPWIND
 from .estimators import THEOREM, XI
 
@@ -208,6 +208,7 @@ def run(config: RunConfig) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
+    solver.release_heap()     # the loop's last arrays, before the writers
     write_history(result.records, outdir / "history.csv", config.mode)
     (outdir / "mesh_final.txt").write_text(result.mesh.dump())
     (outdir / "mesh_final.svg").write_text(

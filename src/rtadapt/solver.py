@@ -46,13 +46,21 @@ PANEL_SIZE = 4
 OPTIONS = {"SymmetricMode": True}
 
 # glibc keeps freed heap pages resident: its trim threshold follows the
-# largest block freed so far, up to 64 MiB, so SuperLU's workspace and
-# the arrays of earlier iterations would otherwise stay in the process's
-# memory under every later factorization and the artifact writers.
+# largest block freed so far, up to 64 MiB, so the assembly's temporaries
+# and the previous LU workspace would otherwise stay in the process's
+# memory under the next factorization, which sets a study's peak, and
+# under the artifact writers.  Released before each factorization and,
+# by the command line, once before the writers.
 try:
     _malloc_trim = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):    # not glibc
     _malloc_trim = None
+
+
+def release_heap() -> None:
+    """Hand the freed heap pages back to the OS; a no-op without glibc."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _diagnose_singularity(system: HybridSystem) -> str:
@@ -89,6 +97,7 @@ def solve(system: HybridSystem) -> MixedSolution:
             f"system dimension {system.dimension} exceeds {MAX_DIMENSION}"
         )
     permuted, order = rcm_permuted(system.matrix)
+    release_heap()
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
@@ -101,8 +110,6 @@ def solve(system: HybridSystem) -> MixedSolution:
             raise SingularSystemError(
                 f"{_diagnose_singularity(system)}: {exc}"
             ) from exc
-    if _malloc_trim is not None:
-        _malloc_trim(0)       # hand the freed LU workspace back to the OS
     x = np.empty_like(y)
     x[order] = y
     if not np.all(np.isfinite(x)):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtadapt import adapt, cli, problem
+from rtadapt import adapt, cli, problem, solver
 from rtadapt.cli import (ConfigError, RunConfig, main, parse_config,
                          parse_config_text)
 from rtadapt.estimators import EstimatorBreakdown
@@ -166,6 +166,11 @@ def test_family_columns_follow_the_breakdown_fields(tmp_path):
         == ",".join(["element_id"] + names)
 
 
+# a small layer study, which writes all five artifacts
+LAYER_RUN = ["--benchmark", "layer", "--eps", "0.1", "--a", "0.1",
+             "--max-iter", "3"]
+
+
 class TestRun:
     def test_lshape_tiny_run_artifacts(self, tmp_path):
         rc = main(["run", "--benchmark", "lshape", "--max-iter", "3",
@@ -209,6 +214,47 @@ class TestRun:
         assert len(rows) == mesh.num_vertices + 1
         values = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(np.isfinite(values))
+
+    def test_heap_released_once_before_the_writers(self, tmp_path,
+                                                   monkeypatch):
+        """One release per solve, and one more after the loop returns and
+        before history.csv is written."""
+        events = []
+        loop, release = adapt.adaptive_loop, solver.release_heap
+        write = cli.write_history
+
+        def finished_loop(*args, **kwargs):
+            result = loop(*args, **kwargs)
+            events.append("loop")
+            return result
+
+        def recorded(name, call):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return call(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(adapt, "adaptive_loop", finished_loop)
+        monkeypatch.setattr(solver, "release_heap",
+                            recorded("release", release))
+        monkeypatch.setattr(cli, "write_history", recorded("write", write))
+        assert main(["run", *LAYER_RUN, "--out", str(tmp_path)]) == 0
+        solves = len((tmp_path / "history.csv").read_text().splitlines()) - 2
+        assert events[:solves + 1] == ["release"] * solves + ["loop"]
+        assert events[solves + 1:] == ["release", "write"]
+
+    def test_artifacts_do_not_depend_on_the_heap_release(self, tmp_path,
+                                                         monkeypatch):
+        """Without glibc's malloc_trim the release is a no-op, and every
+        artifact but config.txt (which names the output directory) is
+        byte for byte that of a run with it."""
+        assert main(["run", *LAYER_RUN, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(solver, "_malloc_trim", None)
+        assert main(["run", *LAYER_RUN, "--out", str(tmp_path / "b")]) == 0
+        for name in ("history.csv", "mesh_final.txt", "mesh_final.svg",
+                     "estimators.csv", "ptilde_nodal.csv"):
+            assert (tmp_path / "b" / name).read_bytes() \
+                == (tmp_path / "a" / name).read_bytes()
 
     @pytest.mark.parametrize("case", list(problem.BENCHMARKS))
     def test_config_file_reruns_the_study(self, tmp_path, case):
