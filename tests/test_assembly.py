@@ -556,19 +556,18 @@ def drawn_blocks(sets, neumann):
 
 
 def assert_inverse(inverse, blocks):
-    """Per element within 1e-12 of LAPACK's inverse, relative to its
-    largest entry, on blocks of condition number up to 1e4.  Beyond that
-    the bound grows with the condition number, as neither inverse is more
-    accurate there: in 32,000 blocks of 2,000 random draws of
-    ``drawn_blocks`` with Neumann rows, 0.9% have a condition number
-    above 1e4, up to 5.5e6, and differ by up to 1.9e-11; the others
-    differ by at most 2.9e-13."""
+    """Per element within 2.5e-15 times the block's condition number of
+    LAPACK's inverse, relative to its largest entry.  In 200,000 blocks of
+    12,500 draws of ``drawn_blocks`` with Neumann rows (condition numbers
+    1.0 to 2.0e4) the error is at most 2.4e-16 times the condition number,
+    reached at condition number 2.7 (6.6e-16), and at most 7.5e-17 times
+    it above 1e3 (5.4e-13 at most below 1e4, 1.2e-12 above)."""
     elementwise = blocks.transpose(2, 0, 1)
     reference = np.linalg.inv(elementwise)
     scale = np.abs(reference).max(axis=(1, 2)) \
-        * np.maximum(1.0, np.linalg.cond(elementwise) / 1e4)
+        * np.linalg.cond(elementwise)
     assert np.all(np.abs(inverse.transpose(2, 0, 1) - reference)
-                  <= 1e-12 * scale[:, None, None])
+                  <= 2.5e-15 * scale[:, None, None])
 
 
 def eliminated_solutions(blocks, neumann, rhs, lam):
@@ -594,15 +593,16 @@ def eliminated_solutions(blocks, neumann, rhs, lam):
 def assert_solutions(solution, reference, A, f, tol, conditioned=True):
     """Per element within ``tol`` of LAPACK's solution, relative to the
     largest entries of the inverse and of the right-hand side, and with
-    ``conditioned`` proportionally looser for a condition number above
-    1e4, as in ``assert_inverse``.  In 448,000 blocks of 28,000 random
-    draws of ``drawn_blocks`` with Neumann rows, right-hand sides and
-    traces, 0.7-0.9% have a condition number above 1e4, up to 1.3e8, and
-    differ by up to 2.2e-11 (at most 8.3e-13 after the scaling); the
-    others differ by at most 8.3e-13."""
+    ``conditioned`` within ``tol`` times the product of the condition
+    numbers of the block and of its flux block, which the kernel inverts
+    first: a block of condition number 3.2 with a flux block of 2.4e3
+    differs by 4.9e-13.  In 200,000 blocks of 12,500 draws of
+    ``drawn_blocks`` with Neumann rows, right-hand sides and traces
+    (products 3.0 to 1.3e10) the error is at most 1.35e-16 times that
+    product, and at most 1.5e-10 in all."""
     scale = np.abs(np.linalg.inv(A)).max(axis=(1, 2)) * np.abs(f).max(axis=1)
     if conditioned:
-        scale *= np.maximum(1.0, np.linalg.cond(A) / 1e4)
+        scale *= np.linalg.cond(A) * np.linalg.cond(A[:, :3, :3])
     assert np.all(np.abs(solution - reference) <= tol * scale[:, None])
 
 
@@ -627,7 +627,7 @@ class TestBatchedInverseProperties:
         rhs = rng.normal(size=(4, 16))
         lam = np.where(neumann, 0.0, rng.normal(size=(3, 16)))
         assert_solutions(*eliminated_solutions(blocks, neumann, rhs, lam),
-                         1e-12)
+                         1.4e-15)
 
     @given(sets=coefficient_sets(8),
            singular=st.sets(st.integers(0, 15), min_size=1, max_size=3))
