@@ -83,8 +83,8 @@ class RunConfig:
                                   "benchmark")
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError(f"theta={self.theta} outside (0, 1]")
-        if any(value <= 0.0 for value in self.params.values()):
-            raise ConfigError(f"{' and '.join(self.params)} must be positive")
+        if not all(0.0 < value < math.inf for value in self.params.values()):
+            raise ConfigError(" and ".join(self.params) + " outside (0, inf)")
         if self.max_dof < 1 or self.max_iter < 1:
             raise ConfigError("stop criteria must be positive")
         return self
@@ -163,17 +163,6 @@ def parse_config(args=None, config_file: str | None = None) -> RunConfig:
     return RunConfig(**merged).validate()
 
 
-def _build(config: RunConfig):
-    domain, data, exact = problem.benchmark(config.benchmark, **config.params)
-    return data.initial_mesh(domain), data, exact
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
-
-
 def write_history(records, path: Path, mode: str) -> None:
     dofs = [r.dof for r in records]
     errs = [r.energy_error for r in records]
@@ -182,27 +171,34 @@ def write_history(records, path: Path, mode: str) -> None:
                                     if len(records) > 1 else [])
                       for values in (errs, etas))
     eff = verify.effectivity(etas, errs)
+    # k and dof, then the other columns of CSV_HEADER
+    line = "%d,%d" + ",%.17g" * (CSV_HEADER.count(",") - 1)
     lines = [CSV_COMMENT[mode], CSV_HEADER]
-    for i, r in enumerate(records):
-        row = [r.k, r.dof, r.energy_error, r.eta,
-               *(r.totals[name] for name in HISTORY_FAMILIES),
-               eoc_e[i], eoc_eta[i], eff[i]]
-        lines.append(",".join(
-            str(v) if isinstance(v, int) else _fmt(v) for v in row
-        ))
+    lines += [line % (r.k, r.dof, r.energy_error, r.eta,
+                      *(r.totals[name] for name in HISTORY_FAMILIES),
+                      eoc_e[i], eoc_eta[i], eff[i])
+              for i, r in enumerate(records)]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _output_directory(out: str) -> Path:
+    """The directory ``out``, made if missing; ConfigError if it can't be."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror}") from exc
+    return Path(out)
 
 
 def run(config: RunConfig) -> int:
     """Execute a configured study and write its artifacts."""
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    initial_mesh, data, exact = _build(config)
+    outdir = _output_directory(config.out)
+    domain, data, exact = problem.benchmark(config.benchmark, **config.params)
     try:
         result = adapt.adaptive_loop(
-            data, initial_mesh, scheme=config.scheme, policy=config.policy,
-            theta=config.theta, mode=config.mode, max_dof=config.max_dof,
-            max_iter=config.max_iter, exact=exact,
+            data, data.initial_mesh(domain), scheme=config.scheme,
+            policy=config.policy, theta=config.theta, mode=config.mode,
+            max_dof=config.max_dof, max_iter=config.max_iter, exact=exact,
         )
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
@@ -230,8 +226,7 @@ def dump_mesh(domain: str, refinements: int, out: str) -> int:
     m = meshmod.build_initial_mesh(domain)
     for _ in range(refinements):
         m = m.uniform_refine()
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_directory(out)
     (outdir / "mesh.txt").write_text(m.dump())
     (outdir / "mesh.svg").write_text(m.to_svg())
     return 0

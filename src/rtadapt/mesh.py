@@ -33,6 +33,8 @@ import numpy as np
 INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
+# width and height of the SVG rendering, in pixels
+SVG_SIZE = 640
 
 
 class MeshError(Exception):
@@ -95,6 +97,11 @@ class Triangulation:
         first = first[order]
         self.edge_verts = np.column_stack([lo[first], hi[first]])
         self.elem_edges = flat_edges.reshape(-1, 3)
+        # sign of the global edge normal against the element outward normal:
+        # edge i of element t runs from vertex i+1 to i+2 in ccw order, so the
+        # outward normal matches the global one iff the edge is stored with
+        # the same orientation, low id first.
+        self.elem_signs = np.where(a < b, 1, -1).astype(np.int8).reshape(-1, 3)
 
         count = np.bincount(flat_edges, minlength=ne)
         crowded = np.flatnonzero(count > 2)
@@ -139,18 +146,6 @@ class Triangulation:
         self.edge_tangent = tangent
 
         self.elem_diam = self.edge_length[self.elem_edges.T].max(axis=0)
-
-        # sign of the global edge normal against the element outward normal:
-        # edge i of element t runs from vertex i+1 to i+2 in ccw order, so the
-        # outward normal matches the global one iff the edge is stored with
-        # the same orientation.
-        signs = np.empty((self.num_elements, 3), dtype=np.int8)
-        for i in range(3):
-            first_local = self.elem_verts[:, (i + 1) % 3]
-            signs[:, i] = np.where(
-                self.edge_verts[self.elem_edges[:, i], 0] == first_local, 1, -1
-            )
-        self.elem_signs = signs
         self.total_area = float(self.elem_area.sum())
 
     # ------------------------------------------------------------------
@@ -317,23 +312,23 @@ class Triangulation:
         ancestors = np.array([int(r[7]) for r in rows[1 + nv + ne :]])
         return Triangulation(coords, elems, flags, ancestors)
 
-    def to_svg(self, values: np.ndarray | None = None, size: int = 640) -> str:
+    def to_svg(self, values: np.ndarray | None = None) -> str:
         """Render the mesh as SVG, optionally heat-shading per-element values."""
         xy = self.vert_coords
         lo = xy.min(axis=0)
         hi = xy.max(axis=0)
         span = max(hi[0] - lo[0], hi[1] - lo[1])
         pad = 0.03 * span
-        scale = size / (span + 2 * pad)
+        scale = SVG_SIZE / (span + 2 * pad)
         sx = (xy[:, 0] - lo[0] + pad) * scale
-        sy = size - (xy[:, 1] - lo[1] + pad) * scale
+        sy = SVG_SIZE - (xy[:, 1] - lo[1] + pad) * scale
         fx = ["%.2f" % v for v in sx.tolist()]
         fy = ["%.2f" % v for v in sy.tolist()]
 
         # each block is joined on its own, so one block's lines live at a time
         out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+            f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
         ]
         if values is not None:
             values = np.asarray(values, dtype=float)

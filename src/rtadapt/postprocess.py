@@ -160,9 +160,7 @@ def _integrate_sq(rule: quad.Rule, values: np.ndarray, length) -> np.ndarray:
 
 def nodal_average(mesh: Triangulation, pressure: np.ndarray) -> np.ndarray:
     """Vertex rendering values: mean of the incident element constants."""
-    sums = np.zeros(mesh.num_vertices)
-    counts = np.zeros(mesh.num_vertices)
-    for i in range(3):
-        np.add.at(sums, mesh.elem_verts[:, i], pressure)
-        np.add.at(counts, mesh.elem_verts[:, i], 1.0)
-    return sums / np.maximum(counts, 1.0)
+    # local vertex 0 of every element, then 1, then 2
+    verts, nv = mesh.elem_verts.T.ravel(), mesh.num_vertices
+    sums = np.bincount(verts, np.tile(pressure, 3), nv)
+    return sums / np.maximum(np.bincount(verts, minlength=nv), 1.0)

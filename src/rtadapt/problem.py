@@ -332,8 +332,8 @@ def benchmark(case_id: str, **params
 
     layer = {**BENCHMARKS[case_id], **params}
     eps, a = layer["eps"], layer["a"]
-    if eps <= 0.0 or a <= 0.0:
-        raise ProblemDataError("layer benchmark needs eps > 0 and a > 0")
+    if not (0.0 < eps < math.inf and 0.0 < a < math.inf):
+        raise ProblemDataError("layer benchmark needs eps and a in (0, inf)")
     exact = _layer_exact(eps, a)
 
     def f(x, y):

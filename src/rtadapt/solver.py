@@ -77,10 +77,7 @@ def rcm_permuted(matrix: sp.spmatrix) -> tuple[sp.csc_matrix, np.ndarray]:
     its pattern, which the assembly makes symmetric, and that order:
     ``permuted[i, j] = matrix[order[i], order[j]]``."""
     matrix = matrix.tocsc()
-    structure = sp.csc_matrix((np.ones(matrix.nnz, dtype=np.int8),
-                               matrix.indices, matrix.indptr),
-                              shape=matrix.shape)
-    order = reverse_cuthill_mckee(structure, symmetric_mode=True)
+    order = reverse_cuthill_mckee(matrix, symmetric_mode=True)
     return matrix[order][:, order].tocsc(), order
 
 

@@ -218,14 +218,17 @@ def xi_reference(mesh, data, exact, solution, singular,
 def dict_topology(elem_verts, boundary_flags=None):
     """Edge numbering by a dict over element edges in element-major order.
 
-    Returns (edge_verts, elem_edges, edge_elems, edge_flag) as built by
-    ``Triangulation`` for the same elements and flags.
+    Returns (edge_verts, elem_edges, edge_elems, edge_flag, elem_signs)
+    as built by ``Triangulation`` for the same elements and flags; the
+    sign of local edge i is +1 where the stored edge starts at the
+    element's local vertex i+1, -1 where it ends there.
     """
     boundary_flags = boundary_flags or {}
     nt = len(elem_verts)
     edge_index = {}
     edge_verts = []
     elem_edges = np.empty((nt, 3), dtype=np.int64)
+    elem_signs = np.empty((nt, 3), dtype=np.int8)
     incidence = []
     for t in range(nt):
         for i in range(3):
@@ -239,6 +242,7 @@ def dict_topology(elem_verts, boundary_flags=None):
                 edge_verts.append(key)
                 incidence.append([])
             elem_edges[t, i] = e
+            elem_signs[t, i] = 1 if edge_verts[e][0] == a else -1
             incidence[e].append(t)
     ne = len(edge_verts)
     edge_elems = np.full((ne, 2), -1, dtype=np.int64)
@@ -249,7 +253,7 @@ def dict_topology(elem_verts, boundary_flags=None):
         if len(elems) == 1:
             edge_flag[e] = boundary_flags.get(edge_verts[e], DIRICHLET)
     return (np.array(edge_verts, dtype=np.int64), elem_edges, edge_elems,
-            edge_flag)
+            edge_flag, elem_signs)
 
 
 def _guarded_quotient(numerator, r):

@@ -26,7 +26,7 @@ from oracles import (canonical, dict_topology, loop_dump, loop_estimator_csv,
                      loop_nodal_csv, loop_patch_maxima, loop_svg,
                      loop_upwind_weights, rivara_refine,
                      star_walk_singular_vertices)
-from rtadapt import adapt, assembly, cli, postprocess
+from rtadapt import adapt, assembly, cli, mesh as meshmod, postprocess
 from rtadapt import quadrature as quad, solver, verify
 from rtadapt.estimators import EstimatorContext, detect_singular_vertices
 from rtadapt.mesh import (DIRICHLET, DOMAINS, INTERIOR, NEUMANN,
@@ -101,14 +101,16 @@ def test_topology_matches_dict_build(case_meshes):
     for mesh in meshes:
         ref = dict_topology(mesh.elem_verts, boundary_flags(mesh))
         for got, want in zip((mesh.edge_verts, mesh.elem_edges,
-                              mesh.edge_elems, mesh.edge_flag), ref):
+                              mesh.edge_elems, mesh.edge_flag,
+                              mesh.elem_signs), ref, strict=True):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
 
 def test_topology_of_shuffled_elements(case_meshes):
-    """First-occurrence numbering on an element order unrelated to the
-    refinement history, with rotated local vertex order."""
+    """First-occurrence numbering and edge signs on an element order
+    unrelated to the refinement history, with rotated local vertex
+    order."""
     _, meshes, _ = case_meshes
     mesh = meshes[-1]
     rng = np.random.default_rng(11)
@@ -120,7 +122,9 @@ def test_topology_of_shuffled_elements(case_meshes):
     shuffled = Triangulation(mesh.vert_coords, elems, flags)
     ref = dict_topology(elems, flags)
     for got, want in zip((shuffled.edge_verts, shuffled.elem_edges,
-                          shuffled.edge_elems, shuffled.edge_flag), ref):
+                          shuffled.edge_elems, shuffled.edge_flag,
+                          shuffled.elem_signs), ref, strict=True):
+        assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
 
@@ -181,16 +185,19 @@ def test_uniform_refine_matches_rivara(domain):
         mesh = fine
 
 
-def test_writers_match_row_writers(case_meshes):
+def test_writers_match_row_writers(case_meshes, monkeypatch):
     """``dump`` and ``to_svg`` are byte-identical to the writers that
-    format every row, and every coordinate, where it is written."""
+    format every row, and every coordinate, where it is written, also at
+    another SVG size."""
     rng = np.random.default_rng(7)
     _, meshes, _ = case_meshes
     for mesh in meshes[::3] + [meshes[-1].uniform_refine().uniform_refine()]:
         assert mesh.dump() == oracles.row_dump(mesh)
         values = rng.random(mesh.num_elements)
         assert mesh.to_svg(values) == oracles.row_svg(mesh, values)
-        assert mesh.to_svg(size=333) == oracles.row_svg(mesh, size=333)
+        with monkeypatch.context() as patch:
+            patch.setattr(meshmod, "SVG_SIZE", 333)
+            assert mesh.to_svg() == oracles.row_svg(mesh, size=333)
 
 
 def test_artifacts_match_loop_writers(tmp_path):

@@ -91,6 +91,12 @@ class TestParseConfig:
             parse_config({}, config_file=str(path))
         assert "speed" in str(err.value)
 
+    def test_non_finite_parameter_in_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("benchmark=layer\neps=nan\n")
+        with pytest.raises(ConfigError, match="outside"):
+            parse_config({}, config_file=str(path))
+
     def test_render_parse_round_trip(self, tmp_path):
         config = parse_config({"benchmark": "layer", "eps": 0.004,
                                "theta": 0.6, "max_iter": 7})
@@ -164,6 +170,25 @@ def test_family_columns_follow_the_breakdown_fields(tmp_path):
             == [record.totals[name] for name in names[-1:] + names[:-1]]
     assert result.breakdown.to_csv().split("\n", 1)[0] \
         == ",".join(["element_id"] + names)
+
+
+def test_history_text(tmp_path):
+    """Byte for byte: integer k and dof, then every value in ``%.17g``,
+    nan, inf and -0 included, and the rates and effectivities that the
+    history derives from E and eta."""
+    names = [f.name for f in dataclasses.fields(EstimatorBreakdown)]
+    rows = [(0, 6, 0.5, [0.1, -0.0, math.nan, math.inf, 0.0, 1e-300, 0.25]),
+            (1, 24, 0.125, [1 / 3, 2.0**-1074, -math.inf, 123456789.0,
+                            -0.0, math.nan, 0.0])]
+    records = [adapt.RunRecord(k, dof, error, dict(zip(names, totals)), 0.0)
+               for k, dof, error, totals in rows]
+    cli.write_history(records, tmp_path / "history.csv", adapt.ADAPTIVE)
+    assert (tmp_path / "history.csv").read_text() == "\n".join([
+        cli.CSV_COMMENT[adapt.ADAPTIVE], cli.CSV_HEADER,
+        "0,6,0.5,0.25,0.10000000000000001,-0,nan,inf,0,1e-300,nan,nan,0.5",
+        "1,24,0.125,0,0.33333333333333331,4.9406564584124654e-324,-inf,"
+        "123456789,-0,nan,1,nan,0",
+    ]) + "\n"
 
 
 # a small layer study, which writes all five artifacts
@@ -272,6 +297,25 @@ class TestRun:
         rc = main(["run", "--benchmark", "lshape", "--theta", "1.5",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, value", [("--eps", "nan"),
+                                             ("--eps", "inf"),
+                                             ("--a", "nan")])
+    def test_non_finite_parameter_exit_code(self, tmp_path, capsys, flag,
+                                            value):
+        rc = main(["run", "--benchmark", "layer", flag, value,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        target = tmp_path / "history.csv"
+        target.write_text("")
+        rc = main(["run", "--benchmark", "lshape", "--max-iter", "1",
+                   "--out", str(target)])
+        assert rc == 2
+        assert f"configuration error: --out {target}" \
+            in capsys.readouterr().err
 
     def test_history_numbers_have_full_precision(self, tmp_path):
         main(["run", "--benchmark", "lshape", "--max-iter", "2",

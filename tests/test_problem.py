@@ -234,6 +234,10 @@ class TestBenchmarks:
             benchmark("layer", eps=-1.0)
         with pytest.raises(ProblemDataError):
             benchmark("layer", a=0.0)
+        with pytest.raises(ProblemDataError):
+            benchmark("layer", eps=math.nan)
+        with pytest.raises(ProblemDataError):
+            benchmark("layer", a=math.inf)
 
     @pytest.mark.parametrize("case, key", [("lshape", "eps"),
                                            ("kellogg2", "a"),
