@@ -157,9 +157,10 @@ class Discretization:
     computed once.
 
     fields : coefficient fields on the elements (``problem.fields``)
-    seven_points : (NT, 7, 2) physical nodes of ``quad.SEVEN_POINT``
-    source : (NT, 7) the source f there
+    source : (NT, 7) the source f at the nodes of ``quad.SEVEN_POINT``
     pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
+    seven_points : (NT, 7, 2) those nodes, built on first use, after the
+        solve, so that the factorization runs without them
     face_rule : the upwind face rule, built on first use (upwind only)
     """
 
@@ -167,11 +168,14 @@ class Discretization:
         self.mesh = mesh
         self.problem = problem
         self.fields = problem.fields(mesh)
-        self.seven_points = pts = \
-            quad.SEVEN_POINT.physical_points(mesh.elem_coords)
+        pts = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
         self.source = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1]),
                                       pts.shape[:-1])
         self.pd_mean = dirichlet_edge_means(mesh, problem)
+
+    @cached_property
+    def seven_points(self) -> np.ndarray:
+        return quad.SEVEN_POINT.physical_points(self.mesh.elem_coords)
 
     @cached_property
     def face_rule(self) -> tuple[np.ndarray, ...]:
@@ -424,8 +428,9 @@ def _element_system(disc: Discretization, M, B, c, d, load_p):
 
 
 def _multipliers(mesh: Triangulation) -> tuple[np.ndarray, int]:
-    """Multiplier index per edge (-1 off the interior) and their number."""
-    edge_dof = np.full(mesh.num_edges, -1, dtype=np.int64)
+    """Multiplier index per edge (-1 off the interior) and their number;
+    int32, as the sparse matrix stores its indices."""
+    edge_dof = np.full(mesh.num_edges, -1, dtype=np.int32)
     interior = np.flatnonzero(mesh.edge_flag == INTERIOR)
     edge_dof[interior] = np.arange(interior.size)
     return edge_dof, interior.size
@@ -448,18 +453,26 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
     blocks, load, fixed = _element_system(disc, M, B, -B + conv, -react,
                                           -load_vector(disc))
     E = mesh.elem_edges.T
+    # each intermediate is dropped once read, so that none is alive
+    # while the sparse matrix is built
+    del M, conv, react
     inverse, v, q, H, cH = _eliminate_fluxes(
         blocks, mesh.edge_flag[E] == NEUMANN, load[:3] + fixed[E])
     offset, gain = _condense_pressure(blocks, load, v, q, cH)
+    del cH
 
     # u = q + v p - H lambda with p = offset + gain . lambda turns
-    # continuity into schur @ lambda = sum of B_i (q + v offset)_i
+    # continuity into schur @ lambda = sum of B_i (q + v offset)_i, the
+    # Schur complement B (H - v gain) built in the place of H
     edge_dof, n = _multipliers(mesh)
     dof = edge_dof[E]
-    rows, cols, vals = _multiplier_triplets(
-        dof, B[:, None] * (H - v[:, None] * gain))
     free = dof >= 0
     rhs = np.bincount(dof[free], (B * (q + v * offset))[free], n)
+    H -= v[:, None] * gain
+    H *= B[:, None]
+    del q, v, B
+    rows, cols, vals = _multiplier_triplets(dof, H)
+    del H
     matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
                         blocks=blocks, load=load, inverse=inverse,
@@ -485,24 +498,29 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     d = -react + own.sum(axis=0)
     blocks, load, fixed = _element_system(
         disc, M, B, -B, d, datum.sum(axis=0) - load_vector(disc))
+    # as in assemble_centered, each intermediate is dropped once read
+    del M, react, own, datum
     inverse, v, q, H, cH = _eliminate_fluxes(blocks, flag == NEUMANN,
                                              load[:3] + fixed[E])
     c = blocks[3, :3]
 
     edge_dof, n = _multipliers(mesh)
     dof = edge_dof[E]
-    prow = np.broadcast_to(n + np.arange(nt), (3, nt))
-    rows_ll, cols_ll, vals_ll = _multiplier_triplets(dof, -B[:, None] * H)
     lp = dof >= 0
-    rows = [rows_ll, dof[lp], prow[lp], prow[0], prow[interior]]
-    cols = [cols_ll, prow[lp], dof[lp], prow[0], n + other[interior]]
-    vals = [vals_ll, (B * v)[lp], -cH[lp], (c * v).sum(axis=0) + d,
-            coupling[interior]]
-    matrix = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                   np.concatenate(cols))),
-                           shape=(n + nt, n + nt))
     rhs = np.concatenate([np.bincount(dof[lp], (-B * q)[lp], n),
                           load[3] - (c * q).sum(axis=0)])
+    H *= -B[:, None]
+    del q
+    rows, cols, vals = _multiplier_triplets(dof, H)
+    del H
+    prow = np.broadcast_to(np.arange(n, n + nt, dtype=np.int32), (3, nt))
+    rows = np.concatenate([rows, dof[lp], prow[lp], prow[0], prow[interior]])
+    cols = np.concatenate([cols, prow[lp], dof[lp], prow[0],
+                           (n + other[interior]).astype(np.int32)])
+    vals = np.concatenate([vals, (B * v)[lp], -cH[lp],
+                           (c * v).sum(axis=0) + d, coupling[interior]])
+    del v, cH
+    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n + nt, n + nt))
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
                         blocks=blocks, load=load, inverse=inverse,
                         fixed_flux=fixed, coupling=coupling)

@@ -16,6 +16,9 @@ import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
+from typing import TextIO
+
+import numpy as np
 
 from . import (adapt, assembly, estimators, mesh as meshmod, postprocess,
                problem, solver, verify)
@@ -206,19 +209,30 @@ def run(config: RunConfig) -> int:
 
     solver.release_heap()     # the loop's last arrays, before the writers
     write_history(result.records, outdir / "history.csv", config.mode)
-    (outdir / "mesh_final.txt").write_text(result.mesh.dump())
-    (outdir / "mesh_final.svg").write_text(
-        result.mesh.to_svg(result.breakdown.total)
-    )
-    (outdir / "estimators.csv").write_text(result.breakdown.to_csv())
+    _stream(outdir / "mesh_final.txt", result.mesh.dump)
+    _stream(outdir / "mesh_final.svg", result.mesh.to_svg,
+            result.breakdown.total)
+    _stream(outdir / "estimators.csv", result.breakdown.to_csv)
     (outdir / "config.txt").write_text(config.render())
     if config.params:
-        nodal = postprocess.nodal_average(result.mesh,
-                                          result.solution.pressure)
-        rows = ["vertex,value"]
-        rows += ["%d,%.17g" % row for row in enumerate(nodal.tolist())]
-        (outdir / "ptilde_nodal.csv").write_text("\n".join(rows) + "\n")
+        _stream(outdir / "ptilde_nodal.csv", write_nodal,
+                postprocess.nodal_average(result.mesh,
+                                          result.solution.pressure))
     return 0
+
+
+def write_nodal(nodal: np.ndarray, out: TextIO | None = None) -> str | None:
+    """The ``ptilde_nodal.csv`` text, one row per vertex led by its id;
+    written to the open file ``out``, or returned without it."""
+    return meshmod.write_text(out, ["vertex,value\n"], meshmod.text_rows(
+        "%d,%.17g\n", nodal.size, nodal))
+
+
+def _stream(path: Path, writer, *args) -> None:
+    """Run the block writer ``writer(*args, out=...)`` into the file
+    ``path``."""
+    with path.open("w") as out:
+        writer(*args, out=out)
 
 
 def dump_mesh(domain: str, refinements: int, out: str) -> int:
@@ -227,8 +241,8 @@ def dump_mesh(domain: str, refinements: int, out: str) -> int:
     for _ in range(refinements):
         m = m.uniform_refine()
     outdir = _output_directory(out)
-    (outdir / "mesh.txt").write_text(m.dump())
-    (outdir / "mesh.svg").write_text(m.to_svg())
+    _stream(outdir / "mesh.txt", m.dump)
+    _stream(outdir / "mesh.svg", m.to_svg)
     return 0
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
 from . import quadrature as quad
 from .assembly import Discretization, MixedSolution, UPWIND, dot, mat_vec
-from .mesh import DIRICHLET, INTERIOR, Triangulation
+from .mesh import DIRICHLET, INTERIOR, Triangulation, text_rows, write_text
 from .postprocess import FluxField, tangential_jump_sq
 from .problem import patch_quantities
 
@@ -54,15 +55,17 @@ class EstimatorBreakdown:
         return {name: float(np.sqrt((getattr(self, name) ** 2).sum()))
                 for name in FAMILIES}
 
-    def to_csv(self) -> str:
-        lines = [",".join(("element_id",) + FAMILIES)]
+    def to_csv(self, out: TextIO | None = None) -> str | None:
+        """One row per element, led by its id, the families in field
+        order; written to the open file ``out``, or returned without it."""
         columns = [getattr(self, name) for name in FAMILIES]
         # an all-+0.0 column enters the row format as its %.17g text "0"
         zero = [not (c.any() or np.signbit(c).any()) for c in columns]
-        fmt = "%d" + "".join(",0" if z else ",%.17g" for z in zero)
-        kept = (c.tolist() for c, z in zip(columns, zero) if not z)
-        lines += [fmt % row for row in zip(range(self.total.size), *kept)]
-        return "\n".join(lines) + "\n"
+        line = "%d" + "".join(",0" if z else ",%.17g" for z in zero) + "\n"
+        kept = [c for c, z in zip(columns, zero) if not z]
+        header = ",".join(("element_id",) + FAMILIES) + "\n"
+        return write_text(out, [header],
+                          text_rows(line, self.total.size, *kept))
 
 
 FAMILIES = tuple(f.name for f in dataclasses.fields(EstimatorBreakdown))

@@ -26,7 +26,7 @@ bisection.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -35,6 +35,10 @@ DIRICHLET = 1
 NEUMANN = 2
 # width and height of the SVG rendering, in pixels
 SVG_SIZE = 640
+# rows per block of the text writers, which write each block into the
+# file and drop it before formatting the next, so that no artifact is
+# held whole in memory
+BLOCK_ROWS = 4096
 
 
 class MeshError(Exception):
@@ -281,15 +285,15 @@ class Triangulation:
     # I/O
     # ------------------------------------------------------------------
 
-    def dump(self) -> str:
-        """Plain-text dump: header `NV NE NT`, then vertex/edge/element lines."""
-        lines = [f"{self.num_vertices} {self.num_edges} {self.num_elements}"]
-        lines += ["%d %r %r" % row for row in zip(
-            range(self.num_vertices), *self.vert_coords.T.tolist())]
-        lines.append(_index_rows(self.edge_verts, self.edge_flag))
-        lines.append(_index_rows(self.elem_verts, self.elem_edges,
-                                 self.elem_ancestor))
-        return "\n".join(lines) + "\n"
+    def dump(self, out: TextIO | None = None) -> str | None:
+        """Plain-text dump: header `NV NE NT`, then vertex/edge/element
+        lines; written to the open file ``out``, or returned without it."""
+        x, y = self.vert_coords.T
+        header = f"{self.num_vertices} {self.num_edges} {self.num_elements}\n"
+        return write_text(
+            out, [header], text_rows("%d %r %r\n", x.size, x, y),
+            _index_rows(self.edge_verts, self.edge_flag),
+            _index_rows(self.elem_verts, self.elem_edges, self.elem_ancestor))
 
     @staticmethod
     def parse(text: str) -> "Triangulation":
@@ -312,8 +316,10 @@ class Triangulation:
         ancestors = np.array([int(r[7]) for r in rows[1 + nv + ne :]])
         return Triangulation(coords, elems, flags, ancestors)
 
-    def to_svg(self, values: np.ndarray | None = None) -> str:
-        """Render the mesh as SVG, optionally heat-shading per-element values."""
+    def to_svg(self, values: np.ndarray | None = None,
+               out: TextIO | None = None) -> str | None:
+        """Render the mesh as SVG, optionally heat-shading per-element
+        values; written to the open file ``out``, or returned without it."""
         xy = self.vert_coords
         lo = xy.min(axis=0)
         hi = xy.max(axis=0)
@@ -325,40 +331,74 @@ class Triangulation:
         fx = ["%.2f" % v for v in sx.tolist()]
         fy = ["%.2f" % v for v in sy.tolist()]
 
-        # each block is joined on its own, so one block's lines live at a time
-        out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
-            f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
-        ]
+        # every element or edge line is led by its newline, and the file
+        # ends without one
+        def polygons(red, blue):
+            for rows in _row_slices(self.num_elements):
+                yield "".join([
+                    f'\n<polygon points="{fx[a]},{fy[a]} {fx[b]},{fy[b]} '
+                    f'{fx[c]},{fy[c]}" fill="rgb({r},64,{g})" '
+                    'fill-opacity="0.6" stroke="none"/>'
+                    for a, b, c, r, g in zip(*self.elem_verts[rows].T.tolist(),
+                                             red[rows].tolist(),
+                                             blue[rows].tolist())])
+
+        def lines():
+            for rows in _row_slices(self.num_edges):
+                yield "".join([
+                    f'\n<line x1="{fx[a]}" y1="{fy[a]}" x2="{fx[b]}" '
+                    f'y2="{fy[b]}" stroke="black" stroke-width="0.4"/>'
+                    for a, b in zip(*self.edge_verts[rows].T.tolist())])
+
+        parts = [[f'<svg xmlns="http://www.w3.org/2000/svg" '
+                  f'width="{SVG_SIZE}" height="{SVG_SIZE}" '
+                  f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">']]
         if values is not None:
             values = np.asarray(values, dtype=float)
             vmax = values.max() if values.size else 1.0
             vmin = values.min() if values.size else 0.0
             rng = vmax - vmin if vmax > vmin else 1.0
             ts = (values - vmin) / rng
-            out.append("\n".join([
-                f'<polygon points="{fx[a]},{fy[a]} {fx[b]},{fy[b]} '
-                f'{fx[c]},{fy[c]}" fill="rgb({red},64,{blue})" '
-                'fill-opacity="0.6" stroke="none"/>'
-                for a, b, c, red, blue in zip(
-                    *self.elem_verts.T.tolist(),
-                    (255 * ts).astype(np.int64).tolist(),
-                    (255 * (1 - ts)).astype(np.int64).tolist())
-            ]))
-        out.append("\n".join([
-            f'<line x1="{fx[a]}" y1="{fy[a]}" x2="{fx[b]}" y2="{fy[b]}" '
-            'stroke="black" stroke-width="0.4"/>'
-            for a, b in zip(*self.edge_verts.T.tolist())
-        ]))
-        out.append("</svg>")
-        return "\n".join(out)
+            parts.append(polygons((255 * ts).astype(np.int64),
+                                  (255 * (1 - ts)).astype(np.int64)))
+        parts += [lines(), ["\n</svg>"]]
+        return write_text(out, *parts)
 
 
-def _index_rows(*columns: np.ndarray) -> str:
-    """Integer rows, each led by its index, formatted in one ``%`` pass."""
-    rows = np.column_stack([np.arange(len(columns[0])), *columns])
-    line = " ".join(["%d"] * rows.shape[1])
-    return "\n".join([line] * len(rows)) % tuple(rows.ravel().tolist())
+def _row_slices(count: int) -> Iterator[slice]:
+    """Consecutive slices of ``BLOCK_ROWS`` rows that cover ``count``."""
+    step = BLOCK_ROWS
+    return (slice(start, min(start + step, count))
+            for start in range(0, count, step))
+
+
+def text_rows(line: str, count: int, *columns: np.ndarray) -> Iterator[str]:
+    """Blocks of the rows ``line % (i, *row)``, i the row index, over the
+    ``count`` rows of the columns, one ``_row_slices`` block at a time."""
+    for rows in _row_slices(count):
+        yield "".join([line % row for row in zip(
+            range(rows.start, rows.stop),
+            *(column[rows].tolist() for column in columns))])
+
+
+def _index_rows(*columns: np.ndarray) -> Iterator[str]:
+    """Blocks of integer rows, each led by its index, each block formatted
+    in one ``%`` pass."""
+    for rows in _row_slices(len(columns[0])):
+        block = np.column_stack([np.arange(rows.start, rows.stop),
+                                 *(column[rows] for column in columns)])
+        line = " ".join(["%d"] * block.shape[1]) + "\n"
+        yield line * len(block) % tuple(block.ravel().tolist())
+
+
+def write_text(out: TextIO | None, *parts: Iterable[str]) -> str | None:
+    """Write the text blocks of ``parts`` to the open file ``out`` one at
+    a time, or, with no file, return them joined."""
+    if out is None:
+        return "".join(block for part in parts for block in part)
+    for part in parts:
+        out.writelines(part)
+    return None
 
 
 # ----------------------------------------------------------------------

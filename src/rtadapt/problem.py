@@ -48,7 +48,7 @@ class CoefficientFields:
     bounds of the analysis reduce to the reaction: c_wr = C_wr = r.
     """
 
-    S: np.ndarray          # (NT, 2, 2)
+    S: np.ndarray | None   # (NT, 2, 2); None on a mesh, where S^-1 serves
     Sinv: np.ndarray       # (NT, 2, 2)
     Sinvhalf: np.ndarray   # (NT, 2, 2)
     w: np.ndarray          # (NT, 2)
@@ -139,13 +139,15 @@ class ProblemData:
 
     def fields(self, mesh: Triangulation) -> CoefficientFields:
         """Gather the coefficient table onto the mesh elements via their
-        coarse ancestors."""
+        coarse ancestors, all of it but S."""
         anc = mesh.elem_ancestor
         if anc.max(initial=-1) >= self.table.r.size:
             raise ProblemDataError("mesh ancestor outside the coefficient table")
-        # np.take gathers rows several times faster than values[anc]
+        # np.take gathers rows several times faster than values[anc]; S
+        # itself is left on the table, since the mesh computations use
+        # S^-1 and S^-1/2
         return CoefficientFields(**{
-            name: np.take(values, anc, axis=0)
+            name: None if name == "S" else np.take(values, anc, axis=0)
             for name, values in vars(self.table).items()})
 
 
@@ -252,27 +254,33 @@ def _corner_exact(alpha: float, s_vals, a_vals, b_vals) -> ExactSolution:
         return value(r, a_vals[quad] * np.sin(alpha * theta)
                      + b_vals[quad] * np.cos(alpha * theta))
 
-    def gradient(x, y):
-        """grad p, the quadrant index, r and phi = a sin(alpha theta) +
-        b cos(alpha theta), from one polar evaluation."""
+    def u_and_p(x, y):
+        """u = -s_i grad p and p from one polar evaluation; -s_i scales
+        the radial and angular parts of grad p before they are combined.
+        Each array is dropped once read, for fewer alive at the peak."""
         r, theta, quad = polar(x, y)
         a, b = a_vals[quad], b_vals[quad]
         sin_a, cos_a = np.sin(alpha * theta), np.cos(alpha * theta)
         phi = a * sin_a + b * cos_a
+        dphi = a * cos_a - b * sin_a
+        del a, b, sin_a, cos_a
         power = np.where(r == 0.0, 1.0, r) ** (alpha - 1.0)
         radial = alpha * power * phi
-        angular = power * (alpha * (a * cos_a - b * sin_a))
-        del a, b, sin_a, cos_a, power       # fewer arrays alive at the peak
+        angular = power * (alpha * dphi)
+        del dphi, power
+        scale = -s_vals[quad]
+        radial *= scale
+        angular *= scale
+        del scale, quad
+        p_values = value(r, phi)
+        del phi
         sin_t, cos_t = np.sin(theta), np.cos(theta)
+        del theta
         zero = r == 0.0
-        grad = np.empty(r.shape + (2,))
-        grad[..., 0] = np.where(zero, 0.0, radial * cos_t - angular * sin_t)
-        grad[..., 1] = np.where(zero, 0.0, radial * sin_t + angular * cos_t)
-        return grad, quad, r, phi
-
-    def u_and_p(x, y):
-        grad, quad, r, phi = gradient(x, y)
-        return -s_vals[quad][..., None] * grad, value(r, phi)
+        u = np.empty(r.shape + (2,))
+        u[..., 0] = np.where(zero, 0.0, radial * cos_t - angular * sin_t)
+        u[..., 1] = np.where(zero, 0.0, radial * sin_t + angular * cos_t)
+        return u, p_values
 
     return ExactSolution(p, u_and_p, singular_points=((0.0, 0.0),))
 

@@ -23,6 +23,7 @@ equations.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import warnings
 
 import numpy as np
@@ -63,12 +64,13 @@ def release_heap() -> None:
         _malloc_trim(0)
 
 
-def _diagnose_singularity(system: HybridSystem) -> str:
-    absmat = abs(system.matrix)
-    row_sums = np.asarray(absmat.sum(axis=1)).ravel()
-    dead = np.flatnonzero(row_sums == 0.0)
+def _diagnose_singularity(permuted: sp.csc_matrix, order: np.ndarray) -> str:
+    """Name the first empty row of the ``rcm_permuted`` matrix in the
+    system's own numbering, through its ``order``."""
+    row_sums = np.asarray(abs(permuted).sum(axis=1)).ravel()
+    dead = order[row_sums == 0.0]
     if dead.size:
-        return f"zero pivot row {int(dead[0])}"
+        return f"zero pivot row {int(dead.min())}"
     return "singular factorization (no empty row; likely rank deficiency)"
 
 
@@ -88,12 +90,17 @@ def solve(system: HybridSystem) -> MixedSolution:
     Raises SingularSystemError on factorization breakdown, naming rows in
     the system's own numbering, and SolverError when the residual
     tolerance is not met (the achieved residual is part of the message).
+    The recovery runs on a copy of ``system`` without its matrix, so
+    ``system.recover`` must not read it; ``system`` is left unchanged.
     """
     if system.dimension > MAX_DIMENSION:
         raise SolverError(
             f"system dimension {system.dimension} exceeds {MAX_DIMENSION}"
         )
     permuted, order = rcm_permuted(system.matrix)
+    # recover reads no matrix: without the caller's reference (as in
+    # adapt.run_iteration) the unpermuted one is freed before the release
+    system = dataclasses.replace(system, matrix=None)
     release_heap()
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
@@ -105,12 +112,12 @@ def solve(system: HybridSystem) -> MixedSolution:
                           options=OPTIONS).solve(system.rhs[order])
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(
-                f"{_diagnose_singularity(system)}: {exc}"
+                f"{_diagnose_singularity(permuted, order)}: {exc}"
             ) from exc
     x = np.empty_like(y)
     x[order] = y
     if not np.all(np.isfinite(x)):
-        raise SingularSystemError(_diagnose_singularity(system))
+        raise SingularSystemError(_diagnose_singularity(permuted, order))
 
     solution, residual, rhs = system.recover(x)
     # sums of squares: np.linalg.norm goes through the BLAS, whose threads

@@ -817,6 +817,9 @@ class SaddleSystem:
     fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
     scheme: str
     nu: np.ndarray | None = None  # per-edge upwind weights (upwind scheme)
+    # the matrix again, for the residual: solver.solve recovers from a
+    # copy of the system without ``matrix``
+    mixed: sp.csr_matrix | None = None
 
     @property
     def dimension(self) -> int:
@@ -830,7 +833,7 @@ class SaddleSystem:
         flux[free] = x[self.edge_dof[free]]
         solution = MixedSolution(flux=flux, pressure=x[self.n_free:],
                                  scheme=self.scheme)
-        return solution, self.matrix @ x - self.rhs, self.rhs
+        return solution, self.mixed @ x - self.rhs, self.rhs
 
 
 def mixed_centered(mesh, problem):
@@ -938,7 +941,7 @@ def _mixed(mesh, problem, scheme):
     matrix.sort_indices()
     return SaddleSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof,
                         n_free=n_free, fixed_flux=fixed, scheme=scheme,
-                        nu=nu_edges)
+                        nu=nu_edges, mixed=matrix)
 
 
 def element_row(system, t):

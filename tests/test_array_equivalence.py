@@ -17,6 +17,8 @@ per-element contractions are also checked against the per-point forms
 on randomly refined meshes under random SPD tensors.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +30,8 @@ from oracles import (canonical, dict_topology, loop_dump, loop_estimator_csv,
                      star_walk_singular_vertices)
 from rtadapt import adapt, assembly, cli, mesh as meshmod, postprocess
 from rtadapt import quadrature as quad, solver, verify
-from rtadapt.estimators import EstimatorContext, detect_singular_vertices
+from rtadapt.estimators import (EstimatorBreakdown, EstimatorContext,
+                                detect_singular_vertices)
 from rtadapt.mesh import (DIRICHLET, DOMAINS, INTERIOR, NEUMANN,
                           Triangulation, apply_boundary_rule,
                           build_initial_mesh)
@@ -198,6 +201,60 @@ def test_writers_match_row_writers(case_meshes, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(meshmod, "SVG_SIZE", 333)
             assert mesh.to_svg() == oracles.row_svg(mesh, size=333)
+
+
+def block_rows(count, offset):
+    """The smallest block size of at least three rows that splits
+    ``count`` rows into two or more blocks and leaves them ``offset`` rows
+    past a block boundary (-1: one row short of it); None if none does."""
+    return next((rows for rows in range(3, count // 2 + 1)
+                 if (count - offset) % rows == 0), None)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "on", "past"])
+@pytest.mark.parametrize("kind", ["num_vertices", "num_edges",
+                                  "num_elements"])
+def test_block_writers_at_block_boundaries(kind, offset, monkeypatch):
+    """With blocks of a few rows, every block writer, as a string and
+    into an open file, equals its row oracle on meshes whose vertex, edge
+    or element count ends one row short of a block boundary, on one, or
+    one row past one."""
+    rng = np.random.default_rng(11)
+    domain, data, _ = benchmark("layer")
+    mesh = data.initial_mesh(domain)
+    checked = 0
+    for _ in range(6):
+        mesh = mesh.uniform_refine()
+        rows = block_rows(getattr(mesh, kind), offset)
+        if rows is None:
+            continue
+        monkeypatch.setattr(meshmod, "BLOCK_ROWS", rows)
+        values = rng.random(mesh.num_elements)
+        breakdown = EstimatorBreakdown(*rng.random((7, mesh.num_elements)))
+        nodal = rng.random(mesh.num_vertices)
+        for write, args, want in [
+                (mesh.dump, (), oracles.row_dump(mesh)),
+                (mesh.to_svg, (values,), oracles.row_svg(mesh, values)),
+                (mesh.to_svg, (), oracles.row_svg(mesh)),
+                (breakdown.to_csv, (), loop_estimator_csv(breakdown)),
+                (cli.write_nodal, (nodal,), loop_nodal_csv(nodal))]:
+            assert write(*args) == want
+            out = io.StringIO()
+            assert write(*args, out=out) is None
+            assert out.getvalue() == want
+        checked += 1
+    assert checked >= 2
+
+
+def test_empty_breakdown_csv():
+    """No elements: the header line alone, as a string and into a file."""
+    empty = EstimatorBreakdown(*np.empty((7, 0)))
+    want = loop_estimator_csv(empty)
+    assert want == "element_id,eta_D,eta_R,eta_NC,eta_C,eta_U,xi,total\n"
+    assert empty.to_csv() == want
+    out = io.StringIO()
+    empty.to_csv(out)
+    assert out.getvalue() == want
 
 
 def test_artifacts_match_loop_writers(tmp_path):
