@@ -82,11 +82,11 @@ class HybridSystem:
     the interior edges, times the pressures across, by the face rule of
     ``disc``, the Discretization the system was assembled from.
 
-    ``inverse`` inverts the flux parts of the blocks, with each Neumann
-    row made an identity row for the fixed flux.  The centered scheme
-    condenses its pressure to p = offset + sum of gain_i lambda_i over the
-    element's edges, and the unknowns of ``matrix`` are the multipliers;
-    the upwind unknowns are the multipliers, then the element pressures.
+    Each Neumann row of M is an identity row, for the fixed flux.  The
+    centered scheme condenses its pressure to p = offset + sum of gain_i
+    lambda_i over the element's edges, and the unknowns of ``matrix`` are
+    the multipliers; the upwind unknowns are the multipliers, then the
+    element pressures.
     ``matrix`` enforces flux continuity, sum of B_i u_i over both sides,
     per interior edge, followed by the upwind element rows.
     """
@@ -97,7 +97,6 @@ class HybridSystem:
     disc: Discretization
     blocks: np.ndarray            # (4, 4, NT) element blocks [[M, -B], [c, d]]
     load: np.ndarray              # (4, NT) their right-hand sides
-    inverse: np.ndarray           # (3, 3, NT) inverses of the flux parts
     fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
     # centered scheme only: the condensed pressure, (NT,) and (3, NT)
     offset: np.ndarray | None = None
@@ -129,7 +128,8 @@ class HybridSystem:
         # B (lambda - p) on the free edges of each element; the load and
         # the jump vanish in the Neumann rows, which hold the fixed flux
         jump = np.where(neumann[E], 0.0, lam - pressure)
-        local = _apply(self.inverse, self.load[:3] + (
+        # the flux inverses again, which the factorization ran without
+        local = _apply(_inverse3(self.blocks[:3, :3]), self.load[:3] + (
             self.fixed_flux[E] + self.blocks[:3, 3] * jump))
         # the two sides of an interior edge agree up to round-off
         flux = np.bincount(flat, local.ravel(), num_edges) \
@@ -157,10 +157,9 @@ class Discretization:
     computed once.
 
     fields : coefficient fields on the elements (``problem.fields``)
-    source : (NT, 7) the source f at the nodes of ``quad.SEVEN_POINT``
+    source : (NT, 7) the source f at the nodes of ``quad.SEVEN_POINT``,
+        a read-only zero broadcast for a problem without a source
     pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
-    seven_points : (NT, 7, 2) those nodes, built on first use, after the
-        solve, so that the factorization runs without them
     face_rule : the upwind face rule, built on first use (upwind only)
     """
 
@@ -168,14 +167,12 @@ class Discretization:
         self.mesh = mesh
         self.problem = problem
         self.fields = problem.fields(mesh)
-        pts = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
-        self.source = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1]),
-                                      pts.shape[:-1])
+        self.source = np.broadcast_to(0.0, (mesh.num_elements, 7))
+        if problem.has_source:
+            pts = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
+            self.source = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1]),
+                                          pts.shape[:-1])
         self.pd_mean = dirichlet_edge_means(mesh, problem)
-
-    @cached_property
-    def seven_points(self) -> np.ndarray:
-        return quad.SEVEN_POINT.physical_points(self.mesh.elem_coords)
 
     @cached_property
     def face_rule(self) -> tuple[np.ndarray, ...]:
@@ -228,24 +225,19 @@ def _inverse3(blocks: np.ndarray) -> np.ndarray:
 
 
 def _eliminate_fluxes(blocks: np.ndarray, neumann: np.ndarray, rhs):
-    """Solve the flux rows of the element blocks [[M, -B], [c, d]], with
-    those set in the (3, NT) mask ``neumann`` made identity rows and
-    right-hand sides ``rhs``, for u = q + v p - H lambda.  Returns the
-    inverse of the eliminated M, v, q, H and cH = H^T c.  Raises
-    SingularSystemError naming the first element whose block is not
-    finite or whose M is singular."""
+    """Solve the flux rows of the element blocks [[M, -B], [c, d]], whose
+    rows set in the (3, NT) mask ``neumann`` are identity rows of M, with
+    right-hand sides ``rhs``, for u = q + v p - H lambda.  Returns v, q,
+    H and cH = H^T c.  Raises SingularSystemError naming the first
+    element whose block is not finite or whose M is singular."""
     _singular_at(~np.isfinite(blocks).all(axis=(0, 1)))
-    M = blocks[:3, :3].copy()
-    i, t = np.nonzero(neumann)
-    M[i, :, t] = 0.0
-    M[i, i, t] = 1.0
-    inverse = _inverse3(M)
+    inverse = _inverse3(blocks[:3, :3])
     b = np.where(neumann, 0.0, -blocks[:3, 3])
     v = _apply(inverse, b)
     q = _apply(inverse, rhs)
     H = inverse * b
     cH = _apply(H.swapaxes(0, 1), blocks[3, :3])
-    return inverse, v, q, H, cH
+    return v, q, H, cH
 
 
 def _condense_pressure(blocks: np.ndarray, load: np.ndarray, v, q, cH):
@@ -414,11 +406,14 @@ def load_vector(disc: Discretization) -> np.ndarray:
 
 
 def _element_system(disc: Discretization, M, B, c, d, load_p):
-    """Entry-major element blocks [[M, -B], [c, d]] with their right-hand
-    sides, and the fixed Neumann coefficients."""
+    """Entry-major element blocks [[M, -B], [c, d]], each Neumann row of M
+    an identity row, their right-hand sides and the fixed Neumann fluxes."""
     mesh = disc.mesh
     blocks = np.empty((4, 4, mesh.num_elements))
     blocks[:3, :3] = M
+    i, t = np.nonzero(mesh.edge_flag[mesh.elem_edges.T] == NEUMANN)
+    blocks[i, :3, t] = 0.0
+    blocks[i, i, t] = 1.0
     blocks[:3, 3] = -B
     blocks[3, :3] = c
     blocks[3, 3] = d
@@ -456,8 +451,8 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
     # each intermediate is dropped once read, so that none is alive
     # while the sparse matrix is built
     del M, conv, react
-    inverse, v, q, H, cH = _eliminate_fluxes(
-        blocks, mesh.edge_flag[E] == NEUMANN, load[:3] + fixed[E])
+    v, q, H, cH = _eliminate_fluxes(blocks, mesh.edge_flag[E] == NEUMANN,
+                                    load[:3] + fixed[E])
     offset, gain = _condense_pressure(blocks, load, v, q, cH)
     del cH
 
@@ -475,8 +470,8 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
     del H
     matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
-                        blocks=blocks, load=load, inverse=inverse,
-                        fixed_flux=fixed, offset=offset, gain=gain)
+                        blocks=blocks, load=load, fixed_flux=fixed,
+                        offset=offset, gain=gain)
 
 
 def assemble_upwind(disc: Discretization) -> HybridSystem:
@@ -500,8 +495,8 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
         disc, M, B, -B, d, datum.sum(axis=0) - load_vector(disc))
     # as in assemble_centered, each intermediate is dropped once read
     del M, react, own, datum
-    inverse, v, q, H, cH = _eliminate_fluxes(blocks, flag == NEUMANN,
-                                             load[:3] + fixed[E])
+    v, q, H, cH = _eliminate_fluxes(blocks, flag == NEUMANN,
+                                    load[:3] + fixed[E])
     c = blocks[3, :3]
 
     edge_dof, n = _multipliers(mesh)
@@ -522,5 +517,5 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     del v, cH
     matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n + nt, n + nt))
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
-                        blocks=blocks, load=load, inverse=inverse,
-                        fixed_flux=fixed, coupling=coupling)
+                        blocks=blocks, load=load, fixed_flux=fixed,
+                        coupling=coupling)

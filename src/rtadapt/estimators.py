@@ -178,7 +178,8 @@ class EstimatorContext:
         fields, flux = self.fields, self.flux
         g = np.column_stack(mat_vec(fields.Sinv[elems].swapaxes(1, 2),
                                     fields.w[elems]))
-        u = flux.u(elems, self.disc.seven_points[elems])
+        u = flux.u(elems, quad.SEVEN_POINT.physical_points(
+            self.mesh.elem_coords[elems]))
         react = fields.r[elems] * self.solution.pressure[elems]
         return (self.disc.source[elems] - 2.0 * flux.b[elems, None]
                 + dot(u, g[:, None]) - react[:, None])

@@ -334,7 +334,7 @@ class Triangulation:
         # every element or edge line is led by its newline, and the file
         # ends without one
         def polygons(red, blue):
-            for rows in _row_slices(self.num_elements):
+            for rows in row_slices(self.num_elements):
                 yield "".join([
                     f'\n<polygon points="{fx[a]},{fy[a]} {fx[b]},{fy[b]} '
                     f'{fx[c]},{fy[c]}" fill="rgb({r},64,{g})" '
@@ -344,7 +344,7 @@ class Triangulation:
                                              blue[rows].tolist())])
 
         def lines():
-            for rows in _row_slices(self.num_edges):
+            for rows in row_slices(self.num_edges):
                 yield "".join([
                     f'\n<line x1="{fx[a]}" y1="{fy[a]}" x2="{fx[b]}" '
                     f'y2="{fy[b]}" stroke="black" stroke-width="0.4"/>'
@@ -365,7 +365,7 @@ class Triangulation:
         return write_text(out, *parts)
 
 
-def _row_slices(count: int) -> Iterator[slice]:
+def row_slices(count: int) -> Iterator[slice]:
     """Consecutive slices of ``BLOCK_ROWS`` rows that cover ``count``."""
     step = BLOCK_ROWS
     return (slice(start, min(start + step, count))
@@ -374,8 +374,8 @@ def _row_slices(count: int) -> Iterator[slice]:
 
 def text_rows(line: str, count: int, *columns: np.ndarray) -> Iterator[str]:
     """Blocks of the rows ``line % (i, *row)``, i the row index, over the
-    ``count`` rows of the columns, one ``_row_slices`` block at a time."""
-    for rows in _row_slices(count):
+    ``count`` rows of the columns, one ``row_slices`` block at a time."""
+    for rows in row_slices(count):
         yield "".join([line % row for row in zip(
             range(rows.start, rows.stop),
             *(column[rows].tolist() for column in columns))])
@@ -384,7 +384,7 @@ def text_rows(line: str, count: int, *columns: np.ndarray) -> Iterator[str]:
 def _index_rows(*columns: np.ndarray) -> Iterator[str]:
     """Blocks of integer rows, each led by its index, each block formatted
     in one ``%`` pass."""
-    for rows in _row_slices(len(columns[0])):
+    for rows in row_slices(len(columns[0])):
         block = np.column_stack([np.arange(rows.start, rows.stop),
                                  *(column[rows] for column in columns)])
         line = " ".join(["%d"] * block.shape[1]) + "\n"

@@ -57,6 +57,15 @@ class CoefficientFields:
     C_S: np.ndarray
     C_w: np.ndarray
 
+    def __getattr__(self, name: str) -> np.ndarray:
+        """Gather a field of ``ProblemData.fields`` on its first read."""
+        if "_rows" not in vars(self):    # a table, or a copy being built
+            raise AttributeError(name)
+        # np.take gathers rows several times faster than values[rows]
+        values = np.take(getattr(self._table, name), self._rows, axis=0)
+        setattr(self, name, values)
+        return values
+
 
 def coefficient_table(S, w, r) -> CoefficientFields:
     """Validate per-element S (n, 2, 2), w (n, 2) and r (n,) and derive
@@ -116,14 +125,11 @@ class ProblemData:
                  neumann_data: Callable = None,
                  boundary_rule: Callable = None):
         self.table = coefficient_table(S, w, r)
-        # a zero source as a read-only view, which holds no memory while
-        # the Discretization keeps its values
-        self.f = f if f is not None \
-            else (lambda x, y: np.broadcast_to(0.0, np.shape(x)))
-        self.dirichlet_data = (dirichlet_data if dirichlet_data is not None
-                               else (lambda x, y: np.zeros_like(x)))
-        self.neumann_data = (neumann_data if neumann_data is not None
-                             else (lambda x, y: np.zeros_like(x)))
+        # data not given is zero, and a zero source is never evaluated
+        self.has_source = f is not None
+        self.f, self.dirichlet_data, self.neumann_data = (
+            g if g is not None else (lambda x, y: np.zeros_like(x))
+            for g in (f, dirichlet_data, neumann_data))
         self.boundary_rule = boundary_rule
 
     def initial_mesh(self, domain: str) -> Triangulation:
@@ -138,17 +144,14 @@ class ProblemData:
         return m
 
     def fields(self, mesh: Triangulation) -> CoefficientFields:
-        """Gather the coefficient table onto the mesh elements via their
-        coarse ancestors, all of it but S."""
+        """The coefficient table on the mesh elements via their coarse
+        ancestors, all of it but S, each field gathered on its first read."""
         anc = mesh.elem_ancestor
         if anc.max(initial=-1) >= self.table.r.size:
             raise ProblemDataError("mesh ancestor outside the coefficient table")
-        # np.take gathers rows several times faster than values[anc]; S
-        # itself is left on the table, since the mesh computations use
-        # S^-1 and S^-1/2
-        return CoefficientFields(**{
-            name: None if name == "S" else np.take(values, anc, axis=0)
-            for name, values in vars(self.table).items()})
+        fields = object.__new__(CoefficientFields)
+        fields.S, fields._table, fields._rows = None, self.table, anc
+        return fields
 
 
 def patch_quantities(mesh: Triangulation, fields: CoefficientFields

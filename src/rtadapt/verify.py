@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import quadrature as quad
-from .mesh import Triangulation
+from .mesh import Triangulation, row_slices
 from .postprocess import FluxField
 from .problem import ExactSolution
 
@@ -29,8 +29,10 @@ def energy_error(mesh: Triangulation, fields, flux: FluxField,
     the graded collapsed rule ``quad.SINGULAR_VERTEX`` with the collapse
     at that vertex.  No rule evaluates the exact fields at a vertex.
     """
-    per_elem_sq = _error_sq(quad.SEVEN_POINT, flux.disc.seven_points,
-                            slice(None), mesh, fields, flux, pressure, exact)
+    rule, per_elem_sq = quad.SEVEN_POINT, np.empty(mesh.num_elements)
+    for rows in row_slices(mesh.num_elements):
+        per_elem_sq[rows] = _error_sq(rule, rule.physical_points(
+            mesh.elem_coords[rows]), rows, mesh, fields, flux, pressure, exact)
     elems, first = _singular_vertex_elements(mesh, exact.singular_points)
     if elems.size:
         order = (first[:, None] + np.arange(3)) % 3
@@ -40,8 +42,7 @@ def energy_error(mesh: Triangulation, fields, flux: FluxField,
         per_elem_sq[elems] = _error_sq(rule, rule.physical_points(rotated),
                                        elems, mesh, fields, flux, pressure,
                                        exact)
-    per_elem = np.sqrt(per_elem_sq)
-    return float(np.sqrt(per_elem_sq.sum())), per_elem
+    return float(np.sqrt(per_elem_sq.sum())), np.sqrt(per_elem_sq)
 
 
 def _error_sq(rule: quad.Rule, pts: np.ndarray, elems,

@@ -1176,10 +1176,10 @@ def einsum_weighted_norm_sq(ctx):
     return einsum_integrate(rule, (vals**2).sum(axis=-1), mesh.elem_area)
 
 
-def einsum_residual_norm_sq(ctx):
-    """``EstimatorContext._residual_norm_sq`` at the context's nodes."""
+def einsum_residual_norm_sq(ctx, pts):
+    """``EstimatorContext._residual_norm_sq`` at the seven-point nodes
+    ``pts`` of the context's mesh."""
     mesh, fields, rule = ctx.mesh, ctx.fields, quad.SEVEN_POINT
-    pts = ctx.disc.seven_points
     fvals = np.broadcast_to(ctx.disc.problem.f(pts[..., 0], pts[..., 1]),
                             pts.shape[:-1])
     pure = (fields.C_w == 0.0) & (fields.r == 0.0)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtadapt import adapt, assembly, estimators, verify
+from rtadapt import adapt, assembly, estimators, quadrature as quad, \
+    solver, verify
 from rtadapt.adapt import AdaptError, adaptive_loop, dorfler_mark
 from rtadapt.cli import BENCHMARK_DEFAULTS
 from rtadapt.mesh import Triangulation, apply_boundary_rule, \
     build_initial_mesh
-from rtadapt.problem import ProblemData, benchmark
+from rtadapt.problem import CoefficientFields, ProblemData, benchmark
 
 
 class TestDorflerMark:
@@ -296,10 +297,12 @@ class TestSharedDiscretization:
     @pytest.mark.parametrize("case, scheme", [("kellogg1", "centered"),
                                               ("layer", "upwind")])
     def test_each_datum_evaluated_once(self, case, scheme):
-        """One iteration evaluates the source once, the Dirichlet datum
-        for its edge means and once per side of the central difference
-        that gives both boundary slopes, and the exact u and p jointly once
-        per energy rule."""
+        """One iteration evaluates the source once where the problem has
+        one (the layer; a Kellogg problem has none, and takes a zero source
+        without evaluating it), the Dirichlet datum for its edge means and
+        once per side of the central difference that gives both boundary
+        slopes, and the exact u and p jointly once per energy rule and
+        block of ``mesh.BLOCK_ROWS`` elements, one block here."""
         domain, data, exact = benchmark(case)
         calls = Counter()
 
@@ -320,7 +323,73 @@ class TestSharedDiscretization:
         verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
                             exact)
         rules = 1 + len(exact.singular_points)
-        assert calls == {"f": 1, "datum": 3, "u_and_p": rules}
+        sources = {"kellogg1": 0, "layer": 1}[case]
+        assert calls == Counter(f=sources, datum=3, u_and_p=rules)
+
+    @pytest.mark.parametrize("case, mappings", [("lshape", 0), ("kellogg1", 0),
+                                                ("layer", 1)])
+    def test_source_nodes_mapped_only_for_a_source(self, monkeypatch, case,
+                                                   mappings):
+        """A problem without a source takes a read-only zero source and
+        maps no seven-point nodes for it; the layer's source maps them
+        once."""
+        calls = []
+        physical_points = quad.Rule.physical_points
+
+        def counted(rule, coords):
+            calls.append(rule is quad.SEVEN_POINT)
+            return physical_points(rule, coords)
+
+        monkeypatch.setattr(quad.Rule, "physical_points", counted)
+        domain, data, _ = benchmark(case)
+        mesh = data.initial_mesh(domain).uniform_refine()
+        disc = assembly.Discretization(mesh, data)
+        assert sum(calls) == mappings
+        assert disc.source.shape == (mesh.num_elements, 7)
+        assert not disc.source.flags.writeable
+        assert disc.source.any() == (case == "layer")
+
+    @pytest.mark.parametrize("case, scheme", [("kellogg1", "centered"),
+                                              ("layer", "upwind")])
+    def test_factorization_runs_without_estimator_data(
+            self, monkeypatch, case, scheme):
+        """At the splu call the fields that only the estimators read
+        (S^-1/2, C_S and C_w) are not yet gathered, and the system holds
+        no (3, 3, NT) flux inverse; over the iteration every field but S
+        is gathered exactly once."""
+        systems, at_splu, gathered = [], [], Counter()
+        assemble, splu = getattr(assembly, f"assemble_{scheme}"), \
+            solver.spla.splu
+        gather = CoefficientFields.__getattr__
+
+        def recorded(disc):
+            systems.append(assemble(disc))
+            return systems[-1]
+
+        def inspected(*args, **kwargs):
+            system = systems[-1]
+            shapes = [np.shape(value) for value in vars(system).values()]
+            at_splu.append((set(vars(system.disc.fields)), shapes))
+            return splu(*args, **kwargs)
+
+        def counted(fields, name):
+            gathered[name] += 1
+            return gather(fields, name)
+
+        monkeypatch.setattr(assembly, f"assemble_{scheme}", recorded)
+        monkeypatch.setattr(solver.spla, "splu", inspected)
+        monkeypatch.setattr(CoefficientFields, "__getattr__", counted)
+        domain, data, exact = benchmark(case)
+        mesh = data.initial_mesh(domain).uniform_refine()
+        solution, ctx = adapt.run_iteration(mesh, data, scheme)
+        ctx.compute("theorem")
+        verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
+                            exact)
+        (names, shapes), = at_splu
+        assert not names & {"Sinvhalf", "C_S", "C_w"}
+        assert (3, 3, mesh.num_elements) not in shapes
+        assert gathered == Counter(dict.fromkeys(
+            ["Sinv", "Sinvhalf", "w", "r", "c_S", "C_S", "C_w"], 1))
 
     def test_loop_gathers_once_per_record(self, field_calls):
         domain, data, exact = benchmark("lshape")

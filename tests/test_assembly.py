@@ -499,11 +499,11 @@ class TestClosedFormInverse:
         neumann = mesh.edge_flag[mesh.elem_edges.T] == NEUMANN
         disc = Discretization(mesh, data)
         centered = assemble_centered(disc)
-        self.close(centered.inverse, identity_rows(
-            centered.blocks[:3, :3], neumann))
-        upwind = assemble_upwind(disc)
-        self.close(upwind.inverse, identity_rows(
-            upwind.blocks[:3, :3], neumann))
+        for system in (centered, assemble_upwind(disc)):
+            # the flux inverses of the recovery, of blocks whose rows of M
+            # on Neumann edges are identity rows
+            self.close(assembly._inverse3(system.blocks[:3, :3]),
+                       identity_rows(system.blocks[:3, :3], neumann))
         M = assembly._local_blocks(disc)[0]
         self.close(assembly._inverse3(M), M)
         # the condensed (u, p) of the centered blocks, to their own load
@@ -588,7 +588,7 @@ def eliminated_solutions(blocks, neumann, rhs, lam):
     Returns (u, p) from ``_eliminate_fluxes`` and ``_condense_pressure``,
     as the centered assembly computes it, and from LAPACK's solver, with
     the eliminated blocks and their right-hand sides, element-major."""
-    _, v, q, H, cH = assembly._eliminate_fluxes(blocks, neumann, rhs[:3])
+    v, q, H, cH = assembly._eliminate_fluxes(blocks, neumann, rhs[:3])
     offset, gain = assembly._condense_pressure(blocks, rhs, v, q, cH)
     p = offset + (gain * lam).sum(axis=0)
     u = q + v * p - assembly._apply(H, lam)
@@ -652,8 +652,7 @@ class TestBatchedInverseProperties:
         neumann = np.zeros((3, 16), dtype=bool)
         blocks = drawn_blocks(sets, neumann)
         load = np.zeros((4, 16))
-        _, v, q, _, cH = assembly._eliminate_fluxes(blocks, neumann,
-                                                    load[:3])
+        v, q, _, cH = assembly._eliminate_fluxes(blocks, neumann, load[:3])
         # d = -c . v in the kernel's own arithmetic, so s = 0 exactly
         c_v = (blocks[3, :3] * v).sum(axis=0)
         elems = sorted(singular)
@@ -731,10 +730,12 @@ class TestSolutionMapping:
 # ----------------------------------------------------------------------
 
 # largest tracemalloc peak of one assembly over the bytes of the system it
-# returns.  Measured 1.45 (centered, 6,144-element L-shape) and 1.77
-# (upwind, 8,192-element layer), 1.52 and 1.75 on 1,536 L-shape
-# elements; an assembly that keeps its intermediates and int64 triplets
-# alive under the sparse build read 2.52 and 3.67 on the meshes here
+# returns.  Measured 1.55 (centered, 6,144-element L-shape) and 1.90
+# (upwind, 8,192-element layer), 1.64 and 1.88 on 1,536 L-shape
+# elements, with the fields the assembly reads gathered before; the
+# system holds no flux inverses (with them: 1.45, 1.77, 1.52, 1.75).  An
+# assembly that keeps its intermediates and int64 triplets alive under
+# the sparse build read 2.52 and 3.67 on the meshes here
 MEMORY_BUDGETS = {"centered": ("lshape", 6144, 1.7),
                   "upwind": ("layer", 8192, 2.0)}
 
@@ -743,7 +744,7 @@ def system_bytes(system):
     """Bytes of the arrays a HybridSystem holds."""
     arrays = (system.matrix.data, system.matrix.indices,
               system.matrix.indptr, system.rhs, system.edge_dof,
-              system.blocks, system.load, system.inverse, system.fixed_flux,
+              system.blocks, system.load, system.fixed_flux,
               system.offset, system.gain, system.coupling)
     return sum(a.nbytes for a in arrays if a is not None)
 
@@ -753,8 +754,9 @@ def test_assembly_memory_budget(scheme):
     """The Python-visible memory an assembly allocates at its peak stays
     within a fixed multiple of the system it returns.  tracemalloc sees
     numpy's and scipy's arrays, not SuperLU, so the factorization is out
-    of this test; the upwind face rule, which the Discretization keeps,
-    is built before the measurement."""
+    of this test; the coefficient fields that the assembly reads and the
+    upwind face rule, which the Discretization keeps, are built before
+    the measurement."""
     case, elements, budget = MEMORY_BUDGETS[scheme]
     domain, data, _ = benchmark(case)
     mesh = data.initial_mesh(domain)
@@ -762,6 +764,7 @@ def test_assembly_memory_budget(scheme):
         mesh = mesh.uniform_refine()
     assert mesh.num_elements == elements
     disc = Discretization(mesh, data)
+    disc.fields.Sinv, disc.fields.w, disc.fields.r
     if scheme == "upwind":
         disc.face_rule
     assemble = getattr(assembly, f"assemble_{scheme}")

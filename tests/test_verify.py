@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rtadapt import assembly, quadrature as quad, solver, verify
+from rtadapt import adapt, assembly, mesh as meshmod, quadrature as quad, \
+    solver, verify
 from rtadapt.assembly import Discretization
 from rtadapt.mesh import build_initial_mesh
 from rtadapt.postprocess import FluxField
@@ -102,6 +105,45 @@ class TestEnergyError:
         assert np.abs(kernel_sq - expected_sq).max() \
             <= 1e-14 * expected_sq.max()
 
+    @pytest.mark.parametrize("case", ["kellogg1", "layer", "lshape"])
+    def test_blocks_match_one_block(self, monkeypatch, case):
+        """Blocks of a few elements give E and every E_K bit for bit as one
+        block over the mesh, and each block evaluates the exact solution
+        on its own nodes only.  On kellogg1 the singular-vertex elements
+        lie in several blocks; on the layer r > 0, so the displacement
+        term counts.  No block here has one element: numpy integrates a
+        single row by an inner product, not by a matrix-vector product,
+        which may round differently."""
+        domain, data, exact = benchmark(case)
+        scheme = "upwind" if case == "layer" else "centered"
+        mesh = data.initial_mesh(domain).uniform_refine().uniform_refine()
+        solution, ctx = adapt.run_iteration(mesh, data, scheme)
+        sizes = []
+
+        def recorded(x, y):
+            sizes.append(len(x))
+            return exact.u_and_p(x, y)
+
+        args = (mesh, ctx.fields, ctx.flux, solution.pressure,
+                dataclasses.replace(exact, u_and_p=recorded))
+        nt = mesh.num_elements
+        monkeypatch.setattr(meshmod, "BLOCK_ROWS", nt)
+        E, per = verify.energy_error(*args)
+        singular = verify._singular_vertex_elements(
+            mesh, exact.singular_points)[0]
+        assert (singular.size > 0) == (case != "layer")
+        for rows in (2, 3, 5):
+            assert nt % rows != 1
+            if case == "kellogg1":
+                assert np.unique(singular // rows).size > 1
+            sizes.clear()
+            monkeypatch.setattr(meshmod, "BLOCK_ROWS", rows)
+            got, got_per = verify.energy_error(*args)
+            assert got == E and np.array_equal(got_per, per)
+            assert sizes == [min(rows, nt - start)
+                             for start in range(0, nt, rows)] \
+                + [singular.size] * (singular.size > 0)
+
     def test_decomposition(self):
         domain, data, exact = benchmark("layer", eps=0.1, a=0.1)
         mesh = data.initial_mesh(domain).uniform_refine()
@@ -112,6 +154,35 @@ class TestEnergyError:
         E, per = verify.energy_error(mesh, fields, flux, sol.pressure, exact)
         assert E**2 == pytest.approx((per**2).sum(), rel=1e-12)
         assert np.all(per >= 0.0)
+
+
+# largest tracemalloc peak of one energy error over the bytes of the
+# (NT, 7, 2) seven-point nodes of its mesh.  Measured 1.17 (lshape, 24,576
+# elements) and 1.71 (kellogg1, 16,384), in blocks of mesh.BLOCK_ROWS
+# elements; one evaluation over the whole mesh read 6.06 on both
+ENERGY_BUDGETS = {"lshape": (12, 2.0), "kellogg1": (11, 2.0)}
+
+
+@pytest.mark.parametrize("case", sorted(ENERGY_BUDGETS))
+def test_energy_error_memory_budget(case):
+    """The Python-visible memory the energy error allocates at its peak
+    stays within a fixed multiple of the nodes of its mesh; the fields it
+    reads are gathered by the assembly before the measurement."""
+    refinements, budget = ENERGY_BUDGETS[case]
+    domain, data, exact = benchmark(case)
+    mesh = data.initial_mesh(domain)
+    for _ in range(refinements):
+        mesh = mesh.uniform_refine()
+    solution, ctx = adapt.run_iteration(mesh, data, "centered")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verify.energy_error(mesh, ctx.fields, ctx.flux, solution.pressure,
+                            exact)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget * mesh.num_elements * 7 * 2 * 8
 
 
 class TestEoc:
