@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from . import quadrature as quad
 from .mesh import DIRICHLET, INTERIOR, NEUMANN, Triangulation
-from .problem import CoefficientFields, ProblemData
+from .problem import ProblemData
 
 
 class SolverError(Exception):
@@ -177,10 +177,20 @@ class Discretization:
     @cached_property
     def face_rule(self) -> tuple[np.ndarray, ...]:
         """(wflux, other, c_own, c_other), (3, NT) each: the convective
-        fluxes w_{K,sigma} and the face rule of ``upwind_sides``."""
-        fluxes = _edge_fluxes(self.mesh, self.fields)
-        return (fluxes.T, *upwind_sides(self.mesh, fluxes.T,
-                                        upwind_weights(self, fluxes)))
+        fluxes w_{K,sigma}, the element across (-1 on the boundary), and
+        the weights of the element's own pressure and of the value across
+        (the neighbour's pressure or the Dirichlet datum) in the face value;
+        an element with outflow w_{K,sigma} >= 0 is upstream and weighs its
+        own pressure by 1 - nu."""
+        mesh, E = self.mesh, self.mesh.elem_edges.T
+        wflux = mesh.elem_signs.T * dot(self.fields.w, mesh.edge_normal[E]) \
+            * mesh.edge_length[E]
+        left, right = mesh.edge_elems[E].transpose(2, 0, 1)
+        other = np.where(left == np.arange(mesh.num_elements), right, left)
+        nu = upwind_weights(self)[E]
+        upstream = wflux >= 0.0
+        return (wflux, other, np.where(upstream, 1.0 - nu, nu),
+                np.where(upstream, nu, 1.0 - nu))
 
 
 def dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -312,62 +322,29 @@ def _local_blocks(disc: Discretization):
     return M, B, conv, react
 
 
-def _edge_fluxes(mesh: Triangulation, fields: CoefficientFields) -> np.ndarray:
-    """w_{K,sigma} per (element, local edge), shape (NT, 3)."""
-    E = mesh.elem_edges
-    wn = dot(fields.w[:, None], mesh.edge_normal[E])
-    return mesh.elem_signs * wn * mesh.edge_length[E]
-
-
-def upwind_weights(disc: Discretization, wflux: np.ndarray) -> np.ndarray:
+def upwind_weights(disc: Discretization) -> np.ndarray:
     """Per-edge upstream weights, oriented by the first incident element.
 
     nu = min(c_S |sigma| / (h_sigma |w_sigma|), 1/2) with c_S the harmonic
     average of the smallest diffusion eigenvalues across the edge (the
-    one-sided value on the boundary) and w_sigma the convective edge flux
-    of ``wflux`` (NT, 3), from ``_edge_fluxes``; zero for a vanishing flux
-    and on inflow boundary edges.  For a two-dimensional edge the measure
-    and the diameter coincide.
+    one-sided value on the boundary) and w_sigma the convective flux out
+    of the first element; zero for a vanishing flux and on inflow
+    boundary edges.  For a two-dimensional edge the measure and the
+    diameter coincide.
     """
     mesh, fields = disc.mesh, disc.fields
-    w_flux = _left_values(mesh, wflux)
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
+    length = mesh.edge_length
+    w_flux = mesh.edge_sign * dot(fields.w[left], mesh.edge_normal) * length
     boundary = right < 0
     c_s_left = fields.c_S[left]
     c_s_right = fields.c_S[np.where(boundary, left, right)]
     c_s = np.where(boundary, c_s_left,
                    2.0 * c_s_left * c_s_right / (c_s_left + c_s_right))
     # measure over diameter, in the order of tests/oracles.py::upwind_weight
-    length = mesh.edge_length
     with np.errstate(divide="ignore"):
         nu = np.minimum(c_s * length / (length * np.abs(w_flux)), 0.5)
     return np.where((w_flux == 0.0) | (boundary & (w_flux < 0.0)), 0.0, nu)
-
-
-def upwind_sides(mesh: Triangulation, wflux: np.ndarray, nu: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The upwind face rule, per (local edge, element), shape (3, NT) each,
-    from the convective fluxes ``wflux`` w_{K,sigma} in that layout: the
-    element across (-1 on the boundary), and the coefficients c_own of
-    the element's own pressure and c_other of the value across (the
-    neighbour's pressure or the Dirichlet datum) in the face value.  An
-    element with outflow w_{K,sigma} >= 0 is upstream and weighs its own
-    pressure by 1 - nu."""
-    left, right = (mesh.edge_elems[:, k][mesh.elem_edges.T] for k in (0, 1))
-    other = np.where(left == np.arange(mesh.num_elements), right, left)
-    nu = nu[mesh.elem_edges.T]
-    upstream = wflux >= 0.0
-    return (other, np.where(upstream, 1.0 - nu, nu),
-            np.where(upstream, nu, 1.0 - nu))
-
-
-def _left_values(mesh: Triangulation, per_elem_edge: np.ndarray) -> np.ndarray:
-    """Gather a per-(element, local edge) array to per-edge, first-element side."""
-    out = np.zeros(mesh.num_edges, dtype=per_elem_edge.dtype)
-    left_mask = mesh.edge_elems[mesh.elem_edges, 0] == \
-        np.arange(mesh.num_elements)[:, None]
-    out[mesh.elem_edges[left_mask]] = per_elem_edge[left_mask]
-    return out
 
 
 def _edge_means(mesh: Triangulation, flag: int, data) -> np.ndarray:
@@ -397,7 +374,7 @@ def neumann_fixed_coefficients(mesh: Triangulation, problem: ProblemData
     orientation sign.
     """
     means = _edge_means(mesh, NEUMANN, problem.neumann_data)
-    return _left_values(mesh, mesh.elem_signs) * means
+    return mesh.edge_sign * means
 
 
 def load_vector(disc: Discretization) -> np.ndarray:

@@ -106,6 +106,8 @@ class Triangulation:
         # outward normal matches the global one iff the edge is stored with
         # the same orientation, low id first.
         self.elem_signs = np.where(a < b, 1, -1).astype(np.int8).reshape(-1, 3)
+        # the sign at each edge's first occurrence, its first element's side
+        self.edge_sign = self.elem_signs.ravel()[first]
 
         count = np.bincount(flat_edges, minlength=ne)
         crowded = np.flatnonzero(count > 2)

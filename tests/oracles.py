@@ -27,8 +27,7 @@ import scipy.sparse as sp
 
 from rtadapt import quadrature as quad
 from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
-                              MixedSolution, _edge_fluxes, _left_values,
-                              _local_blocks, load_vector)
+                              MixedSolution, _local_blocks, load_vector)
 from rtadapt.estimators import EstimatorError
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                           Triangulation)
@@ -412,10 +411,20 @@ def upwind_weight(c_s_left, c_s_right, edge_length, w_flux, boundary):
     return min(c_s * edge_length / (h_sigma * abs(w_flux)), 0.5)
 
 
+def first_side_values(mesh, per_side):
+    """Each edge's value in the (NT, 3) ``per_side`` on the side of its
+    first element, the local edge found by searching that element's
+    edges."""
+    first = mesh.edge_elems[:, 0]
+    local = np.argmax(mesh.elem_edges[first]
+                      == np.arange(mesh.num_edges)[:, None], axis=1)
+    return per_side[first, local]
+
+
 def loop_upwind_weights(disc):
     """``assembly.upwind_weights`` edge by edge through ``upwind_weight``."""
     mesh, fields = disc.mesh, disc.fields
-    w_flux = _left_values(mesh, _edge_fluxes(mesh, fields))
+    w_flux = first_side_values(mesh, einsum_edge_fluxes(mesh, fields))
     left, right = mesh.edge_elems[:, 0], mesh.edge_elems[:, 1]
     return np.array([
         upwind_weight(fields.c_S[left[e]],
@@ -887,7 +896,7 @@ def _mixed(mesh, problem, scheme):
 
     # natural Dirichlet boundary term
     dir_edges = np.flatnonzero(mesh.edge_flag == DIRICHLET)
-    sgn_left = _left_values(mesh, mesh.elem_signs.astype(np.int64))
+    sgn_left = first_side_values(mesh, mesh.elem_signs.astype(np.int64))
     np.subtract.at(rhs, edge_dof[dir_edges],
                    sgn_left[dir_edges] * mesh.edge_length[dir_edges]
                    * pd_mean[dir_edges])
@@ -908,7 +917,7 @@ def _mixed(mesh, problem, scheme):
     else:
         vals.append(-disc.fields.r * mesh.elem_area)
         nu_edges = loop_upwind_weights(disc)
-        wflux = _edge_fluxes(mesh, disc.fields)
+        wflux = einsum_edge_fluxes(mesh, disc.fields)
         nu = nu_edges[E]
         flag = mesh.edge_flag[E]
         lr = mesh.edge_elems[E]
@@ -976,7 +985,7 @@ def edge_patch(mesh, e):
 def hat_hat_edges(ctx):
     """Face-value defect of the upwind pressure per edge, from the side of
     its first element (``EstimatorContext._hat_hat_all``)."""
-    return _left_values(ctx.mesh, ctx._hat_hat_all().T)
+    return first_side_values(ctx.mesh, ctx._hat_hat_all().T)
 
 
 def hat_hat_p(ctx, e):
@@ -1145,7 +1154,8 @@ def einsum_reconstruct(mesh, solution):
 
 
 def einsum_edge_fluxes(mesh, fields):
-    """``assembly._edge_fluxes``."""
+    """The convective fluxes w_{K,sigma} per (element, local edge), (NT,
+    3): ``Discretization.face_rule[0]`` transposed."""
     E = mesh.elem_edges
     wn = np.einsum("td,ted->te", fields.w, mesh.edge_normal[E])
     return mesh.elem_signs * wn * mesh.edge_length[E]

@@ -249,28 +249,28 @@ class TestSharedDiscretization:
 
     def test_one_jump_pass_and_one_left_flux_gather(self, monkeypatch):
         """An upwind iteration evaluates both jump weightings in one call
-        and gathers the first-element edge fluxes once."""
-        jump_calls, gathers = [], []
-        jumps, left_values = estimators.tangential_jump_sq, \
-            assembly._left_values
+        and gathers the edge fluxes out of each edge's first element, for
+        the upwind weights, once."""
+        jump_calls, weight_calls = [], []
+        jumps, weights = estimators.tangential_jump_sq, \
+            assembly.upwind_weights
 
         def counted_jumps(flux):
             jump_calls.append(flux.disc.mesh.num_elements)
             return jumps(flux)
 
-        def counted_gather(mesh, per_elem_edge):
-            if per_elem_edge.dtype.kind == "f":      # not the int8 signs
-                gathers.append(per_elem_edge.shape)
-            return left_values(mesh, per_elem_edge)
+        def counted_weights(disc):
+            weight_calls.append(disc.mesh.num_elements)
+            return weights(disc)
 
         monkeypatch.setattr(estimators, "tangential_jump_sq", counted_jumps)
-        monkeypatch.setattr(assembly, "_left_values", counted_gather)
+        monkeypatch.setattr(assembly, "upwind_weights", counted_weights)
         domain, data, _ = benchmark("layer")
         mesh = data.initial_mesh(domain).uniform_refine()
         _, ctx = adapt.run_iteration(mesh, data, "upwind")
         ctx.compute("theorem")
         assert jump_calls == [mesh.num_elements]
-        assert gathers == [(mesh.num_elements, 3)]
+        assert weight_calls == [mesh.num_elements]
 
     @pytest.mark.parametrize("case, scheme, expected",
                              [("kellogg1", "centered", 0),
@@ -281,13 +281,15 @@ class TestSharedDiscretization:
         Discretization's face rule, and the centered scheme never builds
         it."""
         calls = []
-        sides = assembly.upwind_sides
+        build = assembly.Discretization.face_rule.func
 
-        def counted(*args):
-            calls.append(args[0].num_elements)
-            return sides(*args)
+        def counted(disc):
+            calls.append(disc.mesh.num_elements)
+            return build(disc)
 
-        monkeypatch.setattr(assembly, "upwind_sides", counted)
+        rule = functools.cached_property(counted)
+        rule.__set_name__(assembly.Discretization, "face_rule")
+        monkeypatch.setattr(assembly.Discretization, "face_rule", rule)
         domain, data, _ = benchmark(case)
         mesh = data.initial_mesh(domain).uniform_refine()
         _, ctx = adapt.run_iteration(mesh, data, scheme)

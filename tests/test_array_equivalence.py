@@ -152,8 +152,7 @@ def test_upwind_weights_match_loop(case_meshes):
     data, meshes, _ = case_meshes
     for mesh in meshes:
         disc = assembly.Discretization(mesh, data)
-        wflux = assembly._edge_fluxes(mesh, disc.fields)
-        assert np.array_equal(assembly.upwind_weights(disc, wflux),
+        assert np.array_equal(assembly.upwind_weights(disc),
                               loop_upwind_weights(disc))
 
 
@@ -454,7 +453,7 @@ def test_reconstruction_is_bit_equal(solved):
 
 def test_edge_fluxes_are_bit_equal(solved):
     disc = solved[0]
-    assert np.array_equal(assembly._edge_fluxes(disc.mesh, disc.fields),
+    assert np.array_equal(disc.face_rule[0].T,
                           oracles.einsum_edge_fluxes(disc.mesh, disc.fields))
 
 

@@ -332,8 +332,7 @@ class TestAssembleUpwind:
     def test_interior_edge_in_two_rows_with_opposite_fluxes(self):
         domain, data, _ = benchmark("layer", eps=0.01, a=0.05)
         mesh = data.initial_mesh(domain)
-        fields = data.fields(mesh)
-        wflux = assembly._edge_fluxes(mesh, fields)
+        wflux = Discretization(mesh, data).face_rule[0].T
         for e in range(mesh.num_edges):
             patch = edge_patch(mesh, e)
             if len(patch) != 2:
@@ -409,8 +408,7 @@ class TestHybridUpwind:
             1e-10 * np.abs(mixed.pressure).max()
         neumann = mesh.edge_flag == NEUMANN
         assert np.array_equal(hybrid.flux[neumann], mixed.flux[neumann])
-        nu = assembly.upwind_weights(disc,
-                                     assembly._edge_fluxes(mesh, disc.fields))
+        nu = assembly.upwind_weights(disc)
         assert np.array_equal(nu, mixed_system.nu)
 
     @pytest.mark.parametrize("case", ["lshape", "kellogg1"])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import (ORACLE_TRI, edge_patch, element_indicator,
-                     flux_through_edge, hat_hat_edges, hat_hat_p,
+                     first_side_values, flux_through_edge, hat_hat_edges,
+                     hat_hat_p,
                      loop_patch_maxima,
                      star_walk_singular_vertices, total_indicator,
                      vertex_star, weighted)
@@ -213,8 +214,7 @@ class TestHatHatP:
         mesh, data, _, sol, ctx = solved_context("layer", eps=10.0, a=0.2,
                                                  scheme="upwind")
         # large diffusion caps every active weight at 1/2
-        nu = assembly.upwind_weights(
-            ctx.disc, assembly._edge_fluxes(mesh, ctx.fields))
+        nu = assembly.upwind_weights(ctx.disc)
         interior = mesh.edge_flag == 0
         active = interior & (np.abs(nu - 0.5) < 1e-14)
         assert active.any()
@@ -247,9 +247,8 @@ class TestHatHatP:
         sol.pressure[:] = 2.0
         ctx = EstimatorContext(Discretization(mesh0, data0), sol)
         vals = hat_hat_edges(ctx)
-        edge_fluxes = assembly._edge_fluxes(mesh0, ctx.fields)
-        nu = assembly.upwind_weights(ctx.disc, edge_fluxes)
-        wflux = assembly._left_values(mesh0, edge_fluxes)
+        nu = assembly.upwind_weights(ctx.disc)
+        wflux = first_side_values(mesh0, ctx.disc.face_rule[0].T)
         top = np.flatnonzero((mesh0.edge_flag != 0) & (wflux > 0))
         assert top.size > 0 and np.all(nu[top] > 0.0)
         for e in top:

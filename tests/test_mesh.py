@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (barycenters, canonical, edge_patch, rivara_refine,
-                     vertex_star)
+from oracles import (barycenters, canonical, edge_patch, first_side_values,
+                     rivara_refine, vertex_star)
 
 from rtadapt import mesh as meshmod
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
@@ -261,6 +261,34 @@ class TestRefineProperties:
         coarse = build()
         for mesh, marked, fine in refine_at_random(coarse, data):
             check_refinement(coarse, mesh, marked, fine)
+
+    @given(domain=st.sampled_from(meshmod.DOMAINS), data=st.data())
+    def test_edge_sign_is_first_element_sign(self, domain, data):
+        """Each edge's sign is the sign its first element gives it, on
+        randomly refined meshes re-flagged by ``side_rule`` and on their
+        relabelings: elements shuffled, local vertices rotated and
+        vertices renumbered."""
+        fine = build_initial_mesh(domain)
+        for _, _, fine in refine_at_random(fine, data):
+            pass
+        fine = apply_boundary_rule(fine, side_rule)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed"))
+        new_id = rng.permutation(fine.num_vertices)
+        coords = np.empty_like(fine.vert_coords)
+        coords[new_id] = fine.vert_coords
+        local = (np.arange(3) + rng.integers(0, 3, (fine.num_elements, 1))) % 3
+        elems = new_id[np.take_along_axis(fine.elem_verts, local, axis=1)]
+        flags = {tuple(sorted(new_id[fine.edge_verts[e]].tolist())):
+                 int(fine.edge_flag[e])
+                 for e in np.flatnonzero(fine.edge_flag != INTERIOR)}
+        relabeled = Triangulation(
+            coords, elems[rng.permutation(fine.num_elements)], flags)
+        assert np.any(relabeled.edge_flag == NEUMANN)
+        for mesh in (fine, relabeled):
+            assert mesh.edge_sign.dtype == np.int8
+            assert np.array_equal(mesh.edge_sign,
+                                  first_side_values(mesh, mesh.elem_signs))
 
 
 def mesh_is_top(mid, flag):
