@@ -368,10 +368,11 @@ class Triangulation:
 
 
 def row_slices(count: int) -> Iterator[slice]:
-    """Consecutive slices of ``BLOCK_ROWS`` rows that cover ``count``."""
+    """Consecutive slices of ``BLOCK_ROWS`` rows that cover ``count``; a lone
+    last row joins the block before, as numpy sums one row differently."""
     step = BLOCK_ROWS
-    return (slice(start, min(start + step, count))
-            for start in range(0, count, step))
+    return (slice(start, count if count - start <= step + 1 else start + step)
+            for start in range(0, count - (count > 1), step))
 
 
 def text_rows(line: str, count: int, *columns: np.ndarray) -> Iterator[str]:

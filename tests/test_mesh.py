@@ -290,6 +290,20 @@ class TestRefineProperties:
             assert np.array_equal(mesh.edge_sign,
                                   first_side_values(mesh, mesh.elem_signs))
 
+    @pytest.mark.parametrize("rows", [2, 3, 7])
+    def test_row_slices_leave_no_lone_row(self, monkeypatch, rows):
+        """Blocks cover the rows in order, in blocks of ``BLOCK_ROWS``
+        rows except the last, which takes a lone last row with it."""
+        monkeypatch.setattr(meshmod, "BLOCK_ROWS", rows)
+        for count in range(4 * rows + 2):
+            blocks = list(meshmod.row_slices(count))
+            assert [i for b in blocks for i in range(b.start, b.stop)] \
+                == list(range(count))
+            sizes = [b.stop - b.start for b in blocks]
+            assert sizes[:-1] == [rows] * (len(sizes) - 1)
+            assert all(min(count, 2) <= size <= rows + 1
+                       for size in sizes[-1:])
+
 
 def mesh_is_top(mid, flag):
     return flag != INTERIOR and mid[1] > 1 - 1e-12

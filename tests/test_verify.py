@@ -8,6 +8,7 @@ import pytest
 from rtadapt import adapt, assembly, mesh as meshmod, quadrature as quad, \
     solver, verify
 from rtadapt.assembly import Discretization
+from rtadapt.cli import BENCHMARK_DEFAULTS
 from rtadapt.mesh import build_initial_mesh
 from rtadapt.postprocess import FluxField
 from rtadapt.problem import ExactSolution, ProblemData, benchmark
@@ -143,6 +144,31 @@ class TestEnergyError:
             assert sizes == [min(rows, nt - start)
                              for start in range(0, nt, rows)] \
                 + [singular.size] * (singular.size > 0)
+
+    # adaptive meshes from the CLI defaults, by their number of records,
+    # with block sizes that leave one element over; the parent code's
+    # one-element last block gave one E_K off in its last bit on each
+    @pytest.mark.parametrize("case, records, sizes", [
+        ("kellogg1", 14, (7, 37, 259)), ("kellogg2", 11, (3, 29, 87)),
+        ("layer", 11, (89,))])
+    def test_lone_last_element_joins_its_block(self, monkeypatch, case,
+                                               records, sizes):
+        """With one element more than a multiple of ``BLOCK_ROWS``, E and
+        every E_K are bit for bit those of one block over the mesh."""
+        domain, data, exact = benchmark(case)
+        scheme, policy, theta = BENCHMARK_DEFAULTS[case]
+        mesh = adapt.adaptive_loop(data, data.initial_mesh(domain), scheme,
+                                   policy, theta, max_iter=records).mesh
+        solution, ctx = adapt.run_iteration(mesh, data, scheme)
+        args = (mesh, ctx.fields, ctx.flux, solution.pressure, exact)
+        nt = mesh.num_elements
+        monkeypatch.setattr(meshmod, "BLOCK_ROWS", nt)
+        E, per = verify.energy_error(*args)
+        for rows in sizes:
+            assert nt % rows == 1
+            monkeypatch.setattr(meshmod, "BLOCK_ROWS", rows)
+            got, got_per = verify.energy_error(*args)
+            assert got == E and np.array_equal(got_per, per)
 
     def test_decomposition(self):
         domain, data, exact = benchmark("layer", eps=0.1, a=0.1)
