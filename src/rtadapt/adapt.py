@@ -10,7 +10,7 @@ import numpy as np
 
 from . import assembly, solver, verify
 from .estimators import THEOREM, TOTAL, EstimatorBreakdown, EstimatorContext
-from .mesh import Triangulation
+from .mesh import INTERIOR, Triangulation
 from .problem import ExactSolution, ProblemData
 
 
@@ -102,6 +102,8 @@ def run_iteration(mesh: Triangulation, problem: ProblemData, scheme: str,
         raise AdaptError("the estimators always subtract the boundary data")
     if scheme not in assembly.SCHEMES:
         raise AdaptError(f"unknown scheme {scheme!r}")
+    solver.check_dimension(np.count_nonzero(mesh.edge_flag == INTERIOR)
+                           + (scheme == assembly.UPWIND) * mesh.num_elements)
     assemble = (assembly.assemble_centered if scheme == assembly.CENTERED
                 else assembly.assemble_upwind)
     disc = assembly.Discretization(mesh, problem)

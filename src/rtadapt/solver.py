@@ -64,6 +64,12 @@ def release_heap() -> None:
         _malloc_trim(0)
 
 
+def check_dimension(n: int) -> None:
+    """Raise SolverError for a system of n > MAX_DIMENSION unknowns."""
+    if n > MAX_DIMENSION:
+        raise SolverError(f"system dimension {n} exceeds {MAX_DIMENSION}")
+
+
 def _diagnose_singularity(permuted: sp.csc_matrix, order: np.ndarray) -> str:
     """Name the first empty row of the ``rcm_permuted`` matrix in the
     system's own numbering, through its ``order``."""
@@ -93,10 +99,7 @@ def solve(system: HybridSystem) -> MixedSolution:
     The recovery runs on a copy of ``system`` without its matrix, so
     ``system.recover`` must not read it; ``system`` is left unchanged.
     """
-    if system.dimension > MAX_DIMENSION:
-        raise SolverError(
-            f"system dimension {system.dimension} exceeds {MAX_DIMENSION}"
-        )
+    check_dimension(system.dimension)
     permuted, order = rcm_permuted(system.matrix)
     # recover reads no matrix: without the caller's reference (as in
     # adapt.run_iteration) the unpermuted one is freed before the release

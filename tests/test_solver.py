@@ -10,6 +10,7 @@ from oracles import SaddleSystem, element_major_blocks, mixed_centered
 from rtadapt import adapt, assembly, solver
 from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
                               assemble_centered, assemble_upwind)
+from rtadapt.mesh import INTERIOR, NEUMANN
 from rtadapt.problem import benchmark
 from rtadapt.solver import SingularSystemError, SolverError, solve
 
@@ -228,6 +229,42 @@ def test_dimension_guard():
     )
     with pytest.raises(SolverError):
         solve(system)
+
+
+@pytest.mark.parametrize("scheme", [CENTERED, UPWIND])
+def test_dimension_checked_before_assembly(scheme, monkeypatch):
+    """An iteration counts its unknowns from the mesh, one per interior
+    edge and, upwind, one per element, and rejects a system above the
+    guard with the solver's message before it builds the Discretization;
+    at the guard it assembles a system of exactly that dimension."""
+    domain, data, _ = benchmark("layer")
+    mesh = data.initial_mesh(domain).uniform_refine()
+    assert np.any(mesh.edge_flag == NEUMANN)
+    n = np.count_nonzero(mesh.edge_flag == INTERIOR) \
+        + (scheme == UPWIND) * mesh.num_elements
+    built, dimensions = [], []
+    discretize = assembly.Discretization
+    assemble = getattr(assembly, f"assemble_{scheme}")
+
+    def counted(*args):
+        built.append(args[0].num_elements)
+        return discretize(*args)
+
+    def recorded(disc):
+        system = assemble(disc)
+        dimensions.append(system.dimension)
+        return system
+
+    monkeypatch.setattr(assembly, "Discretization", counted)
+    monkeypatch.setattr(assembly, f"assemble_{scheme}", recorded)
+    monkeypatch.setattr(solver, "MAX_DIMENSION", n - 1)
+    with pytest.raises(SolverError) as error:
+        adapt.run_iteration(mesh, data, scheme)
+    assert str(error.value) == f"system dimension {n} exceeds {n - 1}"
+    assert built == [] and dimensions == []
+    monkeypatch.setattr(solver, "MAX_DIMENSION", n)
+    adapt.run_iteration(mesh, data, scheme)
+    assert built == [mesh.num_elements] and dimensions == [n]
 
 
 def test_wrong_multipliers_fail_the_mixed_residual():
