@@ -185,7 +185,7 @@ class Discretization:
         mesh, E = self.mesh, self.mesh.elem_edges.T
         wflux = mesh.elem_signs.T * dot(self.fields.w, mesh.edge_normal[E]) \
             * mesh.edge_length[E]
-        left, right = mesh.edge_elems[E].transpose(2, 0, 1)
+        left, right = (mesh.edge_elems[:, k][E] for k in (0, 1))
         other = np.where(left == np.arange(mesh.num_elements), right, left)
         nu = upwind_weights(self)[E]
         upstream = wflux >= 0.0
