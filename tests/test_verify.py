@@ -146,8 +146,8 @@ class TestEnergyError:
                 + [singular.size] * (singular.size > 0)
 
     # adaptive meshes from the CLI defaults, by their number of records,
-    # with block sizes that leave one element over; the parent code's
-    # one-element last block gave one E_K off in its last bit on each
+    # with block sizes that leave one element over; a last block of that
+    # one element alone gave one E_K off in its last bit on each
     @pytest.mark.parametrize("case, records, sizes", [
         ("kellogg1", 14, (7, 37, 259)), ("kellogg2", 11, (3, 29, 87)),
         ("layer", 11, (89,))])
