@@ -82,7 +82,7 @@ class HybridSystem:
     the interior edges, times the pressures across, by the face rule of
     ``disc``, the Discretization the system was assembled from.
 
-    Each Neumann row of M is an identity row, for the fixed flux.  The
+    Each Neumann row of M is an identity row, for ``disc.fixed_flux``.  The
     centered scheme condenses its pressure to p = offset + sum of gain_i
     lambda_i over the element's edges, and the unknowns of ``matrix`` are
     the multipliers; the upwind unknowns are the multipliers, then the
@@ -97,7 +97,6 @@ class HybridSystem:
     disc: Discretization
     blocks: np.ndarray            # (4, 4, NT) element blocks [[M, -B], [c, d]]
     load: np.ndarray              # (4, NT) their right-hand sides
-    fixed_flux: np.ndarray        # (NE,) Neumann coefficients, zero elsewhere
     # centered scheme only: the condensed pressure, (NT,) and (3, NT)
     offset: np.ndarray | None = None
     gain: np.ndarray | None = None
@@ -113,7 +112,7 @@ class HybridSystem:
         with the residual and the right-hand side of the mixed equations
         (free edge rows, then element rows), evaluated without the mixed
         matrix."""
-        mesh = self.disc.mesh
+        mesh, fixed_flux = self.disc.mesh, self.disc.fixed_flux
         num_edges, E = mesh.num_edges, mesh.elem_edges.T
         flat = E.ravel()
         trace = np.zeros(num_edges)
@@ -130,11 +129,11 @@ class HybridSystem:
         jump = np.where(neumann[E], 0.0, lam - pressure)
         # the flux inverses again, which the factorization ran without
         local = _apply(_inverse3(self.blocks[:3, :3]), self.load[:3] + (
-            self.fixed_flux[E] + self.blocks[:3, 3] * jump))
+            fixed_flux[E] + self.blocks[:3, 3] * jump))
         # the two sides of an interior edge agree up to round-off
         flux = np.bincount(flat, local.ravel(), num_edges) \
             / np.bincount(flat, minlength=num_edges)
-        flux[neumann] = self.fixed_flux[neumann]
+        flux[neumann] = fixed_flux[neumann]
 
         def rows(per_element):
             edge_rows = np.bincount(flat, per_element[:3].ravel(), num_edges)
@@ -145,7 +144,7 @@ class HybridSystem:
         if self.coupling is not None:
             other = self.disc.face_rule[1]
             residual[3] += (self.coupling * pressure[other]).sum(axis=0)
-        fixed = np.concatenate([self.fixed_flux[E], np.zeros((1, E.shape[1]))])
+        fixed = np.concatenate([fixed_flux[E], np.zeros((1, E.shape[1]))])
         scheme = CENTERED if self.coupling is None else UPWIND
         return (MixedSolution(flux, pressure, scheme), rows(residual),
                 rows(self.load - _apply(self.blocks, fixed)))
@@ -159,7 +158,11 @@ class Discretization:
     fields : coefficient fields on the elements (``problem.fields``)
     source : (NT, 7) the source f at the nodes of ``quad.SEVEN_POINT``,
         a read-only zero broadcast for a problem without a source
-    pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges
+    pd_mean : (NE,) Dirichlet datum means, zero off Dirichlet edges; they
+        enter the edge rows as the natural boundary term
+    fixed_flux : (NE,) the fixed flux coefficients of the Neumann edges,
+        the mean outward flux density in the orientation of the edge's
+        first element, zero off Neumann edges
     face_rule : the upwind face rule, built on first use (upwind only)
     """
 
@@ -172,7 +175,9 @@ class Discretization:
             pts = quad.SEVEN_POINT.physical_points(mesh.elem_coords)
             self.source = np.broadcast_to(problem.f(pts[..., 0], pts[..., 1]),
                                           pts.shape[:-1])
-        self.pd_mean = dirichlet_edge_means(mesh, problem)
+        self.pd_mean = _edge_means(mesh, DIRICHLET, problem.dirichlet_data)
+        self.fixed_flux = mesh.edge_sign * _edge_means(mesh, NEUMANN,
+                                                       problem.neumann_data)
 
     @cached_property
     def face_rule(self) -> tuple[np.ndarray, ...]:
@@ -359,32 +364,9 @@ def _edge_means(mesh: Triangulation, flag: int, data) -> np.ndarray:
     return means
 
 
-def dirichlet_edge_means(mesh: Triangulation, problem: ProblemData
-                         ) -> np.ndarray:
-    """Edge means of the Dirichlet datum (zero on non-Dirichlet edges)."""
-    return _edge_means(mesh, DIRICHLET, problem.dirichlet_data)
-
-
-def neumann_fixed_coefficients(mesh: Triangulation, problem: ProblemData
-                               ) -> np.ndarray:
-    """Fixed DOF coefficients on Neumann edges (zero on the other edges).
-
-    The edge mean of the prescribed outward flux density g is converted to
-    the global-normal coefficient through the incident element's
-    orientation sign.
-    """
-    means = _edge_means(mesh, NEUMANN, problem.neumann_data)
-    return mesh.edge_sign * means
-
-
-def load_vector(disc: Discretization) -> np.ndarray:
-    """Element integrals of the source term, by the seven-point rule."""
-    return quad.SEVEN_POINT.integrate(disc.source, disc.mesh.elem_area)
-
-
 def _element_system(disc: Discretization, M, B, c, d, load_p):
     """Entry-major element blocks [[M, -B], [c, d]], each Neumann row of M
-    an identity row, their right-hand sides and the fixed Neumann fluxes."""
+    an identity row, and their right-hand sides."""
     mesh = disc.mesh
     blocks = np.empty((4, 4, mesh.num_elements))
     blocks[:3, :3] = M
@@ -396,7 +378,7 @@ def _element_system(disc: Discretization, M, B, c, d, load_p):
     blocks[3, 3] = d
     # natural Dirichlet term; the datum means vanish off Dirichlet edges
     load = np.concatenate([-B * disc.pd_mean[mesh.elem_edges.T], load_p[None]])
-    return blocks, load, neumann_fixed_coefficients(mesh, disc.problem)
+    return blocks, load
 
 
 def _multipliers(mesh: Triangulation) -> tuple[np.ndarray, int]:
@@ -422,14 +404,15 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
     hybridized onto the interior edges."""
     mesh = disc.mesh
     M, B, conv, react = _local_blocks(disc)
-    blocks, load, fixed = _element_system(disc, M, B, -B + conv, -react,
-                                          -load_vector(disc))
+    blocks, load = _element_system(
+        disc, M, B, -B + conv, -react,
+        -quad.SEVEN_POINT.integrate(disc.source, mesh.elem_area))
     E = mesh.elem_edges.T
     # each intermediate is dropped once read, so that none is alive
     # while the sparse matrix is built
     del M, conv, react
     v, q, H, cH = _eliminate_fluxes(blocks, mesh.edge_flag[E] == NEUMANN,
-                                    load[:3] + fixed[E])
+                                    load[:3] + disc.fixed_flux[E])
     offset, gain = _condense_pressure(blocks, load, v, q, cH)
     del cH
 
@@ -447,8 +430,7 @@ def assemble_centered(disc: Discretization) -> HybridSystem:
     del H
     matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
-                        blocks=blocks, load=load, fixed_flux=fixed,
-                        offset=offset, gain=gain)
+                        blocks=blocks, load=load, offset=offset, gain=gain)
 
 
 def assemble_upwind(disc: Discretization) -> HybridSystem:
@@ -468,12 +450,13 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     coupling = np.where(interior, -wflux * c_other, 0.0)
     datum = np.where(dirich, wflux * c_other, 0.0) * disc.pd_mean[E]
     d = -react + own.sum(axis=0)
-    blocks, load, fixed = _element_system(
-        disc, M, B, -B, d, datum.sum(axis=0) - load_vector(disc))
+    blocks, load = _element_system(
+        disc, M, B, -B, d, datum.sum(axis=0)
+        - quad.SEVEN_POINT.integrate(disc.source, mesh.elem_area))
     # as in assemble_centered, each intermediate is dropped once read
     del M, react, own, datum
     v, q, H, cH = _eliminate_fluxes(blocks, flag == NEUMANN,
-                                    load[:3] + fixed[E])
+                                    load[:3] + disc.fixed_flux[E])
     c = blocks[3, :3]
 
     edge_dof, n = _multipliers(mesh)
@@ -494,5 +477,4 @@ def assemble_upwind(disc: Discretization) -> HybridSystem:
     del v, cH
     matrix = sp.csc_matrix((vals, (rows, cols)), shape=(n + nt, n + nt))
     return HybridSystem(matrix=matrix, rhs=rhs, edge_dof=edge_dof, disc=disc,
-                        blocks=blocks, load=load, fixed_flux=fixed,
-                        coupling=coupling)
+                        blocks=blocks, load=load, coupling=coupling)

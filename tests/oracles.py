@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from rtadapt import quadrature as quad
 from rtadapt.assembly import (CENTERED, UPWIND, Discretization,
-                              MixedSolution, _local_blocks, load_vector)
+                              MixedSolution, _local_blocks)
 from rtadapt.estimators import EstimatorError
 from rtadapt.mesh import (DIRICHLET, INTERIOR, NEUMANN, MeshError,
                           Triangulation)
@@ -792,7 +792,7 @@ def upwind_value_coeffs(nu, w_flux, interior):
 
 
 def loop_neumann_coefficients(mesh, problem, rule=quad.DATA_EDGE):
-    """``assembly.neumann_fixed_coefficients`` edge by edge.
+    """``Discretization.fixed_flux`` edge by edge.
 
     The datum is evaluated edge by edge, and the values of all Neumann
     edges are then weighted by one matrix-vector product, in the edge order
@@ -862,7 +862,7 @@ def mixed_upwind(mesh, problem):
 def _mixed(mesh, problem, scheme):
     disc = Discretization(mesh, problem)
     M, B, conv, react = element_major_blocks(disc)
-    fsrc = load_vector(disc)
+    fsrc = quad.SEVEN_POINT.integrate(disc.source, mesh.elem_area)
     pd_mean = disc.pd_mean
     fixed = loop_neumann_coefficients(mesh, problem)
 

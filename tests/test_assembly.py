@@ -351,8 +351,9 @@ class TestAssembleUpwind:
         system = mixed_upwind(mesh, data)
         A = system.matrix.tocsr()
         nu = system.nu
-        pd_mean = assembly.dirichlet_edge_means(mesh, data)
-        frow = assembly.load_vector(Discretization(mesh, data))
+        disc = Discretization(mesh, data)
+        pd_mean = disc.pd_mean
+        frow = quad.SEVEN_POINT.integrate(disc.source, mesh.elem_area)
 
         for t in range(mesh.num_elements):
             row = element_row(system, t)
@@ -508,7 +509,7 @@ class TestClosedFormInverse:
         # and a random trace
         lam = np.random.default_rng(3).normal(size=neumann.shape)
         rhs = centered.load.copy()
-        rhs[:3] += centered.fixed_flux[mesh.elem_edges.T]
+        rhs[:3] += disc.fixed_flux[mesh.elem_edges.T]
         assert_solutions(*eliminated_solutions(centered.blocks, neumann,
                                                rhs, lam), 1e-13, False)
 
@@ -697,10 +698,10 @@ class TestSolutionMapping:
         system = assemble_centered(Discretization(mesh, data))
         neumann = np.flatnonzero(mesh.edge_flag == NEUMANN)
         assert neumann.size == 2
-        assert not np.any(system.fixed_flux)
+        assert not np.any(system.disc.fixed_flux)
         sol = solver.solve(system)
         for e in neumann:
-            assert sol.flux[e] == system.fixed_flux[e] == 0.0
+            assert sol.flux[e] == system.disc.fixed_flux[e] == 0.0
 
     def test_nonzero_neumann_flux_is_kept(self):
         mesh, data = neumann_layer()
@@ -708,15 +709,15 @@ class TestSolutionMapping:
                        assemble_upwind(Discretization(mesh, data))):
             sol = solver.solve(system)
             neumann = mesh.edge_flag == NEUMANN
-            assert np.all(system.fixed_flux[neumann] != 0.0)
+            assert np.all(system.disc.fixed_flux[neumann] != 0.0)
             assert np.array_equal(sol.flux[neumann],
-                                  system.fixed_flux[neumann])
+                                  system.disc.fixed_flux[neumann])
 
     def test_neumann_coefficients_match_loop(self):
         """One vectorized pass, bit-equal to the edge-by-edge evaluation."""
         mesh, data = neumann_layer()
         mesh = mesh.uniform_refine()
-        got = assembly.neumann_fixed_coefficients(mesh, data)
+        got = Discretization(mesh, data).fixed_flux
         want = loop_neumann_coefficients(mesh, data)
         assert np.count_nonzero(want) == \
             np.count_nonzero(mesh.edge_flag == NEUMANN)
@@ -742,7 +743,7 @@ def system_bytes(system):
     """Bytes of the arrays a HybridSystem holds."""
     arrays = (system.matrix.data, system.matrix.indices,
               system.matrix.indptr, system.rhs, system.edge_dof,
-              system.blocks, system.load, system.fixed_flux,
+              system.blocks, system.load,
               system.offset, system.gain, system.coupling)
     return sum(a.nbytes for a in arrays if a is not None)
 

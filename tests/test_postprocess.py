@@ -253,7 +253,7 @@ class TestSolvedSolutionProperties:
         sol = solver.solve(assemble_centered(Discretization(mesh, data)))
         coeffs = build_ptilde(mesh, data.fields(mesh), sol)
         mismatch = edge_mean_mismatch(mesh, coeffs)
-        pd = assembly.dirichlet_edge_means(mesh, data)
+        pd = Discretization(mesh, data).pd_mean
         boundary = mesh.edge_flag == 1
         assert np.abs(mismatch[boundary] - pd[boundary]).max() <= 1e-8
 
