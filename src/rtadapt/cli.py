@@ -237,6 +237,8 @@ def _stream(path: Path, writer, *args) -> None:
 
 def dump_mesh(domain: str, refinements: int, out: str) -> int:
     """Dump and render a (uniformly refined) benchmark domain mesh."""
+    if refinements < 0:
+        raise ConfigError(f"--refinements {refinements} is negative")
     m = meshmod.build_initial_mesh(domain)
     for _ in range(refinements):
         m = m.uniform_refine()

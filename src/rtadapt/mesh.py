@@ -55,7 +55,9 @@ class Triangulation:
         Vertex ids per element, counterclockwise.
     boundary_flags : dict, optional
         Maps sorted boundary-edge vertex pairs to DIRICHLET/NEUMANN.
-        Boundary edges without an entry default to DIRICHLET.
+        Boundary edges without an entry default to DIRICHLET; any other
+        flag of a boundary edge is a MeshError.  Entries of interior
+        edges are ignored.
     ancestors : (NT,) int array, optional
         Coarse-ancestor element ids; defaults to 0..NT-1 (a root mesh).
     """
@@ -126,8 +128,11 @@ class Triangulation:
 
         self.edge_flag = np.zeros(ne, dtype=np.uint8)
         for e in np.flatnonzero(~shared):
-            key = tuple(self.edge_verts[e])
-            self.edge_flag[e] = boundary_flags.get(key, DIRICHLET)
+            key = tuple(self.edge_verts[e].tolist())
+            flag = boundary_flags.get(key, DIRICHLET)
+            if flag not in (DIRICHLET, NEUMANN):
+                raise MeshError(f"boundary edge {e} {key} has flag {flag!r}")
+            self.edge_flag[e] = flag
 
     def _build_geometry(self):
         xy = self.vert_coords
@@ -309,9 +314,8 @@ class Triangulation:
         )
         flags = {}
         for r in rows[1 + nv : 1 + nv + ne]:
-            flag = int(r[3])
-            if flag != INTERIOR:
-                flags[(min(int(r[1]), int(r[2])), max(int(r[1]), int(r[2])))] = flag
+            a, b = int(r[1]), int(r[2])
+            flags[(min(a, b), max(a, b))] = int(r[3])
         elems = np.array(
             [[int(r[1]), int(r[2]), int(r[3])] for r in rows[1 + nv + ne :]]
         )

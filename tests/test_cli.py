@@ -331,3 +331,13 @@ class TestRun:
         mesh = Triangulation.parse((tmp_path / "mesh.txt").read_text())
         assert mesh.num_elements == 32
         assert (tmp_path / "mesh.svg").read_text().startswith("<svg")
+
+    def test_negative_refinements(self, tmp_path, capsys):
+        """A negative count is a configuration error, not the coarse mesh."""
+        out = tmp_path / "mesh"
+        rc = main(["mesh", "--domain", "lshape", "--refinements", "-2",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "configuration error: --refinements -2" \
+            in capsys.readouterr().err
+        assert not out.exists()

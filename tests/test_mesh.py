@@ -447,3 +447,45 @@ class TestDumpValidation:
             with pytest.raises(MeshError, match="ancestors"):
                 Triangulation(m.vert_coords, m.elem_verts,
                               ancestors=ancestors)
+
+
+class TestBoundaryFlags:
+    """A boundary edge is DIRICHLET or NEUMANN; any other flag, from the
+    constructor, a boundary rule or a dump, raises MeshError naming the
+    edge and the flag instead of turning the edge into an interior one or
+    storing the flag as given."""
+
+    @pytest.mark.parametrize("flag", [INTERIOR, 5])
+    def test_rule_flag_outside_the_boundary_kinds(self, flag):
+        with pytest.raises(MeshError, match=rf"boundary edge \d+ \(\d+, \d+\) "
+                                            rf"has flag {flag}$"):
+            apply_boundary_rule(build_initial_mesh("unit-square"),
+                                lambda x, y: flag)
+
+    def test_constructor_names_the_edge(self):
+        verts, elems = meshmod.COARSE_MESHES["unit-square"]
+        m = Triangulation(verts, elems)
+        e = int(np.flatnonzero((m.edge_verts == [0, 4]).all(axis=1))[0])
+        with pytest.raises(MeshError,
+                           match=rf"boundary edge {e} \(0, 4\) has flag 3$"):
+            Triangulation(verts, elems, {(0, 4): 3})
+
+    def test_interior_entries_are_ignored(self):
+        verts, elems = meshmod.COARSE_MESHES["unit-square"]
+        m = Triangulation(verts, elems, {(0, 8): 7})
+        assert np.array_equal(m.edge_flag,
+                              Triangulation(verts, elems).edge_flag)
+
+    @pytest.mark.parametrize("flag", [7, INTERIOR])
+    def test_dump_with_a_bad_boundary_flag(self, flag):
+        m = apply_boundary_rule(build_initial_mesh("lshape").uniform_refine(),
+                                side_rule)
+        lines = m.dump().splitlines()
+        e = int(np.flatnonzero(m.edge_flag == NEUMANN)[0])
+        row = lines[1 + m.num_vertices + e].split()
+        assert int(row[0]) == e and int(row[3]) == NEUMANN
+        row[3] = str(flag)
+        lines[1 + m.num_vertices + e] = " ".join(row)
+        with pytest.raises(MeshError,
+                           match=rf"boundary edge {e} .* has flag {flag}$"):
+            Triangulation.parse("\n".join(lines) + "\n")
